@@ -56,7 +56,7 @@ bench-warmstart:
 ## attacks sparse-vs-dense (and across worker counts) on case9/30/57, and
 ## the case118 budgeted attack's gain, FTRAN/BTRAN/refactorization work, and
 ## wall time pinned against the recorded dense baseline in BENCH_solver.json
-## (recorded speedup must be ≥2×).
+## (recorded speedup must be ≥1.5×).
 bench-sparse:
 	$(GO) test -run 'TestSparseGate' -count=1 .
 
@@ -80,8 +80,8 @@ bench-sweep:
 bench-sweep-baseline:
 	BENCH_SWEEP=1 $(GO) test -run TestRecordSweepBaseline .
 
-## bench-milp: the MILP scaling gate — the full pipeline (presolve, cuts,
-## pseudo-cost, hybrid node order, dive/polish) must close case9/30/57 to
+## bench-milp: the MILP scaling gate — the full pipeline (pseudo-cost,
+## hybrid node order, dive/polish) must close case9/30/57 to
 ## proven optimality and reproduce the recorded gain/bound/gap and work
 ## counts of the budgeted case118 and grow300 attacks bit-exactly
 ## (BENCH_milp.json), with the grow300 result identical across node

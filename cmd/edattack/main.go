@@ -36,8 +36,6 @@ func run() error {
 	method := flag.String("method", "complementarity", "bilevel reformulation: complementarity or bigm")
 	maxNodes := flag.Int("nodes", 0, "branch-and-bound node budget per subproblem (0 = default)")
 	order := flag.String("order", "dfs", "node-selection strategy: dfs, best-first, or hybrid")
-	presolve := flag.Bool("presolve", false, "enable the MILP presolve/tightening pass")
-	cuts := flag.Bool("cuts", false, "enable complementarity/clique cuts")
 	pseudocost := flag.Bool("pseudocost", false, "enable pseudo-cost branching")
 	udFlag := flag.String("ud", "", "true DLR values as line=value,... (default: static ratings)")
 	baselines := flag.Bool("baselines", false, "also run greedy and random baselines")
@@ -91,8 +89,7 @@ func run() error {
 	}
 
 	opts := edattack.AttackOptions{
-		MaxNodes: *maxNodes, Workers: *workers,
-		Presolve: *presolve, Cuts: *cuts, PseudoCost: *pseudocost,
+		MaxNodes: *maxNodes, Workers: *workers, PseudoCost: *pseudocost,
 		Metrics: obs.Metrics, Tracer: obs.Tracer, Flight: obs.Flight,
 	}
 	model.Metrics = obs.Metrics

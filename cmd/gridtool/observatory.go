@@ -268,7 +268,6 @@ type milpBenchRecord struct {
 	Exact             bool    `json:"exact"`
 	MILPNodes         int     `json:"milp_nodes"`
 	SimplexIterations int     `json:"simplex_iterations"`
-	Cuts              int64   `json:"cuts"`
 	WallMs            float64 `json:"wall_ms"`
 }
 
@@ -503,7 +502,6 @@ func benchdiffCmd(args []string) error {
 			d.check("gap", or.Gap, nr.Gap, *tol, false, false)
 			d.check("milp_nodes", float64(or.MILPNodes), float64(nr.MILPNodes), *tol, false, false)
 			d.check("simplex_iterations", float64(or.SimplexIterations), float64(nr.SimplexIterations), *tol, false, false)
-			d.check("cuts", float64(or.Cuts), float64(nr.Cuts), *tol, false, false)
 			d.check("wall_ms", or.WallMs, nr.WallMs, *wallTol, false, false)
 			if or.Exact && !nr.Exact {
 				fmt.Printf("  %-26s %14v -> %-14v          ** REGRESSION (lost proven optimality)\n",

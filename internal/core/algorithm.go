@@ -91,27 +91,25 @@ func FindOptimalAttack(k *Knowledge, o Options) (*Attack, error) {
 	// realized, achievable gain that prunes every subproblem that cannot
 	// beat it.
 	var best *Attack
-	if !o.NoSeed {
-		seedSpan := telemetry.StartSpan(nil, root, "core.greedy_seed")
-		grd, err := greedyVertexAttack(k, o.Workers, o.Ctx, o.DisablePooling)
-		if err == nil {
-			grd.Exact = false // a seed, not a proven optimum
-			best = grd
-			inc.Offer(grd.GainPct)
-			o.Flight.Record(telemetry.FlightEvent{
-				Kind:      telemetry.FlightIncumbent,
-				Target:    grd.TargetLine,
-				Dir:       grd.Direction,
-				Incumbent: grd.GainPct,
-				Label:     "seed",
-			})
-			seedSpan.SetAttr("gain_pct", grd.GainPct)
-		} else if !errors.Is(err, ErrNoFeasibleAttack) {
-			seedSpan.End()
-			return nil, fmt.Errorf("core: greedy seeding: %w", err)
-		}
+	seedSpan := telemetry.StartSpan(nil, root, "core.greedy_seed")
+	grd, err := greedyVertexAttack(k, o.Workers, o.Ctx, o.DisablePooling)
+	if err == nil {
+		grd.Exact = false // a seed, not a proven optimum
+		best = grd
+		inc.Offer(grd.GainPct)
+		o.Flight.Record(telemetry.FlightEvent{
+			Kind:      telemetry.FlightIncumbent,
+			Target:    grd.TargetLine,
+			Dir:       grd.Direction,
+			Incumbent: grd.GainPct,
+			Label:     "seed",
+		})
+		seedSpan.SetAttr("gain_pct", grd.GainPct)
+	} else if !errors.Is(err, ErrNoFeasibleAttack) {
 		seedSpan.End()
+		return nil, fmt.Errorf("core: greedy seeding: %w", err)
 	}
+	seedSpan.End()
 
 	// Shared solve-invariant scaffolding, built once on the caller's model
 	// (its dispatch warm start is the one mutation, and it happens before

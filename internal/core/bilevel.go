@@ -83,7 +83,6 @@ type subproblem struct {
 	dlrOrder  []int // DLR line indices in variable order
 	method    Method
 	bigM      float64
-	cuts      bool // register λ/s pairs under big-M for cut generation
 
 	// variable offsets in the master LP
 	nx, np, ni           int
@@ -133,7 +132,6 @@ func newSubproblem(k *Knowledge, target int, dir float64, monitored []int, o Opt
 		monitored: append([]int(nil), monitored...),
 		method:    o.Method,
 		bigM:      o.BigM,
-		cuts:      o.Cuts,
 		metrics:   o.Metrics,
 		ctx:       o.Ctx,
 	}
@@ -325,17 +323,6 @@ func (s *subproblem) build() (*milp.Problem, error) {
 			if _, err := base.AddSparseConstraint(
 				[]int{s.sOff + j, mu}, []float64{1, s.bigM}, lp.LE, s.bigM); err != nil {
 				return nil, fmt.Errorf("core: %w", err)
-			}
-		}
-		if s.cuts {
-			// Register the λ/s pairs for cut generation only. Branching is
-			// unaffected: binaries take precedence, and at any integral μ
-			// the indicator rows already force one side of every pair to
-			// zero, so pair branching never fires.
-			for j := 0; j < s.ni; j++ {
-				if err := prob.AddComplementarityPair(s.lamOff+j, s.sOff+j); err != nil {
-					return nil, fmt.Errorf("core: %w", err)
-				}
 			}
 		}
 	default:
@@ -638,8 +625,6 @@ func (s *subproblem) solveOnce(o Options, incumbent *float64, bound milp.BoundSo
 		Heuristic:        s.heuristic,
 		NodeOrder:        o.NodeOrder,
 		PseudoCost:       o.PseudoCost,
-		Presolve:         o.Presolve,
-		Cuts:             o.Cuts,
 		WarmBasis:        warmRoot,
 		DisableWarmStart: o.NoWarmStart,
 		LP:               lp.Options{DenseSolver: o.DenseSolver, ForceSparse: o.ForceSparse, Workspace: o.ws},

@@ -339,9 +339,6 @@ type Options struct {
 	// milp package's 1e-9); larger values (e.g. 1e-4) speed up large
 	// cases at a bounded optimality sacrifice.
 	RelGap float64
-	// NoSeed disables warm-starting Algorithm 1's pruning bound with the
-	// greedy vertex attack (seeding is on by default).
-	NoSeed bool
 	// NoWarmStart disables simplex basis reuse across branch-and-bound
 	// nodes and row-generation rounds, cold-solving every LP relaxation.
 	// Results are certified-identical either way; this exists for A/B
@@ -372,17 +369,6 @@ type Options struct {
 	// best-first and hybrid close the proven gap faster on hard cases at
 	// the price of warm-basis locality.
 	NodeOrder milp.NodeOrder
-	// Presolve enables the MILP tightening pass before each search: bound
-	// propagation over the KKT rows, per-row big-M coefficient reduction
-	// to the propagated multiplier bounds (which keeps MethodBigM away
-	// from the saturation watchdog), and binary probing/fixing.
-	Presolve bool
-	// Cuts enables complementarity bound cuts and probing clique cuts,
-	// generated at the root and at plunge leaves of each search. Under
-	// MethodBigM this also registers the λ/s complementarity pairs with
-	// the MILP (for cut generation only — binaries still drive all
-	// branching, so the explored tree is unchanged when no cut fires).
-	Cuts bool
 	// PseudoCost enables pseudo-cost branching, seeded at each root from
 	// complementarity-violation magnitudes.
 	PseudoCost bool

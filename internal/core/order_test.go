@@ -11,12 +11,12 @@ import (
 
 // TestNodeOrderDeterministicAttacks is the strategy-independence contract at
 // the Algorithm 1 level: on exactly solvable cases, every node-selection
-// strategy — with and without the presolve/cut/pseudo-cost machinery — must
-// report the identical attack at one worker and at four. The full
-// manipulated-rating vector is compared across every configuration: exact
-// solves all land on the same quantized optimum, and the choked-canonical
-// attack construction makes the reported vector a function of that optimum
-// alone, not of the search trajectory.
+// strategy — with and without pseudo-cost branching — must report the
+// identical attack at one worker and at four. The full manipulated-rating
+// vector is compared across every configuration: exact solves all land on
+// the same quantized optimum, and the choked-canonical attack construction
+// makes the reported vector a function of that optimum alone, not of the
+// search trajectory.
 func TestNodeOrderDeterministicAttacks(t *testing.T) {
 	builds := []struct {
 		name  string
@@ -37,10 +37,10 @@ func TestNodeOrderDeterministicAttacks(t *testing.T) {
 				for _, full := range []bool{false, true} {
 					for _, w := range []int{1, 4} {
 						o := core.Options{
-							RelGap:    1e-6,
-							Workers:   w,
-							NodeOrder: order,
-							Presolve:  full, Cuts: full, PseudoCost: full,
+							RelGap:     1e-6,
+							Workers:    w,
+							NodeOrder:  order,
+							PseudoCost: full,
 						}
 						att, err := core.FindOptimalAttack(k, o)
 						if err != nil {

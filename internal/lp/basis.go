@@ -154,70 +154,6 @@ func (b *Basis) Remap(old, new *Problem, varMap, rowMap []int) *Basis {
 	return &Basis{nvars: n2, nrows: m2, nslack: newSlackN, status: st}
 }
 
-// Extend translates a basis captured before rows were appended to the same
-// problem onto the problem's current shape: the first b.nrows rows of p must
-// be the rows the basis was captured on (append-only mutation guarantees
-// this for cut generation). Appended inequality rows take their slack basic
-// — zero cost, so dual feasibility of the old columns is untouched, and a
-// violated cut simply leaves the slack primal-infeasible for the dual
-// simplex to repair. Appended equality rows keep their artificial basic,
-// like Remap's fresh rows. Returns b itself when no rows were appended and
-// nil when the shapes are inconsistent (caller cold-solves).
-func (b *Basis) Extend(p *Problem) *Basis {
-	if b == nil || p == nil || b.nvars != p.nvars || b.nrows > len(p.rows) {
-		return nil
-	}
-	oldSlackN := 0
-	for _, r := range p.rows[:b.nrows] {
-		if r.rel != EQ {
-			oldSlackN++
-		}
-	}
-	if !b.matches(p.nvars, b.nrows, oldSlackN) {
-		return nil
-	}
-	if b.nrows == len(p.rows) {
-		return b
-	}
-	newSlackN := oldSlackN
-	for _, r := range p.rows[b.nrows:] {
-		if r.rel != EQ {
-			newSlackN++
-		}
-	}
-	n, m2 := p.nvars, len(p.rows)
-	st := make([]varStatus, n+newSlackN+m2)
-	// Structural statuses carry over unchanged, as do the old rows' slacks
-	// (old slack indices are a prefix of the new slack block).
-	copy(st[:n+oldSlackN], b.status[:n+oldSlackN])
-	at := n + oldSlackN
-	for _, r := range p.rows[b.nrows:] {
-		if r.rel != EQ {
-			st[at] = basic
-			at++
-		}
-	}
-	artOff := n + newSlackN
-	copy(st[artOff:artOff+b.nrows], b.status[n+oldSlackN:])
-	for i := b.nrows; i < m2; i++ {
-		if p.rows[i].rel == EQ {
-			st[artOff+i] = basic
-		} else {
-			st[artOff+i] = atLower
-		}
-	}
-	nbasic := 0
-	for _, s := range st {
-		if s == basic {
-			nbasic++
-		}
-	}
-	if nbasic != m2 {
-		return nil
-	}
-	return &Basis{nvars: n, nrows: m2, nslack: newSlackN, status: st}
-}
-
 // defaultPlacement mirrors the cold solver's initial nonbasic placement.
 func defaultPlacement(lo, hi float64) varStatus {
 	switch {

@@ -277,83 +277,6 @@ func (p *Problem) appendRow(r conRow) int {
 	return len(p.rows) - 1
 }
 
-// RowInfo returns the relation, right-hand side, and stored coefficient
-// count of row i without materializing a dense copy.
-func (p *Problem) RowInfo(i int) (Relation, float64, int) {
-	r := &p.rows[i]
-	return r.rel, r.rhs, len(r.ind)
-}
-
-// VisitRow calls fn for every stored coefficient of row i in increasing
-// column order. It is the O(nnz) row accessor presolve-style passes use
-// instead of ConstraintAt's O(nvars) dense copies.
-func (p *Problem) VisitRow(i int, fn func(j int, v float64)) {
-	r := &p.rows[i]
-	for k, j := range r.ind {
-		fn(j, r.val[k])
-	}
-}
-
-// SetConstraintCoeff overwrites the coefficient of variable j in row i,
-// inserting a stored entry if one does not exist. Changing the matrix
-// invalidates any retained warm-start state, so rev is bumped; captured
-// Basis snapshots remain structurally valid (same rows and relations) and
-// may still seed warm solves of the edited problem.
-func (p *Problem) SetConstraintCoeff(i, j int, v float64) error {
-	if i < 0 || i >= len(p.rows) {
-		return fmt.Errorf("lp: constraint index %d out of range [0,%d)", i, len(p.rows))
-	}
-	if j < 0 || j >= p.nvars {
-		return fmt.Errorf("lp: constraint coefficient index %d out of range [0,%d)", j, p.nvars)
-	}
-	r := &p.rows[i]
-	k := sort.SearchInts(r.ind, j)
-	if k < len(r.ind) && r.ind[k] == j {
-		r.val[k] = v
-	} else {
-		r.ind = append(r.ind, 0)
-		r.val = append(r.val, 0)
-		copy(r.ind[k+1:], r.ind[k:])
-		copy(r.val[k+1:], r.val[k:])
-		r.ind[k], r.val[k] = j, v
-		p.nnz++
-	}
-	p.rev++
-	return nil
-}
-
-// SetConstraintRHS overwrites the right-hand side of row i. Like a
-// coefficient edit it bumps rev: the retained tableau's factorization does
-// not depend on b, but its primal point does, so the conservative choice is
-// to drop it.
-func (p *Problem) SetConstraintRHS(i int, rhs float64) error {
-	if i < 0 || i >= len(p.rows) {
-		return fmt.Errorf("lp: constraint index %d out of range [0,%d)", i, len(p.rows))
-	}
-	p.rows[i].rhs = rhs
-	p.rev++
-	return nil
-}
-
-// TruncateRows drops every constraint row from index n on. Rows are
-// append-only otherwise, so this exactly undoes a run of AddConstraint /
-// AddSparseConstraint calls — the mechanism cut-generating searches use to
-// return a problem to its caller in its original shape.
-func (p *Problem) TruncateRows(n int) error {
-	if n < 0 || n > len(p.rows) {
-		return fmt.Errorf("lp: truncation length %d out of range [0,%d]", n, len(p.rows))
-	}
-	if n == len(p.rows) {
-		return nil
-	}
-	for _, r := range p.rows[n:] {
-		p.nnz -= len(r.ind)
-	}
-	p.rows = p.rows[:n]
-	p.rev++
-	return nil
-}
-
 func checkRelation(rel Relation) error {
 	switch rel {
 	case LE, GE, EQ:

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"github.com/edsec/edattack/internal/lp"
 )
@@ -31,7 +30,7 @@ func randKnapsack(r *rand.Rand) (*Problem, float64) {
 
 // TestNodeOrderEquivalence is the strategy-independence contract: an exact
 // solve must reach the same optimal objective under every node-selection
-// order, with and without the presolve/cut/pseudo-cost machinery.
+// order, with and without pseudo-cost branching.
 func TestNodeOrderEquivalence(t *testing.T) {
 	orders := []NodeOrder{OrderDFS, OrderBestFirst, OrderHybrid}
 	r := rand.New(rand.NewSource(7))
@@ -40,7 +39,7 @@ func TestNodeOrderEquivalence(t *testing.T) {
 		for _, order := range orders {
 			for _, full := range []bool{false, true} {
 				p, want := randKnapsack(rand.New(rand.NewSource(seed)))
-				o := Options{NodeOrder: order, Presolve: full, Cuts: full, PseudoCost: full}
+				o := Options{NodeOrder: order, PseudoCost: full}
 				sol, err := SolveWith(p, o)
 				if err != nil {
 					t.Fatalf("inst %d order %v full=%v: %v", inst, order, full, err)
@@ -64,9 +63,9 @@ func TestNodeOrderEquivalence(t *testing.T) {
 // randKKTBigM builds a random big-M instance shaped like the bilevel KKT
 // reformulation: per pair i, a dual λ_i ≥ 0 and a slack s_i ∈ [0, U_i] with
 // indicator rows λ_i ≤ M·μ_i and s_i ≤ M·(1 − μ_i) for binary μ_i, plus a
-// stationarity-style equality coupling the duals. M is deliberately huge so
-// presolve has real coefficients to shrink.
-func randKKTBigM(r *rand.Rand) (*Problem, int) {
+// stationarity-style equality coupling the duals. M is deliberately huge, as
+// in the paper's big-M reformulation.
+func randKKTBigM(r *rand.Rand) *Problem {
 	n := 2 + r.Intn(5)
 	const M = 1e5
 	// Vars: λ_0..λ_{n-1}, s_0..s_{n-1}, μ_0..μ_{n-1}.
@@ -99,104 +98,47 @@ func randKKTBigM(r *rand.Rand) (*Problem, int) {
 	for i := 0; i < n; i++ {
 		_ = p.SetBinary(2*n + i)
 	}
-	return p, n
+	return p
 }
 
-// TestPropertyPresolveBigMEquivalence: on random KKT-shaped big-M instances,
-// the presolve-tightened solve must reach the same optimum as the untouched
-// one, and the caller's problem must come back bit-identical (coefficients,
-// RHS, bounds) so row-generation reuse stays sound.
-func TestPropertyPresolveBigMEquivalence(t *testing.T) {
-	sawTightening := false
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		plain, _ := randKKTBigM(rand.New(rand.NewSource(seed)))
-		tight, _ := randKKTBigM(rand.New(rand.NewSource(seed)))
-		_ = r
-		ps, err := Solve(plain)
-		if err != nil {
-			return false
+// TestSolveRestoresProblem checks the restore path directly on one big-M
+// instance: row count, coefficients, relations, RHS, and bounds all return to
+// their pre-solve values after a search that branched on the binaries, so
+// row-generation callers can keep growing the same problem.
+func TestSolveRestoresProblem(t *testing.T) {
+	p := randKKTBigM(rand.New(rand.NewSource(42)))
+	snap := func() ([]lp.Constraint, [][2]float64) {
+		rows := make([]lp.Constraint, p.Base.NumConstraints())
+		for i := range rows {
+			rows[i] = p.Base.ConstraintAt(i)
 		}
-		ts, err := SolveWith(tight, Options{Presolve: true, Cuts: true, PseudoCost: true})
-		if err != nil {
-			return false
-		}
-		if ps.Status != ts.Status {
-			return false
-		}
-		if ts.Presolve.BigMTightened > 0 {
-			sawTightening = true
-		}
-		if ps.Status != Optimal {
-			return true
-		}
-		if math.Abs(ps.Objective-ts.Objective) > 1e-5*(1+math.Abs(ps.Objective)) {
-			return false
-		}
-		// The tightened problem must be restored: re-solving it plain must
-		// reproduce the plain optimum.
-		rs, err := Solve(tight)
-		if err != nil || rs.Status != Optimal {
-			return false
-		}
-		return math.Abs(rs.Objective-ps.Objective) <= 1e-5*(1+math.Abs(ps.Objective))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-	if !sawTightening {
-		t.Fatal("no instance exercised big-M tightening — the presolve pattern matcher is dead")
-	}
-}
-
-// TestPresolveRestoresProblem checks the restore path directly on one
-// instance: row count, coefficients, RHS, and bounds all return to their
-// pre-solve values even when presolve patched them and cuts appended rows.
-func TestPresolveRestoresProblem(t *testing.T) {
-	p, _ := randKKTBigM(rand.New(rand.NewSource(42)))
-	type rowSnap struct {
-		rel lp.Relation
-		rhs float64
-		ind []int
-		val []float64
-	}
-	snap := func() (int, []rowSnap, [][2]float64) {
-		m := p.Base.NumConstraints()
-		rows := make([]rowSnap, m)
-		for i := 0; i < m; i++ {
-			rel, rhs, _ := p.Base.RowInfo(i)
-			rs := rowSnap{rel: rel, rhs: rhs}
-			p.Base.VisitRow(i, func(j int, v float64) {
-				rs.ind = append(rs.ind, j)
-				rs.val = append(rs.val, v)
-			})
-			rows[i] = rs
-		}
-		nb := p.Base.NumVars()
-		bounds := make([][2]float64, nb)
-		for j := 0; j < nb; j++ {
+		bounds := make([][2]float64, p.Base.NumVars())
+		for j := range bounds {
 			lo, hi := p.Base.Bounds(j)
 			bounds[j] = [2]float64{lo, hi}
 		}
-		return m, rows, bounds
+		return rows, bounds
 	}
-	m0, rows0, bounds0 := snap()
-	if _, err := SolveWith(p, Options{Presolve: true, Cuts: true}); err != nil {
+	rows0, bounds0 := snap()
+	sol, err := SolveWith(p, Options{NodeOrder: OrderHybrid, PseudoCost: true})
+	if err != nil {
 		t.Fatal(err)
 	}
-	m1, rows1, bounds1 := snap()
-	if m0 != m1 {
-		t.Fatalf("row count %d → %d: cut rows leaked", m0, m1)
+	if sol.Nodes < 2 {
+		t.Fatalf("search solved %d nodes: no branch fixed a bound to restore", sol.Nodes)
+	}
+	rows1, bounds1 := snap()
+	if len(rows0) != len(rows1) {
+		t.Fatalf("row count %d → %d", len(rows0), len(rows1))
 	}
 	for i := range rows0 {
 		a, b := rows0[i], rows1[i]
-		if a.rel != b.rel || a.rhs != b.rhs || len(a.ind) != len(b.ind) {
-			t.Fatalf("row %d changed: %+v vs %+v", i, a, b)
+		if a.Rel != b.Rel || a.RHS != b.RHS {
+			t.Fatalf("row %d changed: %v %v vs %v %v", i, a.Rel, a.RHS, b.Rel, b.RHS)
 		}
-		for k := range a.ind {
-			if a.ind[k] != b.ind[k] || a.val[k] != b.val[k] {
-				t.Fatalf("row %d entry %d changed: (%d,%g) vs (%d,%g)",
-					i, k, a.ind[k], a.val[k], b.ind[k], b.val[k])
+		for j := range a.Coeffs {
+			if a.Coeffs[j] != b.Coeffs[j] {
+				t.Fatalf("row %d coefficient %d changed: %g vs %g", i, j, a.Coeffs[j], b.Coeffs[j])
 			}
 		}
 	}

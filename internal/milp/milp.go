@@ -13,10 +13,7 @@
 // inherited relaxation bound, or a hybrid that plunges depth-first and
 // restarts from the best bound. Branching picks the most fractional binary
 // or the most violated complementarity pair, optionally weighted by learned
-// pseudo-costs. A presolve pass (Options.Presolve) propagates bounds over
-// the rows, shrinks big-M coefficients to the implied variable bounds, and
-// fixes binaries by probing; a cut pass (Options.Cuts) appends
-// complementarity bound cuts at the root and at plunge leaves.
+// pseudo-costs.
 package milp
 
 import (
@@ -138,8 +135,6 @@ type Solution struct {
 	// RootBasis is the optimal basis of the root relaxation, captured when
 	// warm starts are enabled. Row-generation callers remap it onto the
 	// next round's grown problem to keep basis reuse flowing across rounds.
-	// It is captured before any cut rows are appended, so its shape always
-	// matches the caller's problem layout.
 	RootBasis *lp.Basis
 	// BestBound is the proven bound on the optimum in the problem's own
 	// sense: equal to Objective when Status is Optimal, the best inherited
@@ -152,24 +147,6 @@ type Solution struct {
 	// normalized as |BestBound − Objective| / (1 + |Objective|): zero for
 	// proven-optimal results, +Inf when truncation left no incumbent.
 	Gap float64
-	// Cuts is the number of cut rows appended during the solve (all are
-	// removed from the problem before returning).
-	Cuts int
-	// Presolve summarizes the tightening pass (zero when disabled).
-	Presolve PresolveStats
-}
-
-// PresolveStats tallies the work of the presolve/tightening pass.
-type PresolveStats struct {
-	// Rounds is the number of outer propagate/tighten iterations run.
-	Rounds int
-	// BoundsTightened counts variable-bound improvements applied.
-	BoundsTightened int
-	// BigMTightened counts big-M row coefficients shrunk to implied
-	// variable bounds.
-	BigMTightened int
-	// BinariesFixed counts binaries fixed by propagation or probing.
-	BinariesFixed int
 }
 
 // Options tune the search.
@@ -195,13 +172,13 @@ type Options struct {
 	// arbitrate across searches themselves.
 	Bound BoundSource
 	// Heuristic, when non-nil, is invoked with the root relaxation's point
-	// (after any root cut rounds) and may return a feasible objective and
-	// point to update the incumbent even though the relaxation point
-	// itself is fractional or non-complementary. The returned point is
-	// trusted to be feasible for the caller's problem semantics. The root
-	// point is a pure function of the instance, so the offer — unlike a
-	// per-node sweep — is identical under every NodeOrder and worker
-	// schedule, which keeps exact solves bit-identical across strategies.
+	// and may return a feasible objective and point to update the
+	// incumbent even though the relaxation point itself is fractional or
+	// non-complementary. The returned point is trusted to be feasible for
+	// the caller's problem semantics. The root point is a pure function of
+	// the instance, so the offer — unlike a per-node sweep — is identical
+	// under every NodeOrder and worker schedule, which keeps exact solves
+	// bit-identical across strategies.
 	Heuristic func(relaxX []float64) (obj float64, point []float64, ok bool)
 	// NodeOrder selects the node-selection strategy (default OrderDFS).
 	// Exact results are identical under every strategy; node counts, work,
@@ -212,20 +189,6 @@ type Options struct {
 	// degradation observed when branching them, seeded at the root from
 	// complementarity-violation magnitudes.
 	PseudoCost bool
-	// Presolve enables the tightening pass before the search: interval
-	// bound propagation over the rows, per-row big-M coefficient reduction
-	// to the propagated variable bounds, and binary probing/fixing. All
-	// mutations are restored on return.
-	Presolve bool
-	// Cuts enables complementarity bound cuts (x_a/U_a + x_b/U_b ≤ 1 for
-	// pairs with finite upper bounds, plus binary clique cuts discovered by
-	// probing) at the root and at plunge leaves. Cut rows are appended to
-	// the problem during the search and truncated away before returning.
-	Cuts bool
-	// MaxCutRounds caps root cut-generation rounds (default 4).
-	MaxCutRounds int
-	// MaxCuts caps total cut rows per solve (default 200).
-	MaxCuts int
 	// LP are the options for each relaxation solve.
 	LP lp.Options
 	// WarmBasis, when non-nil, seeds the root relaxation with a basis from
@@ -270,12 +233,6 @@ func (o Options) withDefaults() Options {
 	if o.Gap <= 0 {
 		o.Gap = 1e-9
 	}
-	if o.MaxCutRounds <= 0 {
-		o.MaxCutRounds = 4
-	}
-	if o.MaxCuts <= 0 {
-		o.MaxCuts = 200
-	}
 	return o
 }
 
@@ -294,9 +251,7 @@ type boundFix struct {
 // root, plus the parent relaxation's optimal basis. The basis is shared
 // read-only between siblings (lp.Basis is immutable), so each child's
 // relaxation warm-starts from the parent — the bound fix leaves that basis
-// dual-feasible, which is what makes the dual simplex re-solve cheap. When
-// cut rows were appended after the basis was captured, the pop path extends
-// it onto the grown problem with Basis.Extend.
+// dual-feasible, which is what makes the dual simplex re-solve cheap.
 type node struct {
 	fixes []boundFix
 	basis *lp.Basis
@@ -342,8 +297,6 @@ func SolveWith(p *Problem, opts Options) (*Solution, error) {
 
 	var lpIters, incumbents, pruned, heurHits int
 	var warmNodes, warmFallbacks int
-	var cutsAdded int
-	var preStats PresolveStats
 	var rootBasis *lp.Basis
 	span := telemetry.StartSpan(nil, o.Span, "milp.solve")
 	finish := func(sol *Solution, err error) (*Solution, error) {
@@ -355,8 +308,6 @@ func SolveWith(p *Problem, opts Options) (*Solution, error) {
 			sol.WarmNodes = warmNodes
 			sol.WarmFallbacks = warmFallbacks
 			sol.RootBasis = rootBasis
-			sol.Cuts = cutsAdded
-			sol.Presolve = preStats
 		}
 		if m := o.Metrics; m != nil {
 			m.Counter("milp_solves_total").Inc()
@@ -364,10 +315,6 @@ func SolveWith(p *Problem, opts Options) (*Solution, error) {
 			m.Counter("milp_incumbents_total").Add(int64(incumbents))
 			m.Counter("milp_pruned_total").Add(int64(pruned))
 			m.Counter("milp_heuristic_hits_total").Add(int64(heurHits))
-			m.Counter("milp_cuts_total").Add(int64(cutsAdded))
-			m.Counter("milp_presolve_bounds_total").Add(int64(preStats.BoundsTightened))
-			m.Counter("milp_presolve_bigm_total").Add(int64(preStats.BigMTightened))
-			m.Counter("milp_presolve_fixed_total").Add(int64(preStats.BinariesFixed))
 			if sol != nil {
 				m.Counter("milp_nodes_total").Add(int64(sol.Nodes))
 				m.Histogram("milp_nodes", telemetry.NodeBuckets).Observe(float64(sol.Nodes))
@@ -435,33 +382,6 @@ func SolveWith(p *Problem, opts Options) (*Solution, error) {
 	}
 	if o.Incumbent != nil {
 		incObj = *o.Incumbent
-	}
-
-	// Presolve: bound propagation, big-M reduction, and binary probing on
-	// the live problem. Variable-bound tightenings restore through the
-	// touched map above; coefficient/RHS patches restore through their own
-	// deferred unpatch, so the caller's problem survives unchanged.
-	var pre *presolveResult
-	if o.Presolve {
-		pre = runPresolve(p, &o, touch)
-		preStats = pre.stats
-		defer pre.unpatch(p.Base)
-		if pre.infeasible {
-			sol := &Solution{Status: Infeasible}
-			if o.Incumbent != nil {
-				sol.BestBound = incObj
-			}
-			return finish(sol, nil)
-		}
-	}
-
-	// Cut state: candidate complementarity pairs with their post-presolve
-	// bound snapshot plus probing-discovered binary cliques. Appended cut
-	// rows are truncated away on every return path.
-	var ct *cutter
-	if o.Cuts {
-		ct = newCutter(p, pre, o.MaxCuts)
-		defer ct.restore(p.Base)
 	}
 
 	var pcosts *pseudoCosts
@@ -627,14 +547,7 @@ func SolveWith(p *Problem, opts Options) (*Solution, error) {
 		}
 		nodeLP := o.LP
 		if warm {
-			basis := cur.basis
-			if basis != nil && ct != nil {
-				// Cut rows may have been appended after this basis was
-				// captured; extend it onto the grown problem (nil on a
-				// shape mismatch → cold solve).
-				basis = basis.Extend(p.Base)
-			}
-			nodeLP.WarmBasis = basis
+			nodeLP.WarmBasis = cur.basis
 		}
 		rel, err := lp.SolveWith(p.Base, nodeLP)
 		if rel != nil {
@@ -680,10 +593,7 @@ func SolveWith(p *Problem, opts Options) (*Solution, error) {
 
 		if nodes == 1 {
 			// Root work: seed pair pseudo-costs from the root relaxation's
-			// complementarity-violation magnitudes, then run the root cut
-			// loop — generate violated cuts, re-solve the strengthened
-			// relaxation warm-started from the previous root basis, repeat
-			// until no cut fires or the round cap hits.
+			// complementarity-violation magnitudes.
 			if pcosts != nil {
 				for pi, pr := range p.pairs {
 					if v := math.Min(rel.X[pr[0]], rel.X[pr[1]]); v > o.IntTol {
@@ -691,49 +601,13 @@ func SolveWith(p *Problem, opts Options) (*Solution, error) {
 					}
 				}
 			}
-			if ct != nil {
-				infeasibleRoot := false
-				for r := 0; r < o.MaxCutRounds; r++ {
-					added := ct.generate(p.Base, rel.X)
-					if added == 0 {
-						break
-					}
-					cutsAdded += added
-					cutLP := o.LP
-					if warm {
-						cutLP.WarmBasis = rel.Basis.Extend(p.Base)
-					}
-					crel, cerr := lp.SolveWith(p.Base, cutLP)
-					if crel != nil {
-						lpIters += crel.Iterations
-					}
-					if cerr != nil {
-						return finish(nil, fmt.Errorf("milp: root cut round %d: %w", r+1, cerr))
-					}
-					if crel.Status == lp.Infeasible {
-						// Cuts hold for every feasible point, so a cut
-						// round proving infeasibility is conclusive.
-						infeasibleRoot = true
-						rel = crel
-						break
-					}
-					if crel.Status == lp.Unbounded {
-						return finish(nil, errors.New("milp: root relaxation unbounded after cuts"))
-					}
-					rel = crel
-				}
-				if infeasibleRoot {
-					finishNode("infeasible", rel)
-					continue
-				}
-			}
 
-			// Root primal heuristic: let the caller round the (cut-
-			// strengthened) root relaxation point into a known-feasible
-			// incumbent. Root-only on purpose: a per-node sweep would make
-			// the best offer depend on which nodes the chosen NodeOrder
-			// happens to visit before pruning, and with it the returned
-			// solution — the root point is the same under every strategy.
+			// Root primal heuristic: let the caller round the root
+			// relaxation point into a known-feasible incumbent. Root-only
+			// on purpose: a per-node sweep would make the best offer depend
+			// on which nodes the chosen NodeOrder happens to visit before
+			// pruning, and with it the returned solution — the root point
+			// is the same under every strategy.
 			if o.Heuristic != nil {
 				if hObj, hPoint, ok := o.Heuristic(rel.X); ok {
 					if incumbent == nil && o.Incumbent == nil || better(hObj, incObj) {
@@ -753,12 +627,6 @@ func SolveWith(p *Problem, opts Options) (*Solution, error) {
 			gapTol := o.Gap * (1 + math.Abs(ref))
 			if maximize && rel.Objective <= ref+gapTol || !maximize && rel.Objective >= ref-gapTol {
 				pruned++
-				// A pruned node under DFS/hybrid ends a plunge on a
-				// fractional point — the cutter's second harvest site
-				// after the root.
-				if ct != nil && o.NodeOrder != OrderBestFirst && nodes > 1 {
-					cutsAdded += ct.generate(p.Base, rel.X)
-				}
 				finishNode("pruned", rel)
 				continue
 			}

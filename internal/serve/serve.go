@@ -239,7 +239,7 @@ func (s *Server) handleJob(kind jobKind) http.HandlerFunc {
 			return
 		default:
 		}
-		j, status, err := s.newJob(kind, r)
+		j, status, err := s.newJob(kind, w, r)
 		if err != nil {
 			s.counter("serve_bad_request_total")
 			http.Error(w, err.Error(), status)

@@ -258,6 +258,61 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyAnswers413 checks the request body cap: a full-precision
+// rating map over every grow1000 line fits well under it, a body past it is
+// refused with 413 before any work is queued, and the daemon keeps serving.
+func TestOversizedBodyAnswers413(t *testing.T) {
+	net, err := cases.Load("grow1000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := map[int]float64{}
+	for i := range net.Lines {
+		full[i] = net.Lines[i].RateMVA * 1.2345678901234567
+	}
+	fits, err := json.Marshal(map[string]any{"case": "grow1000", "dlr": full, "true_dlr": full})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if 4*len(fits) > maxRequestBytes {
+		t.Fatalf("full grow1000 body is %d bytes, too close to the %d-byte cap", len(fits), maxRequestBytes)
+	}
+
+	reg := telemetry.NewRegistry()
+	_, ts := newTestServer(t, Config{Metrics: reg})
+	var body strings.Builder
+	body.WriteString(`{"case":"case9","dlr":{`)
+	for i := 0; body.Len() <= maxRequestBytes; i++ {
+		if i > 0 {
+			body.WriteByte(',')
+		}
+		fmt.Fprintf(&body, `"%d":260.123456789`, i)
+	}
+	body.WriteString(`}}`)
+	resp, err := http.Post(ts.URL+"/v1/evaluate", "application/json", strings.NewReader(body.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
+	}
+	if n := reg.Counter("serve_requests_total").Value(); n != 0 {
+		t.Errorf("oversized body was admitted: serve_requests_total = %d", n)
+	}
+	if n := reg.Counter("serve_bad_request_total").Value(); n != 1 {
+		t.Errorf("serve_bad_request_total = %d, want 1", n)
+	}
+
+	res := resultOf(t, postJob(t, ts.URL, "/v1/evaluate", map[string]any{
+		"case": "case9",
+		"dlr":  map[string]float64{"1": 260, "7": 240},
+	}))
+	if res.Evaluation == nil {
+		t.Fatalf("request after the oversized one carries no evaluation: %+v", res)
+	}
+}
+
 // blocker occupies a worker until released.
 type blocker struct{ release chan struct{} }
 
