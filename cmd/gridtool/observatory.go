@@ -274,23 +274,22 @@ type milpBenchRecord struct {
 // serveBenchRecord mirrors the per-case record of BENCH_serve.json: the
 // attack-as-a-service latency and allocation baseline recorded by
 // TestRecordServeBaseline. The allocation fields (allocs per warm evaluate,
-// marginal allocs per branch-and-bound node with pooling on/off, live heap
-// after the measurement load) are lower-is-better; attack_rps is the
-// closed-loop concurrent attack throughput and higher-is-better.
+// marginal allocs per branch-and-bound node, live heap after the
+// measurement load) are lower-is-better; attack_rps is the closed-loop
+// concurrent attack throughput and higher-is-better.
 type serveBenchRecord struct {
-	Case                string  `json:"case"`
-	ColdAttackMS        float64 `json:"cold_attack_ms"`
-	WarmAttackP50MS     float64 `json:"warm_attack_p50_ms"`
-	WarmSpeedup         float64 `json:"warm_speedup"`
-	WarmHitRate         float64 `json:"warm_hit_rate"`
-	EvaluateP50MS       float64 `json:"evaluate_p50_ms"`
-	EvaluateP99MS       float64 `json:"evaluate_p99_ms"`
-	EvaluateRPS         float64 `json:"evaluate_rps"`
-	AttackRPS           float64 `json:"attack_rps"`
-	AllocsPerSolve      float64 `json:"allocs_per_solve"`
-	AllocsPerNode       float64 `json:"allocs_per_node"`
-	AllocsPerNodeNoPool float64 `json:"allocs_per_node_nopool"`
-	HeapLiveBytes       float64 `json:"heap_live_bytes"`
+	Case            string  `json:"case"`
+	ColdAttackMS    float64 `json:"cold_attack_ms"`
+	WarmAttackP50MS float64 `json:"warm_attack_p50_ms"`
+	WarmSpeedup     float64 `json:"warm_speedup"`
+	WarmHitRate     float64 `json:"warm_hit_rate"`
+	EvaluateP50MS   float64 `json:"evaluate_p50_ms"`
+	EvaluateP99MS   float64 `json:"evaluate_p99_ms"`
+	EvaluateRPS     float64 `json:"evaluate_rps"`
+	AttackRPS       float64 `json:"attack_rps"`
+	AllocsPerSolve  float64 `json:"allocs_per_solve"`
+	AllocsPerNode   float64 `json:"allocs_per_node"`
+	HeapLiveBytes   float64 `json:"heap_live_bytes"`
 }
 
 // sweepBenchRecord mirrors the per-case record of BENCH_sweep.json: the
@@ -551,7 +550,6 @@ func benchdiffCmd(args []string) error {
 			// tighter work-counter threshold applies; growth is regression.
 			d.check("allocs_per_solve", or.AllocsPerSolve, nr.AllocsPerSolve, *tol, false, false)
 			d.check("allocs_per_node", or.AllocsPerNode, nr.AllocsPerNode, *tol, false, false)
-			d.check("allocs_per_node_nopool", or.AllocsPerNodeNoPool, nr.AllocsPerNodeNoPool, *tol, false, false)
 			d.check("heap_live_bytes", or.HeapLiveBytes, nr.HeapLiveBytes, *wallTol, false, false)
 		})
 	default:

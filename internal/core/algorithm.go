@@ -92,7 +92,7 @@ func FindOptimalAttack(k *Knowledge, o Options) (*Attack, error) {
 	// beat it.
 	var best *Attack
 	seedSpan := telemetry.StartSpan(nil, root, "core.greedy_seed")
-	grd, err := greedyVertexAttack(k, o.Workers, o.Ctx, o.DisablePooling)
+	grd, err := greedyVertexAttack(k, o.Workers, o.Ctx)
 	if err == nil {
 		grd.Exact = false // a seed, not a proven optimum
 		best = grd
@@ -289,7 +289,7 @@ func FindOptimalAttack(k *Knowledge, o Options) (*Attack, error) {
 // vertex candidates through the operator's actual dispatch and keeps the
 // best stealthy-feasible one.
 func GreedyVertexAttack(k *Knowledge) (*Attack, error) {
-	return greedyVertexAttack(k, 0, nil, false)
+	return greedyVertexAttack(k, 0, nil)
 }
 
 // greedyVertexAttack evaluates the vertex candidates over a worker pool.
@@ -297,7 +297,7 @@ func GreedyVertexAttack(k *Knowledge) (*Attack, error) {
 // shallow model clone and results merge in candidate order (strict
 // improvement), so the outcome matches the sequential sweep exactly.
 // A non-nil ctx is checked per candidate; a done context errors the sweep.
-func greedyVertexAttack(k *Knowledge, workers int, ctx context.Context, noPool bool) (*Attack, error) {
+func greedyVertexAttack(k *Knowledge, workers int, ctx context.Context) (*Attack, error) {
 	net := k.Model.Net
 	dlrLines := net.DLRLines()
 	if len(dlrLines) == 0 {
@@ -330,7 +330,7 @@ func greedyVertexAttack(k *Knowledge, workers int, ctx context.Context, noPool b
 		} else {
 			kw = k.forWorker()
 		}
-		release := checkoutModelWorkspace(kw.Model, noPool)
+		release := checkoutModelWorkspace(kw.Model)
 		ev, err := kw.EvaluateAttack(dlr)
 		release()
 		if err != nil {
@@ -375,14 +375,14 @@ func greedyVertexAttack(k *Knowledge, workers int, ctx context.Context, noPool b
 // keeps the best stealthy-feasible one — the weakest baseline, quantifying
 // how much the physics-aware optimization buys the attacker.
 func RandomAttack(k *Knowledge, samples int, seed int64) (*Attack, error) {
-	return randomAttack(k, samples, seed, 0, false)
+	return randomAttack(k, samples, seed, 0)
 }
 
 // randomAttack draws every sample from the seeded rng sequentially — so the
 // sample sequence is a pure function of the seed regardless of worker count
 // — then evaluates the candidates over a worker pool and merges in sample
 // order.
-func randomAttack(k *Knowledge, samples int, seed int64, workers int, noPool bool) (*Attack, error) {
+func randomAttack(k *Knowledge, samples int, seed int64, workers int) (*Attack, error) {
 	net := k.Model.Net
 	dlrLines := net.DLRLines()
 	if len(dlrLines) == 0 {
@@ -415,7 +415,7 @@ func randomAttack(k *Knowledge, samples int, seed int64, workers int, noPool boo
 		} else {
 			kw = k.forWorker()
 		}
-		release := checkoutModelWorkspace(kw.Model, noPool)
+		release := checkoutModelWorkspace(kw.Model)
 		ev, err := kw.EvaluateAttack(dlrs[s])
 		release()
 		if err != nil {

@@ -35,26 +35,16 @@ import (
 	"github.com/edsec/edattack/internal/telemetry"
 )
 
-// wsPool recycles solver workspaces (internal/lp.Workspace) across tasks,
-// runs, and callers. A workspace only moves where the solver's arrays live —
-// never what they compute — so sharing one pool process-wide is safe; each
-// Get hands a workspace to exactly one goroutine until the matching release.
-var wsPool = sync.Pool{New: func() any { return lp.NewWorkspace() }}
-
-// checkoutModelWorkspace attaches a pooled workspace to the model's LP/QP
-// solver stack and returns the release function that restores the model's
-// prior workspace and recycles the pooled one. No-op when disabled.
-func checkoutModelWorkspace(m *dispatch.Model, disable bool) func() {
-	if disable {
-		return func() {}
-	}
+// checkoutModelWorkspace attaches a workspace from lp's pool to the model's
+// LP/QP solver stack and returns the release function that restores the
+// model's prior workspace and returns the borrowed one.
+func checkoutModelWorkspace(m *dispatch.Model) func() {
 	prior := m.Workspace
-	ws := wsPool.Get().(*lp.Workspace)
-	ws.Reset()
+	ws := lp.GetWorkspace()
 	m.Workspace = ws
 	return func() {
 		m.Workspace = prior
-		wsPool.Put(ws)
+		lp.PutWorkspace(ws)
 	}
 }
 
@@ -68,19 +58,15 @@ func checkoutModelWorkspace(m *dispatch.Model, disable bool) func() {
 // Options (o.ws is written). Sequential (Workers==1) runs share the
 // caller's model across tasks; saving and restoring the model's prior
 // workspace keeps that path on the identical checkout discipline as the
-// clone-per-task one. No-op under DisablePooling.
+// clone-per-task one.
 func (o *Options) checkoutWorkspaces(m *dispatch.Model) func() {
-	if o.DisablePooling {
-		return func() {}
-	}
-	releaseModel := checkoutModelWorkspace(m, false)
-	ws := wsPool.Get().(*lp.Workspace)
-	ws.Reset()
+	releaseModel := checkoutModelWorkspace(m)
+	ws := lp.GetWorkspace()
 	o.ws = ws
 	return func() {
 		o.ws = nil
 		releaseModel()
-		wsPool.Put(ws)
+		lp.PutWorkspace(ws)
 	}
 }
 
@@ -410,14 +396,7 @@ type Options struct {
 	// so it is purely a latency lever for repeat attacks. Ignored under
 	// NoWarmStart.
 	Warm *WarmCache
-	// DisablePooling turns off the per-task solver-workspace checkout, so
-	// every LP/QP solve allocates its working storage fresh, as the code
-	// did before workspaces existed. Attacks are bit-identical either way
-	// (pooling only moves where arrays live); this is the A/B hook the
-	// identity gates and allocation benchmarks compare against.
-	DisablePooling bool
-
-	// ws is the pooled workspace for this task's inner-MILP LP relaxations,
+	// ws is the borrowed workspace for this task's inner-MILP LP relaxations,
 	// set per fan-out task by checkoutWorkspaces (never by callers). The
 	// dispatch model carries its own workspace separately.
 	ws *lp.Workspace

@@ -69,8 +69,9 @@ type Model struct {
 	// storage, reused across rowgen rounds and solves. Like lastBinding it
 	// is per-clone mutable state: a workspace belongs to exactly one worker
 	// at a time and is never shared concurrently. ShallowClone deliberately
-	// leaves it nil — each worker attaches its own. Results are bit-identical
-	// with and without one.
+	// leaves it nil — each worker attaches its own. When nil, every inner
+	// solve borrows one from lp's pool; results are bit-identical either
+	// way.
 	Workspace *lp.Workspace
 }
 

@@ -66,17 +66,7 @@ func (b *Basis) Remap(old, new *Problem, varMap, rowMap []int) *Basis {
 	if b == nil || old == nil || new == nil {
 		return nil
 	}
-	oldSlackN, newSlackN := 0, 0
-	for _, r := range old.rows {
-		if r.rel != EQ {
-			oldSlackN++
-		}
-	}
-	for _, r := range new.rows {
-		if r.rel != EQ {
-			newSlackN++
-		}
-	}
+	oldSlackN, newSlackN := old.numSlacks(), new.numSlacks()
 	if !b.matches(old.nvars, len(old.rows), oldSlackN) {
 		return nil
 	}

@@ -14,6 +14,13 @@ import (
 func randomSparseLP(r *rand.Rand) *Problem {
 	n := 10 + r.Intn(30)
 	m := 8 + r.Intn(20)
+	return randomSparseLPSized(r, n, m)
+}
+
+// randomSparseLPSized is randomSparseLP's generator at a given shape: n
+// boxed variables, m sparse rows anchored at a random interior point so the
+// problem is feasible.
+func randomSparseLPSized(r *rand.Rand, n, m int) *Problem {
 	p := NewProblem(n)
 	x0 := make([]float64, n)
 	c := make([]float64, n)

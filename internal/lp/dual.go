@@ -7,14 +7,15 @@ import (
 
 // This file implements the warm-started solve path: given a Basis from an
 // earlier solve of the same problem shape, rebuild the tableau in that basis
-// (reusing the previous solve's final tableau when the problem retained one),
-// and — because bound changes cannot disturb dual feasibility — restore
-// primal feasibility with bound-flipping dual simplex pivots instead of a
-// full phase-I/phase-II cold solve. Whenever any step of the warm path
-// cannot be certified (singular refactorization, dual-infeasible basis with
-// an infeasible primal start, suspected infeasibility or unboundedness,
-// numerical trouble), the caller falls back to the unchanged cold two-phase
-// primal solver, so every final verdict is produced by a certified path.
+// (reusing the previous solve's final tableau when the workspace retained a
+// certified one), and — because bound changes cannot disturb dual
+// feasibility — restore primal feasibility with bound-flipping dual simplex
+// pivots instead of a full phase-I/phase-II cold solve. Whenever any step of
+// the warm path cannot be certified (singular refactorization,
+// dual-infeasible basis with an infeasible primal start, suspected
+// infeasibility or unboundedness, numerical trouble), the caller falls back
+// to the unchanged cold two-phase primal solver, so every final verdict is
+// produced by a certified path.
 
 // refactorPivotTol is the minimum acceptable pivot magnitude (after partial
 // pivoting across candidate rows) when driving a warm basis into the
@@ -25,76 +26,21 @@ const refactorPivotTol = 1e-8
 func isNegInf(v float64) bool { return math.IsInf(v, -1) }
 func isPosInf(v float64) bool { return math.IsInf(v, 1) }
 
-// takeCache detaches and returns the retained final tableau of the previous
-// solve if it is still valid for the problem's current shape; a stale cache
-// is released. The caller owns the returned simplex (and its arena).
-func (p *Problem) takeCache(m, n, nslack int) *simplex {
-	c := p.cache
-	if c == nil {
-		return nil
-	}
-	p.cache = nil
-	if c.cacheRev != p.rev || c.m != m || c.n != n || c.nslack != nslack {
-		c.ar.release()
-		return nil
-	}
-	return c
-}
-
-// storeCache retains a finished solver so the next warm solve on this
-// problem can start from its final tableau instead of refactorizing from
-// scratch. The arena is handed over rather than pooled.
-func (p *Problem) storeCache(s *simplex) {
-	if p.cache != nil {
-		p.cache.ar.release()
-	}
-	s.cacheRev = p.rev
-	p.cache = s
-}
-
-// ReleaseSolverCache returns the warm-start state retained by
-// Options.CaptureBasis solves (if any): the dense tableau goes back to the
-// internal scratch pool, the sparse engine state is dropped. Callers that
-// run a sequence of capture-enabled solves — the MILP branch-and-bound loop
-// does — should call this when the sequence ends.
-func (p *Problem) ReleaseSolverCache() {
-	if p.cache != nil {
-		p.cache.ar.release()
-		p.cache = nil
-	}
-	p.rcache = nil
-}
-
 // trySolveWarm attempts a warm-started solve from basis b. A nil Solution
 // means the warm path could not certify a result and the caller must cold
 // solve; the returned simplex (when non-nil) carries the pivot accounting of
 // the attempt either way.
 func trySolveWarm(p *Problem, opts Options, b *Basis) (*simplex, *Solution) {
-	m, n := len(p.rows), p.nvars
-	nslack := 0
-	for _, r := range p.rows {
-		if r.rel != EQ {
-			nslack++
-		}
-	}
+	m, n, nslack := len(p.rows), p.nvars, p.numSlacks()
 	if !b.matches(n, m, nslack) {
 		return nil, nil
 	}
-	for j := 0; j < n; j++ {
-		if p.lower[j] > p.upper[j] {
-			return nil, nil // cold path reports the inconsistent bounds
-		}
-	}
-	s := p.takeCache(m, n, nslack)
+	s := opts.Workspace.takeTableau(p, m, n, nslack)
 	if s != nil {
 		s.opts = opts
 		s.maximize, s.userC = p.maximize, p.c
 	} else {
-		var err error
-		s, err = newSimplex(p, opts)
-		if err != nil {
-			return nil, nil
-		}
+		s = newSimplex(p, opts)
 	}
 	if !s.refactorTo(b) {
 		return s, nil
@@ -222,9 +168,6 @@ func (s *simplex) warmRestore(p *Problem, b *Basis) {
 		} else {
 			s.costII[j] = 0
 		}
-	}
-	if s.status == nil {
-		s.status = make([]varStatus, s.total)
 	}
 	for j := 0; j < s.total; j++ {
 		st := b.status[j]

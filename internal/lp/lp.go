@@ -99,7 +99,9 @@ type conRow struct {
 
 // Problem is a linear program under construction. The zero value is not
 // usable; create problems with NewProblem. A Problem is not safe for
-// concurrent solves.
+// concurrent solves. The setters reject non-finite data, so every stored
+// coefficient is finite and every variable has lower ≤ upper, neither NaN;
+// the engines rely on it.
 type Problem struct {
 	nvars    int
 	c        []float64
@@ -109,12 +111,11 @@ type Problem struct {
 	rows     []conRow
 	nnz      int // total stored coefficients across rows
 
-	// rev counts structural changes (added rows); a retained warm-start
-	// tableau is only valid while rev is unchanged. Bound and objective
-	// edits do not invalidate it — B⁻¹A does not depend on them.
-	rev    int
-	cache  *simplex // final tableau of the last dense CaptureBasis solve, if kept
-	rcache *revised // final state of the last sparse CaptureBasis solve, if kept
+	// rev counts structural changes (added rows); an engine a Workspace
+	// retains for this problem is only valid while rev is unchanged. Bound
+	// and objective edits do not invalidate it — B⁻¹A does not depend on
+	// them.
+	rev int
 }
 
 // NewProblem returns a problem with n variables, objective 0, and default
@@ -163,20 +164,29 @@ func (p *Problem) ConstraintAt(i int) Constraint {
 }
 
 // SetObjective sets the linear objective. If maximize is true the problem is
-// max cᵀx; internally it is negated.
+// max cᵀx; internally it is negated. Every coefficient must be finite.
 func (p *Problem) SetObjective(c []float64, maximize bool) error {
 	if len(c) != p.nvars {
 		return fmt.Errorf("lp: objective has %d coefficients, want %d", len(c), p.nvars)
+	}
+	for j, v := range c {
+		if !isFinite(v) {
+			return fmt.Errorf("lp: objective coefficient %d is %g", j, v)
+		}
 	}
 	copy(p.c, c)
 	p.maximize = maximize
 	return nil
 }
 
-// SetObjectiveCoeff sets a single objective coefficient.
+// SetObjectiveCoeff sets a single objective coefficient, which must be
+// finite.
 func (p *Problem) SetObjectiveCoeff(j int, v float64) error {
 	if j < 0 || j >= p.nvars {
 		return fmt.Errorf("lp: objective index %d out of range [0,%d)", j, p.nvars)
+	}
+	if !isFinite(v) {
+		return fmt.Errorf("lp: objective coefficient %d is %g", j, v)
 	}
 	p.c[j] = v
 	return nil
@@ -188,10 +198,15 @@ func (p *Problem) SetMaximize(maximize bool) { p.maximize = maximize }
 // IsMaximize reports whether the problem maximizes its objective.
 func (p *Problem) IsMaximize() bool { return p.maximize }
 
-// SetBounds sets the bounds of variable j. Use ±Inf for unbounded sides.
+// SetBounds sets the bounds of variable j. Use -Inf/+Inf for an unbounded
+// lower/upper side; NaN, a lower bound of +Inf, and an upper bound of -Inf
+// are rejected.
 func (p *Problem) SetBounds(j int, lo, hi float64) error {
 	if j < 0 || j >= p.nvars {
 		return fmt.Errorf("lp: bound index %d out of range [0,%d)", j, p.nvars)
+	}
+	if math.IsNaN(lo) || math.IsNaN(hi) || math.IsInf(lo, 1) || math.IsInf(hi, -1) {
+		return fmt.Errorf("lp: variable %d has invalid bounds [%g, %g]", j, lo, hi)
 	}
 	if lo > hi {
 		return fmt.Errorf("lp: variable %d has lower bound %g > upper bound %g", j, lo, hi)
@@ -205,12 +220,12 @@ func (p *Problem) SetBounds(j int, lo, hi float64) error {
 func (p *Problem) Bounds(j int) (lo, hi float64) { return p.lower[j], p.upper[j] }
 
 // AddConstraint appends a dense constraint row and returns its index. Only
-// the nonzero coefficients are stored.
+// the nonzero coefficients are stored. Coefficients and rhs must be finite.
 func (p *Problem) AddConstraint(coeffs []float64, rel Relation, rhs float64) (int, error) {
 	if len(coeffs) != p.nvars {
 		return 0, fmt.Errorf("lp: constraint has %d coefficients, want %d", len(coeffs), p.nvars)
 	}
-	if err := checkRelation(rel); err != nil {
+	if err := checkRow(coeffs, rel, rhs); err != nil {
 		return 0, err
 	}
 	nz := 0
@@ -232,11 +247,12 @@ func (p *Problem) AddConstraint(coeffs []float64, rel Relation, rhs float64) (in
 
 // AddSparseConstraint appends a constraint given as index→coefficient pairs,
 // stored sparsely. Duplicate indices are summed; indices need not be sorted.
+// Coefficients and rhs must be finite.
 func (p *Problem) AddSparseConstraint(idx []int, coeffs []float64, rel Relation, rhs float64) (int, error) {
 	if len(idx) != len(coeffs) {
 		return 0, fmt.Errorf("lp: sparse constraint has %d indices but %d coefficients", len(idx), len(coeffs))
 	}
-	if err := checkRelation(rel); err != nil {
+	if err := checkRow(coeffs, rel, rhs); err != nil {
 		return 0, err
 	}
 	for _, j := range idx {
@@ -270,6 +286,18 @@ func (p *Problem) AddSparseConstraint(idx []int, coeffs []float64, rel Relation,
 	return p.appendRow(conRow{ind: ind[:w], val: val[:w], rel: rel, rhs: rhs}), nil
 }
 
+// numSlacks counts the inequality rows, each of which carries one slack
+// variable in both engines' internal layout.
+func (p *Problem) numSlacks() int {
+	k := 0
+	for _, r := range p.rows {
+		if r.rel != EQ {
+			k++
+		}
+	}
+	return k
+}
+
 func (p *Problem) appendRow(r conRow) int {
 	p.rows = append(p.rows, r)
 	p.nnz += len(r.ind)
@@ -277,14 +305,26 @@ func (p *Problem) appendRow(r conRow) int {
 	return len(p.rows) - 1
 }
 
-func checkRelation(rel Relation) error {
+// checkRow validates a constraint's relation, coefficients, and rhs.
+func checkRow(coeffs []float64, rel Relation, rhs float64) error {
 	switch rel {
 	case LE, GE, EQ:
-		return nil
 	default:
 		return fmt.Errorf("lp: invalid relation %v", rel)
 	}
+	for k, v := range coeffs {
+		if !isFinite(v) {
+			return fmt.Errorf("lp: constraint coefficient %d is %g", k, v)
+		}
+	}
+	if !isFinite(rhs) {
+		return fmt.Errorf("lp: constraint right-hand side is %g", rhs)
+	}
+	return nil
 }
+
+// isFinite reports whether v is neither NaN nor ±Inf.
+func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // sortRowEntries sorts parallel index/value slices by index.
 func sortRowEntries(ind []int, val []float64) {
@@ -358,10 +398,12 @@ type Options struct {
 	// Under the sparse engine the warm basis seeds the initial LU
 	// factorization instead of a tableau refactorization.
 	WarmBasis *Basis
-	// CaptureBasis records the optimal basis in Solution.Basis and retains
-	// the engine's final state on the Problem so the next warm solve can
-	// reuse it. Callers running a capture-enabled sequence should finish
-	// with Problem.ReleaseSolverCache.
+	// CaptureBasis records the optimal basis in Solution.Basis and
+	// certifies the engine's final state, retained on the Workspace, for
+	// this problem, so the next warm solve of it on the same workspace can
+	// reuse the tableau (dense) or LU factorization (sparse) instead of
+	// rebuilding. Callers ending a capture-enabled sequence on a workspace
+	// they keep should call Workspace.Reset.
 	CaptureBasis bool
 	// DenseSolver forces the dense tableau engine, overriding both the
 	// selection heuristic and ForceSparse. The dense engine is the
@@ -386,13 +428,13 @@ type Options struct {
 	// per-node/per-round granularity lives in the milp and core callers —
 	// so there is no mid-pivot polling.
 	Ctx context.Context
-	// Workspace, when non-nil, supplies (and between solves retains) the
-	// sparse engine's working storage, so steady-state re-solves touch the
-	// allocator only on problem-size growth. The returned Solution's vectors
-	// then alias the workspace and are valid only until its next solve.
-	// Results are bit-identical with and without a workspace; the dense
-	// engine ignores it (it has its own arena pool). A workspace must not be
-	// used by two goroutines at once.
+	// Workspace supplies (and between solves retains) both engines' working
+	// storage, so steady-state re-solves touch the allocator only on
+	// problem-size growth. The returned Solution's vectors then alias the
+	// workspace and are valid only until its next solve. When nil, the
+	// solve borrows a workspace from the package pool for the call and
+	// returns fresh copies. Results are bit-identical either way. A
+	// workspace must not be used by two goroutines at once.
 	Workspace *Workspace
 }
 
@@ -461,6 +503,10 @@ func SolveWith(p *Problem, opts Options) (*Solution, error) {
 		opts.Metrics.Gauge("lp_problem_density").SetMax(p.Density())
 	}
 
+	borrowed := opts.Workspace == nil
+	if borrowed {
+		opts.Workspace = GetWorkspace()
+	}
 	// Wall-clock is only sampled when someone will consume it, keeping
 	// the telemetry-off path free of clock calls.
 	timed := opts.Metrics != nil || opts.Flight != nil
@@ -516,6 +562,10 @@ func SolveWith(p *Problem, opts Options) (*Solution, error) {
 		}
 		span.End()
 	}
+	if borrowed {
+		sol = sol.detach()
+		PutWorkspace(opts.Workspace)
+	}
 	return sol, err
 }
 
@@ -527,28 +577,26 @@ func solveDense(p *Problem, opts Options, stats *solveStats) (*Solution, error) 
 		err error
 		s   *simplex
 	)
+	ws := opts.Workspace
 	if b := opts.WarmBasis; b != nil {
 		stats.warmTried = true
-		ws, wsol := trySolveWarm(p, opts, b)
-		if ws != nil {
-			stats.iters += ws.iters
-			stats.degen += ws.degenPivots
-			stats.flips += ws.boundFlips
-			stats.dualPivs += ws.dualPivots
+		s, sol = trySolveWarm(p, opts, b)
+		if s != nil {
+			stats.iters += s.iters
+			stats.degen += s.degenPivots
+			stats.flips += s.boundFlips
+			stats.dualPivs += s.dualPivots
 		}
-		if wsol != nil {
-			sol, s, stats.warmUsed = wsol, ws, true
-		} else if ws != nil {
-			// Failed attempt: its scratch goes back to the pool; any
-			// pivots it burned stay in the totals.
-			ws.ar.release()
+		if sol != nil {
+			stats.warmUsed = true
+		} else if s != nil {
+			// Failed attempt: its storage goes back to the workspace for
+			// the cold fallback; any pivots it burned stay in the totals.
+			ws.retainTableau(p, s, false)
 		}
 	}
 	if sol == nil {
-		cs, cerr := newSimplex(p, opts)
-		if cerr != nil {
-			return nil, cerr
-		}
+		cs := newSimplex(p, opts)
 		sol, err = cs.run()
 		stats.iters += cs.iters
 		stats.phase1 += cs.phase1Iters
@@ -559,14 +607,9 @@ func solveDense(p *Problem, opts Options, stats *solveStats) (*Solution, error) 
 	if sol != nil && opts.CaptureBasis && sol.Status == Optimal {
 		sol.Basis = captureBasis(s)
 	}
-	// The solution vectors are fresh copies, so the scratch either goes
-	// back to the pool or — on capture-enabled solves — is retained on the
-	// Problem as the next warm start's tableau.
-	if err == nil && opts.CaptureBasis {
-		p.storeCache(s)
-	} else {
-		s.ar.release()
-	}
+	// The finished engine goes back to the workspace; an error-free
+	// capture-enabled solve certifies its tableau for the next warm start.
+	ws.retainTableau(p, s, err == nil && opts.CaptureBasis)
 	return sol, err
 }
 

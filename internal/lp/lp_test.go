@@ -295,3 +295,72 @@ func TestNumVarsNumConstraints(t *testing.T) {
 		t.Fatal("default bounds")
 	}
 }
+
+// TestRejectsNonFiniteInput pins input validation: every setter refuses a
+// non-finite coefficient, objective entry, or right-hand side, and a NaN or
+// inverted-infinite bound, instead of letting the engines report "optimal"
+// on a problem they cannot represent. The base problem is
+// max x+y s.t. x+2y ≤ 4, 0 ≤ x,y ≤ 10.
+func TestRejectsNonFiniteInput(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		set  func(p *Problem) error
+	}{
+		{"objective NaN", func(p *Problem) error { return p.SetObjective([]float64{1, nan}, true) }},
+		{"objective +Inf", func(p *Problem) error { return p.SetObjective([]float64{inf, 1}, true) }},
+		{"objective coeff NaN", func(p *Problem) error { return p.SetObjectiveCoeff(0, nan) }},
+		{"objective coeff -Inf", func(p *Problem) error { return p.SetObjectiveCoeff(1, -inf) }},
+		{"lower NaN", func(p *Problem) error { return p.SetBounds(0, nan, 10) }},
+		{"upper NaN", func(p *Problem) error { return p.SetBounds(0, 0, nan) }},
+		{"lower +Inf", func(p *Problem) error { return p.SetBounds(0, inf, inf) }},
+		{"upper -Inf", func(p *Problem) error { return p.SetBounds(0, -inf, -inf) }},
+		{"dense coeff NaN", func(p *Problem) error { _, err := p.AddConstraint([]float64{1, nan}, LE, 4); return err }},
+		{"dense coeff Inf", func(p *Problem) error { _, err := p.AddConstraint([]float64{inf, 2}, LE, 4); return err }},
+		{"dense rhs NaN", func(p *Problem) error { _, err := p.AddConstraint([]float64{1, 2}, LE, nan); return err }},
+		{"dense rhs Inf", func(p *Problem) error { _, err := p.AddConstraint([]float64{1, 2}, GE, -inf); return err }},
+		{"sparse coeff NaN", func(p *Problem) error {
+			_, err := p.AddSparseConstraint([]int{0, 1}, []float64{1, nan}, LE, 4)
+			return err
+		}},
+		{"sparse rhs NaN", func(p *Problem) error {
+			_, err := p.AddSparseConstraint([]int{0, 1}, []float64{1, 2}, EQ, nan)
+			return err
+		}},
+	}
+	build := func() *Problem {
+		p := NewProblem(2)
+		for j := 0; j < 2; j++ {
+			if err := p.SetBounds(j, 0, 10); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := p.SetObjective([]float64{1, 1}, true); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := build()
+			if err := tc.set(p); err == nil {
+				t.Fatal("setter accepted non-finite input")
+			}
+			// The rejected edit must leave the problem untouched: the
+			// valid base problem still solves to its true optimum.
+			if _, err := p.AddConstraint([]float64{1, 2}, LE, 4); err != nil {
+				t.Fatal(err)
+			}
+			for _, dense := range []bool{true, false} {
+				sol, err := SolveWith(p, Options{DenseSolver: dense, ForceSparse: !dense})
+				if err != nil || sol.Status != Optimal || math.Abs(sol.Objective-4) > tol {
+					t.Fatalf("dense=%v: base problem after rejected edit: %+v, %v", dense, sol, err)
+				}
+			}
+		})
+	}
+	// Infinite bounds on the open side stay legal.
+	if err := NewProblem(1).SetBounds(0, math.Inf(-1), math.Inf(1)); err != nil {
+		t.Fatalf("free variable rejected: %v", err)
+	}
+}

@@ -60,24 +60,13 @@ type rmatrix struct {
 	rhs     []float64 // sign-flipped RHS per row
 }
 
-// buildRMatrix compresses the problem's rows into column form, choosing row
-// sign flips exactly like the dense engine does at tableau setup (so a cold
-// sparse solve and a cold dense solve start from identical internal data).
-func buildRMatrix(p *Problem) *rmatrix {
-	return buildRMatrixInto(p, nil, nil)
-}
-
-// buildRMatrixInto is buildRMatrix writing into mt's existing arrays (grown
-// as needed) with build temporaries drawn from ws. Either may be nil; all
-// four combinations compute the identical matrix.
+// buildRMatrixInto compresses the problem's rows into column form in mt's
+// existing arrays (grown as needed; a nil mt starts fresh), with build
+// temporaries drawn from ws. Row sign flips are chosen exactly like the
+// dense engine does at tableau setup, so a cold sparse solve and a cold
+// dense solve start from identical internal data.
 func buildRMatrixInto(p *Problem, mt *rmatrix, ws *Workspace) *rmatrix {
-	m, n := len(p.rows), p.nvars
-	nslack := 0
-	for _, r := range p.rows {
-		if r.rel != EQ {
-			nslack++
-		}
-	}
+	m, n, nslack := len(p.rows), p.nvars, p.numSlacks()
 	if mt == nil {
 		mt = &rmatrix{}
 	}
@@ -88,20 +77,12 @@ func buildRMatrixInto(p *Problem, mt *rmatrix, ws *Workspace) *rmatrix {
 	mt.rhs = growFloat(mt.rhs, m)
 	// Initial nonbasic placement of structural variables (slacks start at
 	// zero), needed only to reproduce the dense engine's flip decision.
-	var x0 []float64
-	var cnt, next []int
-	if ws != nil {
-		ws.bx0 = growFloat(ws.bx0, n)
-		ws.bcnt = growInt(ws.bcnt, mt.artOff)
-		ws.bnext = growInt(ws.bnext, mt.artOff)
-		x0, cnt, next = ws.bx0, ws.bcnt, ws.bnext
-		for i := range cnt {
-			cnt[i] = 0
-		}
-	} else {
-		x0 = make([]float64, n)
-		cnt = make([]int, mt.artOff)
-		next = make([]int, mt.artOff)
+	ws.bx0 = growFloat(ws.bx0, n)
+	ws.bcnt = growInt(ws.bcnt, mt.artOff)
+	ws.bnext = growInt(ws.bnext, mt.artOff)
+	x0, cnt, next := ws.bx0, ws.bcnt, ws.bnext
+	for i := range cnt {
+		cnt[i] = 0
 	}
 	for j := 0; j < n; j++ {
 		x0[j] = 0
@@ -212,12 +193,11 @@ type revised struct {
 	dv   []float64 // row-space accumulator for dual bound flips
 
 	// cacheRev records Problem.rev when the finished engine was retained as
-	// the next warm solve's starting state (see Problem.storeRCache and
-	// Workspace.retain).
+	// the next warm solve's starting state (see Workspace.retain).
 	cacheRev int
 
-	// ws, when non-nil, is the workspace this engine draws factorization
-	// scratch and solution buffers from (and is retained on between solves).
+	// ws is the workspace this engine draws factorization scratch and
+	// solution buffers from (and is retained on between solves).
 	ws *Workspace
 
 	// Per-engine reusable scratch: phase-I cost vector, refactorization
@@ -255,26 +235,13 @@ func (s *dualCandSorter) Less(a, b int) bool {
 func (s *dualCandSorter) Swap(a, b int) { s.c[a], s.c[b] = s.c[b], s.c[a] }
 
 // newRevised builds a cold-start engine: matrix rebuilt from the problem's
-// current state, artificial basis, identity LU. With a workspace the
-// retained engine's allocations are reused; the matrix is still rebuilt so a
-// cold solve never depends on retained state (bound edits change the flip
-// pattern without bumping rev).
+// current state, artificial basis, identity LU. The workspace's retained
+// engine lends its allocations; the matrix is still rebuilt so a cold solve
+// never depends on retained state (bound edits change the flip pattern
+// without bumping rev).
 func newRevised(p *Problem, opts Options) (*revised, error) {
-	for j := 0; j < p.nvars; j++ {
-		if p.lower[j] > p.upper[j] {
-			return nil, fmt.Errorf("lp: variable %d has inconsistent bounds [%g, %g]", j, p.lower[j], p.upper[j])
-		}
-	}
-	var e *revised
-	if ws := opts.Workspace; ws != nil {
-		e = ws.detach()
-		if e == nil {
-			e = &revised{ws: ws}
-		}
-		e.reinit(p, buildRMatrixInto(p, e.mat, ws), opts)
-	} else {
-		e = newRevisedSkeleton(p, buildRMatrix(p), opts)
-	}
+	e := opts.Workspace.engine()
+	e.reinit(p, opts)
 
 	// Initial nonbasic placement, exactly as the dense engine.
 	for j := 0; j < e.total; j++ {
@@ -321,21 +288,14 @@ func newRevised(p *Problem, opts Options) (*revised, error) {
 	return e, nil
 }
 
-// newRevisedSkeleton allocates an engine around a built matrix, with bounds
-// and costs loaded but no basis state yet.
-func newRevisedSkeleton(p *Problem, mt *rmatrix, opts Options) *revised {
-	e := &revised{}
-	e.reinit(p, mt, opts)
-	return e
-}
-
-// reinit (re)initializes an engine around a built matrix, growing (or on a
-// fresh engine, allocating) every working array, resetting counters and eta
-// state, and recycling the previous LU's arrays into the workspace's
-// factorization scratch. After reinit the engine is indistinguishable from a
-// freshly constructed skeleton: no stale array content is ever read before
-// being rewritten (the cold and warm setup paths write every slot they use).
-func (e *revised) reinit(p *Problem, mt *rmatrix, opts Options) {
+// reinit (re)initializes an engine for p: it rebuilds the matrix in the
+// engine's arrays, grows (or on a fresh engine, allocates) every working
+// array, resets counters and eta state, and recycles the previous LU's
+// arrays into the workspace's factorization scratch. After reinit no stale
+// array content is ever read before being rewritten (the cold and warm
+// setup paths write every slot they use).
+func (e *revised) reinit(p *Problem, opts Options) {
+	mt := buildRMatrixInto(p, e.mat, e.ws)
 	e.opts = opts
 	e.m, e.n, e.nslack = mt.m, mt.n, mt.nslack
 	e.total, e.artOff = mt.total, mt.artOff
@@ -365,9 +325,7 @@ func (e *revised) reinit(p *Problem, mt *rmatrix, opts Options) {
 	e.etaDiag = e.etaDiag[:0]
 	e.netas = 0
 	if e.lu != nil {
-		if e.ws != nil {
-			e.ws.fact.Recycle(e.lu)
-		}
+		e.ws.fact.Recycle(e.lu)
 		e.lu = nil
 	}
 	e.col = growFloat(e.col, mt.m)
@@ -526,17 +484,14 @@ func (e *revised) refactor() error {
 	for pos, v := range e.basis {
 		ind[pos], val[pos] = e.colEntries(v)
 	}
-	var fs *sparse.FactorScratch
-	if e.ws != nil {
-		fs = &e.ws.fact
-	}
+	fs := &e.ws.fact
 	lu, err := sparse.FactorColumnsWith(e.m, ind, val, fs)
 	if err != nil {
 		return err
 	}
 	// Recycle only after success: a failed factorization must leave the
 	// current LU untouched (callers may keep pivoting on it or report).
-	if fs != nil && e.lu != nil {
+	if e.lu != nil {
 		fs.Recycle(e.lu)
 	}
 	e.lu = lu
@@ -858,29 +813,12 @@ func (e *revised) step(j int, dir, tol float64) (unbounded bool, err error) {
 	return false, nil
 }
 
-// assemble builds the user-facing solution after a phase-II optimum, with
-// the same dual extraction as the dense engine (the artificial column of
-// row i carries B⁻¹e_i). Workspace-carrying solves write into the
-// workspace's solution storage — valid until that workspace's next solve —
-// instead of allocating; the numbers are identical either way.
+// assemble builds the user-facing solution after a phase-II optimum in the
+// workspace's solution storage, with the same dual extraction as the dense
+// engine (the artificial column of row i carries B⁻¹e_i).
 func (e *revised) assemble() *Solution {
-	var (
-		sol         *Solution
-		x, dual, rc []float64
-	)
-	if ws := e.ws; ws != nil {
-		ws.solX = growFloat(ws.solX, e.n)
-		ws.solDual = growFloat(ws.solDual, e.m)
-		ws.solRC = growFloat(ws.solRC, e.n)
-		x, dual, rc = ws.solX, ws.solDual, ws.solRC
-		ws.sol = Solution{}
-		sol = &ws.sol
-	} else {
-		x = make([]float64, e.n)
-		dual = make([]float64, e.m)
-		rc = make([]float64, e.n)
-		sol = &Solution{}
-	}
+	sol := e.ws.solution(e.n, e.m)
+	x, dual, rc := sol.X, sol.Dual, sol.ReducedCost
 	copy(x, e.xN[:e.n])
 	var obj float64
 	for j := 0; j < e.n; j++ {
@@ -900,11 +838,7 @@ func (e *revised) assemble() *Solution {
 	for j := 0; j < e.n; j++ {
 		rc[j] = sign * e.z[j]
 	}
-	sol.Status = Optimal
-	sol.X = x
 	sol.Objective = obj
-	sol.Dual = dual
-	sol.ReducedCost = rc
 	sol.Iterations = e.iters
 	return sol
 }
@@ -914,26 +848,6 @@ func captureBasisRevised(e *revised) *Basis {
 	st := make([]varStatus, len(e.status))
 	copy(st, e.status)
 	return &Basis{nvars: e.n, nrows: e.m, nslack: e.nslack, status: st}
-}
-
-// takeRCache detaches the retained engine of the previous sparse solve if it
-// is still valid for the problem's current shape.
-func (p *Problem) takeRCache(m, n, nslack int) *revised {
-	e := p.rcache
-	if e == nil {
-		return nil
-	}
-	p.rcache = nil
-	if e.cacheRev != p.rev || e.m != m || e.n != n || e.nslack != nslack {
-		return nil
-	}
-	return e
-}
-
-// storeRCache retains a finished sparse engine for the next warm solve.
-func (p *Problem) storeRCache(e *revised) {
-	e.cacheRev = p.rev
-	p.rcache = e
 }
 
 // solveSparse runs the sparse engine: warm attempt first when a basis hint
@@ -962,7 +876,7 @@ func solveSparse(p *Problem, opts Options, stats *solveStats) (*Solution, error)
 		}
 		if wsol != nil {
 			sol, e, stats.warmUsed = wsol, we, true
-		} else if we != nil && opts.Workspace != nil {
+		} else if we != nil {
 			// Failed warm attempt: hand the engine's allocations back so the
 			// cold fallback below reuses them (uncertified — the cold path
 			// rebuilds the matrix and refactorizes regardless).
@@ -985,14 +899,9 @@ func solveSparse(p *Problem, opts Options, stats *solveStats) (*Solution, error)
 		sol.Basis = captureBasisRevised(e)
 	}
 	if err == nil && e != nil {
-		if ws := opts.Workspace; ws != nil {
-			// The workspace, not the Problem, is the engine's home between
-			// solves; certification (matrix/LU reuse next time) follows the
-			// same CaptureBasis discipline as the rcache path.
-			ws.retain(p, e, opts.CaptureBasis)
-		} else if opts.CaptureBasis {
-			p.storeRCache(e)
-		}
+		// The workspace is the engine's home between solves; a
+		// capture-enabled solve certifies its matrix and LU for reuse.
+		opts.Workspace.retain(p, e, opts.CaptureBasis)
 	}
 	return sol, err
 }
@@ -1004,58 +913,28 @@ func solveSparse(p *Problem, opts Options, stats *solveStats) (*Solution, error)
 // certifies. A nil Solution means the caller must cold-solve; the returned
 // engine (when non-nil) carries the attempt's counters either way.
 func trySolveWarmSparse(p *Problem, opts Options, b *Basis) (*revised, *Solution) {
-	m, n := len(p.rows), p.nvars
-	nslack := 0
-	for _, r := range p.rows {
-		if r.rel != EQ {
-			nslack++
-		}
-	}
+	m, n, nslack := len(p.rows), p.nvars, p.numSlacks()
 	if !b.matches(n, m, nslack) {
 		return nil, nil
 	}
-	for j := 0; j < n; j++ {
-		if p.lower[j] > p.upper[j] {
-			return nil, nil // cold path reports the inconsistent bounds
-		}
-	}
-	var wanted []int
-	if opts.Workspace != nil {
-		wanted = opts.Workspace.wanted[:0]
-	} else {
-		wanted = make([]int, 0, m)
-	}
+	ws := opts.Workspace
+	wanted := ws.wanted[:0]
 	for j, st := range b.status {
 		if st == basic {
 			wanted = append(wanted, j)
 		}
 	}
-	if opts.Workspace != nil {
-		opts.Workspace.wanted = wanted
-	}
+	ws.wanted = wanted
 	if len(wanted) != m {
 		return nil, nil
 	}
 
-	// Engine acquisition: the workspace-retained engine when its matrix and
-	// LU are certified for p's current state (same condition takeRCache
-	// enforces), the Problem's own rcache otherwise. Both hits reuse the
-	// factorization under the identical sameBasisSet test, so pooled and
-	// unpooled solves pivot through the same numbers.
-	var e *revised
-	luValid := false
-	if ws := opts.Workspace; ws != nil {
-		e = ws.detach()
-		if e != nil {
-			luValid = ws.engProb == p && e.cacheRev == p.rev &&
-				e.m == m && e.n == n && e.nslack == nslack
-			ws.engProb = nil
-		}
-	} else {
-		e = p.takeRCache(m, n, nslack)
-		luValid = e != nil
-	}
-	if e != nil && luValid {
+	// Engine acquisition: the workspace-retained engine, whose matrix and LU
+	// are reusable only when certified for p's current state and shape.
+	luValid := ws.eng != nil && ws.engProb == p && ws.eng.cacheRev == p.rev &&
+		ws.eng.m == m && ws.eng.n == n && ws.eng.nslack == nslack
+	e := ws.engine()
+	if luValid {
 		e.opts = opts
 		e.maximize, e.userC = p.maximize, p.c
 		e.loadBoundsAndCost(p)
@@ -1069,14 +948,7 @@ func trySolveWarmSparse(p *Problem, opts Options, b *Basis) (*revised, *Solution
 			}
 		}
 	} else {
-		if e != nil {
-			e.reinit(p, buildRMatrixInto(p, e.mat, opts.Workspace), opts)
-		} else if ws := opts.Workspace; ws != nil {
-			e = &revised{ws: ws}
-			e.reinit(p, buildRMatrixInto(p, nil, ws), opts)
-		} else {
-			e = newRevisedSkeleton(p, buildRMatrix(p), opts)
-		}
+		e.reinit(p, opts)
 		copy(e.basis, wanted)
 		if err := e.refactor(); err != nil {
 			return e, nil
@@ -1105,19 +977,13 @@ func trySolveWarmSparse(p *Problem, opts Options, b *Basis) (*revised, *Solution
 }
 
 // sameBasisSet reports whether cur (in position order) and wanted (sorted
-// ascending) contain the same variables; e supplies sort scratch when it
-// carries a workspace.
+// ascending) contain the same variables, sorting in e's workspace scratch.
 func sameBasisSet(e *revised, cur, wanted []int) bool {
 	if len(cur) != len(wanted) {
 		return false
 	}
-	var tmp []int
-	if e != nil && e.ws != nil {
-		e.ws.tmp = growInt(e.ws.tmp, len(cur))
-		tmp = e.ws.tmp
-	} else {
-		tmp = make([]int, len(cur))
-	}
+	e.ws.tmp = growInt(e.ws.tmp, len(cur))
+	tmp := e.ws.tmp
 	copy(tmp, cur)
 	sort.Ints(tmp)
 	for i, v := range tmp {

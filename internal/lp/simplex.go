@@ -42,7 +42,12 @@ type simplex struct {
 
 	maximize bool
 	userC    []float64
-	ar       *arena // pooled scratch backing tab and the working vectors
+
+	// buf backs the tableau rows and every float working vector; take
+	// carves zeroed slices out of it from off onward. The engine (and so
+	// buf) is retained on the workspace between solves.
+	buf []float64
+	off int
 
 	// Pivot-accounting counters, kept after the hot fields so the layout
 	// of the per-pivot working set matches the uninstrumented solver.
@@ -52,40 +57,52 @@ type simplex struct {
 	dualPivots  int
 
 	// cacheRev records Problem.rev at the moment the finished solver was
-	// retained as a warm-start tableau cache (see Problem.storeCache).
+	// retained as a certified warm-start tableau (Workspace.retainTableau).
 	cacheRev int
 }
 
-func newSimplex(p *Problem, opts Options) (*simplex, error) {
-	m := len(p.rows)
-	n := p.nvars
-	nslack := 0
-	for _, r := range p.rows {
-		if r.rel != EQ {
-			nslack++
-		}
+// take carves a zeroed length-n slice out of buf. Retained storage is dirty
+// from earlier solves, so callers rely on take's clearing the slice.
+func (s *simplex) take(n int) []float64 {
+	t := s.buf[s.off : s.off+n]
+	s.off += n
+	for i := range t {
+		t[i] = 0
 	}
-	for j := 0; j < n; j++ {
-		if p.lower[j] > p.upper[j] {
-			return nil, fmt.Errorf("lp: variable %d has inconsistent bounds [%g, %g]", j, p.lower[j], p.upper[j])
-		}
-	}
-	s := &simplex{
+	return t
+}
+
+// newSimplex builds the cold-start tableau for p in the workspace's dense
+// engine storage, reusing whatever arrays the workspace retained.
+func newSimplex(p *Problem, opts Options) *simplex {
+	m, n, nslack := len(p.rows), p.nvars, p.numSlacks()
+	s := opts.Workspace.detachTableau()
+	old := *s
+	total := n + nslack + m
+	*s = simplex{
 		opts:     opts,
 		m:        m,
 		n:        n,
 		nslack:   nslack,
-		total:    n + nslack + m,
+		total:    total,
 		artOff:   n + nslack,
 		maximize: p.maximize,
 		userC:    p.c,
+		// One buffer covers the tableau (m×total), the six per-variable
+		// working vectors (lower, upper, costII, z, costI, xN), xB, and
+		// the maintained B⁻¹b column.
+		buf:     growFloat(old.buf, (m+6)*total+2*m),
+		tab:     old.tab[:0],
+		rhsFlip: growBool(old.rhsFlip, m),
+		basis:   growInt(old.basis, m),
+		status:  old.status[:0],
 	}
-	// One pooled buffer covers the tableau (m×total), the six per-variable
-	// working vectors (lower, upper, costII, z, costI, xN), xB, and the
-	// maintained B⁻¹b column.
-	s.ar = getArena((m+6)*s.total + 2*m)
-	s.lower = s.ar.take(s.total)
-	s.upper = s.ar.take(s.total)
+	if cap(s.status) < total {
+		s.status = make([]varStatus, total)
+	}
+	s.status = s.status[:total]
+	s.lower = s.take(s.total)
+	s.upper = s.take(s.total)
 	copy(s.lower, p.lower)
 	copy(s.upper, p.upper)
 	for j := n; j < s.artOff; j++ { // slacks: [0, +Inf)
@@ -95,8 +112,8 @@ func newSimplex(p *Problem, opts Options) (*simplex, error) {
 		s.upper[j] = math.Inf(1)
 	}
 
-	s.costII = s.ar.take(s.total)
-	s.z = s.ar.take(s.total)
+	s.costII = s.take(s.total)
+	s.z = s.take(s.total)
 	sign := 1.0
 	if p.maximize {
 		sign = -1
@@ -107,13 +124,9 @@ func newSimplex(p *Problem, opts Options) (*simplex, error) {
 
 	// Build the tableau: structural coefficients, slack column per
 	// inequality, artificial identity block.
-	s.tab = make([][]float64, m)
-	s.rhsFlip = make([]bool, m)
-	s.basis = make([]int, m)
-	s.xB = s.ar.take(m)
-	s.rhs = s.ar.take(m)
-	s.status = make([]varStatus, s.total)
-	s.xN = s.ar.take(s.total)
+	s.xB = s.take(m)
+	s.rhs = s.take(m)
+	s.xN = s.take(s.total)
 
 	// Initial nonbasic placement: nearest finite bound, free at 0.
 	for j := 0; j < s.total; j++ {
@@ -132,7 +145,7 @@ func newSimplex(p *Problem, opts Options) (*simplex, error) {
 
 	slackAt := n
 	for i, row := range p.rows {
-		t := s.ar.take(s.total)
+		t := s.take(s.total)
 		for k, j := range row.ind {
 			t[j] = row.val[k]
 		}
@@ -152,16 +165,16 @@ func newSimplex(p *Problem, opts Options) (*simplex, error) {
 				resid -= t[j] * s.xN[j]
 			}
 		}
-		if resid < 0 {
+		s.rhsFlip[i] = resid < 0
+		if s.rhsFlip[i] {
 			for j := range t {
 				t[j] = -t[j]
 			}
 			resid = -resid
-			s.rhsFlip[i] = true
 		}
 		art := s.artOff + i
 		t[art] = 1
-		s.tab[i] = t
+		s.tab = append(s.tab, t)
 		s.basis[i] = art
 		s.status[art] = basic
 		s.xB[i] = resid
@@ -171,13 +184,13 @@ func newSimplex(p *Problem, opts Options) (*simplex, error) {
 			s.rhs[i] = -row.rhs
 		}
 	}
-	return s, nil
+	return s
 }
 
 // run executes both phases and assembles the solution.
 func (s *simplex) run() (*Solution, error) {
 	// Phase I: minimize the sum of artificials.
-	costI := s.ar.take(s.total)
+	costI := s.take(s.total)
 	for j := s.artOff; j < s.total; j++ {
 		costI[j] = 1
 	}
@@ -228,7 +241,7 @@ func (s *simplex) phaseObjective(cost []float64) float64 {
 }
 
 // initReducedCosts fills the z row for the given phase cost: z_j = c_j − yᵀA_j.
-// The z vector lives in the pooled arena and is fully overwritten here.
+// The z vector lives in the engine's buffer and is fully overwritten here.
 func (s *simplex) initReducedCosts(cost []float64) {
 	copy(s.z, cost)
 	for i := 0; i < s.m; i++ {
@@ -482,9 +495,11 @@ func (s *simplex) step(j int, dir, tol float64) (unbounded bool, err error) {
 	return false, nil
 }
 
-// assemble builds the user-facing solution after a phase-II optimum.
+// assemble builds the user-facing solution after a phase-II optimum in the
+// workspace's solution storage.
 func (s *simplex) assemble() *Solution {
-	x := make([]float64, s.n)
+	sol := s.opts.Workspace.solution(s.n, s.m)
+	x, dual, rc := sol.X, sol.Dual, sol.ReducedCost
 	copy(x, s.xN[:s.n])
 	var obj float64
 	for j := 0; j < s.n; j++ {
@@ -494,7 +509,6 @@ func (s *simplex) assemble() *Solution {
 	if s.maximize {
 		sign = -1
 	}
-	dual := make([]float64, s.m)
 	for i := 0; i < s.m; i++ {
 		// The artificial column of row i carries B⁻¹ e_i, so the dual
 		// price is −z over that column (artificials have zero phase-II
@@ -505,16 +519,10 @@ func (s *simplex) assemble() *Solution {
 		}
 		dual[i] = sign * y
 	}
-	rc := make([]float64, s.n)
 	for j := 0; j < s.n; j++ {
 		rc[j] = sign * s.z[j]
 	}
-	return &Solution{
-		Status:      Optimal,
-		X:           x,
-		Objective:   obj,
-		Dual:        dual,
-		ReducedCost: rc,
-		Iterations:  s.iters,
-	}
+	sol.Objective = obj
+	sol.Iterations = s.iters
+	return sol
 }

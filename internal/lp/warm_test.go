@@ -50,8 +50,8 @@ func TestWarmMatchesColdAfterTightening(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		p, _ := randomLP(r)
-		defer p.ReleaseSolverCache()
-		sol, err := SolveWith(p, Options{CaptureBasis: true})
+		ws := NewWorkspace()
+		sol, err := SolveWith(p, Options{CaptureBasis: true, Workspace: ws})
 		if err != nil || sol.Status != Optimal || sol.Basis == nil {
 			return false
 		}
@@ -62,7 +62,7 @@ func TestWarmMatchesColdAfterTightening(t *testing.T) {
 				continue
 			}
 			cold, cerr := SolveWith(p, Options{})
-			warm, werr := SolveWith(p, Options{WarmBasis: basis, CaptureBasis: true})
+			warm, werr := SolveWith(p, Options{WarmBasis: basis, CaptureBasis: true, Workspace: ws})
 			if (cerr == nil) != (werr == nil) {
 				t.Logf("seed %d round %d: cold err %v, warm err %v", seed, k, cerr, werr)
 				return false
@@ -110,8 +110,8 @@ func TestWarmRemapAfterAddConstraint(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		p, x0 := randomLP(r)
-		defer p.ReleaseSolverCache()
-		sol, err := SolveWith(p, Options{CaptureBasis: true})
+		ws := NewWorkspace()
+		sol, err := SolveWith(p, Options{CaptureBasis: true, Workspace: ws})
 		if err != nil || sol.Status != Optimal {
 			return false
 		}
@@ -138,7 +138,7 @@ func TestWarmRemapAfterAddConstraint(t *testing.T) {
 		if warmBasis == nil {
 			return cerr == nil // rejection is a legal outcome; cold still works
 		}
-		warm, werr := SolveWith(p, Options{WarmBasis: warmBasis})
+		warm, werr := SolveWith(p, Options{WarmBasis: warmBasis, Workspace: ws})
 		if (cerr == nil) != (werr == nil) {
 			return false
 		}
@@ -165,7 +165,6 @@ func TestRemapRejectsBadMaps(t *testing.T) {
 	if err != nil || sol.Status != Optimal {
 		t.Fatalf("setup solve: %v (%v)", err, sol)
 	}
-	p.ReleaseSolverCache()
 	n, m := p.NumVars(), p.NumConstraints()
 	ident := func(k int) []int {
 		out := make([]int, k)
@@ -210,7 +209,6 @@ func TestWarmBasisSharedAcrossGoroutines(t *testing.T) {
 	}
 	p0 := build()
 	sol, err := SolveWith(p0, Options{CaptureBasis: true})
-	p0.ReleaseSolverCache()
 	if err != nil || sol.Status != Optimal {
 		t.Fatalf("setup solve: %v", err)
 	}
@@ -237,14 +235,15 @@ func TestWarmBasisSharedAcrossGoroutines(t *testing.T) {
 	wg.Wait()
 }
 
-// The cache retained by CaptureBasis must be invalidated by structural edits:
-// a warm solve after AddConstraint with a stale (un-remapped) basis must not
-// be accepted, and the solve must still succeed through the cold path.
+// The engine a workspace retains after a CaptureBasis solve must be
+// invalidated by structural edits: a warm solve after AddConstraint with a
+// stale (un-remapped) basis must not be accepted, and the solve must still
+// succeed through the cold path.
 func TestStaleCacheInvalidatedByAddConstraint(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	p, x0 := randomLP(r)
-	defer p.ReleaseSolverCache()
-	sol, err := SolveWith(p, Options{CaptureBasis: true})
+	ws := NewWorkspace()
+	sol, err := SolveWith(p, Options{CaptureBasis: true, Workspace: ws})
 	if err != nil || sol.Status != Optimal {
 		t.Fatalf("setup solve: %v", err)
 	}
@@ -255,7 +254,7 @@ func TestStaleCacheInvalidatedByAddConstraint(t *testing.T) {
 	}
 	// The stale basis no longer matches the problem shape: the warm path
 	// must reject it (sol2.Warm == false) and fall back cleanly.
-	sol2, err := SolveWith(p, Options{WarmBasis: sol.Basis})
+	sol2, err := SolveWith(p, Options{WarmBasis: sol.Basis, Workspace: ws})
 	if err != nil {
 		t.Fatalf("re-solve after AddConstraint: %v", err)
 	}

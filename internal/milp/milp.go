@@ -189,7 +189,9 @@ type Options struct {
 	// degradation observed when branching them, seeded at the root from
 	// complementarity-violation magnitudes.
 	PseudoCost bool
-	// LP are the options for each relaxation solve.
+	// LP are the options for each relaxation solve. Every relaxation of
+	// one run shares LP.Workspace; when it is nil, the run borrows one from
+	// lp's pool for its whole branch-and-bound sequence.
 	LP lp.Options
 	// WarmBasis, when non-nil, seeds the root relaxation with a basis from
 	// an earlier solve of the same LP shape (e.g. the previous row-
@@ -286,13 +288,20 @@ func SolveWith(p *Problem, opts Options) (*Solution, error) {
 	if o.LP.Ctx == nil {
 		o.LP.Ctx = o.Ctx
 	}
+	ws := o.LP.Workspace
+	if ws == nil {
+		ws = lp.GetWorkspace()
+		defer lp.PutWorkspace(ws)
+		o.LP.Workspace = ws
+	}
+	// Whatever the sequence leaves certified on the workspace ends with it.
+	defer ws.Reset()
 	maximize := p.isMaximize()
 	warm := !o.DisableWarmStart
 	if warm {
 		// Capture every node's optimal basis (for its children) and let the
-		// problem retain the final tableau between node solves.
+		// workspace retain the final engine state between node solves.
 		o.LP.CaptureBasis = true
-		defer p.Base.ReleaseSolverCache()
 	}
 
 	var lpIters, incumbents, pruned, heurHits int

@@ -18,13 +18,14 @@ const (
 	kktSparseMaxDensity = 0.3
 )
 
-// activeSet runs the primal active-set iteration.
+// activeSet runs the primal active-set iteration. It lives in a workspace's
+// qpScratch between solves: attach resets every per-solve field and keeps
+// the buffers.
 type activeSet struct {
 	p    *Problem
 	rows []ineqRow
 	x    []float64
 	opts Options
-	work []int // indices into rows forming the working set
 
 	// Hessian and equality-row sparsity, extracted once per solve.
 	hInd   [][]int
@@ -37,6 +38,24 @@ type activeSet struct {
 	schur      *kktSchur
 	schurTried bool
 
+	// Memoized last successful solve: the KKT solution depends only on the
+	// working set (the iterate moves neither the matrix nor the right-hand
+	// side), and run() solves each candidate set twice — once probing
+	// independence in tryKKT, once for the step in the next iteration — so
+	// remembering the last result halves the work. memoOK gates validity so
+	// the memo buffers themselves can persist across solves.
+	memoOK bool
+
+	activeBuffers
+}
+
+// activeBuffers are the active-set iteration's reusable buffers. Every user
+// sizes a buffer (grow, cloneInto, append onto [:0]) before reading it, so
+// content left by an earlier solve is never observed; only work, which the
+// iteration appends to, is truncated per solve.
+type activeBuffers struct {
+	work []int // indices into rows forming the working set
+
 	// keys[i] identifies rows[i] across solves sharing a KKTCache (stable
 	// scheme) or within this solve only (positional scheme).
 	keys []int64
@@ -48,23 +67,16 @@ type activeSet struct {
 	// keyBuf is scratch for packing working sets into map keys.
 	keyBuf []byte
 
-	// Memoized last successful solve: the KKT solution depends only on the
-	// working set (the iterate moves neither the matrix nor the right-hand
-	// side), and run() solves each candidate set twice — once probing
-	// independence in tryKKT, once for the step in the next iteration — so
-	// remembering the last result halves the work. memoOK gates validity so
-	// the buffers themselves can persist in a qpScratch across solves.
-	memoOK   bool
+	// The memoized solve (valid while activeSet.memoOK).
 	memoWork []int
 	memoX    []float64
 	memoNu   []float64
 	memoLam  []float64
 
-	// Reused per-call buffers (scratch-backed under a Workspace): the
-	// bordered solution vector, Schur right-hand side, memo hand-out copies,
-	// step direction, and candidate working set. A KKT solution handed out
-	// from uBuf/ret* is valid until the next solveKKT call, which is how
-	// run() already consumes it.
+	// The bordered solution vector, Schur right-hand side, memo hand-out
+	// copies, step direction, and candidate working set. A KKT solution
+	// handed out from uBuf/ret* is valid until the next solveKKT call,
+	// which is how run() already consumes it.
 	uBuf   []float64
 	rhsBuf []float64
 	retX   []float64

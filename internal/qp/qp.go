@@ -60,29 +60,42 @@ func NewProblem(n int) *Problem {
 // NumVars returns the number of variables.
 func (p *Problem) NumVars() int { return p.n }
 
-// SetQuadCoeff sets H[i][j] (and H[j][i], keeping H symmetric).
+// SetQuadCoeff sets H[i][j] (and H[j][i], keeping H symmetric). v must be
+// finite.
 func (p *Problem) SetQuadCoeff(i, j int, v float64) error {
 	if i < 0 || i >= p.n || j < 0 || j >= p.n {
 		return fmt.Errorf("qp: quad index (%d,%d) out of range", i, j)
+	}
+	if !isFinite(v) {
+		return fmt.Errorf("qp: quad coefficient (%d,%d) is %g", i, j, v)
 	}
 	p.h.Set(i, j, v)
 	p.h.Set(j, i, v)
 	return nil
 }
 
-// SetLinCoeff sets the linear objective coefficient of variable j.
+// SetLinCoeff sets the linear objective coefficient of variable j, which
+// must be finite.
 func (p *Problem) SetLinCoeff(j int, v float64) error {
 	if j < 0 || j >= p.n {
 		return fmt.Errorf("qp: linear index %d out of range", j)
+	}
+	if !isFinite(v) {
+		return fmt.Errorf("qp: linear coefficient %d is %g", j, v)
 	}
 	p.c[j] = v
 	return nil
 }
 
-// SetBounds sets the bounds of variable j.
+// SetBounds sets the bounds of variable j. Use -Inf/+Inf for an unbounded
+// lower/upper side; NaN, a lower bound of +Inf, and an upper bound of -Inf
+// are rejected.
 func (p *Problem) SetBounds(j int, lo, hi float64) error {
 	if j < 0 || j >= p.n {
 		return fmt.Errorf("qp: bound index %d out of range", j)
+	}
+	if math.IsNaN(lo) || math.IsNaN(hi) || math.IsInf(lo, 1) || math.IsInf(hi, -1) {
+		return fmt.Errorf("qp: variable %d has invalid bounds [%g, %g]", j, lo, hi)
 	}
 	if lo > hi {
 		return fmt.Errorf("qp: variable %d has lower bound %g > upper bound %g", j, lo, hi)
@@ -93,9 +106,13 @@ func (p *Problem) SetBounds(j int, lo, hi float64) error {
 }
 
 // AddEquality appends an equality row aᵀx = b and returns its index.
+// Coefficients and b must be finite.
 func (p *Problem) AddEquality(a []float64, b float64) (int, error) {
 	if len(a) != p.n {
 		return 0, fmt.Errorf("qp: equality row has %d coefficients, want %d", len(a), p.n)
+	}
+	if err := checkRow(a, b); err != nil {
+		return 0, err
 	}
 	row := make([]float64, p.n)
 	copy(row, a)
@@ -105,9 +122,13 @@ func (p *Problem) AddEquality(a []float64, b float64) (int, error) {
 }
 
 // AddInequality appends an inequality row gᵀx ≤ h and returns its index.
+// Coefficients and h must be finite.
 func (p *Problem) AddInequality(g []float64, h float64) (int, error) {
 	if len(g) != p.n {
 		return 0, fmt.Errorf("qp: inequality row has %d coefficients, want %d", len(g), p.n)
+	}
+	if err := checkRow(g, h); err != nil {
+		return 0, err
 	}
 	row := make([]float64, p.n)
 	copy(row, g)
@@ -115,6 +136,23 @@ func (p *Problem) AddInequality(g []float64, h float64) (int, error) {
 	p.hin = append(p.hin, h)
 	return len(p.gin) - 1, nil
 }
+
+// checkRow rejects a constraint row with a non-finite coefficient or
+// right-hand side.
+func checkRow(a []float64, rhs float64) error {
+	for k, v := range a {
+		if !isFinite(v) {
+			return fmt.Errorf("qp: constraint coefficient %d is %g", k, v)
+		}
+	}
+	if !isFinite(rhs) {
+		return fmt.Errorf("qp: constraint right-hand side is %g", rhs)
+	}
+	return nil
+}
+
+// isFinite reports whether v is neither NaN nor ±Inf.
+func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Solution is the result of a successful Solve.
 type Solution struct {
@@ -175,14 +213,15 @@ type Options struct {
 	// recognize the same constraint across solves even when the row set
 	// (and hence row positions) changes.
 	RowKeys []int64
-	// Workspace, when non-nil, supplies the active-set iteration's working
-	// storage (row list, Schur right-hand-side and memo buffers, step
-	// direction), reused across solves so a steady-state QP re-solve under a
-	// warm KKTCache stays off the allocator. The feasibility LP deliberately
-	// does not use it: its solution vector becomes the iterate and is
-	// mutated in place, so it must own its storage. Results are
-	// bit-identical with and without a workspace. Not safe for concurrent
-	// use.
+	// Workspace supplies the active-set iteration's working storage (row
+	// list, Schur right-hand-side and memo buffers, step direction) in its
+	// QP slot, reused across solves so a steady-state QP re-solve under a
+	// warm KKTCache stays off the allocator. When nil, the solve borrows a
+	// workspace from lp's pool for the call. The feasibility LP always runs
+	// on a borrowed one: its solution vector becomes the iterate and is
+	// mutated in place, so it must be a fresh copy. The returned Solution
+	// never aliases the workspace, and results are bit-identical whichever
+	// workspace ran the solve. Not safe for concurrent use.
 	Workspace *lp.Workspace
 }
 
@@ -239,32 +278,23 @@ func SolveWith(p *Problem, opts Options) (*Solution, error) {
 	if m != nil {
 		m.Counter("qp_solves_total").Inc()
 	}
-	sc := scratchFrom(opts.Workspace)
-	var rowBuf []ineqRow
-	if sc != nil {
-		rowBuf = sc.rows
+	ws := opts.Workspace
+	if ws == nil {
+		ws = lp.GetWorkspace()
+		defer lp.PutWorkspace(ws)
 	}
-	rows := gatherIneqsInto(p, rowBuf)
+	sc := scratchFrom(ws)
+	defer sc.release()
+	rows := gatherIneqsInto(p, sc.rows)
+	sc.rows = rows
 	x, err := feasibleStart(p, opts)
 	if err != nil {
-		if sc != nil {
-			sc.rows = rows
-		}
 		if m != nil && errors.Is(err, ErrInfeasible) {
 			m.Counter("qp_infeasible_total").Inc()
 		}
 		return nil, err
 	}
-	var s *activeSet
-	if sc != nil {
-		s = sc.attach(p, rows, x, opts)
-	} else {
-		s = &activeSet{p: p, rows: rows, x: x, opts: opts}
-	}
-	sol, err := s.run()
-	if sc != nil {
-		sc.reclaim(s)
-	}
+	sol, err := sc.attach(p, rows, x, opts).run()
 	if m != nil {
 		if sol != nil {
 			m.Counter("qp_iterations_total").Add(int64(sol.Iterations))
@@ -277,10 +307,8 @@ func SolveWith(p *Problem, opts Options) (*Solution, error) {
 	return sol, err
 }
 
-// gatherIneqs folds user inequalities and finite bounds into one row list.
-func gatherIneqs(p *Problem) []ineqRow { return gatherIneqsInto(p, nil) }
-
-// gatherIneqsInto is gatherIneqs appending into buf's backing array.
+// gatherIneqsInto folds user inequalities and finite bounds into one row
+// list, appending into buf's backing array.
 func gatherIneqsInto(p *Problem, buf []ineqRow) []ineqRow {
 	rows := buf[:0]
 	if cap(rows) == 0 {

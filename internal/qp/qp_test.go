@@ -292,3 +292,37 @@ func TestPropertyOptimalityAgainstBoxPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRejectsNonFiniteInput pins input validation on every QP setter:
+// non-finite Hessian, linear, and constraint coefficients and right-hand
+// sides, and NaN or inverted-infinite bounds, are errors.
+func TestRejectsNonFiniteInput(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		set  func(p *Problem) error
+	}{
+		{"quad NaN", func(p *Problem) error { return p.SetQuadCoeff(0, 1, nan) }},
+		{"quad Inf", func(p *Problem) error { return p.SetQuadCoeff(0, 0, inf) }},
+		{"lin NaN", func(p *Problem) error { return p.SetLinCoeff(1, nan) }},
+		{"lin -Inf", func(p *Problem) error { return p.SetLinCoeff(0, -inf) }},
+		{"lower NaN", func(p *Problem) error { return p.SetBounds(0, nan, 1) }},
+		{"upper NaN", func(p *Problem) error { return p.SetBounds(0, 0, nan) }},
+		{"lower +Inf", func(p *Problem) error { return p.SetBounds(0, inf, inf) }},
+		{"upper -Inf", func(p *Problem) error { return p.SetBounds(0, -inf, -inf) }},
+		{"equality coeff NaN", func(p *Problem) error { _, err := p.AddEquality([]float64{1, nan}, 1); return err }},
+		{"equality rhs Inf", func(p *Problem) error { _, err := p.AddEquality([]float64{1, 1}, inf); return err }},
+		{"inequality coeff Inf", func(p *Problem) error { _, err := p.AddInequality([]float64{-inf, 1}, 1); return err }},
+		{"inequality rhs NaN", func(p *Problem) error { _, err := p.AddInequality([]float64{1, 1}, nan); return err }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.set(NewProblem(2)); err == nil {
+				t.Fatal("setter accepted non-finite input")
+			}
+		})
+	}
+	if err := NewProblem(1).SetBounds(0, math.Inf(-1), math.Inf(1)); err != nil {
+		t.Fatalf("free variable rejected: %v", err)
+	}
+}

@@ -2,46 +2,20 @@ package qp
 
 import "github.com/edsec/edattack/internal/lp"
 
-// qpScratch is the QP layer's slot in an lp.Workspace: every per-solve
-// allocation of the active-set iteration — the folded inequality row list,
-// the working set, the Schur right-hand-side vectors, the KKT-solution memo
-// and its hand-out buffers, the step direction, and candidate working sets —
-// lives here and is reused across solves. The cross-solve kktSchur itself
-// (base LU, border columns, Schur factorizations) belongs to the KKTCache,
-// not the scratch: it is shared by every solve of the structural family and
-// must never be reset per solve.
-//
-// The activeSet struct embedded here is reused too, so a workspace-carrying
-// steady-state solve allocates nothing for the iteration driver itself.
+// qpScratch is the QP layer's slot in an lp.Workspace: the folded
+// inequality row list and the activeSet itself, whose buffers (working set,
+// Schur right-hand-side vectors, KKT-solution memo and its hand-out
+// buffers, step direction, candidate working sets) are reused across
+// solves. The cross-solve kktSchur itself (base LU, border columns, Schur
+// factorizations) belongs to the KKTCache, not the scratch: it is shared by
+// every solve of the structural family and must never be reset per solve.
 type qpScratch struct {
-	as activeSet
-
-	rows     []ineqRow
-	work     []int
-	keys     []int64
-	w0       []float64
-	rw0      []float64
-	rw0ok    []bool
-	keyBuf   []byte
-	memoWork []int
-	memoX    []float64
-	memoNu   []float64
-	memoLam  []float64
-	uBuf     []float64
-	rhsBuf   []float64
-	retX     []float64
-	retNu    []float64
-	retLam   []float64
-	dBuf     []float64
-	cand     []int
+	as   activeSet
+	rows []ineqRow
 }
 
-// scratchFrom returns the workspace's QP scratch, creating it on first use;
-// nil workspace means no pooling.
+// scratchFrom returns the workspace's QP scratch, creating it on first use.
 func scratchFrom(ws *lp.Workspace) *qpScratch {
-	if ws == nil {
-		return nil
-	}
 	if s, ok := ws.QP.(*qpScratch); ok {
 		return s
 	}
@@ -50,52 +24,21 @@ func scratchFrom(ws *lp.Workspace) *qpScratch {
 	return s
 }
 
-// attach resets the embedded activeSet for a new solve and hands it the
-// scratch-backed buffers (all length zero; growth reuses prior capacity).
+// attach resets the scratch's activeSet for a new solve, keeping its
+// buffers.
 func (sc *qpScratch) attach(p *Problem, rows []ineqRow, x []float64, opts Options) *activeSet {
 	s := &sc.as
-	*s = activeSet{p: p, rows: rows, x: x, opts: opts}
-	s.work = sc.work[:0]
-	s.keys = sc.keys[:0]
-	s.w0 = sc.w0[:0]
-	s.rw0 = sc.rw0[:0]
-	s.rw0ok = sc.rw0ok[:0]
-	s.keyBuf = sc.keyBuf[:0]
-	s.memoWork = sc.memoWork[:0]
-	s.memoX = sc.memoX[:0]
-	s.memoNu = sc.memoNu[:0]
-	s.memoLam = sc.memoLam[:0]
-	s.uBuf = sc.uBuf[:0]
-	s.rhsBuf = sc.rhsBuf[:0]
-	s.retX = sc.retX[:0]
-	s.retNu = sc.retNu[:0]
-	s.retLam = sc.retLam[:0]
-	s.dBuf = sc.dBuf[:0]
-	s.cand = sc.cand[:0]
+	*s = activeSet{p: p, rows: rows, x: x, opts: opts, activeBuffers: s.activeBuffers}
+	s.work = s.work[:0]
 	return s
 }
 
-// reclaim takes the (possibly grown) buffers back after a solve so the next
-// attach starts from the largest capacity seen.
-func (sc *qpScratch) reclaim(s *activeSet) {
-	sc.rows = s.rows[:0]
-	sc.work = s.work[:0]
-	sc.keys = s.keys[:0]
-	sc.w0 = s.w0[:0]
-	sc.rw0 = s.rw0[:0]
-	sc.rw0ok = s.rw0ok[:0]
-	sc.keyBuf = s.keyBuf[:0]
-	sc.memoWork = s.memoWork[:0]
-	sc.memoX = s.memoX[:0]
-	sc.memoNu = s.memoNu[:0]
-	sc.memoLam = s.memoLam[:0]
-	sc.uBuf = s.uBuf[:0]
-	sc.rhsBuf = s.rhsBuf[:0]
-	sc.retX = s.retX[:0]
-	sc.retNu = s.retNu[:0]
-	sc.retLam = s.retLam[:0]
-	sc.dBuf = s.dBuf[:0]
-	sc.cand = s.cand[:0]
+// release drops the scratch's references to the finished solve's problem,
+// options, and KKT cache, keeping only buffers, so a workspace — pooled or
+// pinned — never keeps a caller's problem or model alive.
+func (sc *qpScratch) release() {
+	sc.as = activeSet{activeBuffers: sc.as.activeBuffers}
+	clear(sc.rows)
 }
 
 // cloneInto copies src into dst, reallocating only when dst's capacity is

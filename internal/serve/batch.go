@@ -39,14 +39,14 @@ func (s *Server) batchLoop() {
 		case <-s.closed:
 			for _, name := range porder {
 				for _, j := range pending[name].jobs {
-					j.fail(0, "unavailable", "server shutting down")
+					j.fail("unavailable", "server shutting down")
 				}
 			}
 		drain:
 			for {
 				select {
 				case j := <-s.admit:
-					j.fail(0, "unavailable", "server shutting down")
+					j.fail("unavailable", "server shutting down")
 				default:
 					break drain
 				}
@@ -90,61 +90,79 @@ func (s *Server) observeBatch(size int) {
 }
 
 // sweepBatch is a coalesced group of same-topology sweep jobs executed as
-// one combined Eval pass.
+// one combined Eval pass. answered[i] records that jobs[i] has its terminal
+// event; it lives on the batch, not the job, because an answered job may
+// already be recycled by its handler.
 type sweepBatch struct {
-	jobs []*job
+	jobs     []*job
+	answered []bool
+}
+
+// answer sends jobs[i] its terminal event.
+func (b *sweepBatch) answer(i int, ev streamEvent) {
+	b.answered[i] = true
+	b.jobs[i].finish(ev)
 }
 
 // execute generates each job's seeded scenario set, concatenates them, and
 // runs one sweep.Eval over the shared Precomp, scattering per-job
 // aggregates back to each stream. Per-job results are bit-identical to an
 // unbatched run: scenario generation is a pure function of (case, request)
-// and Eval outcomes are independent of how scenarios are batched.
+// and Eval outcomes are independent of how scenarios are batched. A panic
+// fails every job not yet answered with an internal error.
 //
 // Deadlines: jobs already expired are failed before generation; the
 // combined pass runs under the batch's latest deadline so one short-fused
 // job cannot starve its batchmates, and each job re-checks its own context
 // at delivery.
 func (b *sweepBatch) execute(s *Server) {
-	live := make([]*job, 0, len(b.jobs))
-	for _, j := range b.jobs {
+	b.answered = make([]bool, len(b.jobs))
+	defer s.recoverPanic(func(msg string) {
+		for i, done := range b.answered {
+			if !done {
+				b.answer(i, errorEvent("internal", msg))
+			}
+		}
+	})
+	live := make([]int, 0, len(b.jobs))
+	for i, j := range b.jobs {
 		if err := j.ctx.Err(); err != nil {
-			j.failErr(fmt.Errorf("expired in queue: %w", err))
+			b.answer(i, solveErrorEvent(fmt.Errorf("expired in queue: %w", err)))
 			continue
 		}
-		live = append(live, j)
+		live = append(live, i)
 	}
 	if len(live) == 0 {
 		return
 	}
 	// All jobs in a batch share a case name, hence a topology bundle.
-	entry, err := s.topos.get(live[0].req.Case)
+	entry, err := s.topos.get(b.jobs[live[0]].req.Case)
 	if err != nil {
-		for _, j := range live {
-			j.fail(0, "bad_request", err.Error())
+		for _, i := range live {
+			b.answer(i, errorEvent("bad_request", err.Error()))
 		}
 		return
 	}
 	pc, err := s.sweepCache.Get(entry.net)
 	if err != nil {
-		for _, j := range live {
-			j.fail(0, "internal", err.Error())
+		for _, i := range live {
+			b.answer(i, errorEvent("internal", err.Error()))
 		}
 		return
 	}
 
 	scenarios := []sweep.Scenario{}
 	offsets := make([]int, 0, len(live)+1)
-	gen := make([]*job, 0, len(live))
-	for _, j := range live {
-		scs, _, err := sweep.GenScenarios(pc, j.sweepConfig())
+	gen := make([]int, 0, len(live))
+	for _, i := range live {
+		scs, _, err := sweep.GenScenarios(pc, b.jobs[i].sweepConfig())
 		if err != nil {
-			j.fail(0, "bad_request", err.Error())
+			b.answer(i, errorEvent("bad_request", err.Error()))
 			continue
 		}
 		offsets = append(offsets, len(scenarios))
 		scenarios = append(scenarios, scs...)
-		gen = append(gen, j)
+		gen = append(gen, i)
 	}
 	if len(gen) == 0 {
 		return
@@ -152,12 +170,15 @@ func (b *sweepBatch) execute(s *Server) {
 	offsets = append(offsets, len(scenarios))
 
 	// Latest deadline in the batch bounds the combined pass.
-	evalCtx := gen[0].ctx
+	evalCtx := b.jobs[gen[0]].ctx
 	latest, _ := evalCtx.Deadline()
-	for _, j := range gen[1:] {
-		if d, ok := j.ctx.Deadline(); ok && d.After(latest) {
-			evalCtx, latest = j.ctx, d
+	for _, i := range gen[1:] {
+		if d, ok := b.jobs[i].ctx.Deadline(); ok && d.After(latest) {
+			evalCtx, latest = b.jobs[i].ctx, d
 		}
+	}
+	if testHookSolve != nil {
+		testHookSolve(kindSweep)
 	}
 	evalStart := time.Now()
 	outcomes, err := sweep.Eval(pc, scenarios, sweep.Options{
@@ -167,20 +188,21 @@ func (b *sweepBatch) execute(s *Server) {
 	})
 	evalMS := time.Since(evalStart).Seconds() * 1e3
 	if err != nil {
-		for _, j := range gen {
-			j.failErr(err)
+		for _, i := range gen {
+			b.answer(i, solveErrorEvent(err))
 		}
 		return
 	}
 
-	for ji, j := range gen {
+	for gi, i := range gen {
+		j := b.jobs[i]
 		if cerr := j.ctx.Err(); cerr != nil {
-			j.failErr(fmt.Errorf("expired during combined eval: %w", cerr))
+			b.answer(i, solveErrorEvent(fmt.Errorf("expired during combined eval: %w", cerr)))
 			continue
 		}
 		res := &sweepResult{MergedJobs: len(gen), EvalMS: evalMS}
 		var cost float64
-		for _, out := range outcomes[offsets[ji]:offsets[ji+1]] {
+		for _, out := range outcomes[offsets[gi]:offsets[gi+1]] {
 			res.Scenarios++
 			if out.Dangerous {
 				res.Dangerous++
@@ -197,13 +219,12 @@ func (b *sweepBatch) execute(s *Server) {
 			res.Rate = float64(res.Success) / float64(res.Scenarios)
 			res.MeanCost = cost / float64(res.Scenarios)
 		}
-		j.out <- streamEvent{
+		b.answer(i, streamEvent{
 			Event:   "result",
 			Sweep:   res,
 			QueueMS: float64(evalStart.Sub(j.accepted).Milliseconds()),
 			SolveMS: evalMS,
-		}
-		close(j.out)
+		})
 	}
 }
 

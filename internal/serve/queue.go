@@ -6,11 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"time"
 
 	"github.com/edsec/edattack/internal/core"
+	"github.com/edsec/edattack/internal/telemetry"
 )
 
 // jobKind tags the three request families.
@@ -168,24 +170,36 @@ func (s *Server) newJob(kind jobKind, w http.ResponseWriter, r *http.Request) (*
 	return j, 0, nil
 }
 
-// fail emits one error event and closes the job's stream.
-func (j *job) fail(status int, code, msg string) {
-	j.out <- streamEvent{Event: "error", Code: code, Error: msg}
+// finish sends the job's terminal event and closes its stream. After it
+// returns the handler may recycle the job, so the executor must not touch
+// j again.
+func (j *job) finish(ev streamEvent) {
+	j.out <- ev
 	close(j.out)
 }
 
-// failErr maps solver errors onto stream error codes; context errors keep
-// their identity so clients can tell a deadline from a crash.
-func (j *job) failErr(err error) {
+// fail emits one error event and closes the job's stream.
+func (j *job) fail(code, msg string) {
+	j.finish(errorEvent(code, msg))
+}
+
+// errorEvent is a terminal error event with a stream error code.
+func errorEvent(code, msg string) streamEvent {
+	return streamEvent{Event: "error", Code: code, Error: msg}
+}
+
+// solveErrorEvent maps solver errors onto stream error codes; context
+// errors keep their identity so clients can tell a deadline from a crash.
+func solveErrorEvent(err error) streamEvent {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
-		j.fail(0, "deadline_exceeded", err.Error())
+		return errorEvent("deadline_exceeded", err.Error())
 	case errors.Is(err, context.Canceled):
-		j.fail(0, "canceled", err.Error())
+		return errorEvent("canceled", err.Error())
 	case errors.Is(err, core.ErrNoFeasibleAttack):
-		j.fail(0, "no_feasible_attack", err.Error())
+		return errorEvent("no_feasible_attack", err.Error())
 	default:
-		j.fail(0, "internal", err.Error())
+		return errorEvent("internal", err.Error())
 	}
 }
 
@@ -203,39 +217,90 @@ func (s *Server) workerLoop() {
 	}
 }
 
-// execute runs a single attack or evaluation job against its topology's
-// shared state. The topology lock serializes model-touching solves — the
-// dispatch model is warm-started and not safe for concurrent use — while
-// jobs on other topologies proceed on other workers.
+// testHookSolve, when set (only by tests), runs at the start of every
+// job's solve phase — under the topology lock for attack and evaluation
+// jobs, before the combined pass for sweep batches — so a test can inject
+// a panic there.
+var testHookSolve func(kind jobKind)
+
+// recoverPanic is deferred by every runnable's execute. When a panic is
+// unwinding it stops it there, so one bad job cannot kill the daemon:
+// it counts serve_panics_total, records a flight event carrying the value
+// and the stack, and calls answer, which fails every job the runnable had
+// not answered yet with code "internal" (the handler then sends done).
+func (s *Server) recoverPanic(answer func(msg string)) {
+	v := recover()
+	if v == nil {
+		return
+	}
+	msg := fmt.Sprintf("internal error: panic: %v", v)
+	s.counter("serve_panics_total")
+	if fl := s.cfg.Flight; fl != nil {
+		fl.Record(telemetry.FlightEvent{
+			Kind:  telemetry.FlightPanic,
+			Label: msg + "\n" + string(debug.Stack()),
+		})
+	}
+	answer(msg)
+}
+
+// execute runs a single attack or evaluation job and answers it. A panic
+// anywhere before the answer is turned into an internal error.
 func (j *job) execute(s *Server) {
+	defer s.recoverPanic(func(msg string) { j.fail("internal", msg) })
+	j.finish(j.run(s))
+}
+
+// run executes a single attack or evaluation job against its topology's
+// shared state and returns its terminal event. The topology lock
+// serializes model-touching solves — the dispatch model is warm-started and
+// not safe for concurrent use — while jobs on other topologies proceed on
+// other workers.
+func (j *job) run(s *Server) streamEvent {
 	queued := time.Since(j.accepted)
 	if err := j.ctx.Err(); err != nil {
-		j.failErr(fmt.Errorf("expired in queue after %s: %w", queued.Round(time.Millisecond), err))
-		return
+		return solveErrorEvent(fmt.Errorf("expired in queue after %s: %w", queued.Round(time.Millisecond), err))
 	}
 	entry, err := s.topos.get(j.req.Case)
 	if err != nil {
-		j.fail(0, "bad_request", err.Error())
-		return
+		return errorEvent("bad_request", err.Error())
 	}
 	entry.mu.Lock()
-	defer entry.mu.Unlock()
+	solved := false
+	defer func() {
+		if !solved {
+			// A panic is unwinding through this solve: the state the
+			// model's workspace retains can no longer be trusted, so it
+			// is dropped before the entry serves again.
+			entry.model.Workspace.Reset()
+		}
+		entry.mu.Unlock()
+	}()
+	if testHookSolve != nil {
+		testHookSolve(j.kind)
+	}
 	solveStart := time.Now()
+	var ev streamEvent
 	switch j.kind {
 	case kindAttack:
-		j.executeAttack(s, entry, queued, solveStart)
+		ev = j.runAttack(s, entry)
 	case kindEvaluate:
-		j.executeEvaluate(s, entry, queued, solveStart)
+		ev = j.runEvaluate(entry)
 	default:
-		j.fail(0, "internal", fmt.Sprintf("unexpected job kind %q", j.kind))
+		ev = errorEvent("internal", fmt.Sprintf("unexpected job kind %q", j.kind))
 	}
+	solved = true
+	if ev.Event == "result" {
+		ev.QueueMS = queued.Seconds() * 1e3
+		ev.SolveMS = time.Since(solveStart).Seconds() * 1e3
+	}
+	return ev
 }
 
-func (j *job) executeAttack(s *Server, entry *topoEntry, queued time.Duration, solveStart time.Time) {
+func (j *job) runAttack(s *Server, entry *topoEntry) streamEvent {
 	k, err := entry.knowledge(j.req.TrueDLR)
 	if err != nil {
-		j.fail(0, "bad_request", err.Error())
-		return
+		return errorEvent("bad_request", err.Error())
 	}
 	att, err := core.FindOptimalAttack(k, core.Options{
 		MaxNodes:  j.req.MaxNodes,
@@ -248,10 +313,9 @@ func (j *job) executeAttack(s *Server, entry *topoEntry, queued time.Duration, s
 		Flight:    s.cfg.Flight,
 	})
 	if err != nil {
-		j.failErr(err)
-		return
+		return solveErrorEvent(err)
 	}
-	j.out <- streamEvent{
+	return streamEvent{
 		Event: "result",
 		Attack: &attackResult{
 			TargetLine:    att.TargetLine,
@@ -264,22 +328,17 @@ func (j *job) executeAttack(s *Server, entry *topoEntry, queued time.Duration, s
 			PredictedCost: att.PredictedCost,
 			WarmBases:     entry.warm.Len(),
 		},
-		QueueMS: queued.Seconds() * 1e3,
-		SolveMS: time.Since(solveStart).Seconds() * 1e3,
 	}
-	close(j.out)
 }
 
-func (j *job) executeEvaluate(s *Server, entry *topoEntry, queued time.Duration, solveStart time.Time) {
+func (j *job) runEvaluate(entry *topoEntry) streamEvent {
 	k, err := entry.knowledge(j.req.TrueDLR)
 	if err != nil {
-		j.fail(0, "bad_request", err.Error())
-		return
+		return errorEvent("bad_request", err.Error())
 	}
 	ev, err := k.EvaluateAttack(j.req.DLR)
 	if err != nil {
-		j.failErr(err)
-		return
+		return solveErrorEvent(err)
 	}
 	res := &evalResult{
 		Feasible:  ev.Feasible,
@@ -290,11 +349,5 @@ func (j *job) executeEvaluate(s *Server, entry *topoEntry, queued time.Duration,
 	if ev.Dispatch != nil {
 		res.Cost = ev.Dispatch.Cost
 	}
-	j.out <- streamEvent{
-		Event:      "result",
-		Evaluation: res,
-		QueueMS:    queued.Seconds() * 1e3,
-		SolveMS:    time.Since(solveStart).Seconds() * 1e3,
-	}
-	close(j.out)
+	return streamEvent{Event: "result", Evaluation: res}
 }

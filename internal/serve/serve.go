@@ -155,7 +155,7 @@ func (s *Server) Close() {
 	for {
 		select {
 		case j := <-s.admit:
-			j.fail(http.StatusServiceUnavailable, "unavailable", "server shutting down")
+			j.fail("unavailable", "server shutting down")
 		default:
 			return
 		}

@@ -32,9 +32,12 @@ const (
 	// evaluation: Monitored carries the scenario count, Violated the
 	// number of successful (masked-violation) scenarios.
 	FlightSweep
+	// FlightPanic is a panic a serving worker recovered from; Label
+	// carries the panic value and the goroutine stack.
+	FlightPanic
 )
 
-var flightKindNames = [...]string{"node", "incumbent", "round", "subproblem", "lp", "attack", "sweep"}
+var flightKindNames = [...]string{"node", "incumbent", "round", "subproblem", "lp", "attack", "sweep", "panic"}
 
 // String returns the wire name of the kind ("node", "incumbent", ...).
 func (k FlightKind) String() string {
@@ -122,7 +125,8 @@ type FlightEvent struct {
 	// "conflict"; for FlightSubproblem the outcome ("optimal",
 	// "truncated", "pruned", "infeasible", "error"); for FlightLP the
 	// solve status; for FlightIncumbent the source ("seed", "heuristic",
-	// "integral", "shared", "result").
+	// "integral", "shared", "result"); for FlightPanic the panic value and
+	// stack.
 	Label string `json:"label,omitempty"`
 }
 

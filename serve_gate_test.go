@@ -23,23 +23,22 @@ import (
 // serveBaselineRecord mirrors one BENCH_serve.json record. The allocation
 // fields are the memory half of the baseline: attack_rps is closed-loop
 // concurrent attack throughput on the warm topology, allocs_per_solve is
-// heap objects per warm workspace-backed evaluate, allocs_per_node (and its
-// _nopool twin) is the marginal heap cost of one branch-and-bound node with
-// pooling on and off, and heap_live_bytes is the post-burst live heap.
+// heap objects per warm workspace-backed evaluate, allocs_per_node is the
+// marginal heap cost of one branch-and-bound node, and heap_live_bytes is
+// the post-burst live heap.
 type serveBaselineRecord struct {
-	Case                string  `json:"case"`
-	ColdAttackMS        float64 `json:"cold_attack_ms"`
-	WarmAttackP50MS     float64 `json:"warm_attack_p50_ms"`
-	WarmSpeedup         float64 `json:"warm_speedup"`
-	WarmHitRate         float64 `json:"warm_hit_rate"`
-	EvaluateP50MS       float64 `json:"evaluate_p50_ms"`
-	EvaluateP99MS       float64 `json:"evaluate_p99_ms"`
-	EvaluateRPS         float64 `json:"evaluate_rps"`
-	AttackRPS           float64 `json:"attack_rps"`
-	AllocsPerSolve      float64 `json:"allocs_per_solve"`
-	AllocsPerNode       float64 `json:"allocs_per_node"`
-	AllocsPerNodeNoPool float64 `json:"allocs_per_node_nopool"`
-	HeapLiveBytes       uint64  `json:"heap_live_bytes"`
+	Case            string  `json:"case"`
+	ColdAttackMS    float64 `json:"cold_attack_ms"`
+	WarmAttackP50MS float64 `json:"warm_attack_p50_ms"`
+	WarmSpeedup     float64 `json:"warm_speedup"`
+	WarmHitRate     float64 `json:"warm_hit_rate"`
+	EvaluateP50MS   float64 `json:"evaluate_p50_ms"`
+	EvaluateP99MS   float64 `json:"evaluate_p99_ms"`
+	EvaluateRPS     float64 `json:"evaluate_rps"`
+	AttackRPS       float64 `json:"attack_rps"`
+	AllocsPerSolve  float64 `json:"allocs_per_solve"`
+	AllocsPerNode   float64 `json:"allocs_per_node"`
+	HeapLiveBytes   uint64  `json:"heap_live_bytes"`
 }
 
 func loadServeBaseline() (map[string]serveBaselineRecord, error) {
@@ -412,23 +411,22 @@ func TestRecordServeBaseline(t *testing.T) {
 	for _, name := range []string{"case118"} {
 		m := measureServe(t, name, 5, 64, 4, 2)
 		records = append(records, serveBaselineRecord{
-			Case:                name,
-			ColdAttackMS:        float64(m.cold.Microseconds()) / 1000,
-			WarmAttackP50MS:     float64(m.warmP50.Microseconds()) / 1000,
-			WarmSpeedup:         m.cold.Seconds() / m.warmP50.Seconds(),
-			WarmHitRate:         m.warmHit,
-			EvaluateP50MS:       float64(m.evalP50.Microseconds()) / 1000,
-			EvaluateP99MS:       float64(m.evalP99.Microseconds()) / 1000,
-			EvaluateRPS:         m.evalRPS,
-			AttackRPS:           m.attackRPS,
-			AllocsPerSolve:      measureEvaluateAllocs(t, name, 32),
-			AllocsPerNode:       perNodeAllocs(t, name, 40, false),
-			AllocsPerNodeNoPool: perNodeAllocs(t, name, 40, true),
-			HeapLiveBytes:       m.heapLive,
+			Case:            name,
+			ColdAttackMS:    float64(m.cold.Microseconds()) / 1000,
+			WarmAttackP50MS: float64(m.warmP50.Microseconds()) / 1000,
+			WarmSpeedup:     m.cold.Seconds() / m.warmP50.Seconds(),
+			WarmHitRate:     m.warmHit,
+			EvaluateP50MS:   float64(m.evalP50.Microseconds()) / 1000,
+			EvaluateP99MS:   float64(m.evalP99.Microseconds()) / 1000,
+			EvaluateRPS:     m.evalRPS,
+			AttackRPS:       m.attackRPS,
+			AllocsPerSolve:  measureEvaluateAllocs(t, name, 32),
+			AllocsPerNode:   perNodeAllocs(t, name, 40),
+			HeapLiveBytes:   m.heapLive,
 		})
 	}
 	out, err := json.MarshalIndent(map[string]any{
-		"note":    "attack-as-a-service latency and allocation baseline (budgeted case118 attack cold vs warm-cache repeats, p50 of 5 repeats, a 4×2 closed-loop concurrent attack burst, a 64-request evaluate burst on the warm topology, allocs per warm workspace-backed evaluate, and marginal allocs per branch-and-bound node with pooling on/off); wall numbers machine-dependent, allocation counts are not; regenerate with BENCH_SERVE=1 go test -run TestRecordServeBaseline",
+		"note":    "attack-as-a-service latency and allocation baseline (budgeted case118 attack cold vs warm-cache repeats, p50 of 5 repeats, a 4×2 closed-loop concurrent attack burst, a 64-request evaluate burst on the warm topology, allocs per warm workspace-backed evaluate, and marginal allocs per branch-and-bound node); wall numbers machine-dependent, allocation counts are not; regenerate with BENCH_SERVE=1 go test -run TestRecordServeBaseline",
 		"cpus":    runtime.GOMAXPROCS(0),
 		"records": records,
 	}, "", "  ")
