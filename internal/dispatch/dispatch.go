@@ -55,8 +55,10 @@ type Model struct {
 	lastBinding []int
 	// kkt carries QP factorization work across solves: the dispatch QP's
 	// matrix family is fixed per model (only ratings and demand vary), so
-	// base-KKT and Schur-complement factors are reusable. Like lastBinding
-	// it is per-clone mutable state, never shared between workers.
+	// base-KKT and Schur-complement factors (large systems) and up to 32
+	// dense working-set factors (small systems such as case30/case57) are
+	// reusable. Like lastBinding it is per-clone mutable state, never
+	// shared between workers.
 	kkt qp.KKTCache
 	// Metrics, when non-nil, receives dispatch_* counters and forwards to
 	// the inner LP/QP solvers' lp_*/qp_* counters. Nil costs nothing.
@@ -156,9 +158,11 @@ func (m *Model) ShallowClone() *Model {
 // ResetWarmStart clears the cross-solve warm-start memory (the
 // constraint-generation binding set), putting the model in the state a
 // fresh ShallowClone starts in. The KKT factorization cache is deliberately
-// kept: cached factors are bit-identical to freshly computed ones (same
-// matrices, deterministic factorization), so reuse never changes results —
-// which is what lets a sequential fan-out share one model across tasks
+// kept: cached factors — sparse base, Schur complement, and the bounded
+// table of dense working-set LUs alike — are bit-identical to freshly
+// computed ones (same matrices, deterministic factorization), so reuse
+// never changes results, whichever factors the table's FIFO eviction has
+// kept. That is what lets a sequential fan-out share one model across tasks
 // instead of cloning per task.
 func (m *Model) ResetWarmStart() {
 	m.lastBinding = m.lastBinding[:0]

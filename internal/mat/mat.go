@@ -186,12 +186,37 @@ type LU struct {
 
 // Factor computes the LU factorization of a square matrix.
 func Factor(a *Matrix) (*LU, error) {
+	return FactorInto(nil, a)
+}
+
+// FactorInto computes the LU factorization of a square matrix into reuse's
+// storage when it has room, allocating only when reuse is nil or too small,
+// and returns the factorization (reuse itself when non-nil). The arithmetic
+// is exactly Factor's. On error the contents of reuse are unspecified, but
+// its storage stays reusable.
+func FactorInto(reuse *LU, a *Matrix) (*LU, error) {
 	if a.rows != a.cols {
 		return nil, fmt.Errorf("Factor: %dx%d not square: %w", a.rows, a.cols, ErrShape)
 	}
 	n := a.rows
-	lu := a.Clone()
-	piv := make([]int, n)
+	f := reuse
+	if f == nil {
+		f = &LU{}
+	}
+	if f.lu == nil {
+		f.lu = &Matrix{}
+	}
+	lu := f.lu
+	if cap(lu.data) < n*n {
+		lu.data = make([]float64, n*n)
+	}
+	lu.rows, lu.cols, lu.data = n, n, lu.data[:n*n]
+	copy(lu.data, a.data)
+	if cap(f.piv) < n {
+		f.piv = make([]int, n)
+	}
+	piv := f.piv[:n]
+	f.piv = piv
 	for i := range piv {
 		piv[i] = i
 	}
@@ -231,16 +256,28 @@ func Factor(a *Matrix) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, piv: piv, sign: sign}, nil
+	f.sign = sign
+	return f, nil
 }
 
 // Solve solves A·x = b using the factorization.
 func (f *LU) Solve(b []float64) ([]float64, error) {
+	return f.SolveInto(nil, b)
+}
+
+// SolveInto solves A·x = b into dst when it has capacity for the solution,
+// allocating otherwise, and returns the solution (resliced dst when it
+// fits). dst must not overlap b. The arithmetic is exactly Solve's.
+func (f *LU) SolveInto(dst, b []float64) ([]float64, error) {
 	n := f.lu.rows
 	if len(b) != n {
 		return nil, fmt.Errorf("LU.Solve: rhs length %d, want %d: %w", len(b), n, ErrShape)
 	}
-	x := make([]float64, n)
+	x := dst
+	if cap(x) < n {
+		x = make([]float64, n)
+	}
+	x = x[:n]
 	for i := 0; i < n; i++ {
 		x[i] = b[f.piv[i]]
 	}

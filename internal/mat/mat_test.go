@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -224,6 +225,89 @@ func TestLUSolveProperty(t *testing.T) {
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Property: FactorInto and SolveInto run Factor's and Solve's arithmetic
+// bit for bit, whatever storage they reuse. One LU and one destination are
+// threaded through matrices of random sizes — so the storage left by a
+// larger and by a smaller earlier matrix both get reused — and through
+// singular matrices, after which the storage must still serve the next
+// factorization.
+func TestFactorIntoMatchesFactor(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	var reuse LU
+	var dst []float64
+	sizes := []int{9, 3, 12, 1, 12, 5, 7, 2}
+	for trial := 0; trial < 200; trial++ {
+		n := sizes[trial%len(sizes)] + r.Intn(3)
+		a := New(n, n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if r.Float64() < 0.7 {
+					a.Set(i, j, r.NormFloat64())
+				}
+			}
+		}
+		singular := n > 1 && trial%5 == 0
+		if singular {
+			// Duplicate a row: the elimination meets a zero pivot.
+			copy(a.RawRow(n-1), a.RawRow(r.Intn(n-1)))
+		}
+		want, werr := Factor(a)
+		got, gerr := FactorInto(&reuse, a)
+		if (werr == nil) != (gerr == nil) {
+			t.Fatalf("trial %d: Factor err %v, FactorInto err %v", trial, werr, gerr)
+		}
+		if werr != nil {
+			if !errors.Is(gerr, ErrSingular) || gerr.Error() != werr.Error() {
+				t.Fatalf("trial %d: FactorInto err %q, want %q", trial, gerr, werr)
+			}
+			continue
+		}
+		if singular {
+			t.Fatalf("trial %d: duplicated row factored without error", trial)
+		}
+		if got != &reuse {
+			t.Fatalf("trial %d: FactorInto did not return the reused LU", trial)
+		}
+		if got.sign != want.sign || !slices.Equal(got.piv, want.piv) || !sameBits(got.lu.data, want.lu.data) {
+			t.Fatalf("trial %d: FactorInto factors differ from Factor", trial)
+		}
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = r.NormFloat64()
+		}
+		wx, err := want.Solve(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gx, err := got.SolveInto(dst, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(gx, wx) {
+			t.Fatalf("trial %d: SolveInto %v, Solve %v", trial, gx, wx)
+		}
+		if cap(dst) >= n && &gx[0] != &dst[:1][0] {
+			t.Fatalf("trial %d: SolveInto allocated despite room in dst", trial)
+		}
+		dst = gx
+	}
+	if _, err := FactorInto(&reuse, New(2, 3)); !errors.Is(err, ErrShape) {
+		t.Fatalf("non-square FactorInto: want ErrShape, got %v", err)
+	}
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Property: Cholesky solve of A = MᵀM + n·I reproduces the rhs.

@@ -11,12 +11,20 @@ import (
 
 // Base KKT matrices at or above this dimension with at most this density
 // are factorized with the sparse LU and working sets handled by bordering;
-// smaller or denser systems keep the dense path (which also serves as the
-// differential oracle).
+// smaller or denser systems keep the dense path, which reuses working-set
+// factorizations across solves through a KKTCache's kktDenseSlots-entry
+// table and, without a cache, serves as the differential oracle.
 const (
 	kktSparseMinDim     = 16
 	kktSparseMaxDensity = 0.3
 )
+
+// kktDenseSlots bounds the KKTCache's table of dense working-set
+// factorizations. The table is FIFO: a miss overwrites the oldest slot and
+// reuses its storage. Consecutive active-set iterations revisit a handful
+// of recent working sets, so a small table keeps nearly all of the reuse;
+// a larger one only keeps more factors alive per dispatch model.
+const kktDenseSlots = 32
 
 // activeSet runs the primal active-set iteration. It lives in a workspace's
 // qpScratch between solves: attach resets every per-solve field and keeps
@@ -47,6 +55,19 @@ type activeSet struct {
 	memoOK bool
 
 	activeBuffers
+
+	// Row keys (stable or positional), assigned once per solve by
+	// crossSolveCache; stable reports whether they may key a KKTCache.
+	keyed, stable bool
+
+	// The KKTCache's dense factor table; nil when the solve has no usable
+	// cache, in which case every dense solve factors afresh.
+	dense      *kktDense
+	denseTried bool
+
+	// Work counters: KKT systems solved and factorizations computed (dense
+	// KKT, Schur complement, sparse base), reported once per solve.
+	kktSolves, kktFactors int
 }
 
 // activeBuffers are the active-set iteration's reusable buffers. Every user
@@ -73,10 +94,10 @@ type activeBuffers struct {
 	memoNu   []float64
 	memoLam  []float64
 
-	// The bordered solution vector, Schur right-hand side, memo hand-out
-	// copies, step direction, and candidate working set. A KKT solution
-	// handed out from uBuf/ret* is valid until the next solveKKT call,
-	// which is how run() already consumes it.
+	// The KKT solution vector (bordered or cached dense), KKT or Schur
+	// right-hand side, memo hand-out copies, step direction, and candidate
+	// working set. A KKT solution handed out from uBuf/ret* is valid until
+	// the next solveKKT call, which is how run() already consumes it.
 	uBuf   []float64
 	rhsBuf []float64
 	retX   []float64
@@ -84,6 +105,9 @@ type activeBuffers struct {
 	retLam []float64
 	dBuf   []float64
 	cand   []int
+
+	// kktBuf is the dense KKT assembly buffer of cached dense solves.
+	kktBuf []float64
 }
 
 // KKTCache carries factorization work reusable across solves of structurally
@@ -95,12 +119,63 @@ type activeBuffers struct {
 // economic dispatch under varying line ratings, where every KKT matrix is
 // drawn from one fixed family.
 //
+// Large sparse systems reuse the bordered factorization (kktSchur); small or
+// dense ones keep up to kktDenseSlots dense working-set factorizations
+// (kktDense). Either way a cached factor is the one a fresh factorization
+// of the same matrix computes, so results never depend on what the cache
+// holds.
+//
 // The zero value is ready to use. A KKTCache is not safe for concurrent use;
 // per-worker model clones must each own one.
 type KKTCache struct {
 	n, me int
 	tried bool
 	sc    *kktSchur
+	dense kktDense
+}
+
+// kktDense is a FIFO table of dense working-set KKT factorizations,
+//
+//	⎡H    Aeqᵀ  G⎤
+//	⎢Aeq  0     0⎥      G = [ĝ_w₁ … ĝ_w_mw]
+//	⎣Gᵀ   0     0⎦
+//
+// keyed by the working set's ordered row keys (workKey): the matrix depends
+// on nothing else under the KKTCache contract. A slot whose factorization
+// failed remembers the error, so a dependent working set is rejected
+// without refactoring, as sbad does on the Schur path.
+type kktDense struct {
+	n, me int
+	used  int // filled slots
+	next  int // slot the next miss overwrites
+	slots [kktDenseSlots]denseSlot
+}
+
+type denseSlot struct {
+	key []byte  // packed working set
+	lu  *mat.LU // factorization; its storage outlives eviction
+	err error   // factorization error (dependent working set), or nil
+}
+
+// find returns the slot holding the packed working set key, or nil.
+func (t *kktDense) find(key []byte) *denseSlot {
+	for i := 0; i < t.used; i++ {
+		if string(t.slots[i].key) == string(key) {
+			return &t.slots[i]
+		}
+	}
+	return nil
+}
+
+// evict claims the oldest slot for key, keeping its storage.
+func (t *kktDense) evict(key []byte) *denseSlot {
+	sl := &t.slots[t.next]
+	t.next = (t.next + 1) % kktDenseSlots
+	if t.used < kktDenseSlots {
+		t.used++
+	}
+	sl.key = append(sl.key[:0], key...)
+	return sl
 }
 
 // kktSchur solves working-set KKT systems by bordering: the base matrix
@@ -255,6 +330,7 @@ func (s *activeSet) tryKKT(work []int) bool {
 // returning the minimizer and the multipliers (ν for equalities, λ for
 // working-set rows).
 func (s *activeSet) solveKKT(work []int) (x, nu, lam []float64, err error) {
+	s.kktSolves++
 	if !s.opts.DenseKKT {
 		if !s.schurTried {
 			s.initSchur()
@@ -265,7 +341,8 @@ func (s *activeSet) solveKKT(work []int) (x, nu, lam []float64, err error) {
 	}
 	n := s.p.n
 	me := len(s.p.aeq)
-	rhs := make([]float64, n+me+len(work))
+	rhs := growFloat(s.rhsBuf, n+me+len(work))
+	s.rhsBuf = rhs
 	for i := 0; i < n; i++ {
 		rhs[i] = -s.p.c[i]
 	}
@@ -275,7 +352,46 @@ func (s *activeSet) solveKKT(work []int) (x, nu, lam []float64, err error) {
 	for k, w := range work {
 		rhs[n+me+k] = s.rows[w].h
 	}
+	if t := s.denseTable(); t != nil {
+		return s.solveKKTDenseCached(t, work, rhs)
+	}
 	return s.solveKKTDense(work, rhs)
+}
+
+// crossSolveCache assigns the row keys (once per solve) and returns the
+// caller's KKTCache, or nil when there is none or the rows have no stable
+// identity, in which case cross-solve reuse is unsound.
+func (s *activeSet) crossSolveCache() *KKTCache {
+	if !s.keyed {
+		s.keyed = true
+		s.stable = s.stableKeys()
+		if !s.stable {
+			s.positionalKeys()
+		}
+	}
+	if !s.stable {
+		return nil
+	}
+	return s.opts.Cache
+}
+
+// denseTable returns the KKTCache's dense factor table for this problem
+// shape, emptying it when the shape changed, or nil without a usable cache.
+func (s *activeSet) denseTable() *kktDense {
+	if !s.denseTried {
+		s.denseTried = true
+		if s.opts.Cache == nil {
+			return nil
+		}
+		if c := s.crossSolveCache(); c != nil {
+			t := &c.dense
+			if n, me := s.p.n, len(s.p.aeq); t.n != n || t.me != me {
+				t.n, t.me, t.used, t.next = n, me, 0, 0
+			}
+			s.dense = t
+		}
+	}
+	return s.dense
 }
 
 // initSchur decides once per solve whether the base KKT matrix is worth
@@ -288,11 +404,7 @@ func (s *activeSet) initSchur() {
 	if n+me < kktSparseMinDim {
 		return
 	}
-	cache := s.opts.Cache
-	if !s.stableKeys() {
-		cache = nil // no stable row identity: cross-solve reuse is unsound
-		s.positionalKeys()
-	}
+	cache := s.crossSolveCache()
 	if cache != nil && cache.tried && cache.n == n && cache.me == me {
 		if cache.sc != nil {
 			s.schur = cache.sc
@@ -302,7 +414,7 @@ func (s *activeSet) initSchur() {
 	}
 	sc := s.buildSchur()
 	if cache != nil {
-		*cache = KKTCache{n: n, me: me, tried: true, sc: sc}
+		cache.n, cache.me, cache.tried, cache.sc = n, me, true, sc
 	}
 	if sc != nil {
 		s.schur = sc
@@ -387,6 +499,7 @@ func (s *activeSet) buildSchur() *kktSchur {
 		}
 		ind[n+e], val[n+e] = rs, vs
 	}
+	s.kktFactors++
 	base, err := sparse.FactorColumns(dim0, ind, val)
 	if err != nil {
 		return nil
@@ -473,13 +586,18 @@ func (s *activeSet) rhsDot(w int) float64 {
 
 // workKey packs a working set's row keys into a map key.
 func (s *activeSet) workKey(work []int) string {
+	return string(s.packWork(work))
+}
+
+// packWork packs a working set's ordered row keys into keyBuf.
+func (s *activeSet) packWork(work []int) []byte {
 	buf := s.keyBuf[:0]
 	for _, w := range work {
 		k := uint32(s.keys[w])
 		buf = append(buf, byte(k), byte(k>>8), byte(k>>16), byte(k>>24))
 	}
 	s.keyBuf = buf
-	return string(buf)
+	return buf
 }
 
 // rowDot is ĝ_wᵀ·v for a vector over the base dimension (the gradient is
@@ -530,6 +648,7 @@ func (s *activeSet) solveKKTSchur(work []int) (x, nu, lam []float64, err error) 
 				}
 			}
 			var ferr error
+			s.kktFactors++
 			f, ferr = mat.Factor(sc)
 			if ferr != nil {
 				// A dependent set stays dependent: the Schur entries are
@@ -598,12 +717,72 @@ func (s *activeSet) scanSparsity() {
 }
 
 // solveKKTDense is the original dense assembly and LU solve, kept for small
-// or dense systems and as the differential-testing oracle.
+// or dense systems without a KKTCache and as the differential-testing
+// oracle.
 func (s *activeSet) solveKKTDense(work []int, rhs []float64) (x, nu, lam []float64, err error) {
 	n := s.p.n
 	me := len(s.p.aeq)
 	dim := len(rhs)
 	kkt := mat.New(dim, dim)
+	s.fillKKT(kkt, work)
+	s.kktFactors++
+	sol, err := mat.Solve(kkt, rhs)
+	if err != nil {
+		return nil, nil, nil, kktError(err)
+	}
+	return sol[:n], sol[n : n+me], sol[n+me:], nil
+}
+
+// solveKKTDenseCached is solveKKTDense through the KKTCache's factor table:
+// a working set seen before is solved with its stored factorization (or
+// rejected with its stored error), a new one is assembled into kktBuf and
+// factored into the oldest slot's storage. Factor-then-solve is exactly
+// what mat.Solve runs, so the result is bit-identical to solveKKTDense's.
+// The solution lives in uBuf, valid until the next solveKKT call.
+func (s *activeSet) solveKKTDenseCached(t *kktDense, work []int, rhs []float64) (x, nu, lam []float64, err error) {
+	n := s.p.n
+	me := len(s.p.aeq)
+	key := s.packWork(work)
+	sl := t.find(key)
+	if sl == nil {
+		sl = t.evict(key)
+		dim := len(rhs)
+		buf := growFloat(s.kktBuf, dim*dim)
+		s.kktBuf = buf
+		clear(buf)
+		kkt, _ := mat.Wrap(dim, dim, buf) // len(buf) == dim·dim: cannot fail
+		s.fillKKT(kkt, work)
+		s.kktFactors++
+		f, ferr := mat.FactorInto(sl.lu, kkt)
+		if f != nil {
+			sl.lu = f
+		}
+		sl.err = ferr
+	}
+	if sl.err != nil {
+		return nil, nil, nil, kktError(sl.err)
+	}
+	u, err := sl.lu.SolveInto(s.uBuf, rhs)
+	if err != nil {
+		return nil, nil, nil, kktError(err)
+	}
+	s.uBuf = u
+	return u[:n], u[n : n+me], u[n+me:], nil
+}
+
+// kktError passes a singular-KKT error through (run() treats it as a
+// dependent working set) and wraps anything else.
+func kktError(err error) error {
+	if errors.Is(err, mat.ErrSingular) {
+		return err
+	}
+	return fmt.Errorf("qp: KKT solve: %w", err)
+}
+
+// fillKKT writes the working set's KKT matrix into the zeroed kkt.
+func (s *activeSet) fillKKT(kkt *mat.Matrix, work []int) {
+	n := s.p.n
+	me := len(s.p.aeq)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			kkt.Set(i, j, s.p.h.At(i, j))
@@ -627,14 +806,6 @@ func (s *activeSet) solveKKTDense(work []int, rhs []float64) (x, nu, lam []float
 			kkt.Set(r.idx, n+me+k, r.sign)
 		}
 	}
-	sol, err := mat.Solve(kkt, rhs)
-	if err != nil {
-		if errors.Is(err, mat.ErrSingular) {
-			return nil, nil, nil, err
-		}
-		return nil, nil, nil, fmt.Errorf("qp: KKT solve: %w", err)
-	}
-	return sol[:n], sol[n : n+me], sol[n+me:], nil
 }
 
 // sameWorkSet reports whether two working sets are identical including

@@ -3,15 +3,29 @@ package qp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"github.com/edsec/edattack/internal/lp"
+	"github.com/edsec/edattack/internal/telemetry"
 )
 
-// randomConvexQP builds a strictly convex QP shaped like economic dispatch:
-// diagonal positive-definite Hessian, one dense equality (the balance row),
-// finite bounds, and sparse-gradient inequality rows, sized past
+// randomConvexQP builds a dispatch-shaped QP (see dispatchQP) sized past
 // kktSparseMinDim so the Schur path engages.
 func randomConvexQP(r *rand.Rand) (*Problem, []int64) {
-	n := kktSparseMinDim + r.Intn(16)
+	return dispatchQP(r, kktSparseMinDim+r.Intn(16))
+}
+
+// smallConvexQP builds a dispatch-shaped QP with 4–12 variables, so its
+// KKT systems stay below kktSparseMinDim and take the dense path.
+func smallConvexQP(r *rand.Rand) (*Problem, []int64) {
+	return dispatchQP(r, 4+r.Intn(9))
+}
+
+// dispatchQP builds a strictly convex QP with n variables shaped like
+// economic dispatch: diagonal positive-definite Hessian, one dense equality
+// (the balance row), finite bounds, and sparse-gradient inequality rows.
+func dispatchQP(r *rand.Rand, n int) (*Problem, []int64) {
 	p := NewProblem(n)
 	for j := 0; j < n; j++ {
 		_ = p.SetQuadCoeff(j, j, 0.5+2*r.Float64())
@@ -81,49 +95,148 @@ func TestDifferentialSchurVsDenseKKT(t *testing.T) {
 	t.Logf("%d QPs differentially verified", solved)
 }
 
-// TestKKTCacheTransparency is the bit-level regression test for cross-solve
-// factorization reuse: solving a sequence of problems that share structure
-// but vary right-hand sides through one KKTCache must give results
-// bit-identical to solving each with a fresh cache. Cached border columns,
-// Schur dots, and Schur factorizations are all computed once and reused, so
-// any drift here means the cache is not the pure memoization it claims.
-func TestKKTCacheTransparency(t *testing.T) {
-	r := rand.New(rand.NewSource(23))
-	build := func(shift float64) (*Problem, []int64) {
-		// Same structure every call: n, H, bounds, gradients fixed by a
-		// dedicated rng; only the inequality limits move with shift.
-		rs := rand.New(rand.NewSource(99))
-		p, keys := randomConvexQP(rs)
+// family returns a generator of problems of one fixed structure — n, H,
+// bounds, and gradients drawn by gen from an rng seeded with seed — whose
+// inequality limits move with shift and whose balance target moves with
+// demand: the right-hand-side variation a KKTCache must tolerate.
+func family(gen func(*rand.Rand) (*Problem, []int64), seed int64) func(shift, demand float64) (*Problem, []int64) {
+	return func(shift, demand float64) (*Problem, []int64) {
+		p, keys := gen(rand.New(rand.NewSource(seed)))
 		for i := range p.hin {
 			p.hin[i] += shift
 		}
+		p.beq[0] += demand
 		return p, keys
 	}
+}
+
+// TestKKTCacheTransparency is the bit-level regression test for cross-solve
+// factorization reuse: solving a sequence of problems that share structure
+// but vary right-hand sides through one KKTCache must give results
+// bit-identical to solving each with a fresh cache and with no cache at all.
+// Cached border columns, Schur dots, Schur factorizations, and dense
+// working-set factorizations are all computed once and reused, so any drift
+// here means the cache is not the pure memoization it claims.
+func TestKKTCacheTransparency(t *testing.T) {
+	t.Run("schur", func(t *testing.T) {
+		r := rand.New(rand.NewSource(23))
+		build := family(randomConvexQP, 99)
+		checkTransparent(t, 30, func() (*Problem, []int64) { return build(0.5*r.Float64(), 0) })
+	})
+	t.Run("dense", func(t *testing.T) {
+		// Moving both the limits and the balance target walks the active
+		// set through more distinct working sets than the table has
+		// slots, so eviction and slot-storage reuse run.
+		r := rand.New(rand.NewSource(29))
+		build := family(smallConvexQP, 7)
+		p, _ := build(0, 0)
+		if p.n+len(p.aeq) >= kktSparseMinDim {
+			t.Fatalf("dense family has KKT dimension %d, want below %d", p.n+len(p.aeq), kktSparseMinDim)
+		}
+		shared, reg := checkTransparent(t, 80, func() (*Problem, []int64) {
+			return build(r.Float64()-0.5, 2*r.Float64()-1)
+		})
+		factors := reg.Counter("qp_kkt_factorizations_total").Value()
+		solves := reg.Counter("qp_kkt_solves_total").Value()
+		if factors <= kktDenseSlots || shared.dense.used != kktDenseSlots {
+			t.Fatalf("%d factorizations filled %d slots: the sequence never evicted", factors, shared.dense.used)
+		}
+		if factors >= solves {
+			t.Fatalf("%d factorizations for %d KKT solves: the table never hit", factors, solves)
+		}
+		t.Logf("%d factorizations for %d KKT solves", factors, solves)
+	})
+	t.Run("dependent", func(t *testing.T) {
+		// A unit fixed at lo = hi has both bound rows active everywhere:
+		// seeding probes their dependent pair on every solve, and the
+		// shared cache must replay the stored singularity.
+		r := rand.New(rand.NewSource(31))
+		fam := family(smallConvexQP, 13)
+		build := func() (*Problem, []int64) {
+			p, keys := fam(0.3*r.Float64(), 0)
+			p.lower[0] = p.upper[0]
+			return p, keys
+		}
+		shared, _ := checkTransparent(t, 20, build)
+		bad := 0
+		for i := 0; i < shared.dense.used; i++ {
+			if shared.dense.slots[i].err != nil {
+				bad++
+			}
+		}
+		if bad == 0 {
+			t.Fatal("no dependent working set was remembered")
+		}
+		p, keys := build()
+		if _, err := SolveWith(p, Options{Cache: shared, RowKeys: keys}); err != nil {
+			t.Fatal(err)
+		}
+		reg := telemetry.NewRegistry()
+		if _, err := SolveWith(p, Options{Cache: shared, RowKeys: keys, Metrics: reg}); err != nil {
+			t.Fatal(err)
+		}
+		if f := reg.Counter("qp_kkt_factorizations_total").Value(); f != 0 {
+			t.Fatalf("replaying a solved problem factored %d KKT systems, want 0", f)
+		}
+	})
+}
+
+// checkTransparent solves trials problems from next three ways — through
+// one shared KKTCache, with a fresh cache each, and with no cache — and
+// requires bit-identical solutions. It returns the shared cache and the
+// registry that counted the shared solves' work.
+func checkTransparent(t *testing.T, trials int, next func() (*Problem, []int64)) (*KKTCache, *telemetry.Registry) {
+	t.Helper()
 	shared := &KKTCache{}
-	for trial := 0; trial < 30; trial++ {
-		shift := 0.5 * r.Float64()
-		pa, keys := build(shift)
-		a, aerr := SolveWith(pa, Options{Cache: shared, RowKeys: keys})
-		pb, keysB := build(shift)
-		b, berr := SolveWith(pb, Options{Cache: &KKTCache{}, RowKeys: keysB})
-		if (aerr == nil) != (berr == nil) {
-			t.Fatalf("trial %d: cached err %v vs fresh err %v", trial, aerr, berr)
+	reg := telemetry.NewRegistry()
+	solved := 0
+	for trial := 0; trial < trials; trial++ {
+		p, keys := next()
+		a, aerr := SolveWith(p, Options{Cache: shared, RowKeys: keys, Metrics: reg})
+		b, berr := SolveWith(p, Options{Cache: &KKTCache{}, RowKeys: keys})
+		c, cerr := SolveWith(p, Options{RowKeys: keys})
+		if (aerr == nil) != (berr == nil) || (aerr == nil) != (cerr == nil) {
+			t.Fatalf("trial %d: shared err %v, fresh err %v, uncached err %v", trial, aerr, berr, cerr)
 		}
 		if aerr != nil {
 			continue
 		}
-		if a.Objective != b.Objective {
-			t.Fatalf("trial %d: cached objective %.17g != fresh %.17g", trial, a.Objective, b.Objective)
+		solved++
+		if d := solutionDiff(a, b); d != "" {
+			t.Fatalf("trial %d: shared vs fresh cache: %s", trial, d)
 		}
-		for j := range a.X {
-			if a.X[j] != b.X[j] {
-				t.Fatalf("trial %d: cached x[%d] %.17g != fresh %.17g", trial, j, a.X[j], b.X[j])
-			}
-		}
-		if a.Iterations != b.Iterations {
-			t.Fatalf("trial %d: cached iterations %d != fresh %d", trial, a.Iterations, b.Iterations)
+		if d := solutionDiff(a, c); d != "" {
+			t.Fatalf("trial %d: shared vs no cache: %s", trial, d)
 		}
 	}
+	if solved < trials/2 {
+		t.Fatalf("only %d/%d trials solved; family is degenerate", solved, trials)
+	}
+	return shared, reg
+}
+
+// solutionDiff describes the first bit-level difference between two
+// solutions, or returns "" when they are identical.
+func solutionDiff(a, b *Solution) string {
+	if math.Float64bits(a.Objective) != math.Float64bits(b.Objective) {
+		return "objective differs"
+	}
+	for _, v := range []struct {
+		name string
+		x, y []float64
+	}{{"X", a.X, b.X}, {"EqDual", a.EqDual, b.EqDual}, {"IneqDual", a.IneqDual, b.IneqDual},
+		{"LowerDual", a.LowerDual, b.LowerDual}, {"UpperDual", a.UpperDual, b.UpperDual}} {
+		if !slices.EqualFunc(v.x, v.y, func(p, q float64) bool { return math.Float64bits(p) == math.Float64bits(q) }) {
+			return v.name + " differs"
+		}
+	}
+	if !slices.Equal(a.ActiveSet, b.ActiveSet) {
+		return "active set differs"
+	}
+	if a.Iterations != b.Iterations {
+		return "iterations differ"
+	}
+	return ""
 }
 
 // TestKKTCacheShapeReset checks the cache self-invalidates when the problem
@@ -153,5 +266,69 @@ func TestKKTCacheShapeReset(t *testing.T) {
 	}
 	if d := math.Abs(sol2.Objective - ref.Objective); d > 1e-7*(1+math.Abs(ref.Objective)) {
 		t.Fatalf("objective after cache reset off by %g", d)
+	}
+}
+
+// TestWorkspaceDropsKKTCache: after a dense solve served from a KKTCache on
+// a caller's workspace, the workspace keeps buffers only — no reference to
+// the problem or the cache — and the returned solution shares no storage
+// with it, so scribbling on one solution cannot change the next.
+func TestWorkspaceDropsKKTCache(t *testing.T) {
+	p, keys := smallConvexQP(rand.New(rand.NewSource(3)))
+	ws := lp.NewWorkspace()
+	cache := &KKTCache{}
+	opts := Options{Cache: cache, RowKeys: keys, Workspace: ws}
+	first, err := SolveWith(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		got, err := SolveWith(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := solutionDiff(first, got); d != "" {
+			t.Fatalf("re-solve %d on the workspace: %s", i, d)
+		}
+		for _, v := range [][]float64{got.X, got.EqDual, got.IneqDual, got.LowerDual, got.UpperDual} {
+			for j := range v {
+				v[j] = math.NaN()
+			}
+		}
+	}
+	as := &scratchFrom(ws).as
+	if as.p != nil || as.opts.Cache != nil || as.dense != nil || as.schur != nil {
+		t.Fatal("workspace still references the finished solve's problem or KKTCache")
+	}
+	if cache.dense.used == 0 {
+		t.Fatal("the dense solve never used the KKTCache")
+	}
+}
+
+// TestDenseKKTCacheHitZeroAlloc pins a dense KKT solve served from the
+// KKTCache's table at zero allocations: the right-hand side, the packed
+// key, and the solution all live in reused buffers.
+func TestDenseKKTCacheHitZeroAlloc(t *testing.T) {
+	p, keys := smallConvexQP(rand.New(rand.NewSource(3)))
+	opts := Options{Cache: &KKTCache{}, RowKeys: keys}.withDefaults()
+	sc := scratchFrom(lp.NewWorkspace())
+	sc.rows = gatherIneqsInto(p, sc.rows)
+	s := sc.attach(p, sc.rows, make([]float64, p.n), opts)
+	sets := [][]int{nil, {0}, {0, 1}}
+	for _, w := range sets {
+		if _, _, _, err := s.solveKKT(w); err != nil {
+			t.Fatalf("working set %v: %v", w, err)
+		}
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		for _, w := range sets {
+			_, _, _, _ = s.solveKKT(w)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("cached dense KKT solves allocate %.1f objects per round, want 0", allocs)
+	}
+	if s.kktFactors != len(sets) {
+		t.Fatalf("%d factorizations for %d distinct working sets", s.kktFactors, len(sets))
 	}
 }

@@ -184,8 +184,9 @@ type Options struct {
 	MaxIter int
 	// Tol is the numeric tolerance (default 1e-8).
 	Tol float64
-	// Metrics, when non-nil, receives qp_* solve/iteration counters and
-	// forwards to the feasibility LP's lp_* counters.
+	// Metrics, when non-nil, receives qp_* solve/iteration counters
+	// (including the KKT solve and factorization work counts) and forwards
+	// to the feasibility LP's lp_* counters.
 	Metrics *telemetry.Registry
 	// WarmSet, when non-empty, lists user inequality rows to try first
 	// when seeding the working set (e.g. Solution.ActiveSet from a
@@ -200,13 +201,17 @@ type Options struct {
 	// instead of letting the solver pick the sparse LU by system size and
 	// density; used for A/B measurement against dense baselines.
 	DenseKKT bool
-	// Cache, when non-nil, lets the sparse KKT path reuse factorization
-	// work across solves of structurally identical problems: the caller
-	// asserts that the Hessian, the equality-row gradients, the bound
-	// structure, and the gradient behind every RowKeys identity are
+	// Cache, when non-nil, lets both KKT paths reuse factorization work
+	// across solves of structurally identical problems — the sparse path
+	// its bordered base and Schur factors, the dense path (small or dense
+	// systems) up to 32 working-set factorizations, oldest evicted first.
+	// The caller asserts that the Hessian, the equality-row gradients, the
+	// bound structure, and the gradient behind every RowKeys identity are
 	// unchanged since the cache was filled. Objective vectors and all
-	// right-hand sides may differ. Requires RowKeys when user inequality
-	// rows are present; ignored otherwise. Not safe for concurrent use.
+	// right-hand sides may differ. A cached factor is the one a fresh
+	// factorization computes, so results never depend on what the cache
+	// holds. Requires RowKeys when user inequality rows are present;
+	// ignored otherwise. Not safe for concurrent use.
 	Cache *KKTCache
 	// RowKeys assigns a stable identity in [0, 2²⁸) to each user
 	// inequality row, parallel to AddInequality order, so the Cache can
@@ -294,8 +299,11 @@ func SolveWith(p *Problem, opts Options) (*Solution, error) {
 		}
 		return nil, err
 	}
-	sol, err := sc.attach(p, rows, x, opts).run()
+	as := sc.attach(p, rows, x, opts)
+	sol, err := as.run()
 	if m != nil {
+		m.Counter("qp_kkt_solves_total").Add(int64(as.kktSolves))
+		m.Counter("qp_kkt_factorizations_total").Add(int64(as.kktFactors))
 		if sol != nil {
 			m.Counter("qp_iterations_total").Add(int64(sol.Iterations))
 			m.Histogram("qp_iterations", telemetry.IterBuckets).Observe(float64(sol.Iterations))

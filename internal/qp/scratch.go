@@ -6,9 +6,10 @@ import "github.com/edsec/edattack/internal/lp"
 // inequality row list and the activeSet itself, whose buffers (working set,
 // Schur right-hand-side vectors, KKT-solution memo and its hand-out
 // buffers, step direction, candidate working sets) are reused across
-// solves. The cross-solve kktSchur itself (base LU, border columns, Schur
-// factorizations) belongs to the KKTCache, not the scratch: it is shared by
-// every solve of the structural family and must never be reset per solve.
+// solves. The cross-solve factorizations (the kktSchur's base LU, border
+// columns, and Schur factors; the kktDense table's working-set LUs) belong
+// to the KKTCache, not the scratch: they are shared by every solve of the
+// structural family and must never be reset per solve.
 type qpScratch struct {
 	as   activeSet
 	rows []ineqRow
