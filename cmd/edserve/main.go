@@ -46,7 +46,7 @@ func run() error {
 	workers := flag.Int("workers", 0, "job-execution goroutines (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "admission queue depth; full queue answers 429 (0 = 64)")
 	batchWindow := flag.Duration("batch-window", 0, "sweep coalescing window (0 = 2ms, negative disables)")
-	deadline := flag.Duration("deadline", 0, "default per-request deadline (0 = 60s)")
+	deadline := flag.Duration("deadline", 0, "per-request deadline; a request's deadline_ms may only shorten it (0 = 60s)")
 	topologies := flag.Int("topologies", 0, "resident warm topology bundles, LRU-evicted (0 = 8)")
 	attackWorkers := flag.Int("attack-workers", 0, "core solver workers per attack job (0 = 1, the reproducible setting)")
 	flightCap := flag.Int("flight-cap", 4096, "flight-recorder ring size (0 disables)")

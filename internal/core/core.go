@@ -150,8 +150,9 @@ func memoKey(order []int, dlr map[int]float64) string {
 	return string(b)
 }
 
-// solveMemo runs (or recalls) the operator's dispatch under a manipulation.
-// The boolean reports feasibility; the returned Result must not be mutated.
+// solveMemo runs (or recalls) the operator's dispatch under a manipulation,
+// counting core_edmemo_{hits,misses}_total on the model's registry. The
+// boolean reports feasibility; the returned Result must not be mutated.
 func (k *Knowledge) solveMemo(order []int, dlr map[int]float64) (*dispatch.Result, bool) {
 	if k.memo == nil {
 		res, err := k.Model.Solve(k.ratingsUnder(dlr))
@@ -162,8 +163,10 @@ func (k *Knowledge) solveMemo(order []int, dlr map[int]float64) (*dispatch.Resul
 	res, hit := k.memo.m[key]
 	k.memo.mu.Unlock()
 	if hit {
+		k.Model.Metrics.Counter("core_edmemo_hits_total").Inc()
 		return res, res != nil
 	}
+	k.Model.Metrics.Counter("core_edmemo_misses_total").Inc()
 	res, err := k.Model.Solve(k.ratingsUnder(dlr))
 	if err != nil {
 		res = nil

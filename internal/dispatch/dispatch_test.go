@@ -10,6 +10,7 @@ import (
 	"github.com/edsec/edattack/internal/dispatch"
 	"github.com/edsec/edattack/internal/grid/cases"
 	"github.com/edsec/edattack/internal/mat"
+	"github.com/edsec/edattack/internal/telemetry"
 )
 
 func model3(t *testing.T) *dispatch.Model {
@@ -382,5 +383,58 @@ func TestPropertyLPQPConsistency(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A network with one linear-cost unit has a Hessian that is not positive
+// definite, so its QP dispatch runs the primal active set from an LP
+// feasible start; with every unit quadratic no LP runs. The mixed case
+// still matches the hand-solved dispatch: on case3 (demand 300, ratings
+// 160) line {2,3} carries (p2 + 300)/3, so it caps the cheap linear G2 at
+// 180 MW and the quadratic G1 (0.05·p² + 20·p) serves 120 MW at marginal
+// cost 32. The line's shadow price is 3·(32 − 10) = 66 $/MWh and the cost
+// 0.05·120² + 20·120 + 10·180 = 4920 $/h.
+func TestMixedCostRoutesToPrimal(t *testing.T) {
+	solve := func(costA2 float64) (*dispatch.Result, *telemetry.Registry) {
+		t.Helper()
+		n, err := cases.Case3(cases.Case3Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Gens[0].CostA = 0.05
+		n.Gens[1].CostA = costA2
+		m, err := dispatch.BuildModel(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := telemetry.NewRegistry()
+		m.Metrics = reg
+		res, err := m.Solve(nil)
+		if err != nil {
+			t.Fatalf("Solve (G2 CostA %g): %v", costA2, err)
+		}
+		if reg.Counter("qp_solves_total").Value() == 0 {
+			t.Fatalf("G2 CostA %g: dispatch did not take the QP path", costA2)
+		}
+		return res, reg
+	}
+	res, reg := solve(0)
+	if reg.Counter("lp_solves_total").Value() == 0 {
+		t.Error("mixed-cost dispatch ran no feasibility LP: the primal method did not run")
+	}
+	if math.Abs(res.P[0]-120) > 1e-6 || math.Abs(res.P[1]-180) > 1e-6 {
+		t.Errorf("dispatch = %v, want [120 180]", res.P)
+	}
+	if math.Abs(res.Flows[2]-160) > 1e-6 {
+		t.Errorf("flow on {2,3} = %v, want 160", res.Flows[2])
+	}
+	if math.Abs(res.LineDuals[2]-66) > 1e-6 {
+		t.Errorf("shadow price of {2,3} = %v, want 66", res.LineDuals[2])
+	}
+	if math.Abs(res.Cost-4920) > 1e-6 {
+		t.Errorf("cost = %v, want 4920", res.Cost)
+	}
+	if _, reg := solve(0.01); reg.Counter("lp_solves_total").Value() != 0 {
+		t.Errorf("all-quadratic dispatch ran %d LPs, want 0", reg.Counter("lp_solves_total").Value())
 	}
 }

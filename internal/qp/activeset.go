@@ -3,7 +3,6 @@ package qp
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"github.com/edsec/edattack/internal/mat"
 	"github.com/edsec/edattack/internal/sparse"
@@ -26,9 +25,9 @@ const (
 // a larger one only keeps more factors alive per dispatch model.
 const kktDenseSlots = 32
 
-// activeSet runs the primal active-set iteration. It lives in a workspace's
-// qpScratch between solves: attach resets every per-solve field and keeps
-// the buffers.
+// activeSet runs the primal (run) or dual (runDual) active-set iteration.
+// It lives in a workspace's qpScratch between solves: attach resets every
+// per-solve field and keeps the buffers.
 type activeSet struct {
 	p    *Problem
 	rows []ineqRow
@@ -96,8 +95,8 @@ type activeBuffers struct {
 
 	// The KKT solution vector (bordered or cached dense), KKT or Schur
 	// right-hand side, memo hand-out copies, step direction, and candidate
-	// working set. A KKT solution handed out from uBuf/ret* is valid until
-	// the next solveKKT call, which is how run() already consumes it.
+	// working set. A KKT solution handed out from uBuf/ret*/lamBuf is valid
+	// until the next solveKKT call, which is how both methods consume it.
 	uBuf   []float64
 	rhsBuf []float64
 	retX   []float64
@@ -108,6 +107,13 @@ type activeBuffers struct {
 
 	// kktBuf is the dense KKT assembly buffer of cached dense solves.
 	kktBuf []float64
+
+	// lamBuf holds the working-set multipliers of a bordered KKT solve.
+	lamBuf []float64
+	// The dual method's state — the iterate and its multipliers, copied
+	// from the KKT solve of the working set — and its step direction.
+	xBuf, nuBuf, wlamBuf []float64
+	dirBuf, dirLam       []float64
 }
 
 // KKTCache carries factorization work reusable across solves of structurally
@@ -132,6 +138,11 @@ type KKTCache struct {
 	tried bool
 	sc    *kktSchur
 	dense kktDense
+
+	// Whether the n-variable Hessian is positive definite (selecting the
+	// dual method), once pdKnown.
+	pdN         int
+	pdKnown, pd bool
 }
 
 // kktDense is a FIFO table of dense working-set KKT factorizations,
@@ -140,7 +151,7 @@ type KKTCache struct {
 //	⎢Aeq  0     0⎥      G = [ĝ_w₁ … ĝ_w_mw]
 //	⎣Gᵀ   0     0⎦
 //
-// keyed by the working set's ordered row keys (workKey): the matrix depends
+// keyed by the working set's ordered row keys (packWork): the matrix depends
 // on nothing else under the KKTCache contract. A slot whose factorization
 // failed remembers the error, so a dependent working set is rejected
 // without refactoring, as sbad does on the Schur path.
@@ -214,14 +225,10 @@ type kktSchur struct {
 // multiplier, or declare optimality.
 func (s *activeSet) run() (*Solution, error) {
 	tol := s.opts.Tol
-	// Seed the working set with constraints active at the start point,
-	// trying a caller-supplied warm set (a previous solve's active set)
-	// before the generic scan. A warm row is adopted under exactly the
-	// same conditions as a scanned one, so the warm set biases seeding
-	// order without ever admitting an inactive or dependent row.
-	trySeed := func(i int) {
-		if len(s.work) >= s.p.n-len(s.p.aeq) || s.inWork(i) {
-			return // keep the working set small enough for independence
+	// Seed the working set with constraints active at the start point.
+	for i := range s.rows {
+		if len(s.work) >= s.p.n-len(s.p.aeq) {
+			break // keep the working set small enough for independence
 		}
 		if s.rows[i].h-s.rows[i].value(s.x) < tol {
 			cand := append(append(s.cand[:0], s.work...), i)
@@ -230,15 +237,6 @@ func (s *activeSet) run() (*Solution, error) {
 				s.work = append(s.work, i)
 			}
 		}
-	}
-	for _, w := range s.opts.WarmSet {
-		// User inequality rows occupy rows[0:len(p.gin)] in add order.
-		if w >= 0 && w < len(s.p.gin) {
-			trySeed(w)
-		}
-	}
-	for i := range s.rows {
-		trySeed(i)
 	}
 	for iter := 0; iter < s.opts.MaxIter; iter++ {
 		xStar, nu, lam, err := s.solveKKT(s.work)
@@ -331,13 +329,8 @@ func (s *activeSet) tryKKT(work []int) bool {
 // working-set rows).
 func (s *activeSet) solveKKT(work []int) (x, nu, lam []float64, err error) {
 	s.kktSolves++
-	if !s.opts.DenseKKT {
-		if !s.schurTried {
-			s.initSchur()
-		}
-		if s.schur != nil {
-			return s.solveKKTSchur(work)
-		}
+	if s.bordered() {
+		return s.solveKKTSchur(work)
 	}
 	n := s.p.n
 	me := len(s.p.aeq)
@@ -352,10 +345,24 @@ func (s *activeSet) solveKKT(work []int) (x, nu, lam []float64, err error) {
 	for k, w := range work {
 		rhs[n+me+k] = s.rows[w].h
 	}
-	if t := s.denseTable(); t != nil {
-		return s.solveKKTDenseCached(t, work, rhs)
+	u, err := s.solveDense(work, rhs, s.uBuf)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	return s.solveKKTDense(work, rhs)
+	s.uBuf = u
+	return u[:n], u[n : n+me], u[n+me:], nil
+}
+
+// bordered reports whether this solve's KKT systems take the bordered
+// Schur path, deciding it on first use.
+func (s *activeSet) bordered() bool {
+	if s.opts.DenseKKT {
+		return false
+	}
+	if !s.schurTried {
+		s.initSchur()
+	}
+	return s.schur != nil
 }
 
 // crossSolveCache assigns the row keys (once per solve) and returns the
@@ -584,12 +591,8 @@ func (s *activeSet) rhsDot(w int) float64 {
 	return v
 }
 
-// workKey packs a working set's row keys into a map key.
-func (s *activeSet) workKey(work []int) string {
-	return string(s.packWork(work))
-}
-
-// packWork packs a working set's ordered row keys into keyBuf.
+// packWork packs a working set's ordered row keys into keyBuf; string(key)
+// keys the Schur maps.
 func (s *activeSet) packWork(work []int) []byte {
 	buf := s.keyBuf[:0]
 	for _, w := range work {
@@ -627,62 +630,24 @@ func (s *activeSet) solveKKTSchur(work []int) (x, nu, lam []float64, err error) 
 		return s.retX, s.retNu, s.retLam, nil
 	}
 	n := s.p.n
-	k := s.schur
-	mw := len(work)
 	u := cloneInto(s.uBuf, s.w0)
 	s.uBuf = u
 	var lmb []float64
-	if mw > 0 {
-		wk := s.workKey(work)
-		if k.sbad[wk] {
-			return nil, nil, nil, mat.ErrSingular
+	if len(work) > 0 {
+		f, err := s.schurFactor(work)
+		if err != nil {
+			return nil, nil, nil, err
 		}
-		f := k.sfact[wk]
-		if f == nil {
-			sc := mat.New(mw, mw)
-			for i := range work {
-				for j := i; j < mw; j++ {
-					d := s.pairDot(work[i], work[j])
-					sc.Set(i, j, d)
-					sc.Set(j, i, d)
-				}
-			}
-			var ferr error
-			s.kktFactors++
-			f, ferr = mat.Factor(sc)
-			if ferr != nil {
-				// A dependent set stays dependent: the Schur entries are
-				// fixed for the cache's lifetime.
-				if len(k.sbad) >= 1024 {
-					clear(k.sbad)
-				}
-				k.sbad[wk] = true
-				return nil, nil, nil, ferr
-			}
-			if len(k.sfact) >= 1024 {
-				clear(k.sfact)
-			}
-			k.sfact[wk] = f
-		}
-		rhs := growFloat(s.rhsBuf, mw)
+		rhs := growFloat(s.rhsBuf, len(work))
 		s.rhsBuf = rhs
 		for i, w := range work {
 			rhs[i] = s.rhsDot(w) - s.rows[w].h
 		}
-		lmb, err = f.Solve(rhs)
-		if err != nil {
+		if lmb, err = f.SolveInto(s.lamBuf, rhs); err != nil {
 			return nil, nil, nil, err
 		}
-		for i, w := range work {
-			li := lmb[i]
-			if li == 0 {
-				continue
-			}
-			ci := s.borderCol(w)
-			for t := range u {
-				u[t] -= li * ci[t]
-			}
-		}
+		s.lamBuf = lmb
+		s.subtractBorder(u, work, lmb)
 	}
 	s.memoWork = append(s.memoWork[:0], work...)
 	s.memoX = cloneInto(s.memoX, u[:n])
@@ -690,6 +655,59 @@ func (s *activeSet) solveKKTSchur(work []int) (x, nu, lam []float64, err error) 
 	s.memoLam = cloneInto(s.memoLam, lmb)
 	s.memoOK = true
 	return u[:n], u[n:], lmb, nil
+}
+
+// schurFactor returns the factorization of the working set's Schur
+// complement S = GᵀB⁻¹G, computing and caching it on first use. A singular
+// S (dependent gradients) is remembered and reported as mat.ErrSingular.
+func (s *activeSet) schurFactor(work []int) (*mat.LU, error) {
+	k := s.schur
+	key := s.packWork(work)
+	if k.sbad[string(key)] {
+		return nil, mat.ErrSingular
+	}
+	if f := k.sfact[string(key)]; f != nil {
+		return f, nil
+	}
+	mw := len(work)
+	sc := mat.New(mw, mw)
+	for i := range work {
+		for j := i; j < mw; j++ {
+			d := s.pairDot(work[i], work[j])
+			sc.Set(i, j, d)
+			sc.Set(j, i, d)
+		}
+	}
+	s.kktFactors++
+	f, err := mat.Factor(sc)
+	if err != nil {
+		// A dependent set stays dependent: the Schur entries are fixed for
+		// the cache's lifetime.
+		if len(k.sbad) >= 1024 {
+			clear(k.sbad)
+		}
+		k.sbad[string(key)] = true
+		return nil, err
+	}
+	if len(k.sfact) >= 1024 {
+		clear(k.sfact)
+	}
+	k.sfact[string(key)] = f
+	return f, nil
+}
+
+// subtractBorder subtracts (B⁻¹G)·λ from u: u −= Σᵢ λᵢ·B⁻¹ĝ_wᵢ.
+func (s *activeSet) subtractBorder(u []float64, work []int, lmb []float64) {
+	for i, w := range work {
+		li := lmb[i]
+		if li == 0 {
+			continue
+		}
+		ci := s.borderCol(w)
+		for t := range u {
+			u[t] -= li * ci[t]
+		}
+	}
 }
 
 // scanSparsity extracts the Hessian's nonzero pattern (by column) and the
@@ -716,58 +734,57 @@ func (s *activeSet) scanSparsity() {
 	}
 }
 
-// solveKKTDense is the original dense assembly and LU solve, kept for small
-// or dense systems without a KKTCache and as the differential-testing
-// oracle.
-func (s *activeSet) solveKKTDense(work []int, rhs []float64) (x, nu, lam []float64, err error) {
-	n := s.p.n
-	me := len(s.p.aeq)
-	dim := len(rhs)
-	kkt := mat.New(dim, dim)
-	s.fillKKT(kkt, work)
-	s.kktFactors++
-	sol, err := mat.Solve(kkt, rhs)
-	if err != nil {
-		return nil, nil, nil, kktError(err)
-	}
-	return sol[:n], sol[n : n+me], sol[n+me:], nil
-}
-
-// solveKKTDenseCached is solveKKTDense through the KKTCache's factor table:
-// a working set seen before is solved with its stored factorization (or
-// rejected with its stored error), a new one is assembled into kktBuf and
-// factored into the oldest slot's storage. Factor-then-solve is exactly
-// what mat.Solve runs, so the result is bit-identical to solveKKTDense's.
-// The solution lives in uBuf, valid until the next solveKKT call.
-func (s *activeSet) solveKKTDenseCached(t *kktDense, work []int, rhs []float64) (x, nu, lam []float64, err error) {
-	n := s.p.n
-	me := len(s.p.aeq)
-	key := s.packWork(work)
-	sl := t.find(key)
-	if sl == nil {
-		sl = t.evict(key)
-		dim := len(rhs)
-		buf := growFloat(s.kktBuf, dim*dim)
-		s.kktBuf = buf
-		clear(buf)
-		kkt, _ := mat.Wrap(dim, dim, buf) // len(buf) == dim·dim: cannot fail
+// solveDense solves the working set's dense KKT system K(W)·u = rhs. With
+// a KKTCache it goes through the cache's factor table: a working set seen
+// before is solved with its stored factorization (or rejected with its
+// stored error), a new one is factored into the oldest slot's storage, and
+// u lands in dst's storage. Without one it assembles and factors afresh —
+// the original dense path and the differential-testing oracle.
+// Factor-then-solve is exactly what mat.Solve runs, so both give
+// bit-identical results.
+func (s *activeSet) solveDense(work []int, rhs, dst []float64) ([]float64, error) {
+	var u []float64
+	var err error
+	if t := s.denseTable(); t != nil {
+		sl := s.denseFactor(t, work)
+		if sl.err != nil {
+			return nil, kktError(sl.err)
+		}
+		u, err = sl.lu.SolveInto(dst, rhs)
+	} else {
+		kkt := mat.New(len(rhs), len(rhs))
 		s.fillKKT(kkt, work)
 		s.kktFactors++
-		f, ferr := mat.FactorInto(sl.lu, kkt)
-		if f != nil {
-			sl.lu = f
-		}
-		sl.err = ferr
+		u, err = mat.Solve(kkt, rhs)
 	}
-	if sl.err != nil {
-		return nil, nil, nil, kktError(sl.err)
-	}
-	u, err := sl.lu.SolveInto(s.uBuf, rhs)
 	if err != nil {
-		return nil, nil, nil, kktError(err)
+		return nil, kktError(err)
 	}
-	s.uBuf = u
-	return u[:n], u[n : n+me], u[n+me:], nil
+	return u, nil
+}
+
+// denseFactor returns the table slot holding the working set's dense KKT
+// factorization (or its factorization error), assembling the matrix into
+// kktBuf and factoring it into the oldest slot's storage on a miss.
+func (s *activeSet) denseFactor(t *kktDense, work []int) *denseSlot {
+	key := s.packWork(work)
+	if sl := t.find(key); sl != nil {
+		return sl
+	}
+	sl := t.evict(key)
+	dim := s.p.n + len(s.p.aeq) + len(work)
+	buf := growFloat(s.kktBuf, dim*dim)
+	s.kktBuf = buf
+	clear(buf)
+	kkt, _ := mat.Wrap(dim, dim, buf) // len(buf) == dim·dim: cannot fail
+	s.fillKKT(kkt, work)
+	s.kktFactors++
+	f, ferr := mat.FactorInto(sl.lu, kkt)
+	if f != nil {
+		sl.lu = f
+	}
+	sl.err = ferr
+	return sl
 }
 
 // kktError passes a singular-KKT error through (run() treats it as a
@@ -841,15 +858,16 @@ func (s *activeSet) assemble(nu, lam []float64) *Solution {
 		switch r.kind {
 		case kindUser:
 			sol.IneqDual[r.idx] = l
-			sol.ActiveSet = append(sol.ActiveSet, r.idx)
 		case kindLower:
 			sol.LowerDual[r.idx] = l
 		case kindUpper:
 			sol.UpperDual[r.idx] = l
 		}
 	}
-	sort.Ints(sol.ActiveSet)
-	hx, _ := p.h.MulVec(sol.X)
-	sol.Objective = 0.5*mat.Dot(sol.X, hx) + mat.Dot(p.c, sol.X)
+	xHx := 0.0
+	for i, xi := range sol.X {
+		xHx += xi * mat.Dot(p.h.RawRow(i), sol.X)
+	}
+	sol.Objective = 0.5*xHx + mat.Dot(p.c, sol.X)
 	return sol
 }

@@ -121,20 +121,20 @@ func TestKKTCacheTransparency(t *testing.T) {
 	t.Run("schur", func(t *testing.T) {
 		r := rand.New(rand.NewSource(23))
 		build := family(randomConvexQP, 99)
-		checkTransparent(t, 30, func() (*Problem, []int64) { return build(0.5*r.Float64(), 0) })
+		checkTransparent(t, 30, SolveWith, func() (*Problem, []int64) { return build(0.5*r.Float64(), 0) })
 	})
 	t.Run("dense", func(t *testing.T) {
-		// Moving both the limits and the balance target walks the active
-		// set through more distinct working sets than the table has
-		// slots, so eviction and slot-storage reuse run.
+		// Moving both the limits and the balance target widely walks the
+		// active set through more distinct working sets than the table
+		// has slots, so eviction and slot-storage reuse run.
 		r := rand.New(rand.NewSource(29))
 		build := family(smallConvexQP, 7)
 		p, _ := build(0, 0)
 		if p.n+len(p.aeq) >= kktSparseMinDim {
 			t.Fatalf("dense family has KKT dimension %d, want below %d", p.n+len(p.aeq), kktSparseMinDim)
 		}
-		shared, reg := checkTransparent(t, 80, func() (*Problem, []int64) {
-			return build(r.Float64()-0.5, 2*r.Float64()-1)
+		shared, reg := checkTransparent(t, 80, SolveWith, func() (*Problem, []int64) {
+			return build(4*r.Float64()-2, 8*r.Float64()-4)
 		})
 		factors := reg.Counter("qp_kkt_factorizations_total").Value()
 		solves := reg.Counter("qp_kkt_solves_total").Value()
@@ -148,8 +148,9 @@ func TestKKTCacheTransparency(t *testing.T) {
 	})
 	t.Run("dependent", func(t *testing.T) {
 		// A unit fixed at lo = hi has both bound rows active everywhere:
-		// seeding probes their dependent pair on every solve, and the
-		// shared cache must replay the stored singularity.
+		// the primal method's seeding probes their dependent pair on every
+		// solve, and the shared cache must replay the stored singularity.
+		// (The dual method never forms a dependent working set here.)
 		r := rand.New(rand.NewSource(31))
 		fam := family(smallConvexQP, 13)
 		build := func() (*Problem, []int64) {
@@ -157,7 +158,7 @@ func TestKKTCacheTransparency(t *testing.T) {
 			p.lower[0] = p.upper[0]
 			return p, keys
 		}
-		shared, _ := checkTransparent(t, 20, build)
+		shared, _ := checkTransparent(t, 20, solvePrimal, build)
 		bad := 0
 		for i := 0; i < shared.dense.used; i++ {
 			if shared.dense.slots[i].err != nil {
@@ -168,11 +169,11 @@ func TestKKTCacheTransparency(t *testing.T) {
 			t.Fatal("no dependent working set was remembered")
 		}
 		p, keys := build()
-		if _, err := SolveWith(p, Options{Cache: shared, RowKeys: keys}); err != nil {
+		if _, err := solvePrimal(p, Options{Cache: shared, RowKeys: keys}); err != nil {
 			t.Fatal(err)
 		}
 		reg := telemetry.NewRegistry()
-		if _, err := SolveWith(p, Options{Cache: shared, RowKeys: keys, Metrics: reg}); err != nil {
+		if _, err := solvePrimal(p, Options{Cache: shared, RowKeys: keys, Metrics: reg}); err != nil {
 			t.Fatal(err)
 		}
 		if f := reg.Counter("qp_kkt_factorizations_total").Value(); f != 0 {
@@ -181,20 +182,21 @@ func TestKKTCacheTransparency(t *testing.T) {
 	})
 }
 
-// checkTransparent solves trials problems from next three ways — through
-// one shared KKTCache, with a fresh cache each, and with no cache — and
-// requires bit-identical solutions. It returns the shared cache and the
+// checkTransparent solves trials problems from next three ways with solve —
+// through one shared KKTCache, with a fresh cache each, and with no cache —
+// and requires bit-identical solutions. It returns the shared cache and the
 // registry that counted the shared solves' work.
-func checkTransparent(t *testing.T, trials int, next func() (*Problem, []int64)) (*KKTCache, *telemetry.Registry) {
+func checkTransparent(t *testing.T, trials int, solve func(*Problem, Options) (*Solution, error),
+	next func() (*Problem, []int64)) (*KKTCache, *telemetry.Registry) {
 	t.Helper()
 	shared := &KKTCache{}
 	reg := telemetry.NewRegistry()
 	solved := 0
 	for trial := 0; trial < trials; trial++ {
 		p, keys := next()
-		a, aerr := SolveWith(p, Options{Cache: shared, RowKeys: keys, Metrics: reg})
-		b, berr := SolveWith(p, Options{Cache: &KKTCache{}, RowKeys: keys})
-		c, cerr := SolveWith(p, Options{RowKeys: keys})
+		a, aerr := solve(p, Options{Cache: shared, RowKeys: keys, Metrics: reg})
+		b, berr := solve(p, Options{Cache: &KKTCache{}, RowKeys: keys})
+		c, cerr := solve(p, Options{RowKeys: keys})
 		if (aerr == nil) != (berr == nil) || (aerr == nil) != (cerr == nil) {
 			t.Fatalf("trial %d: shared err %v, fresh err %v, uncached err %v", trial, aerr, berr, cerr)
 		}
@@ -229,9 +231,6 @@ func solutionDiff(a, b *Solution) string {
 		if !slices.EqualFunc(v.x, v.y, func(p, q float64) bool { return math.Float64bits(p) == math.Float64bits(q) }) {
 			return v.name + " differs"
 		}
-	}
-	if !slices.Equal(a.ActiveSet, b.ActiveSet) {
-		return "active set differs"
 	}
 	if a.Iterations != b.Iterations {
 		return "iterations differ"
@@ -307,7 +306,8 @@ func TestWorkspaceDropsKKTCache(t *testing.T) {
 
 // TestDenseKKTCacheHitZeroAlloc pins a dense KKT solve served from the
 // KKTCache's table at zero allocations: the right-hand side, the packed
-// key, and the solution all live in reused buffers.
+// key, and the solution all live in reused buffers. A whole steady-state
+// dual re-solve on the dense path allocates only the returned Solution.
 func TestDenseKKTCacheHitZeroAlloc(t *testing.T) {
 	p, keys := smallConvexQP(rand.New(rand.NewSource(3)))
 	opts := Options{Cache: &KKTCache{}, RowKeys: keys}.withDefaults()
@@ -331,4 +331,49 @@ func TestDenseKKTCacheHitZeroAlloc(t *testing.T) {
 	if s.kktFactors != len(sets) {
 		t.Fatalf("%d factorizations for %d distinct working sets", s.kktFactors, len(sets))
 	}
+	if c := checkSteadyStateAllocs(t, p, keys); c.sc != nil || c.dense.used == 0 {
+		t.Fatal("the steady-state solves did not take the cached dense path")
+	}
+}
+
+// TestSchurKKTCacheZeroAlloc is the bordered-path twin: once the KKTCache
+// holds the base factorization, border columns, dots, and Schur factors of
+// a problem's working sets, a dual re-solve allocates only the returned
+// Solution.
+func TestSchurKKTCacheZeroAlloc(t *testing.T) {
+	p, keys := randomConvexQP(rand.New(rand.NewSource(3)))
+	if c := checkSteadyStateAllocs(t, p, keys); c.sc == nil {
+		t.Fatal("the steady-state solves did not take the bordered path")
+	}
+}
+
+// checkSteadyStateAllocs warms a KKTCache and a workspace on p, then
+// requires each further solve to allocate exactly the returned Solution:
+// the struct and its non-empty X, EqDual, IneqDual, LowerDual, and
+// UpperDual slices. It returns the warmed cache.
+func checkSteadyStateAllocs(t *testing.T, p *Problem, keys []int64) *KKTCache {
+	t.Helper()
+	cache := &KKTCache{}
+	opts := Options{Cache: cache, RowKeys: keys, Workspace: lp.NewWorkspace()}
+	var sol *Solution
+	for i := 0; i < 2; i++ {
+		var err error
+		if sol, err = SolveWith(p, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sol.Iterations < 2 {
+		t.Fatalf("solved in %d iterations: no working-set row exercised", sol.Iterations)
+	}
+	want := 1.0
+	for _, v := range [][]float64{sol.X, sol.EqDual, sol.IneqDual, sol.LowerDual, sol.UpperDual} {
+		if len(v) > 0 {
+			want++
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() { _, _ = SolveWith(p, opts) })
+	if allocs != want {
+		t.Fatalf("steady-state dual re-solve allocates %.1f objects, want %.0f (the Solution)", allocs, want)
+	}
+	return cache
 }

@@ -1,5 +1,4 @@
-// Package qp implements a primal active-set solver for convex quadratic
-// programs:
+// Package qp implements active-set solvers for convex quadratic programs:
 //
 //	minimize    ½·xᵀHx + cᵀx
 //	subject to  A x  = b      (equality rows)
@@ -7,9 +6,13 @@
 //	            l ≤ x ≤ u     (bounds, folded into G internally)
 //
 // H must be symmetric positive semidefinite and positive definite on the
-// feasible directions (true for economic dispatch with strictly convex
-// generation costs). A feasible starting point is found with the lp package;
-// subsequent iterations solve equality-constrained KKT systems via LU.
+// feasible directions. When H is positive definite (economic dispatch with
+// strictly convex generation costs) the Goldfarb–Idnani dual active-set
+// method runs: it starts at the equality-constrained minimizer and adds
+// violated rows, so it needs no feasible start. Otherwise (a merely convex
+// problem, such as a dispatch with a linear-cost unit) a primal active-set
+// method runs from a feasible starting point found with the lp package.
+// Both iterate on equality-constrained KKT systems solved via LU.
 package qp
 
 import (
@@ -171,11 +174,6 @@ type Solution struct {
 	UpperDual []float64
 	// Iterations is the number of active-set iterations performed.
 	Iterations int
-	// ActiveSet lists the user inequality rows (indices into the order
-	// they were added) that are in the final working set, ascending. It
-	// can seed a later solve of a nearby problem via Options.WarmSet —
-	// the QP analogue of the lp package's basis reuse.
-	ActiveSet []int
 }
 
 // Options tune the solver.
@@ -186,17 +184,8 @@ type Options struct {
 	Tol float64
 	// Metrics, when non-nil, receives qp_* solve/iteration counters
 	// (including the KKT solve and factorization work counts) and forwards
-	// to the feasibility LP's lp_* counters.
+	// to the feasibility LP's lp_* counters when the primal method runs.
 	Metrics *telemetry.Registry
-	// WarmSet, when non-empty, lists user inequality rows to try first
-	// when seeding the working set (e.g. Solution.ActiveSet from a
-	// previous solve of a nearby problem). Rows are adopted only if they
-	// are active at the feasible start point and keep the KKT system
-	// nonsingular, so a stale warm set degrades to the cold seeding
-	// order, never to a wrong answer. Note that within a single solve the
-	// working set always carries over between iterations; WarmSet only
-	// adds reuse across solves.
-	WarmSet []int
 	// DenseKKT forces every KKT system onto the dense factorization
 	// instead of letting the solver pick the sparse LU by system size and
 	// density; used for A/B measurement against dense baselines.
@@ -205,7 +194,8 @@ type Options struct {
 	// across solves of structurally identical problems — the sparse path
 	// its bordered base and Schur factors, the dense path (small or dense
 	// systems) up to 32 working-set factorizations, oldest evicted first.
-	// The caller asserts that the Hessian, the equality-row gradients, the
+	// It also remembers whether the Hessian is positive definite. The
+	// caller asserts that the Hessian, the equality-row gradients, the
 	// bound structure, and the gradient behind every RowKeys identity are
 	// unchanged since the cache was filled. Objective vectors and all
 	// right-hand sides may differ. A cached factor is the one a fresh
@@ -221,12 +211,13 @@ type Options struct {
 	// Workspace supplies the active-set iteration's working storage (row
 	// list, Schur right-hand-side and memo buffers, step direction) in its
 	// QP slot, reused across solves so a steady-state QP re-solve under a
-	// warm KKTCache stays off the allocator. When nil, the solve borrows a
-	// workspace from lp's pool for the call. The feasibility LP always runs
-	// on a borrowed one: its solution vector becomes the iterate and is
-	// mutated in place, so it must be a fresh copy. The returned Solution
-	// never aliases the workspace, and results are bit-identical whichever
-	// workspace ran the solve. Not safe for concurrent use.
+	// warm KKTCache allocates only the returned Solution. When nil, the
+	// solve borrows a workspace from lp's pool for the call. The primal
+	// method's feasibility LP always runs on a borrowed one: its solution
+	// vector becomes the iterate and is mutated in place, so it must be a
+	// fresh copy. The returned Solution never aliases the workspace, and
+	// results are bit-identical whichever workspace ran the solve. Not safe
+	// for concurrent use.
 	Workspace *lp.Workspace
 }
 
@@ -276,8 +267,16 @@ func (r *ineqRow) dirDot(d []float64) float64 {
 	return r.sign * d[r.idx]
 }
 
-// SolveWith solves the QP with explicit options.
+// SolveWith solves the QP with explicit options: by the dual method when H
+// is positive definite, by the primal method from an LP feasible start
+// otherwise.
 func SolveWith(p *Problem, opts Options) (*Solution, error) {
+	return solve(p, opts, false)
+}
+
+// solve is SolveWith; primal forces the primal method even when H is
+// positive definite, which makes it the dual method's differential oracle.
+func solve(p *Problem, opts Options, primal bool) (*Solution, error) {
 	opts = opts.withDefaults()
 	m := opts.Metrics
 	if m != nil {
@@ -292,27 +291,50 @@ func SolveWith(p *Problem, opts Options) (*Solution, error) {
 	defer sc.release()
 	rows := gatherIneqsInto(p, sc.rows)
 	sc.rows = rows
-	x, err := feasibleStart(p, opts)
-	if err != nil {
-		if m != nil && errors.Is(err, ErrInfeasible) {
-			m.Counter("qp_infeasible_total").Inc()
+	var as *activeSet
+	var sol *Solution
+	var err error
+	if !primal && positiveDefinite(p, opts.Cache) {
+		as = sc.attach(p, rows, nil, opts)
+		sol, err = as.runDual()
+	} else {
+		var x []float64
+		if x, err = feasibleStart(p, opts); err == nil {
+			as = sc.attach(p, rows, x, opts)
+			sol, err = as.run()
 		}
-		return nil, err
 	}
-	as := sc.attach(p, rows, x, opts)
-	sol, err := as.run()
 	if m != nil {
-		m.Counter("qp_kkt_solves_total").Add(int64(as.kktSolves))
-		m.Counter("qp_kkt_factorizations_total").Add(int64(as.kktFactors))
+		if as != nil {
+			m.Counter("qp_kkt_solves_total").Add(int64(as.kktSolves))
+			m.Counter("qp_kkt_factorizations_total").Add(int64(as.kktFactors))
+		}
 		if sol != nil {
 			m.Counter("qp_iterations_total").Add(int64(sol.Iterations))
 			m.Histogram("qp_iterations", telemetry.IterBuckets).Observe(float64(sol.Iterations))
 		}
-		if err != nil {
+		switch {
+		case errors.Is(err, ErrInfeasible):
+			m.Counter("qp_infeasible_total").Inc()
+		case err != nil && as != nil:
 			m.Counter("qp_errors_total").Inc()
 		}
 	}
 	return sol, err
+}
+
+// positiveDefinite reports whether H is positive definite, which selects
+// the dual method. The KKTCache contract fixes H, so a cache keeps the
+// verdict after its first solve; without one it is decided per solve.
+func positiveDefinite(p *Problem, c *KKTCache) bool {
+	if c != nil && c.pdKnown && c.pdN == p.n {
+		return c.pd
+	}
+	_, err := mat.FactorCholesky(p.h)
+	if c != nil {
+		c.pdKnown, c.pdN, c.pd = true, p.n, err == nil
+	}
+	return err == nil
 }
 
 // gatherIneqsInto folds user inequalities and finite bounds into one row

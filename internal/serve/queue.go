@@ -32,6 +32,9 @@ const (
 //
 // true_dlr defaults to the static ratings of the case's DLR lines (the
 // paper's convention); dlr is the manipulated-rating vector to evaluate.
+// deadline_ms may only shorten Config.DefaultDeadline; it and the attack
+// budgets max_nodes and max_rounds (0 = solver default) must not be
+// negative.
 type jobRequest struct {
 	Case       string          `json:"case"`
 	DeadlineMS int64           `json:"deadline_ms"`
@@ -152,8 +155,12 @@ func (s *Server) newJob(kind jobKind, w http.ResponseWriter, r *http.Request) (*
 	if kind == kindEvaluate && len(req.DLR) == 0 {
 		return nil, http.StatusBadRequest, errors.New("evaluate needs a dlr rating map")
 	}
+	if req.DeadlineMS < 0 || req.MaxNodes < 0 || req.MaxRounds < 0 {
+		return nil, http.StatusBadRequest, errors.New("deadline_ms, max_nodes and max_rounds must not be negative")
+	}
+	// A request may shorten the server's deadline but never extend it.
 	deadline := s.cfg.DefaultDeadline
-	if req.DeadlineMS > 0 {
+	if req.DeadlineMS > 0 && req.DeadlineMS < deadline.Milliseconds() {
 		deadline = time.Duration(req.DeadlineMS) * time.Millisecond
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), deadline)

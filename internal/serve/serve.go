@@ -49,8 +49,8 @@ type Config struct {
 	// coalesce same-topology sweeps behind it (default 2ms; negative
 	// disables coalescing). Attack and evaluation jobs are never held.
 	BatchWindow time.Duration
-	// DefaultDeadline bounds jobs that do not carry their own deadline_ms
-	// (default 60s).
+	// DefaultDeadline bounds every job (default 60s); a request's
+	// deadline_ms can only shorten it.
 	DefaultDeadline time.Duration
 	// MaxTopologies caps the resident per-case state bundles — dispatch
 	// model, knowledge, warm-basis cache — evicting least-recently-used

@@ -218,6 +218,41 @@ func TestDeadlineExpiredJob(t *testing.T) {
 	}
 }
 
+// A request's deadline_ms can shorten the server's deadline (above) but not
+// extend it: under a 1 ms server deadline a budgeted case118 attack asking
+// for ten minutes still ends at the server's bound.
+func TestRequestDeadlineCannotExtend(t *testing.T) {
+	_, ts := newTestServer(t, Config{DefaultDeadline: time.Millisecond})
+	ev := errorOf(t, postJob(t, ts.URL, "/v1/attack", map[string]any{
+		"case": "case118", "max_nodes": 40, "deadline_ms": 600000,
+	}))
+	if ev.Code != "deadline_exceeded" {
+		t.Errorf("error code %q (%s), want deadline_exceeded", ev.Code, ev.Error)
+	}
+}
+
+// Negative budgets and deadlines are rejected before admission.
+func TestNegativeBoundsAnswer400(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/attack", `{"case":"case9","max_nodes":-1}`},
+		{"/v1/attack", `{"case":"case9","max_rounds":-3}`},
+		{"/v1/attack", `{"case":"case9","deadline_ms":-1}`},
+		{"/v1/evaluate", `{"case":"case9","dlr":{"0":1},"deadline_ms":-1000}`},
+		{"/v1/sweep", `{"case":"case9","deadline_ms":-1}`},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s %s: status %d, want 400", tc.path, tc.body, resp.StatusCode)
+		}
+	}
+	resultOf(t, postJob(t, ts.URL, "/v1/attack", map[string]any{"case": "case9", "max_nodes": 0, "max_rounds": 0}))
+}
+
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for _, tc := range []struct {
