@@ -29,7 +29,7 @@ telemetry:
 ## parallel: the worker-pool and worker-count-determinism tests under the
 ## race detector (short mode keeps the 118-bus sweep out of the gate).
 parallel:
-	$(GO) test -race -short -run 'TestEach|TestResolve|TestFindOptimalAttackDeterministicAcrossWorkers|TestGreedyAndRandomDeterministicAcrossWorkers|TestScreenParallel|TestRunTimeSeriesWorkers|TestCacheConcurrentGet|TestServeConcurrentSameTopology' ./internal/par/ ./internal/core/ ./internal/contingency/ ./internal/sweep/ ./internal/serve/ .
+	$(GO) test -race -short -run 'TestEach|TestResolve|TestFindOptimalAttackDeterministicAcrossWorkers|TestGreedyAndRandomDeterministicAcrossWorkers|TestScreenParallel|TestRunTimeSeriesWorkers|TestServeConcurrentSameTopology' ./internal/par/ ./internal/core/ ./internal/contingency/ ./internal/serve/ .
 
 ## bench: the paper-experiment and substrate benchmarks.
 bench:

@@ -1,12 +1,12 @@
 // Command edserve runs the attack-as-a-service daemon: a persistent HTTP
 // server over the repository's attack, evaluation, and sweep-screening
-// pipelines with cross-request warm caches (PTDF/LODF precomputation,
-// dispatch models, simplex root bases) keyed by topology.
+// pipelines with cross-request warm state (dispatch models, sweep PTDF/LODF
+// precomputation, simplex root bases) held per topology in one LRU.
 //
 // Usage:
 //
-//	edserve [-addr :8787] [-workers N] [-queue 64] [-batch-window 2ms]
-//	        [-deadline 60s] [-topologies 8] [-attack-workers 1]
+//	edserve [-addr :8787] [-workers N] [-queue 64] [-deadline 60s]
+//	        [-topologies 8] [-attack-workers 1] [-flight-cap 4096]
 //
 // Endpoints (all POST bodies JSON, responses NDJSON event streams):
 //
@@ -45,7 +45,6 @@ func run() error {
 	addr := flag.String("addr", ":8787", "listen address")
 	workers := flag.Int("workers", 0, "job-execution goroutines (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "admission queue depth; full queue answers 429 (0 = 64)")
-	batchWindow := flag.Duration("batch-window", 0, "sweep coalescing window (0 = 2ms, negative disables)")
 	deadline := flag.Duration("deadline", 0, "per-request deadline; a request's deadline_ms may only shorten it (0 = 60s)")
 	topologies := flag.Int("topologies", 0, "resident warm topology bundles, LRU-evicted (0 = 8)")
 	attackWorkers := flag.Int("attack-workers", 0, "core solver workers per attack job (0 = 1, the reproducible setting)")
@@ -60,7 +59,6 @@ func run() error {
 	s := serve.New(serve.Config{
 		Workers:         *workers,
 		QueueDepth:      *queue,
-		BatchWindow:     *batchWindow,
 		DefaultDeadline: *deadline,
 		MaxTopologies:   *topologies,
 		AttackWorkers:   *attackWorkers,

@@ -78,6 +78,12 @@ var ErrNoDLRLines = errors.New("core: network has no DLR lines")
 // feasible dispatch (the operator would alarm for every choice).
 var ErrNoFeasibleAttack = errors.New("core: no feasible stealthy attack")
 
+// ErrDLRBounds is wrapped by EvaluateAttack's error when the EMS bound check
+// rejects the manipulated rating map: a rating outside its line's
+// plausibility band, on a line with no DLR feed, or on a line index out of
+// range.
+var ErrDLRBounds = errors.New("core: manipulation rejected by EMS bound check")
+
 // Knowledge is the attacker's model of the system (Section II-A): network
 // topology, susceptances, generator data and costs, nominal demand — all of
 // which the paper argues are realistically obtainable — plus the current
@@ -488,7 +494,7 @@ type Evaluation struct {
 // bilevel predictions and to score baseline attackers.
 func (k *Knowledge) EvaluateAttack(dlr map[int]float64) (*Evaluation, error) {
 	if bad := k.Model.Net.CheckDLRBounds(dlr); len(bad) > 0 {
-		return nil, fmt.Errorf("core: manipulation rejected by EMS bound check on lines %v", bad)
+		return nil, fmt.Errorf("%w on lines %v", ErrDLRBounds, bad)
 	}
 	start := time.Now()
 	res, err := k.Model.Solve(k.ratingsUnder(dlr))

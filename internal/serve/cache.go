@@ -15,20 +15,24 @@ import (
 
 // topoEntry bundles the expensive per-topology state the daemon keeps warm
 // across requests: the parsed network, its dispatch model, the attacker
-// knowledge built from the static-rating convention, and the warm-basis
-// cache seeding repeat attacks. The dispatch model warm-starts in place and
-// is not safe for concurrent solves, so attack and evaluation jobs on one
-// entry serialize on mu; sweep jobs never touch the model (they use the
-// lock-free proportional dispatch) and only read net.
+// knowledge built from the static-rating convention, the warm-basis cache
+// seeding repeat attacks, and the sweep Precomp. The dispatch model
+// warm-starts in place and is not safe for concurrent solves, so attack and
+// evaluation jobs on one entry serialize on mu; sweep jobs never touch the
+// model (they use the lock-free proportional dispatch) and only read the
+// Precomp, which is immutable once built.
 type topoEntry struct {
 	name string
 	net  *grid.Network
-	key  uint64
 
 	mu      sync.Mutex
 	model   *dispatch.Model
 	statics *core.Knowledge
 	warm    *core.WarmCache
+
+	sweepOnce sync.Once
+	sweepPC   *sweep.Precomp
+	sweepErr  error
 }
 
 // knowledge returns the entry's attacker knowledge: the cached
@@ -110,10 +114,6 @@ func buildTopoEntry(name string, metrics *telemetry.Registry) (*topoEntry, error
 	if err != nil {
 		return nil, err
 	}
-	key, err := sweep.TopologyKey(net)
-	if err != nil {
-		return nil, err
-	}
 	model, err := dispatch.BuildModel(net)
 	if err != nil {
 		return nil, err
@@ -138,11 +138,30 @@ func buildTopoEntry(name string, metrics *telemetry.Registry) (*topoEntry, error
 	return &topoEntry{
 		name:    name,
 		net:     net,
-		key:     key,
 		model:   model,
 		statics: statics,
 		warm:    warm,
 	}, nil
+}
+
+// precomp returns the entry's sweep Precomp, building it on the entry's
+// first sweep from the dispatch model's PTDF — the same dcflow.PTDF that
+// sweep.Precompute factors, so no second factorization runs and outcomes
+// are bit-identical. The first call counts sweep_cache_misses_total, every
+// later one sweep_cache_hits_total; an evicted entry takes its Precomp with
+// it. The model's PTDF is immutable, so no entry lock is needed.
+func (tc *topoCache) precomp(e *topoEntry) (*sweep.Precomp, error) {
+	built := false
+	e.sweepOnce.Do(func() {
+		built = true
+		e.sweepPC, e.sweepErr = sweep.PrecomputeFromPTDF(e.net, e.model.PTDF())
+	})
+	if built {
+		tc.counter("sweep_cache_misses_total")
+	} else {
+		tc.counter("sweep_cache_hits_total")
+	}
+	return e.sweepPC, e.sweepErr
 }
 
 func (tc *topoCache) len() int {

@@ -15,7 +15,7 @@ import (
 // inside one job's solve answers that job with an internal error followed
 // by done, is counted and recorded with its stack, and leaves the worker
 // and the topology serving — the next request on the same topology gets
-// the bit-identical library answer. The sweep batch path is covered too.
+// the bit-identical library answer. A sweep job is covered too.
 func TestJobPanicAnswersInternal(t *testing.T) {
 	var evalPanics, sweepPanics atomic.Int32
 	setSolveHook(t, func(kind jobKind) {

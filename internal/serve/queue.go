@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/edsec/edattack/internal/core"
+	"github.com/edsec/edattack/internal/sweep"
 	"github.com/edsec/edattack/internal/telemetry"
 )
 
@@ -86,23 +87,24 @@ type evalResult struct {
 	Cost      float64 `json:"cost,omitempty"`
 }
 
-// sweepResult is the sweep endpoint's result payload. MergedJobs reports
-// how many requests shared the combined Eval pass this job rode in (1 =
-// unbatched).
+// sweepResult is the sweep endpoint's result payload.
 type sweepResult struct {
-	Scenarios  int     `json:"scenarios"`
-	Dangerous  int     `json:"dangerous"`
-	Detected   int     `json:"detected"`
-	Success    int     `json:"success"`
-	Rate       float64 `json:"success_rate"`
-	MeanCost   float64 `json:"mean_cost"`
+	Scenarios int     `json:"scenarios"`
+	Dangerous int     `json:"dangerous"`
+	Detected  int     `json:"detected"`
+	Success   int     `json:"success"`
+	Rate      float64 `json:"success_rate"`
+	MeanCost  float64 `json:"mean_cost"`
+	// MergedJobs is always 1: each sweep runs its own Eval. The field
+	// stays because clients parse it, and the benchmark's
+	// serve.batch_merged_mean is its mean.
 	MergedJobs int     `json:"merged_jobs"`
 	EvalMS     float64 `json:"eval_ms"`
 }
 
-// job is one admitted request flowing through the pipeline. The executor
-// (worker or batcher) sends at most a handful of events into out and closes
-// it exactly once; the handler drains until close.
+// job is one admitted request flowing through the pipeline. The worker
+// running it sends at most a handful of events into out and closes it
+// exactly once; the handler drains until close.
 type job struct {
 	id       string
 	kind     jobKind
@@ -178,8 +180,8 @@ func (s *Server) newJob(kind jobKind, w http.ResponseWriter, r *http.Request) (*
 }
 
 // finish sends the job's terminal event and closes its stream. After it
-// returns the handler may recycle the job, so the executor must not touch
-// j again.
+// returns the handler may recycle the job, so the worker must not touch j
+// again.
 func (j *job) finish(ev streamEvent) {
 	j.out <- ev
 	close(j.out)
@@ -196,9 +198,12 @@ func errorEvent(code, msg string) streamEvent {
 }
 
 // solveErrorEvent maps solver errors onto stream error codes; context
-// errors keep their identity so clients can tell a deadline from a crash.
+// errors keep their identity so clients can tell a deadline from a crash,
+// and a rating map the EMS bound check rejects is the client's error.
 func solveErrorEvent(err error) streamEvent {
 	switch {
+	case errors.Is(err, core.ErrDLRBounds):
+		return errorEvent("bad_request", err.Error())
 	case errors.Is(err, context.DeadlineExceeded):
 		return errorEvent("deadline_exceeded", err.Error())
 	case errors.Is(err, context.Canceled):
@@ -210,31 +215,37 @@ func solveErrorEvent(err error) streamEvent {
 	}
 }
 
-// runnable is one unit the worker pool executes: a single attack/evaluate
-// job, or a coalesced batch of same-topology sweep jobs.
-type runnable interface {
-	execute(s *Server)
-}
-
-// workerLoop drains the run channel until the batcher closes it.
+// workerLoop runs admitted jobs until the server closes. A job picked up
+// after Close began fails like every other queued job.
 func (s *Server) workerLoop() {
 	defer s.wg.Done()
-	for r := range s.run {
-		r.execute(s)
+	for {
+		select {
+		case <-s.closed:
+			return
+		case j := <-s.admit:
+			s.queueGauge()
+			select {
+			case <-s.closed:
+				j.fail("unavailable", "server shutting down")
+			default:
+				j.execute(s)
+			}
+		}
 	}
 }
 
 // testHookSolve, when set (only by tests), runs at the start of every
 // job's solve phase — under the topology lock for attack and evaluation
-// jobs, before the combined pass for sweep batches — so a test can inject
-// a panic there.
+// jobs, before scenario generation for sweeps — so a test can inject a
+// panic or park a worker there.
 var testHookSolve func(kind jobKind)
 
-// recoverPanic is deferred by every runnable's execute. When a panic is
-// unwinding it stops it there, so one bad job cannot kill the daemon:
-// it counts serve_panics_total, records a flight event carrying the value
-// and the stack, and calls answer, which fails every job the runnable had
-// not answered yet with code "internal" (the handler then sends done).
+// recoverPanic is deferred by execute. When a panic is unwinding it stops
+// it there, so one bad job cannot kill the daemon: it counts
+// serve_panics_total, records a flight event carrying the value and the
+// stack, and calls answer, which fails the job with code "internal" (the
+// handler then sends done).
 func (s *Server) recoverPanic(answer func(msg string)) {
 	v := recover()
 	if v == nil {
@@ -251,18 +262,18 @@ func (s *Server) recoverPanic(answer func(msg string)) {
 	answer(msg)
 }
 
-// execute runs a single attack or evaluation job and answers it. A panic
-// anywhere before the answer is turned into an internal error.
+// execute runs a job and answers it. A panic anywhere before the answer is
+// turned into an internal error.
 func (j *job) execute(s *Server) {
 	defer s.recoverPanic(func(msg string) { j.fail("internal", msg) })
 	j.finish(j.run(s))
 }
 
-// run executes a single attack or evaluation job against its topology's
-// shared state and returns its terminal event. The topology lock
-// serializes model-touching solves — the dispatch model is warm-started and
-// not safe for concurrent use — while jobs on other topologies proceed on
-// other workers.
+// run executes a job against its topology's shared state and returns its
+// terminal event. The topology lock serializes model-touching solves — the
+// dispatch model is warm-started and not safe for concurrent use — while
+// sweeps, which never touch the model, run beside them, and jobs on other
+// topologies proceed on other workers.
 func (j *job) run(s *Server) streamEvent {
 	queued := time.Since(j.accepted)
 	if err := j.ctx.Err(); err != nil {
@@ -272,17 +283,24 @@ func (j *job) run(s *Server) streamEvent {
 	if err != nil {
 		return errorEvent("bad_request", err.Error())
 	}
-	entry.mu.Lock()
+	var pc *sweep.Precomp
 	solved := false
-	defer func() {
-		if !solved {
-			// A panic is unwinding through this solve: the state the
-			// model's workspace retains can no longer be trusted, so it
-			// is dropped before the entry serves again.
-			entry.model.Workspace.Reset()
+	if j.kind == kindSweep {
+		if pc, err = s.topos.precomp(entry); err != nil {
+			return errorEvent("internal", err.Error())
 		}
-		entry.mu.Unlock()
-	}()
+	} else {
+		entry.mu.Lock()
+		defer func() {
+			if !solved {
+				// A panic is unwinding through this solve: the state the
+				// model's workspace retains can no longer be trusted, so
+				// it is dropped before the entry serves again.
+				entry.model.Workspace.Reset()
+			}
+			entry.mu.Unlock()
+		}()
+	}
 	if testHookSolve != nil {
 		testHookSolve(j.kind)
 	}
@@ -293,6 +311,8 @@ func (j *job) run(s *Server) streamEvent {
 		ev = j.runAttack(s, entry)
 	case kindEvaluate:
 		ev = j.runEvaluate(entry)
+	case kindSweep:
+		ev = j.runSweep(s, pc)
 	default:
 		ev = errorEvent("internal", fmt.Sprintf("unexpected job kind %q", j.kind))
 	}
@@ -357,4 +377,64 @@ func (j *job) runEvaluate(entry *topoEntry) streamEvent {
 		res.Cost = ev.Dispatch.Cost
 	}
 	return streamEvent{Event: "result", Evaluation: res}
+}
+
+// runSweep generates the request's seeded scenarios and screens them in one
+// sweep.Eval pass under the job's own deadline, reducing the outcomes to
+// counts.
+func (j *job) runSweep(s *Server, pc *sweep.Precomp) streamEvent {
+	scs, _, err := sweep.GenScenarios(pc, j.sweepConfig())
+	if err != nil {
+		return errorEvent("bad_request", err.Error())
+	}
+	evalStart := time.Now()
+	outcomes, err := sweep.Eval(pc, scs, sweep.Options{
+		Metrics: s.cfg.Metrics,
+		Flight:  s.cfg.Flight,
+		Ctx:     j.ctx,
+	})
+	if err != nil {
+		return solveErrorEvent(err)
+	}
+	res := &sweepResult{MergedJobs: 1, EvalMS: time.Since(evalStart).Seconds() * 1e3}
+	var cost float64
+	for i := range outcomes {
+		out := &outcomes[i]
+		res.Scenarios++
+		if out.Dangerous {
+			res.Dangerous++
+		}
+		if out.Detected {
+			res.Detected++
+		}
+		if out.Success {
+			res.Success++
+		}
+		cost += out.Cost
+	}
+	if res.Scenarios > 0 {
+		res.Rate = float64(res.Success) / float64(res.Scenarios)
+		res.MeanCost = cost / float64(res.Scenarios)
+	}
+	return streamEvent{Event: "result", Sweep: res}
+}
+
+// sweepConfig maps a sweep request onto the surface generator's config.
+// Defaults keep a bare {"case": ...} request meaningful: one mid-day hour,
+// one moderate attack magnitude, 64 draws.
+func (j *job) sweepConfig() sweep.SurfaceConfig {
+	hours := j.req.Hours
+	if len(hours) == 0 {
+		hours = []float64{12}
+	}
+	mags := j.req.Magnitudes
+	if len(mags) == 0 {
+		mags = []float64{0.15}
+	}
+	return sweep.SurfaceConfig{
+		Hours:      hours,
+		Magnitudes: mags,
+		Draws:      j.req.Draws,
+		Seed:       j.req.Seed,
+	}
 }

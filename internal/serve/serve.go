@@ -6,15 +6,16 @@
 // PTDF/LODF precomputation, dispatch model, simplex root bases) is reused
 // across requests instead of being rebuilt per invocation.
 //
-// The pipeline is: HTTP handler → bounded admission queue → batcher →
-// worker pool. Admission is non-blocking (a full queue answers 429), every
-// job carries a context with a deadline (default or per-request), and the
-// batcher coalesces same-topology sweep jobs arriving within a short window
-// into one combined sweep.Eval pass over the shared Precomp. Attack jobs
-// reuse a per-topology core.WarmCache, so a repeat attack on the same grid
-// seeds every round-1 simplex from the prior run's root basis instead of
-// phase I. All reuse is certified: results are bit-identical to a one-shot
-// cold run by the solver stack's warm-start contract.
+// The pipeline is: HTTP handler → bounded admission queue → worker pool.
+// Admission is non-blocking (a full queue answers 429), and every job
+// carries a context with a deadline (default or per-request). Each
+// resident topology holds the expensive state every job kind reuses: its
+// dispatch model, and the sweep Precomp built from that model's PTDF on
+// the topology's first sweep. Attack jobs reuse a per-topology
+// core.WarmCache, so a repeat attack on the same grid seeds every round-1
+// simplex from the prior run's root basis instead of phase I. All reuse is
+// certified: results are bit-identical to a one-shot cold run by the
+// solver stack's warm-start contract.
 package serve
 
 import (
@@ -26,7 +27,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/edsec/edattack/internal/sweep"
 	"github.com/edsec/edattack/internal/telemetry"
 )
 
@@ -40,22 +40,18 @@ type Config struct {
 	// Workers is the number of job-execution goroutines (default
 	// GOMAXPROCS). Jobs on distinct topologies run concurrently; attack
 	// and evaluation jobs on the same topology serialize on the
-	// topology's dispatch model.
+	// topology's dispatch model, while sweeps run beside them.
 	Workers int
-	// QueueDepth caps the admission queue; a request arriving with the
-	// queue full is answered 429 immediately (default 64).
+	// QueueDepth caps the jobs admitted but not yet picked up by a
+	// worker; a request arriving with that many waiting is answered 429
+	// immediately (default 64).
 	QueueDepth int
-	// BatchWindow is how long the batcher holds a sweep job open to
-	// coalesce same-topology sweeps behind it (default 2ms; negative
-	// disables coalescing). Attack and evaluation jobs are never held.
-	BatchWindow time.Duration
 	// DefaultDeadline bounds every job (default 60s); a request's
 	// deadline_ms can only shorten it.
 	DefaultDeadline time.Duration
 	// MaxTopologies caps the resident per-case state bundles — dispatch
-	// model, knowledge, warm-basis cache — evicting least-recently-used
-	// (default 8). The sweep Precomp cache is bounded separately at the
-	// same cap.
+	// model, knowledge, warm-basis cache, sweep Precomp — in one LRU,
+	// evicting the least-recently-used case (default 8).
 	MaxTopologies int
 	// AttackWorkers is core.Options.Workers for attack jobs (default 1:
 	// budgeted runs are only reproducible sequentially, and the serving
@@ -74,9 +70,6 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
 	if c.DefaultDeadline <= 0 {
 		c.DefaultDeadline = 60 * time.Second
 	}
@@ -89,17 +82,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the daemon: handlers, queue, batcher, workers, caches. Create
+// Server is the daemon: handlers, queue, workers, topology cache. Create
 // with New, expose via Handler, stop with Close.
 type Server struct {
 	cfg   Config
 	mux   *http.ServeMux
 	admit chan *job
-	run   chan runnable
 	wg    sync.WaitGroup
 
-	sweepCache *sweep.Cache
-	topos      *topoCache
+	topos *topoCache
 
 	start     time.Time
 	closed    chan struct{}
@@ -109,20 +100,16 @@ type Server struct {
 	seq int64
 }
 
-// New builds a Server and starts its batcher and worker goroutines.
+// New builds a Server and starts its worker goroutines.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	sc := sweep.NewCacheCap(cfg.MaxTopologies)
-	sc.Metrics = cfg.Metrics
 	s := &Server{
-		cfg:        cfg,
-		mux:        http.NewServeMux(),
-		admit:      make(chan *job, cfg.QueueDepth),
-		run:        make(chan runnable, cfg.QueueDepth),
-		sweepCache: sc,
-		topos:      newTopoCache(cfg.MaxTopologies, cfg.Metrics),
-		start:      time.Now(),
-		closed:     make(chan struct{}),
+		cfg:    cfg,
+		mux:    http.NewServeMux(),
+		admit:  make(chan *job, cfg.QueueDepth),
+		topos:  newTopoCache(cfg.MaxTopologies, cfg.Metrics),
+		start:  time.Now(),
+		closed: make(chan struct{}),
 	}
 	s.mux.HandleFunc("/healthz", s.handleHealth)
 	s.mux.HandleFunc("/v1/stats", s.handleStats)
@@ -130,8 +117,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("/v1/evaluate", s.handleJob(kindEvaluate))
 	s.mux.HandleFunc("/v1/sweep", s.handleJob(kindSweep))
 	telemetry.MountDebug(s.mux, cfg.Metrics, cfg.Flight)
-	s.wg.Add(1)
-	go s.batchLoop()
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.workerLoop()
@@ -148,10 +133,15 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // started. Safe to call more than once.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() { close(s.closed) })
+	s.failQueued()
 	s.wg.Wait()
 	// Stragglers that raced past the closed check into the admission
-	// queue after the batcher drained it: fail them so their handlers
-	// unblock.
+	// queue after the first drain: fail them so their handlers unblock.
+	s.failQueued()
+}
+
+// failQueued fails every job waiting in the admission queue.
+func (s *Server) failQueued() {
 	for {
 		select {
 		case j := <-s.admit:
@@ -197,8 +187,6 @@ type statsDoc struct {
 	QueueDepth    int                   `json:"queue_depth"`
 	QueueCap      int                   `json:"queue_cap"`
 	Topologies    int                   `json:"topologies"`
-	SweepCacheLen int                   `json:"sweep_cache_len"`
-	SweepCacheCap int                   `json:"sweep_cache_cap"`
 	WarmBases     int                   `json:"warm_bases"`
 	Mem           telemetry.MemSnapshot `json:"mem"`
 }
@@ -210,8 +198,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		QueueDepth:    len(s.admit),
 		QueueCap:      cap(s.admit),
 		Topologies:    s.topos.len(),
-		SweepCacheLen: s.sweepCache.Len(),
-		SweepCacheCap: s.sweepCache.Cap(),
 		WarmBases:     s.topos.warmBases(),
 		Mem:           telemetry.CaptureMemStats(s.cfg.Metrics),
 	}

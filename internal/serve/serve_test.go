@@ -1,11 +1,10 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -17,6 +16,7 @@ import (
 	"github.com/edsec/edattack/internal/core"
 	"github.com/edsec/edattack/internal/dispatch"
 	"github.com/edsec/edattack/internal/grid/cases"
+	"github.com/edsec/edattack/internal/sweep"
 	"github.com/edsec/edattack/internal/telemetry"
 )
 
@@ -49,20 +49,40 @@ func postJob(t *testing.T, url, path string, body any) []streamEvent {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Fatalf("Content-Type = %q, want application/x-ndjson", ct)
 	}
-	var events []streamEvent
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		var ev streamEvent
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
-		}
-		events = append(events, ev)
-	}
-	if err := sc.Err(); err != nil {
+	events, err := decodeEvents(resp.Body)
+	if err != nil {
 		t.Fatalf("stream: %v", err)
 	}
 	return events
+}
+
+// postAdmitted posts an evaluate body and returns the response as soon as
+// the job is admitted: the handler flushes the accepted line then, while
+// the job still waits or runs. The caller reads and closes the body.
+func postAdmitted(t *testing.T, url, body string) *http.Response {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/evaluate", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// parkFirstSolve parks the first job to reach its solve phase until the
+// returned release is called; parked is closed once it is there. Call it
+// before starting the test server, and defer release: it is idempotent,
+// and a failed check must not leave a worker parked when the server's
+// cleanup waits for its jobs.
+func parkFirstSolve(t *testing.T) (parked <-chan struct{}, release func()) {
+	in, unpark := make(chan struct{}), make(chan struct{})
+	var first sync.Once
+	setSolveHook(t, func(jobKind) {
+		first.Do(func() {
+			close(in)
+			<-unpark
+		})
+	})
+	return in, sync.OnceFunc(func() { close(unpark) })
 }
 
 // resultOf asserts the stream is accepted → result → done and returns the
@@ -166,45 +186,86 @@ func TestAttackBitIdenticalAndWarm(t *testing.T) {
 	}
 }
 
-func TestSweepCoalescing(t *testing.T) {
-	// Reference: a no-batching server answering the same request.
-	_, solo := newTestServer(t, Config{BatchWindow: -1})
-	req := map[string]any{
-		"case": "case9", "hours": []float64{0, 12}, "magnitudes": []float64{0, 0.2},
-		"draws": 16, "seed": 7,
-	}
-	want := resultOf(t, postJob(t, solo.URL, "/v1/sweep", req))
-	if want.Sweep == nil || want.Sweep.MergedJobs != 1 {
-		t.Fatalf("unbatched sweep result %+v, want merged_jobs=1", want.Sweep)
+// TestServedSweepMatchesLibrary pins a served sweep to the library path —
+// sweep.GenScenarios plus one sweep.Eval over sweep.Precompute(net) —
+// field for field and bit for bit (all but the wall-clock eval_ms), and
+// checks that the topology's Precomp is reused until the topology is
+// evicted.
+func TestServedSweepMatchesLibrary(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	_, ts := newTestServer(t, Config{MaxTopologies: 1, Metrics: reg})
+	hours, mags := []float64{0, 12}, []float64{0, 0.2}
+	req := map[string]any{"case": "case30", "hours": hours, "magnitudes": mags, "draws": 16, "seed": 7}
+	got := resultOf(t, postJob(t, ts.URL, "/v1/sweep", req)).Sweep
+	if got == nil {
+		t.Fatal("no sweep result")
 	}
 
-	// A wide window so two concurrent requests coalesce.
-	_, ts := newTestServer(t, Config{BatchWindow: 300 * time.Millisecond})
-	results := make([]streamEvent, 2)
-	var wg sync.WaitGroup
-	for i := range results {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = resultOf(t, postJob(t, ts.URL, "/v1/sweep", req))
-		}(i)
+	net, err := cases.Load("case30")
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	for i, res := range results {
-		if res.Sweep == nil {
-			t.Fatalf("request %d: no sweep result", i)
+	pc, err := sweep.Precompute(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scs, _, err := sweep.GenScenarios(pc, sweep.SurfaceConfig{Hours: hours, Magnitudes: mags, Draws: 16, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs, err := sweep.Eval(pc, scs, sweep.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sweepResult{MergedJobs: 1}
+	var cost float64
+	for _, out := range outs {
+		want.Scenarios++
+		if out.Dangerous {
+			want.Dangerous++
 		}
-		if res.Sweep.MergedJobs != 2 {
-			t.Errorf("request %d: merged_jobs = %d, want 2", i, res.Sweep.MergedJobs)
+		if out.Detected {
+			want.Detected++
 		}
-		// Batched results are bit-identical to the unbatched pass.
-		if res.Sweep.Scenarios != want.Sweep.Scenarios ||
-			res.Sweep.Dangerous != want.Sweep.Dangerous ||
-			res.Sweep.Detected != want.Sweep.Detected ||
-			res.Sweep.Success != want.Sweep.Success ||
-			res.Sweep.MeanCost != want.Sweep.MeanCost {
-			t.Errorf("request %d: batched %+v diverges from unbatched %+v", i, res.Sweep, want.Sweep)
+		if out.Success {
+			want.Success++
 		}
+		cost += out.Cost
+	}
+	want.Rate = float64(want.Success) / float64(want.Scenarios)
+	want.MeanCost = cost / float64(want.Scenarios)
+	if want.Scenarios != 64 || want.Dangerous == 0 {
+		t.Fatalf("library sweep %+v: want 64 scenarios, some dangerous", want)
+	}
+	g := *got
+	g.EvalMS = 0
+	if g != want || math.Float64bits(g.Rate) != math.Float64bits(want.Rate) ||
+		math.Float64bits(g.MeanCost) != math.Float64bits(want.MeanCost) {
+		t.Fatalf("served sweep %+v, want the library's %+v", g, want)
+	}
+
+	counts := func() (hits, misses int64) {
+		return reg.Counter("sweep_cache_hits_total").Value(), reg.Counter("sweep_cache_misses_total").Value()
+	}
+	if h, m := counts(); h != 0 || m != 1 {
+		t.Fatalf("first sweep: hits %d misses %d, want 0 and 1", h, m)
+	}
+	again := resultOf(t, postJob(t, ts.URL, "/v1/sweep", req)).Sweep
+	again.EvalMS = 0
+	if *again != want {
+		t.Fatalf("repeat sweep %+v, want %+v", *again, want)
+	}
+	if h, m := counts(); h != 1 || m != 1 {
+		t.Fatalf("repeat sweep: hits %d misses %d, want 1 and 1", h, m)
+	}
+	// case9 takes the single topology slot, so case30's next sweep rebuilds.
+	resultOf(t, postJob(t, ts.URL, "/v1/sweep", map[string]any{"case": "case9", "draws": 4}))
+	resultOf(t, postJob(t, ts.URL, "/v1/sweep", req))
+	if h, m := counts(); h != 1 || m != 3 {
+		t.Fatalf("after eviction: hits %d misses %d, want 1 and 3", h, m)
+	}
+	if v := reg.Counter("serve_topo_evictions_total").Value(); v != 2 {
+		t.Errorf("serve_topo_evictions_total = %d, want 2", v)
 	}
 }
 
@@ -291,6 +352,15 @@ func TestBadRequests(t *testing.T) {
 	if ev.Code != "bad_request" {
 		t.Errorf("unknown case: code %q, want bad_request", ev.Code)
 	}
+
+	// So is a dlr map the EMS bound check rejects: out of band, on a line
+	// with no DLR feed, and on a line index out of range.
+	for _, dlr := range []map[string]float64{{"1": 1e6}, {"0": 100}, {"-3": 100}} {
+		ev := errorOf(t, postJob(t, ts.URL, "/v1/evaluate", map[string]any{"case": "case9", "dlr": dlr}))
+		if ev.Code != "bad_request" {
+			t.Errorf("dlr %v: code %q (%s), want bad_request", dlr, ev.Code, ev.Error)
+		}
+	}
 }
 
 // TestOversizedBodyAnswers413 checks the request body cap: a full-precision
@@ -348,53 +418,63 @@ func TestOversizedBodyAnswers413(t *testing.T) {
 	}
 }
 
-// blocker occupies a worker until released.
-type blocker struct{ release chan struct{} }
-
-func (b blocker) execute(*Server) { <-b.release }
-
+// TestQueueFullAnswers429 checks that QueueDepth is the whole admission
+// bound: with the only worker parked inside a job, exactly QueueDepth more
+// jobs are admitted, the next is answered 429, and /v1/stats reports the
+// full queue.
 func TestQueueFullAnswers429(t *testing.T) {
+	parked, release := parkFirstSolve(t)
+	defer release()
 	reg := telemetry.NewRegistry()
-	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, Metrics: reg})
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2, Metrics: reg})
+	const body = `{"case":"case9","dlr":{"1":260,"7":240}}`
 
-	// Occupy the single worker and fill the run buffer.
-	release := make(chan struct{})
-	s.run <- blocker{release}
-	s.run <- blocker{release}
-	defer close(release)
-
-	// Top up the admission queue until it stays full: the batcher can
-	// drain at most one job before blocking on the full run channel.
-	dummy := func() *job {
-		ctx, cancel := context.WithCancel(context.Background())
-		return &job{id: "test", kind: kindAttack, ctx: ctx, cancel: cancel,
-			out: make(chan streamEvent, 4)}
-	}
-	deadlineAt := time.Now().Add(5 * time.Second)
-	for filled := 0; filled < 2; {
-		select {
-		case s.admit <- dummy():
-			filled = 0
-		default:
-			filled++
-			time.Sleep(time.Millisecond)
+	admitted := []*http.Response{postAdmitted(t, ts.URL, body)}
+	defer func() {
+		for _, resp := range admitted {
+			resp.Body.Close()
 		}
-		if time.Now().After(deadlineAt) {
-			t.Fatal("could not saturate admission queue")
+	}()
+	<-parked
+	for i := 0; i < 2; i++ {
+		admitted = append(admitted, postAdmitted(t, ts.URL, body))
+	}
+	for i, resp := range admitted {
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("job %d: status %d, want 200", i, resp.StatusCode)
 		}
 	}
-
-	resp, err := http.Post(ts.URL+"/v1/attack", "application/json",
-		strings.NewReader(`{"case":"case9"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp := postAdmitted(t, ts.URL, body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status %d, want 429", resp.StatusCode)
+		t.Fatalf("job past QueueDepth: status %d, want 429", resp.StatusCode)
 	}
 	if v := reg.Counter("serve_rejected_total").Value(); v != 1 {
 		t.Errorf("serve_rejected_total = %d, want 1", v)
+	}
+	stats, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc statsDoc
+	err = json.NewDecoder(stats.Body).Decode(&doc)
+	stats.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc.QueueDepth != 2 || doc.QueueCap != 2 {
+		t.Errorf("stats queue_depth %d queue_cap %d, want 2 and 2", doc.QueueDepth, doc.QueueCap)
+	}
+
+	release()
+	for i, resp := range admitted {
+		events, err := decodeEvents(resp.Body)
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		if res := resultOf(t, events); res.Evaluation == nil {
+			t.Errorf("job %d answered %+v, want an evaluation", i, res)
+		}
 	}
 }
 
@@ -453,6 +533,63 @@ func TestCloseAnswers503(t *testing.T) {
 	}
 	// Idempotent.
 	s.Close()
+}
+
+// TestCloseFailsQueuedJobs: Close answers every admitted job no worker has
+// started with unavailable at once, lets the running job finish, and
+// returns only after that.
+func TestCloseFailsQueuedJobs(t *testing.T) {
+	parked, release := parkFirstSolve(t)
+	defer release()
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	const body = `{"case":"case9","dlr":{"1":260,"7":240}}`
+	running := postAdmitted(t, ts.URL, body)
+	defer running.Body.Close()
+	<-parked
+	queued := []*http.Response{postAdmitted(t, ts.URL, body), postAdmitted(t, ts.URL, body)}
+	defer func() {
+		for _, resp := range queued {
+			resp.Body.Close()
+		}
+	}()
+
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	for i, resp := range queued {
+		answered := make(chan []streamEvent, 1)
+		go func() {
+			events, err := decodeEvents(resp.Body)
+			if err != nil {
+				t.Errorf("queued job %d: %v", i, err)
+			}
+			answered <- events
+		}()
+		select {
+		case events := <-answered:
+			if ev := errorOf(t, events); ev.Code != "unavailable" {
+				t.Errorf("queued job %d answered %+v, want code unavailable", i, ev)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("queued job %d still unanswered 10 s into Close", i)
+		}
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a job was still running")
+	default:
+	}
+	release()
+	<-closed
+	events, err := decodeEvents(running.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := resultOf(t, events); res.Evaluation == nil {
+		t.Errorf("running job answered %+v, want its evaluation", res)
+	}
 }
 
 func TestTopoCacheEviction(t *testing.T) {

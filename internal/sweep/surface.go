@@ -131,9 +131,8 @@ func defaultDispatch(pc *Precomp) DispatchFn {
 // config) — the same scenarios regenerate exactly for any consumer. The
 // returned cells carry the (hour, magnitude, draws) labels in generation
 // order; scenarios are cell-major, Draws per cell. RunSurface is
-// GenScenarios + one batched Eval; the serving layer calls GenScenarios
-// directly so it can concatenate several requests' scenarios into a single
-// Eval pass over the shared Precomp.
+// GenScenarios + one batched Eval; the serving layer makes the same two
+// calls so it can reduce the outcomes to counts.
 func GenScenarios(pc *Precomp, cfg SurfaceConfig) ([]Scenario, []SurfaceCell, error) {
 	if len(cfg.Hours) == 0 || len(cfg.Magnitudes) == 0 {
 		return nil, nil, fmt.Errorf("sweep: surface needs hours and magnitudes")

@@ -20,19 +20,14 @@
 package sweep
 
 import (
-	"container/list"
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
-	"sync"
 
 	"github.com/edsec/edattack/internal/contingency"
 	"github.com/edsec/edattack/internal/dcflow"
 	"github.com/edsec/edattack/internal/grid"
 	"github.com/edsec/edattack/internal/mat"
 	"github.com/edsec/edattack/internal/sparse"
-	"github.com/edsec/edattack/internal/telemetry"
 )
 
 // FlowQuantum is the MVA grid flows are rounded onto before any limit
@@ -54,8 +49,8 @@ const sparseDensityCutoff = 0.5
 
 // Precomp is the per-topology shift-factor bundle: everything scenario
 // evaluation needs that does not depend on the operating point. Build one
-// per network (or let a Cache key them by topology) and share it freely —
-// all fields are immutable after Precompute.
+// per network and share it freely — all fields are immutable after
+// Precompute.
 type Precomp struct {
 	Net *grid.Network
 	// PTDF is the lines×buses shift-factor matrix.
@@ -148,198 +143,4 @@ func (pc *Precomp) injections(s *Scenario, dst []float64) {
 	for gi, bi := range pc.GenBus {
 		dst[bi] += s.Dispatch[gi]
 	}
-}
-
-// TopologyKey hashes the fields PTDF and LODF actually depend on — the
-// power base, bus count, slack position, and each line's endpoint indices
-// and reactance. Demand, ratings, generator limits, and costs do not
-// perturb the key: two operating points on the same wires share one
-// precomputation.
-func TopologyKey(net *grid.Network) (uint64, error) {
-	slack, err := net.SlackIndex()
-	if err != nil {
-		return 0, fmt.Errorf("sweep: %w", err)
-	}
-	h := fnv.New64a()
-	var buf [8]byte
-	w := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	w(math.Float64bits(net.BaseMVA))
-	w(uint64(len(net.Buses)))
-	w(uint64(slack))
-	w(uint64(len(net.Lines)))
-	for li := range net.Lines {
-		l := &net.Lines[li]
-		fi, err := net.BusIndex(l.From)
-		if err != nil {
-			return 0, fmt.Errorf("sweep: %w", err)
-		}
-		ti, err := net.BusIndex(l.To)
-		if err != nil {
-			return 0, fmt.Errorf("sweep: %w", err)
-		}
-		w(uint64(fi))
-		w(uint64(ti))
-		w(math.Float64bits(l.X))
-	}
-	return h.Sum64(), nil
-}
-
-// DefaultCacheCap is the topology capacity of a NewCache. A Precomp holds
-// dense PTDF/LODF matrices — O(lines × buses) each — so an unbounded cache
-// in a long-running daemon is a slow memory leak under topology churn; 64
-// grids is far above any workload we serve while keeping the worst case
-// bounded.
-const DefaultCacheCap = 64
-
-// Cache memoizes Precomp bundles by topology key, so repeated sweeps over
-// the same wires — and a long-running service handling many requests per
-// grid — pay for PTDF/LODF construction once. Capacity is bounded: when a
-// store would exceed the cap, the least-recently-used topology is evicted
-// (Get counts as use). Safe for concurrent use.
-type Cache struct {
-	// Metrics, when set, receives sweep_cache_hits_total,
-	// sweep_cache_misses_total, and sweep_cache_evictions_total counters.
-	Metrics *telemetry.Registry
-
-	mu      sync.Mutex
-	cap     int
-	order   *list.List // front = most recently used
-	entries map[uint64]*list.Element
-}
-
-// cacheEntry is one resident topology, stored in the recency list.
-type cacheEntry struct {
-	key uint64
-	pc  *Precomp
-}
-
-// NewCache returns an empty topology-keyed cache holding at most
-// DefaultCacheCap topologies.
-func NewCache() *Cache {
-	return NewCacheCap(DefaultCacheCap)
-}
-
-// NewCacheCap returns an empty cache holding at most capacity topologies
-// (values < 1 are clamped to 1 — a cache that can hold nothing would turn
-// every Get into a recompute, silently).
-func NewCacheCap(capacity int) *Cache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Cache{
-		cap:     capacity,
-		order:   list.New(),
-		entries: make(map[uint64]*list.Element),
-	}
-}
-
-// Cap reports the cache's topology capacity.
-func (c *Cache) Cap() int { return c.cap }
-
-// Get returns the cached Precomp for the network's topology, computing and
-// storing it on first sight. Networks that share a topology key share the
-// returned bundle; callers must not mutate it. Note the key deliberately
-// ignores generator placement, so a cached bundle's GenBus is only valid
-// for networks with the same generator set — Get rebuilds GenBus when the
-// generator layout differs.
-func (c *Cache) Get(net *grid.Network) (*Precomp, error) {
-	key, err := TopologyKey(net)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	var pc *Precomp
-	el, ok := c.entries[key]
-	if ok {
-		c.order.MoveToFront(el)
-		pc = el.Value.(*cacheEntry).pc
-	}
-	c.mu.Unlock()
-	if ok && pc.sameGens(net) {
-		c.Metrics.Counter("sweep_cache_hits_total").Inc()
-		return pc, nil
-	}
-	if ok {
-		// Same wires, different generator layout: reuse the expensive
-		// PTDF, rebuild the cheap bundle around it.
-		fresh, err := PrecomputeFromPTDF(net, pc.PTDF)
-		if err != nil {
-			return nil, err
-		}
-		c.Metrics.Counter("sweep_cache_hits_total").Inc()
-		c.put(key, fresh)
-		return fresh, nil
-	}
-	c.Metrics.Counter("sweep_cache_misses_total").Inc()
-	fresh, err := Precompute(net)
-	if err != nil {
-		return nil, err
-	}
-	c.put(key, fresh)
-	return fresh, nil
-}
-
-// put stores (or refreshes) one topology at the recency front, evicting
-// from the back past the cap. The precompute runs outside the lock, so two
-// goroutines can race the same first-sight key; the second put refreshes
-// the entry in place rather than double-inserting.
-func (c *Cache) put(key uint64, pc *Precomp) {
-	evicted := 0
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry).pc = pc
-		c.order.MoveToFront(el)
-	} else {
-		c.entries[key] = c.order.PushFront(&cacheEntry{key: key, pc: pc})
-		for len(c.entries) > c.cap {
-			back := c.order.Back()
-			c.order.Remove(back)
-			delete(c.entries, back.Value.(*cacheEntry).key)
-			evicted++
-		}
-	}
-	c.mu.Unlock()
-	if evicted > 0 {
-		c.Metrics.Counter("sweep_cache_evictions_total").Add(int64(evicted))
-	}
-}
-
-// sameGens reports whether the network's generator-to-bus layout matches
-// the bundle's.
-func (pc *Precomp) sameGens(net *grid.Network) bool {
-	if pc.Net == net {
-		return true
-	}
-	if len(net.Gens) != len(pc.GenBus) {
-		return false
-	}
-	for gi := range net.Gens {
-		bi, err := net.BusIndex(net.Gens[gi].Bus)
-		if err != nil || bi != pc.GenBus[gi] {
-			return false
-		}
-	}
-	return true
-}
-
-// Len reports how many topologies the cache holds.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// Keys returns the resident topology keys from most to least recently
-// used — test and debug introspection for the eviction order.
-func (c *Cache) Keys() []uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]uint64, 0, len(c.entries))
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*cacheEntry).key)
-	}
-	return out
 }

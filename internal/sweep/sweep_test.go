@@ -156,134 +156,6 @@ func TestEvalShapeValidation(t *testing.T) {
 	}
 }
 
-// TestTopologyKey: ratings and costs do not perturb the key; wires do.
-func TestTopologyKey(t *testing.T) {
-	a, err := cases.Case30()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := cases.Case30()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ka, err := TopologyKey(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kb, err := TopologyKey(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ka != kb {
-		t.Fatal("identical networks hash differently")
-	}
-	b.Lines[0].RateMVA *= 2
-	b.Gens[0].CostB += 5
-	if kb2, _ := TopologyKey(b); kb2 != ka {
-		t.Fatal("ratings/costs should not perturb the topology key")
-	}
-	b.Lines[0].X *= 1.01
-	if kb3, _ := TopologyKey(b); kb3 == ka {
-		t.Fatal("reactance change should perturb the topology key")
-	}
-}
-
-// TestCache: one miss then hits for same-topology networks, counted in
-// metrics; a wire change misses again.
-func TestCache(t *testing.T) {
-	c := NewCache()
-	c.Metrics = telemetry.NewRegistry()
-	a, err := cases.Case9()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := cases.Case9()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Lines[1].RateMVA *= 3 // operating-point change, same wires
-	pa, err := c.Get(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb, err := c.Get(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pa != pb {
-		t.Fatal("same topology should share one Precomp")
-	}
-	b.Lines[1].X *= 2
-	if _, err := c.Get(b); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Len(); got != 2 {
-		t.Fatalf("cache holds %d topologies, want 2", got)
-	}
-	snap := c.Metrics.Snapshot()
-	if hits := snap.Counters["sweep_cache_hits_total"]; hits != 1 {
-		t.Fatalf("hits = %d, want 1", hits)
-	}
-	if misses := snap.Counters["sweep_cache_misses_total"]; misses != 2 {
-		t.Fatalf("misses = %d, want 2", misses)
-	}
-}
-
-// TestCacheEviction: the LRU bound — Get refreshes recency, overflow
-// evicts the least-recently-used topology (counted), and an evicted
-// topology misses again on re-entry.
-func TestCacheEviction(t *testing.T) {
-	c := NewCacheCap(2)
-	c.Metrics = telemetry.NewRegistry()
-	mk := func(scale float64) *grid.Network {
-		n, err := cases.Case9()
-		if err != nil {
-			t.Fatal(err)
-		}
-		n.Lines[0].X *= scale // distinct reactance → distinct topology key
-		return n
-	}
-	a, b, d := mk(1), mk(2), mk(3)
-	keyOf := func(n *grid.Network) uint64 {
-		k, err := TopologyKey(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return k
-	}
-	get := func(n *grid.Network) {
-		if _, err := c.Get(n); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	get(a) // miss: [a]
-	get(b) // miss: [b a]
-	get(a) // hit, refreshes a: [a b]
-	get(d) // miss, evicts b (LRU): [d a]
-	if got, want := c.Keys(), []uint64{keyOf(d), keyOf(a)}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("recency order %v, want %v", got, want)
-	}
-	get(b) // miss again (was evicted), evicts a: [b d]
-	if got, want := c.Keys(), []uint64{keyOf(b), keyOf(d)}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("recency order after re-entry %v, want %v", got, want)
-	}
-	if got := c.Len(); got != 2 {
-		t.Fatalf("cache holds %d topologies, want cap 2", got)
-	}
-
-	snap := c.Metrics.Snapshot()
-	if hits := snap.Counters["sweep_cache_hits_total"]; hits != 1 {
-		t.Fatalf("hits = %d, want 1", hits)
-	}
-	if misses := snap.Counters["sweep_cache_misses_total"]; misses != 4 {
-		t.Fatalf("misses = %d, want 4", misses)
-	}
-	if ev := snap.Counters["sweep_cache_evictions_total"]; ev != 2 {
-		t.Fatalf("evictions = %d, want 2", ev)
-	}
-}
-
 // TestEvalContextCanceled: a done context aborts Eval with a wrapped
 // context error instead of a partial outcome slice.
 func TestEvalContextCanceled(t *testing.T) {

@@ -7,8 +7,8 @@ import (
 
 // Re-exported serving types: the attack-as-a-service daemon behind the
 // edserve command (see internal/serve). The server owns a bounded admission
-// queue, a sweep-coalescing batcher, a worker pool, and per-topology warm
-// caches (dispatch model, attacker knowledge, simplex root bases) that make
+// queue, a worker pool, and per-topology warm state (dispatch model,
+// attacker knowledge, simplex root bases, sweep precomputation) that makes
 // repeat requests against the same wires cheap without changing any answer.
 type (
 	// ServeConfig tunes a Server; the zero value serves with defaults.
@@ -23,8 +23,7 @@ type (
 	AttackWarmCache = core.WarmCache
 )
 
-// NewServer builds a serving daemon and starts its batcher and worker
-// goroutines.
+// NewServer builds a serving daemon and starts its worker goroutines.
 func NewServer(cfg ServeConfig) *Server {
 	return serve.New(cfg)
 }

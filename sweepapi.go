@@ -11,8 +11,6 @@ type (
 	// SweepPrecomp is the per-topology PTDF/LODF bundle scenario
 	// evaluation runs on.
 	SweepPrecomp = sweep.Precomp
-	// SweepCache memoizes precomputation bundles by topology.
-	SweepCache = sweep.Cache
 	// SweepScenario is one (demand, dispatch, true ratings, seen ratings)
 	// operating point.
 	SweepScenario = sweep.Scenario
@@ -42,11 +40,6 @@ func SweepPrecompute(net *Network) (*SweepPrecomp, error) {
 // the network's PTDF (for example from a DispatchModel).
 func SweepPrecomputeFromPTDF(net *Network, ptdf *Matrix) (*SweepPrecomp, error) {
 	return sweep.PrecomputeFromPTDF(net, ptdf)
-}
-
-// NewSweepCache returns an empty topology-keyed precomputation cache.
-func NewSweepCache() *SweepCache {
-	return sweep.NewCache()
 }
 
 // SweepEval evaluates scenarios through the batched engine (or the
