@@ -9,6 +9,7 @@ import (
 	"sort"
 	"time"
 
+	"github.com/edsec/edattack/internal/dispatch"
 	"github.com/edsec/edattack/internal/par"
 	"github.com/edsec/edattack/internal/telemetry"
 )
@@ -129,7 +130,7 @@ func FindOptimalAttack(k *Knowledge, o Options) (*Attack, error) {
 	atts := make([]*Attack, len(tasks))
 	substats := make([]*SolverStats, len(tasks))
 	errs := make([]error, len(tasks))
-	var saved []int
+	var saved dispatch.WarmStart
 	if seq {
 		saved = k.Model.WarmStartState()
 	}
@@ -304,7 +305,7 @@ func greedyVertexAttack(k *Knowledge, workers int, ctx context.Context) (*Attack
 		return nil, ErrNoDLRLines
 	}
 	seq := par.Resolve(workers, len(dlrLines)) == 1
-	var saved []int
+	var saved dispatch.WarmStart
 	if seq {
 		saved = k.Model.WarmStartState()
 	}
@@ -402,7 +403,7 @@ func randomAttack(k *Knowledge, samples int, seed int64, workers int) (*Attack, 
 		dlrs[s] = dlr
 	}
 	seq := par.Resolve(workers, samples) == 1
-	var saved []int
+	var saved dispatch.WarmStart
 	if seq {
 		saved = k.Model.WarmStartState()
 	}

@@ -96,16 +96,19 @@ type Knowledge struct {
 	TrueDLR map[int]float64
 	// memo caches dive/polish dispatch evaluations keyed by the manipulated
 	// rating vector. The dispatch solution is a unique pure function of the
-	// ratings (the QP is strictly convex, and results are warm-state- and
-	// engine-schedule-independent by the repo's determinism invariant), so
-	// the cache changes speed only, never results. Shared across workers;
-	// cached Results are treated as immutable.
+	// ratings: the QP is strictly convex, and a solve's bits do not depend
+	// on the model's warm-start memory by construction — line rows enter in
+	// line-index order and the QP keeps its working set in row order, so
+	// the result is the KKT solution of the final working set whatever the
+	// binding memory or the hot-start working set held. The cache therefore
+	// changes speed only, never results. Shared across workers; cached
+	// Results are treated as immutable.
 	memo *edMemo
 }
 
 // NewKnowledge validates and bundles attacker knowledge. TrueDLR must have
 // an entry for every DLR line; values must lie inside the line's
-// plausibility band.
+// plausibility band (NaN never does).
 func NewKnowledge(m *dispatch.Model, trueDLR map[int]float64) (*Knowledge, error) {
 	dlr := m.Net.DLRLines()
 	if len(dlr) == 0 {
@@ -117,7 +120,7 @@ func NewKnowledge(m *dispatch.Model, trueDLR map[int]float64) (*Knowledge, error
 			return nil, fmt.Errorf("core: missing true DLR value for line %d", li)
 		}
 		l := &m.Net.Lines[li]
-		if v <= 0 || v < l.DLRMin-1e-9 || v > l.DLRMax+1e-9 {
+		if math.IsNaN(v) || v <= 0 || v < l.DLRMin-1e-9 || v > l.DLRMax+1e-9 {
 			return nil, fmt.Errorf("core: true DLR %g for line %d outside plausibility band [%g, %g]",
 				v, li, l.DLRMin, l.DLRMax)
 		}

@@ -2,7 +2,9 @@ package core_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/edsec/edattack/internal/core"
@@ -46,6 +48,35 @@ func TestNewKnowledgeValidation(t *testing.T) {
 	}
 	if _, err := core.NewKnowledge(m, map[int]float64{0: 160, 1: 160, 2: 160}); err == nil {
 		t.Fatal("want non-DLR-line error")
+	}
+}
+
+// TestNewKnowledgeRejectsNaN: a NaN true rating fails every band
+// comparison, so it must be rejected by name, as the EMS bound check
+// rejects a NaN manipulated rating — not accepted only to surface later as
+// a NaN objective coefficient inside the attack's LP.
+func TestNewKnowledgeRejectsNaN(t *testing.T) {
+	n, err := cases.Case9()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := dispatch.BuildModel(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range n.DLRLines() {
+		ud := map[int]float64{}
+		for _, li := range n.DLRLines() {
+			ud[li] = n.Lines[li].RateMVA
+		}
+		ud[bad] = math.NaN()
+		_, err := core.NewKnowledge(m, ud)
+		if err == nil {
+			t.Fatalf("NewKnowledge accepted a NaN true DLR on line %d", bad)
+		}
+		if want := fmt.Sprintf("line %d", bad); !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name %s", err, want)
+		}
 	}
 }
 

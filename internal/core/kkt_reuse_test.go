@@ -6,55 +6,87 @@ import (
 
 	"github.com/edsec/edattack/internal/core"
 	"github.com/edsec/edattack/internal/dispatch"
+	"github.com/edsec/edattack/internal/grid"
 	"github.com/edsec/edattack/internal/grid/cases"
 	"github.com/edsec/edattack/internal/telemetry"
 )
 
-// TestKKTFactorReuseCounted pins the dispatch QP's KKT factorization reuse
-// by its work counters: a cold budgeted case57 attack — whose dispatch QP
-// is small enough for the dense KKT path — reports the same factorization
-// count on every run, and at most a third as many factorizations as KKT
-// solves. Without cross-solve reuse every dense KKT solve factors afresh.
+// qpWork is the dispatch QP work one cold budgeted attack reports.
+type qpWork struct {
+	solves, iterations, kktSolves, kktFactors int64
+}
+
+// coldAttackQPWork runs a cold budgeted attack (the serving options) on a
+// fresh model of the case and returns the attack and its QP work counts.
+func coldAttackQPWork(t *testing.T, build func() (*grid.Network, error)) (*core.Attack, qpWork) {
+	t.Helper()
+	net, err := build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	m, err := dispatch.BuildModel(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Metrics = reg
+	rng := rand.New(rand.NewSource(1))
+	ud := map[int]float64{}
+	for _, li := range net.DLRLines() {
+		l := &net.Lines[li]
+		ud[li] = min(max(l.RateMVA*(0.95+0.1*rng.Float64()), l.DLRMin), l.DLRMax)
+	}
+	k, err := core.NewKnowledge(m, ud)
+	if err != nil {
+		t.Fatal(err)
+	}
+	att, err := core.FindOptimalAttack(k, core.Options{MaxNodes: 40, RelGap: 1e-3, Workers: 1, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return att, qpWork{
+		solves:     reg.Counter("qp_solves_total").Value(),
+		iterations: reg.Counter("qp_iterations_total").Value(),
+		kktSolves:  reg.Counter("qp_kkt_solves_total").Value(),
+		kktFactors: reg.Counter("qp_kkt_factorizations_total").Value(),
+	}
+}
+
+// TestKKTFactorReuseCounted pins the dispatch QP's work by its counters. A
+// cold budgeted case57 attack — whose dispatch QP is small enough for the
+// dense KKT path — reports the same counts on every run, at most a third
+// as many KKT factorizations as KKT solves (without cross-solve reuse every
+// dense KKT solve factors afresh), and at most 4 dual iterations per QP
+// (without the hot start from the previous solve's working set every QP
+// climbs from the empty set). Outside -short, the case118 attack — on the
+// bordered Schur path — is held to at most 10 iterations per QP.
 func TestKKTFactorReuseCounted(t *testing.T) {
-	run := func() (att *core.Attack, solves, factors int64) {
-		net, err := cases.Case57()
-		if err != nil {
-			t.Fatal(err)
-		}
-		reg := telemetry.NewRegistry()
-		m, err := dispatch.BuildModel(net)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.Metrics = reg
-		rng := rand.New(rand.NewSource(1))
-		ud := map[int]float64{}
-		for _, li := range net.DLRLines() {
-			l := &net.Lines[li]
-			ud[li] = min(max(l.RateMVA*(0.95+0.1*rng.Float64()), l.DLRMin), l.DLRMax)
-		}
-		k, err := core.NewKnowledge(m, ud)
-		if err != nil {
-			t.Fatal(err)
-		}
-		att, err = core.FindOptimalAttack(k, core.Options{MaxNodes: 40, RelGap: 1e-3, Workers: 1, Metrics: reg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return att, reg.Counter("qp_kkt_solves_total").Value(), reg.Counter("qp_kkt_factorizations_total").Value()
-	}
-	first, solves, factors := run()
-	second, solves2, factors2 := run()
+	first, w := coldAttackQPWork(t, cases.Case57)
+	second, w2 := coldAttackQPWork(t, cases.Case57)
 	sameAttack(t, "repeat cold attack", first, second)
-	if solves != solves2 || factors != factors2 {
-		t.Fatalf("work counts differ between identical runs: %d/%d vs %d/%d factorizations/solves",
-			factors, solves, factors2, solves2)
+	if w != w2 {
+		t.Fatalf("work counts differ between identical runs: %+v vs %+v", w, w2)
 	}
-	if solves == 0 {
-		t.Fatal("no KKT solves counted")
+	if w.kktSolves == 0 || w.solves == 0 {
+		t.Fatal("no QP or KKT solves counted")
 	}
-	if 3*factors > solves {
-		t.Fatalf("%d KKT factorizations for %d solves, want at most a third", factors, solves)
+	if 3*w.kktFactors > w.kktSolves {
+		t.Fatalf("%d KKT factorizations for %d solves, want at most a third", w.kktFactors, w.kktSolves)
 	}
-	t.Logf("%d KKT factorizations for %d KKT solves", factors, solves)
+	if w.iterations > 4*w.solves {
+		t.Fatalf("%d QP iterations for %d QP solves (%.2f per solve), want at most 4 per solve",
+			w.iterations, w.solves, float64(w.iterations)/float64(w.solves))
+	}
+	t.Logf("case57: %d QP solves, %.2f iterations per QP, %d KKT factorizations for %d KKT solves",
+		w.solves, float64(w.iterations)/float64(w.solves), w.kktFactors, w.kktSolves)
+	if testing.Short() {
+		return
+	}
+	_, w = coldAttackQPWork(t, cases.Case118)
+	if w.iterations > 10*w.solves {
+		t.Fatalf("case118: %d QP iterations for %d QP solves (%.2f per solve), want at most 10 per solve",
+			w.iterations, w.solves, float64(w.iterations)/float64(w.solves))
+	}
+	t.Logf("case118: %d QP solves, %.2f iterations per QP, %.2f KKT factorizations per QP",
+		w.solves, float64(w.iterations)/float64(w.solves), float64(w.kktFactors)/float64(w.solves))
 }

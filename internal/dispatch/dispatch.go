@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/edsec/edattack/internal/dcflow"
 	"github.com/edsec/edattack/internal/grid"
@@ -53,6 +54,11 @@ type Model struct {
 	ptdf *mat.Matrix
 	// lastBinding warm-starts constraint generation across solves.
 	lastBinding []int
+	// start hot-starts the dual QP method from the working set the
+	// previous QP solve on this model ended with. Like lastBinding it is
+	// per-clone mutable state; results do not depend on it, only the work
+	// does (see qp.Options.Start).
+	start qp.WorkingSet
 	// kkt carries QP factorization work across solves: the dispatch QP's
 	// matrix family is fixed per model (only ratings and demand vary), so
 	// base-KKT and Schur-complement factors (large systems) and up to 32
@@ -156,9 +162,9 @@ func (m *Model) ShallowClone() *Model {
 }
 
 // ResetWarmStart clears the cross-solve warm-start memory (the
-// constraint-generation binding set), putting the model in the state a
-// fresh ShallowClone starts in. The KKT factorization cache is deliberately
-// kept: cached factors — sparse base, Schur complement, and the bounded
+// constraint-generation binding set and the QP working set), putting the
+// model in the state a fresh ShallowClone starts in. The KKT factorization
+// cache is deliberately kept: cached factors — sparse base, Schur complement, and the bounded
 // table of dense working-set LUs alike — are bit-identical to freshly
 // computed ones (same matrices, deterministic factorization), so reuse
 // never changes results, whichever factors the table's FIFO eviction has
@@ -166,18 +172,28 @@ func (m *Model) ShallowClone() *Model {
 // instead of cloning per task.
 func (m *Model) ResetWarmStart() {
 	m.lastBinding = m.lastBinding[:0]
+	m.start.Reset()
+}
+
+// WarmStart is a snapshot of a model's warm-start memory.
+type WarmStart struct {
+	binding []int
+	start   qp.WorkingSet
 }
 
 // WarmStartState returns a copy of the warm-start memory, for callers that
 // reset it per task and want to restore the pre-fan-out state afterwards.
-func (m *Model) WarmStartState() []int {
-	return append([]int(nil), m.lastBinding...)
+func (m *Model) WarmStartState() WarmStart {
+	w := WarmStart{binding: append([]int(nil), m.lastBinding...)}
+	w.start.CopyFrom(&m.start)
+	return w
 }
 
 // RestoreWarmStart overwrites the warm-start memory with a snapshot from
 // WarmStartState.
-func (m *Model) RestoreWarmStart(binding []int) {
-	m.lastBinding = append(m.lastBinding[:0], binding...)
+func (m *Model) RestoreWarmStart(w WarmStart) {
+	m.lastBinding = append(m.lastBinding[:0], w.binding...)
+	m.start.CopyFrom(&w.start)
 }
 
 // ForDemands returns a ShallowClone with the per-bus demand overridden —
@@ -281,6 +297,11 @@ func (m *Model) Solve(ratings []float64) (*Result, error) {
 	maxRounds := len(m.Net.Lines) + 2
 	totalIters := 0
 	for round := 0; round < maxRounds; round++ {
+		// Line rows go in in line-index order, whatever order the binding
+		// memory and the violations produced: the QP keeps its working set
+		// in row order, so a fixed row order makes each round's result
+		// depend only on its final working set.
+		slices.Sort(included)
 		res, err := solveSubset(ratings, included)
 		if err != nil {
 			if m.Metrics != nil && errors.Is(err, ErrInfeasible) {
@@ -452,6 +473,7 @@ func (m *Model) solveQP(ratings []float64, included []int) (*Result, error) {
 		Cache:     &m.kkt,
 		RowKeys:   rowKeys,
 		Workspace: m.Workspace,
+		Start:     &m.start,
 	})
 	if err != nil {
 		if errors.Is(err, qp.ErrInfeasible) {

@@ -2,12 +2,15 @@ package dispatch_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"github.com/edsec/edattack/internal/dispatch"
+	"github.com/edsec/edattack/internal/grid"
 	"github.com/edsec/edattack/internal/grid/cases"
 	"github.com/edsec/edattack/internal/mat"
 	"github.com/edsec/edattack/internal/telemetry"
@@ -437,4 +440,93 @@ func TestMixedCostRoutesToPrimal(t *testing.T) {
 	if _, reg := solve(0.01); reg.Counter("lp_solves_total").Value() != 0 {
 		t.Errorf("all-quadratic dispatch ran %d LPs, want 0", reg.Counter("lp_solves_total").Value())
 	}
+}
+
+// TestHotStartMatchesCold walks case30 and case118 through a seeded
+// sequence of rating vectors twice: on one model that carries its
+// warm-start memory (the binding set and the QP working set) from solve to
+// solve, and on a clone reset cold before every solve. The dispatch QP
+// keeps its working set in row order, so every Result must be bit-identical
+// in P, Flows, Cost, LineDuals, and Binding; only the work may differ, and
+// the hot walk must do less of it.
+func TestHotStartMatchesCold(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func() (*grid.Network, error)
+	}{{"case30", cases.Case30}, {"case118", cases.Case118}} {
+		t.Run(tc.name, func(t *testing.T) {
+			net, err := tc.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			hot, err := dispatch.BuildModel(net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hotReg, coldReg := telemetry.NewRegistry(), telemetry.NewRegistry()
+			hot.Metrics = hotReg
+			cold := hot.ShallowClone()
+			cold.Metrics = coldReg
+			nominal := net.Ratings(nil)
+			scale := make([]float64, len(nominal))
+			for i := range scale {
+				scale[i] = 1
+			}
+			r := rand.New(rand.NewSource(7))
+			ratings := make([]float64, len(nominal))
+			solved, congested := 0, 0
+			for step := 0; step < 60; step++ {
+				for i := range scale {
+					scale[i] = min(max(scale[i]*(0.95+0.1*r.Float64()), 0.75), 1.15)
+					ratings[i] = nominal[i] * scale[i]
+				}
+				want, werr := hot.Solve(ratings)
+				cold.ResetWarmStart()
+				got, gerr := cold.Solve(ratings)
+				if (werr == nil) != (gerr == nil) {
+					t.Fatalf("step %d: hot err %v, cold err %v", step, werr, gerr)
+				}
+				if werr != nil {
+					continue
+				}
+				solved++
+				if len(want.Binding) > 0 {
+					congested++
+				}
+				if d := resultDiff(want, got); d != "" {
+					t.Fatalf("step %d: hot vs cold: %s", step, d)
+				}
+			}
+			if solved < 30 || congested < 10 {
+				t.Fatalf("%d of 60 steps solved, %d congested: the walk exercises too little", solved, congested)
+			}
+			hi, ci := hotReg.Counter("qp_iterations_total").Value(), coldReg.Counter("qp_iterations_total").Value()
+			if hi >= ci {
+				t.Fatalf("hot walk took %d QP iterations, cold %d: the hot start saved nothing", hi, ci)
+			}
+			t.Logf("%d solves (%d congested): %d QP iterations hot, %d cold", solved, congested, hi, ci)
+		})
+	}
+}
+
+// resultDiff describes the first bit-level difference between two
+// dispatch results in P, Flows, Cost, LineDuals, or Binding, or returns ""
+// when they are identical.
+func resultDiff(a, b *dispatch.Result) string {
+	if math.Float64bits(a.Cost) != math.Float64bits(b.Cost) {
+		return fmt.Sprintf("cost %v vs %v", a.Cost, b.Cost)
+	}
+	same := func(p, q float64) bool { return math.Float64bits(p) == math.Float64bits(q) }
+	for _, v := range []struct {
+		name string
+		x, y []float64
+	}{{"P", a.P, b.P}, {"Flows", a.Flows, b.Flows}, {"LineDuals", a.LineDuals, b.LineDuals}} {
+		if !slices.EqualFunc(v.x, v.y, same) {
+			return v.name + " differs"
+		}
+	}
+	if !slices.Equal(a.Binding, b.Binding) {
+		return fmt.Sprintf("binding %v vs %v", a.Binding, b.Binding)
+	}
+	return ""
 }

@@ -369,6 +369,15 @@ func (s *activeSet) bordered() bool {
 // caller's KKTCache, or nil when there is none or the rows have no stable
 // identity, in which case cross-solve reuse is unsound.
 func (s *activeSet) crossSolveCache() *KKTCache {
+	if !s.stableRowKeys() {
+		return nil
+	}
+	return s.opts.Cache
+}
+
+// stableRowKeys assigns the row keys (once per solve) and reports whether
+// they identify rows across solves.
+func (s *activeSet) stableRowKeys() bool {
 	if !s.keyed {
 		s.keyed = true
 		s.stable = s.stableKeys()
@@ -376,10 +385,7 @@ func (s *activeSet) crossSolveCache() *KKTCache {
 			s.positionalKeys()
 		}
 	}
-	if !s.stable {
-		return nil
-	}
-	return s.opts.Cache
+	return s.stable
 }
 
 // denseTable returns the KKTCache's dense factor table for this problem

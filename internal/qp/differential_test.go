@@ -350,7 +350,10 @@ func TestSchurKKTCacheZeroAlloc(t *testing.T) {
 // checkSteadyStateAllocs warms a KKTCache and a workspace on p, then
 // requires each further solve to allocate exactly the returned Solution:
 // the struct and its non-empty X, EqDual, IneqDual, LowerDual, and
-// UpperDual slices. It returns the warmed cache.
+// UpperDual slices. It checks a cold re-solve and a re-solve hot-started
+// from a carried WorkingSet, which starts at the final working set and so
+// finishes in one iteration with the cold solution. It returns the warmed
+// cache.
 func checkSteadyStateAllocs(t *testing.T, p *Problem, keys []int64) *KKTCache {
 	t.Helper()
 	cache := &KKTCache{}
@@ -374,6 +377,25 @@ func checkSteadyStateAllocs(t *testing.T, p *Problem, keys []int64) *KKTCache {
 	allocs := testing.AllocsPerRun(20, func() { _, _ = SolveWith(p, opts) })
 	if allocs != want {
 		t.Fatalf("steady-state dual re-solve allocates %.1f objects, want %.0f (the Solution)", allocs, want)
+	}
+	hot := opts
+	hot.Start = &WorkingSet{}
+	for i := 0; i < 2; i++ {
+		got, err := SolveWith(p, hot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 && got.Iterations != 1 {
+			t.Fatalf("hot re-solve took %d iterations, want 1", got.Iterations)
+		}
+		got.Iterations = sol.Iterations
+		if d := solutionDiff(sol, got); d != "" {
+			t.Fatalf("hot solve %d vs cold: %s", i, d)
+		}
+	}
+	allocs = testing.AllocsPerRun(20, func() { _, _ = SolveWith(p, hot) })
+	if allocs != want {
+		t.Fatalf("steady-state hot re-solve allocates %.1f objects, want %.0f (the Solution)", allocs, want)
 	}
 	return cache
 }

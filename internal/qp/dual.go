@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/edsec/edattack/internal/mat"
 )
@@ -16,16 +17,30 @@ import (
 // keep orders of magnitude more.
 const depRatio = 1e-9
 
+// WorkingSet is a hot start for the dual method (Options.Start): the row
+// keys of the working set a solve ended with. The zero value is a cold
+// start.
+type WorkingSet struct {
+	keys []int64 // ascending, for lookup
+}
+
+// Reset empties the working set, keeping its storage.
+func (w *WorkingSet) Reset() { w.keys = w.keys[:0] }
+
+// CopyFrom makes w a copy of src, reusing w's storage.
+func (w *WorkingSet) CopyFrom(src *WorkingSet) { w.keys = append(w.keys[:0], src.keys...) }
+
 // runDual is the Goldfarb–Idnani dual active-set method for a positive
 // definite H. It keeps the iterate at the KKT point of the working set W,
 // which makes it optimal for every row in W with non-negative multipliers,
 // and adds violated rows until none is left; it never needs a feasible
 // point.
 //
-// It starts at the equality-constrained minimizer (the KKT solve of the
-// empty W) and repeatedly picks the most violated row p. Raising p's
-// multiplier by t moves the iterate along z and the working-set
-// multipliers along dλ, where
+// It starts at the KKT point of a dual-feasible W: the hinted working set
+// (see hotStart) or, without one, the empty set, whose KKT point is the
+// equality-constrained minimizer. It then repeatedly picks the most
+// violated row p. Raising p's multiplier by t moves the iterate along z and
+// the working-set multipliers along dλ, where
 //
 //	K(W)·[z; dν; dλ] = [−ĝ_p; 0; 0].
 //
@@ -37,14 +52,44 @@ const depRatio = 1e-9
 // that step either, no point satisfies the rows, and the method returns
 // ErrInfeasible. Violations are tested against the absolute Tol, as the
 // primal method's activeness test is.
+//
+// W is kept in row order: p is inserted in place, not appended. The
+// returned point and multipliers come from the KKT solve of the final W,
+// so with the order fixed they depend on the final set only — not on the
+// hint, nor on the path that reached the set.
 func (s *activeSet) runDual() (*Solution, error) {
-	tol := s.opts.Tol
-	x, nu, lam, err := s.solveKKT(s.work)
-	if err != nil {
-		return nil, fmt.Errorf("qp: KKT solve failed with empty working set: %w", err)
+	hint := s.opts.Start
+	if hint != nil && !s.stableRowKeys() {
+		hint = nil
 	}
-	s.adopt(x, nu, lam)
-	iter := 0
+	sol, err := s.dualIterate(hint)
+	if hint != nil {
+		hint.keys = hint.keys[:0]
+		if err == nil {
+			for _, w := range s.work {
+				hint.keys = append(hint.keys, s.keys[w])
+			}
+			slices.Sort(hint.keys)
+		}
+	}
+	return sol, err
+}
+
+// dualIterate runs the dual method from the hinted working set (nil for a
+// cold start).
+func (s *activeSet) dualIterate(hint *WorkingSet) (*Solution, error) {
+	tol := s.opts.Tol
+	iter, err := s.hotStart(hint)
+	if err != nil {
+		return nil, err
+	}
+	if len(s.work) == 0 {
+		x, nu, lam, err := s.solveKKT(s.work)
+		if err != nil {
+			return nil, fmt.Errorf("qp: KKT solve failed with empty working set: %w", err)
+		}
+		s.adopt(x, nu, lam)
+	}
 	for {
 		p, viol := -1, tol
 		for i := range s.rows {
@@ -82,11 +127,12 @@ func (s *activeSet) runDual() (*Solution, error) {
 			gz := s.rows[p].dirDot(z)
 			dependent := len(s.work)+len(s.p.aeq) >= s.p.n || -gz <= depRatio*sigma
 			if !dependent && viol/-gz <= t1 {
-				cand := append(append(s.cand[:0], s.work...), p)
+				at, _ := slices.BinarySearch(s.work, p)
+				cand := append(append(append(s.cand[:0], s.work[:at]...), p), s.work[at:]...)
 				s.cand = cand
 				x, nu, lam, err := s.solveKKT(cand)
 				if err == nil {
-					s.work = append(s.work, p)
+					s.work = slices.Insert(s.work, at, p)
 					s.adopt(x, nu, lam)
 					added = true
 					continue
@@ -112,6 +158,51 @@ func (s *activeSet) runDual() (*Solution, error) {
 			s.wlamBuf = append(s.wlamBuf[:k], s.wlamBuf[k+1:]...)
 		}
 	}
+}
+
+// hotStart seeds W with this solve's rows whose keys the hint holds, in
+// row order, then makes W dual feasible: while its KKT system is singular
+// it drops the last row, and while a multiplier is below −Tol it drops the
+// row with the most negative one. Each drop counts as an
+// iteration; the count is returned. On return the iterate is adopted from
+// the KKT solve of W, unless W ended empty.
+func (s *activeSet) hotStart(hint *WorkingSet) (int, error) {
+	if hint == nil {
+		return 0, nil
+	}
+	for i := range s.rows {
+		if _, ok := slices.BinarySearch(hint.keys, s.keys[i]); ok {
+			s.work = append(s.work, i)
+		}
+	}
+	iter := 0
+	for len(s.work) > 0 {
+		if iter >= s.opts.MaxIter {
+			return 0, fmt.Errorf("%w (after %d iterations)", ErrIterLimit, s.opts.MaxIter)
+		}
+		x, nu, lam, err := s.solveKKT(s.work)
+		if err != nil {
+			if !errors.Is(err, mat.ErrSingular) {
+				return 0, err
+			}
+			s.work = s.work[:len(s.work)-1]
+			iter++
+			continue
+		}
+		k, least := -1, -s.opts.Tol
+		for j, l := range lam {
+			if l < least {
+				k, least = j, l
+			}
+		}
+		if k < 0 {
+			s.adopt(x, nu, lam)
+			break
+		}
+		s.work = append(s.work[:k], s.work[k+1:]...)
+		iter++
+	}
+	return iter, nil
 }
 
 // adopt copies a KKT solve of the working set into the dual state.

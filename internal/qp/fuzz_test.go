@@ -2,6 +2,7 @@ package qp
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -52,10 +53,13 @@ func FuzzKKTPaths(f *testing.F) {
 // sequence of right-hand-side perturbations of one QP family. The shape
 // byte picks the family: plain dispatch-shaped (see dispatchQP), demand
 // near or past the generation limits, duplicated rows, dependent rows, or
-// tight bounds. The dual method runs twice — on the default KKT path
-// through a shared KKTCache and on the uncached dense path — and each run
-// must agree with the oracle on the ErrInfeasible verdict, on x within
-// 1e-9·(1+|x|), and on the objective within 1e-9 relative.
+// tight bounds. The dual method runs three ways — cold on the default KKT
+// path through a shared KKTCache, cold on the uncached dense path, and on
+// the default path hot-started from one WorkingSet carried across the
+// steps — and each run must agree with the oracle on the ErrInfeasible
+// verdict, on x within 1e-9·(1+|x|), and on the objective within 1e-9
+// relative. The hot run must also equal the cold cached run bit for bit in
+// everything but Iterations.
 //
 // The seed corpus lives in testdata/fuzz/FuzzDualVsPrimal; explore further
 // with go test -run '^$' -fuzz FuzzDualVsPrimal -fuzztime 20s ./internal/qp.
@@ -64,28 +68,39 @@ func FuzzDualVsPrimal(f *testing.F) {
 		n := 2 + int(size)%30
 		build := family(func(r *rand.Rand) (*Problem, []int64) { return shapedQP(r, n, shape%5) }, seed)
 		r := rand.New(rand.NewSource(^seed))
-		cache := &KKTCache{}
+		cache, start := &KKTCache{}, &WorkingSet{}
 		for step := 0; step <= int(steps)%8; step++ {
 			p, keys := build(r.Float64()-0.5, 2*r.Float64()-1)
 			want, werr := solvePrimal(p, Options{})
 			if werr != nil && !errors.Is(werr, ErrInfeasible) {
 				t.Fatalf("step %d (n=%d shape=%d): oracle: %v", step, n, shape%5, werr)
 			}
-			for _, o := range []Options{{Cache: cache, RowKeys: keys}, {DenseKKT: true}} {
+			var cold *Solution
+			for _, o := range []Options{{Cache: cache, RowKeys: keys}, {DenseKKT: true}, {Cache: cache, RowKeys: keys, Start: start}} {
+				label := fmt.Sprintf("step %d (n=%d shape=%d dense=%v hot=%v)", step, n, shape%5, o.DenseKKT, o.Start != nil)
 				got, gerr := SolveWith(p, o)
 				if gerr != nil && !errors.Is(gerr, ErrInfeasible) || (werr == nil) != (gerr == nil) {
-					t.Fatalf("step %d (n=%d shape=%d dense=%v): oracle err %v, dual err %v", step, n, shape%5, o.DenseKKT, werr, gerr)
+					t.Fatalf("%s: oracle err %v, dual err %v", label, werr, gerr)
 				}
 				if werr != nil {
 					continue
 				}
 				for j, x := range want.X {
 					if d := math.Abs(got.X[j] - x); d > 1e-9*(1+math.Abs(x)) {
-						t.Fatalf("step %d (n=%d shape=%d dense=%v): x[%d] = %.15g, oracle %.15g", step, n, shape%5, o.DenseKKT, j, got.X[j], x)
+						t.Fatalf("%s: x[%d] = %.15g, oracle %.15g", label, j, got.X[j], x)
 					}
 				}
 				if d := math.Abs(got.Objective - want.Objective); d > 1e-9*(1+math.Abs(want.Objective)) {
-					t.Fatalf("step %d (n=%d shape=%d dense=%v): objective %.15g, oracle %.15g", step, n, shape%5, o.DenseKKT, got.Objective, want.Objective)
+					t.Fatalf("%s: objective %.15g, oracle %.15g", label, got.Objective, want.Objective)
+				}
+				if cold == nil {
+					cold = got
+				} else if o.Start != nil {
+					hot := *got
+					hot.Iterations = cold.Iterations
+					if d := solutionDiff(cold, &hot); d != "" {
+						t.Fatalf("%s: hot vs cold: %s", label, d)
+					}
 				}
 			}
 		}

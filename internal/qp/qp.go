@@ -219,6 +219,15 @@ type Options struct {
 	// results are bit-identical whichever workspace ran the solve. Not safe
 	// for concurrent use.
 	Workspace *lp.Workspace
+	// Start, when non-nil, hot-starts the dual method from a working set
+	// carried across solves: on entry its row keys are mapped onto this
+	// solve's rows, and on return it holds the final working set's keys
+	// (emptied on error). It reuses its storage, and it needs RowKeys when
+	// user inequality rows are present, as Cache does; the primal method
+	// and solves without stable keys ignore it. The working set is kept in
+	// row order, so every field of the result but Iterations depends on the
+	// final working set only, not on the hint. Not safe for concurrent use.
+	Start *WorkingSet
 }
 
 func (o Options) withDefaults() Options {
