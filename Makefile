@@ -112,13 +112,14 @@ bench-serve-baseline:
 
 ## bench-alloc: the allocation regression gate — the zero-allocation pins on
 ## the solver hot kernels (CSR·dense batch, blocked GEMM, FTRAN/BTRAN, warm
-## workspace re-solve, via testing.AllocsPerRun and -benchmem discipline),
+## workspace re-solve, steady-state bordered-KKT QP re-solve, via
+## testing.AllocsPerRun and -benchmem discipline),
 ## the workspace identity gate (attacks across worker counts after a dirtied
 ## workspace pool, bit-identical to a fresh process), and the absolute
 ## per-node allocation ceilings, live and against the recorded
 ## BENCH_serve.json figure.
 bench-alloc:
-	$(GO) test -run 'TestMulDenseIntoZeroAlloc|TestLUSolveZeroAlloc|TestMulBlockedIntoZeroAlloc|TestFTRANBTRANZeroAlloc|TestWarmResolveZeroAlloc' -count=1 -v ./internal/sparse/ ./internal/mat/ ./internal/lp/
+	$(GO) test -run 'TestMulDenseIntoZeroAlloc|TestLUSolveZeroAlloc|TestMulBlockedIntoZeroAlloc|TestFTRANBTRANZeroAlloc|TestWarmResolveZeroAlloc|TestSchurKKTCacheZeroAlloc' -count=1 -v ./internal/sparse/ ./internal/mat/ ./internal/lp/ ./internal/qp/
 	$(GO) test -run 'TestWorkspaceIdentityGate|TestAllocGate' -count=1 -timeout 20m -v .
 
 clean:

@@ -61,7 +61,7 @@ func FindOptimalAttack(k *Knowledge, o Options) (*Attack, error) {
 	}
 	if o.DenseSolver && !k.Model.DenseSolver {
 		// Run the whole attack — dispatch evaluations included — on the
-		// dense engines, without mutating the caller's model.
+		// dense LP engine, without mutating the caller's model.
 		// Fresh memo: cached sparse-engine results must not leak into a
 		// dense run (the engines agree on attacks, not on every last bit).
 		k = &Knowledge{Model: k.Model.ShallowClone(), TrueDLR: k.TrueDLR, memo: newEDMemo()}

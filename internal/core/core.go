@@ -529,10 +529,10 @@ func clampToBand(l *grid.Line, v float64) float64 {
 
 // Reporting quanta. Extracted manipulated ratings and reported gains are
 // rounded onto fixed grids before leaving the solver: cross-engine roundoff
-// (dense tableau vs sparse revised simplex, dense KKT vs Schur complement)
-// perturbs the same optimum's coordinates by a few ulps, and snapping to a
-// grid far coarser than that — yet far finer than solver tolerance — makes
-// reported attacks bit-identical regardless of which engine produced them.
+// (dense tableau vs sparse revised simplex) perturbs the same optimum's
+// coordinates by a few ulps, and snapping to a grid far coarser than that —
+// yet far finer than solver tolerance — makes reported attacks
+// bit-identical regardless of which engine produced them.
 const (
 	ratingQuantum = 1e-6 // MVA: micro-MVA resolution on manipulated ratings
 	gainQuantum   = 1e-9 // percentage points on reported U_cap gains

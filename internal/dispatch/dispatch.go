@@ -61,17 +61,16 @@ type Model struct {
 	start qp.WorkingSet
 	// kkt carries QP factorization work across solves: the dispatch QP's
 	// matrix family is fixed per model (only ratings and demand vary), so
-	// base-KKT and Schur-complement factors (large systems) and up to 32
-	// dense working-set factors (small systems such as case30/case57) are
-	// reusable. Like lastBinding it is per-clone mutable state, never
-	// shared between workers.
+	// the bordered KKT path's base LU, border columns, and Schur factors
+	// are reusable at every case size. Like lastBinding it is per-clone
+	// mutable state, never shared between workers.
 	kkt qp.KKTCache
 	// Metrics, when non-nil, receives dispatch_* counters and forwards to
 	// the inner LP/QP solvers' lp_*/qp_* counters. Nil costs nothing.
 	Metrics *telemetry.Registry
-	// DenseSolver forces the inner LP and QP solves onto their dense
-	// engines (tableau simplex, dense KKT factorization) instead of the
-	// sparse ones; used for A/B measurement against dense baselines.
+	// DenseSolver forces the inner LP solves onto the dense tableau simplex
+	// instead of the sparse revised simplex; used for A/B measurement
+	// against dense baselines. QP solves are unaffected.
 	DenseSolver bool
 	// Workspace, when non-nil, supplies the inner LP/QP solvers' working
 	// storage, reused across rowgen rounds and solves. Like lastBinding it
@@ -164,12 +163,12 @@ func (m *Model) ShallowClone() *Model {
 // ResetWarmStart clears the cross-solve warm-start memory (the
 // constraint-generation binding set and the QP working set), putting the
 // model in the state a fresh ShallowClone starts in. The KKT factorization
-// cache is deliberately kept: cached factors — sparse base, Schur complement, and the bounded
-// table of dense working-set LUs alike — are bit-identical to freshly
-// computed ones (same matrices, deterministic factorization), so reuse
-// never changes results, whichever factors the table's FIFO eviction has
-// kept. That is what lets a sequential fan-out share one model across tasks
-// instead of cloning per task.
+// cache is deliberately kept: cached factors — sparse base and Schur
+// complements alike — are bit-identical to freshly computed ones (same
+// matrices, deterministic factorization), so reuse never changes results,
+// whichever Schur factors the cache still holds. That is what lets a
+// sequential fan-out share one model across tasks instead of cloning per
+// task.
 func (m *Model) ResetWarmStart() {
 	m.lastBinding = m.lastBinding[:0]
 	m.start.Reset()
@@ -362,6 +361,8 @@ func (m *Model) solveLP(ratings []float64, included []int) (*Result, error) {
 		row  int
 	}
 	var refs []rowRef
+	// AddConstraint copies the row, so one buffer serves every line.
+	negRow := make([]float64, ng)
 	for _, li := range included {
 		u := ratings[li]
 		if u <= 0 {
@@ -373,7 +374,6 @@ func (m *Model) solveLP(ratings []float64, included []int) (*Result, error) {
 			return nil, fmt.Errorf("dispatch: %w", err)
 		}
 		refs = append(refs, rowRef{li, 1, r1})
-		negRow := make([]float64, ng)
 		for j, v := range row {
 			negRow[j] = -v
 		}
@@ -439,6 +439,8 @@ func (m *Model) solveQP(ratings []float64, included []int) (*Result, error) {
 	}
 	var refs []rowRef
 	var rowKeys []int64
+	// AddInequality copies the row, so one buffer serves every line.
+	negRow := make([]float64, ng)
 	for _, li := range included {
 		u := ratings[li]
 		if u <= 0 {
@@ -451,7 +453,6 @@ func (m *Model) solveQP(ratings []float64, included []int) (*Result, error) {
 		}
 		refs = append(refs, rowRef{li, 1, r1})
 		rowKeys = append(rowKeys, int64(li)*2)
-		negRow := make([]float64, ng)
 		for j, v := range row {
 			negRow[j] = -v
 		}
@@ -469,7 +470,6 @@ func (m *Model) solveQP(ratings []float64, included []int) (*Result, error) {
 	// requires, so repeated dispatch solves share base factorizations.
 	sol, err := qp.SolveWith(prob, qp.Options{
 		Metrics:   m.Metrics,
-		DenseKKT:  m.DenseSolver,
 		Cache:     &m.kkt,
 		RowKeys:   rowKeys,
 		Workspace: m.Workspace,

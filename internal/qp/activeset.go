@@ -8,23 +8,6 @@ import (
 	"github.com/edsec/edattack/internal/sparse"
 )
 
-// Base KKT matrices at or above this dimension with at most this density
-// are factorized with the sparse LU and working sets handled by bordering;
-// smaller or denser systems keep the dense path, which reuses working-set
-// factorizations across solves through a KKTCache's kktDenseSlots-entry
-// table and, without a cache, serves as the differential oracle.
-const (
-	kktSparseMinDim     = 16
-	kktSparseMaxDensity = 0.3
-)
-
-// kktDenseSlots bounds the KKTCache's table of dense working-set
-// factorizations. The table is FIFO: a miss overwrites the oldest slot and
-// reuses its storage. Consecutive active-set iterations revisit a handful
-// of recent working sets, so a small table keeps nearly all of the reuse;
-// a larger one only keeps more factors alive per dispatch model.
-const kktDenseSlots = 32
-
 // activeSet runs the primal (run) or dual (runDual) active-set iteration.
 // It lives in a workspace's qpScratch between solves: attach resets every
 // per-solve field and keeps the buffers.
@@ -34,14 +17,9 @@ type activeSet struct {
 	x    []float64
 	opts Options
 
-	// Hessian and equality-row sparsity, extracted once per solve.
-	hInd   [][]int
-	hVal   [][]float64
-	hNNZ   int
-	aeqNNZ int
-
-	// Bordered sparse KKT machinery; nil when the base matrix is too small,
-	// too dense, or singular, in which case every solve takes the dense path.
+	// Bordered sparse KKT machinery; nil when the base matrix is singular
+	// (or the dense oracle runs), in which case every KKT solve takes the
+	// uncached dense path.
 	schur      *kktSchur
 	schurTried bool
 
@@ -56,16 +34,11 @@ type activeSet struct {
 	activeBuffers
 
 	// Row keys (stable or positional), assigned once per solve by
-	// crossSolveCache; stable reports whether they may key a KKTCache.
+	// stableRowKeys; stable reports whether they may key a KKTCache.
 	keyed, stable bool
 
-	// The KKTCache's dense factor table; nil when the solve has no usable
-	// cache, in which case every dense solve factors afresh.
-	dense      *kktDense
-	denseTried bool
-
-	// Work counters: KKT systems solved and factorizations computed (dense
-	// KKT, Schur complement, sparse base), reported once per solve.
+	// Work counters: KKT systems solved and factorizations computed (sparse
+	// base, Schur complement, dense fallback KKT), reported once per solve.
 	kktSolves, kktFactors int
 }
 
@@ -93,10 +66,10 @@ type activeBuffers struct {
 	memoNu   []float64
 	memoLam  []float64
 
-	// The KKT solution vector (bordered or cached dense), KKT or Schur
-	// right-hand side, memo hand-out copies, step direction, and candidate
-	// working set. A KKT solution handed out from uBuf/ret*/lamBuf is valid
-	// until the next solveKKT call, which is how both methods consume it.
+	// The bordered KKT solution vector, KKT or Schur right-hand side, memo
+	// hand-out copies, step direction, and candidate working set. A KKT
+	// solution handed out from uBuf/ret*/lamBuf is valid until the next
+	// solveKKT call, which is how both methods consume it.
 	uBuf   []float64
 	rhsBuf []float64
 	retX   []float64
@@ -104,9 +77,6 @@ type activeBuffers struct {
 	retLam []float64
 	dBuf   []float64
 	cand   []int
-
-	// kktBuf is the dense KKT assembly buffer of cached dense solves.
-	kktBuf []float64
 
 	// lamBuf holds the working-set multipliers of a bordered KKT solve.
 	lamBuf []float64
@@ -125,11 +95,10 @@ type activeBuffers struct {
 // economic dispatch under varying line ratings, where every KKT matrix is
 // drawn from one fixed family.
 //
-// Large sparse systems reuse the bordered factorization (kktSchur); small or
-// dense ones keep up to kktDenseSlots dense working-set factorizations
-// (kktDense). Either way a cached factor is the one a fresh factorization
-// of the same matrix computes, so results never depend on what the cache
-// holds.
+// It holds the bordered factorization (kktSchur): the base LU, border
+// columns, Schur entries, and Schur factors. A cached factor is the one a
+// fresh factorization of the same matrix computes, so results never depend
+// on what the cache holds.
 //
 // The zero value is ready to use. A KKTCache is not safe for concurrent use;
 // per-worker model clones must each own one.
@@ -137,56 +106,11 @@ type KKTCache struct {
 	n, me int
 	tried bool
 	sc    *kktSchur
-	dense kktDense
 
 	// Whether the n-variable Hessian is positive definite (selecting the
 	// dual method), once pdKnown.
 	pdN         int
 	pdKnown, pd bool
-}
-
-// kktDense is a FIFO table of dense working-set KKT factorizations,
-//
-//	⎡H    Aeqᵀ  G⎤
-//	⎢Aeq  0     0⎥      G = [ĝ_w₁ … ĝ_w_mw]
-//	⎣Gᵀ   0     0⎦
-//
-// keyed by the working set's ordered row keys (packWork): the matrix depends
-// on nothing else under the KKTCache contract. A slot whose factorization
-// failed remembers the error, so a dependent working set is rejected
-// without refactoring, as sbad does on the Schur path.
-type kktDense struct {
-	n, me int
-	used  int // filled slots
-	next  int // slot the next miss overwrites
-	slots [kktDenseSlots]denseSlot
-}
-
-type denseSlot struct {
-	key []byte  // packed working set
-	lu  *mat.LU // factorization; its storage outlives eviction
-	err error   // factorization error (dependent working set), or nil
-}
-
-// find returns the slot holding the packed working set key, or nil.
-func (t *kktDense) find(key []byte) *denseSlot {
-	for i := 0; i < t.used; i++ {
-		if string(t.slots[i].key) == string(key) {
-			return &t.slots[i]
-		}
-	}
-	return nil
-}
-
-// evict claims the oldest slot for key, keeping its storage.
-func (t *kktDense) evict(key []byte) *denseSlot {
-	sl := &t.slots[t.next]
-	t.next = (t.next + 1) % kktDenseSlots
-	if t.used < kktDenseSlots {
-		t.used++
-	}
-	sl.key = append(sl.key[:0], key...)
-	return sl
 }
 
 // kktSchur solves working-set KKT systems by bordering: the base matrix
@@ -345,34 +269,23 @@ func (s *activeSet) solveKKT(work []int) (x, nu, lam []float64, err error) {
 	for k, w := range work {
 		rhs[n+me+k] = s.rows[w].h
 	}
-	u, err := s.solveDense(work, rhs, s.uBuf)
+	u, err := s.solveDense(work, rhs)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	s.uBuf = u
 	return u[:n], u[n : n+me], u[n+me:], nil
 }
 
 // bordered reports whether this solve's KKT systems take the bordered
 // Schur path, deciding it on first use.
 func (s *activeSet) bordered() bool {
-	if s.opts.DenseKKT {
+	if s.opts.denseKKT {
 		return false
 	}
 	if !s.schurTried {
 		s.initSchur()
 	}
 	return s.schur != nil
-}
-
-// crossSolveCache assigns the row keys (once per solve) and returns the
-// caller's KKTCache, or nil when there is none or the rows have no stable
-// identity, in which case cross-solve reuse is unsound.
-func (s *activeSet) crossSolveCache() *KKTCache {
-	if !s.stableRowKeys() {
-		return nil
-	}
-	return s.opts.Cache
 }
 
 // stableRowKeys assigns the row keys (once per solve) and reports whether
@@ -388,36 +301,18 @@ func (s *activeSet) stableRowKeys() bool {
 	return s.stable
 }
 
-// denseTable returns the KKTCache's dense factor table for this problem
-// shape, emptying it when the shape changed, or nil without a usable cache.
-func (s *activeSet) denseTable() *kktDense {
-	if !s.denseTried {
-		s.denseTried = true
-		if s.opts.Cache == nil {
-			return nil
-		}
-		if c := s.crossSolveCache(); c != nil {
-			t := &c.dense
-			if n, me := s.p.n, len(s.p.aeq); t.n != n || t.me != me {
-				t.n, t.me, t.used, t.next = n, me, 0, 0
-			}
-			s.dense = t
-		}
-	}
-	return s.dense
-}
-
-// initSchur decides once per solve whether the base KKT matrix is worth
-// factorizing sparsely and, if so, factors it (or adopts a cached
-// factorization) and computes B⁻¹r for this solve's right-hand side.
+// initSchur factors the base KKT matrix sparsely once per solve (or adopts
+// the caller's KKTCache's factorization) and computes B⁻¹r for this solve's
+// right-hand side. Rows without a stable identity make cross-solve reuse
+// unsound, so such a solve ignores the cache.
 func (s *activeSet) initSchur() {
 	s.schurTried = true
 	n := s.p.n
 	me := len(s.p.aeq)
-	if n+me < kktSparseMinDim {
-		return
+	var cache *KKTCache
+	if s.stableRowKeys() {
+		cache = s.opts.Cache
 	}
-	cache := s.crossSolveCache()
 	if cache != nil && cache.tried && cache.n == n && cache.me == me {
 		if cache.sc != nil {
 			s.schur = cache.sc
@@ -473,26 +368,23 @@ func (s *activeSet) positionalKeys() {
 }
 
 // buildSchur assembles and factors the base matrix B sparsely, returning nil
-// when it is too dense or singular (H not positive definite on the equality
-// null space), in which case the bordered reduction does not apply.
+// when it is singular (H not positive definite on the equality null space),
+// in which case the bordered reduction does not apply.
 func (s *activeSet) buildSchur() *kktSchur {
 	n := s.p.n
 	me := len(s.p.aeq)
 	dim0 := n + me
-	if s.hInd == nil {
-		s.scanSparsity()
-	}
-	nnz := s.hNNZ + 2*s.aeqNNZ
-	if float64(nnz) > kktSparseMaxDensity*float64(dim0)*float64(dim0) {
-		return nil
-	}
 	ind := make([][]int, dim0)
 	val := make([][]float64, dim0)
 	for j := 0; j < n; j++ {
-		rs := make([]int, 0, len(s.hInd[j])+me)
-		vs := make([]float64, 0, len(s.hVal[j])+me)
-		rs = append(rs, s.hInd[j]...)
-		vs = append(vs, s.hVal[j]...)
+		var rs []int
+		var vs []float64
+		for i := 0; i < n; i++ {
+			if v := s.p.h.At(i, j); v != 0 {
+				rs = append(rs, i)
+				vs = append(vs, v)
+			}
+		}
 		for e := 0; e < me; e++ {
 			if v := s.p.aeq[e][j]; v != 0 {
 				rs = append(rs, n+e)
@@ -716,81 +608,18 @@ func (s *activeSet) subtractBorder(u []float64, work []int, lmb []float64) {
 	}
 }
 
-// scanSparsity extracts the Hessian's nonzero pattern (by column) and the
-// equality-row nonzero count, once per solve.
-func (s *activeSet) scanSparsity() {
-	n := s.p.n
-	s.hInd = make([][]int, n)
-	s.hVal = make([][]float64, n)
-	for j := 0; j < n; j++ {
-		for i := 0; i < n; i++ {
-			if v := s.p.h.At(i, j); v != 0 {
-				s.hInd[j] = append(s.hInd[j], i)
-				s.hVal[j] = append(s.hVal[j], v)
-				s.hNNZ++
-			}
-		}
-	}
-	for _, row := range s.p.aeq {
-		for _, v := range row {
-			if v != 0 {
-				s.aeqNNZ++
-			}
-		}
-	}
-}
-
-// solveDense solves the working set's dense KKT system K(W)·u = rhs. With
-// a KKTCache it goes through the cache's factor table: a working set seen
-// before is solved with its stored factorization (or rejected with its
-// stored error), a new one is factored into the oldest slot's storage, and
-// u lands in dst's storage. Without one it assembles and factors afresh —
-// the original dense path and the differential-testing oracle.
-// Factor-then-solve is exactly what mat.Solve runs, so both give
-// bit-identical results.
-func (s *activeSet) solveDense(work []int, rhs, dst []float64) ([]float64, error) {
-	var u []float64
-	var err error
-	if t := s.denseTable(); t != nil {
-		sl := s.denseFactor(t, work)
-		if sl.err != nil {
-			return nil, kktError(sl.err)
-		}
-		u, err = sl.lu.SolveInto(dst, rhs)
-	} else {
-		kkt := mat.New(len(rhs), len(rhs))
-		s.fillKKT(kkt, work)
-		s.kktFactors++
-		u, err = mat.Solve(kkt, rhs)
-	}
+// solveDense assembles and factors the working set's dense KKT system
+// K(W)·u = rhs afresh: the fallback when the base matrix is singular, and
+// the bordered path's differential oracle.
+func (s *activeSet) solveDense(work []int, rhs []float64) ([]float64, error) {
+	kkt := mat.New(len(rhs), len(rhs))
+	s.fillKKT(kkt, work)
+	s.kktFactors++
+	u, err := mat.Solve(kkt, rhs)
 	if err != nil {
 		return nil, kktError(err)
 	}
 	return u, nil
-}
-
-// denseFactor returns the table slot holding the working set's dense KKT
-// factorization (or its factorization error), assembling the matrix into
-// kktBuf and factoring it into the oldest slot's storage on a miss.
-func (s *activeSet) denseFactor(t *kktDense, work []int) *denseSlot {
-	key := s.packWork(work)
-	if sl := t.find(key); sl != nil {
-		return sl
-	}
-	sl := t.evict(key)
-	dim := s.p.n + len(s.p.aeq) + len(work)
-	buf := growFloat(s.kktBuf, dim*dim)
-	s.kktBuf = buf
-	clear(buf)
-	kkt, _ := mat.Wrap(dim, dim, buf) // len(buf) == dim·dim: cannot fail
-	s.fillKKT(kkt, work)
-	s.kktFactors++
-	f, ferr := mat.FactorInto(sl.lu, kkt)
-	if f != nil {
-		sl.lu = f
-	}
-	sl.err = ferr
-	return sl
 }
 
 // kktError passes a singular-KKT error through (run() treats it as a

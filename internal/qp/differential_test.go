@@ -10,14 +10,14 @@ import (
 	"github.com/edsec/edattack/internal/telemetry"
 )
 
-// randomConvexQP builds a dispatch-shaped QP (see dispatchQP) sized past
-// kktSparseMinDim so the Schur path engages.
+// randomConvexQP builds a dispatch-shaped QP (see dispatchQP) with 16–31
+// variables.
 func randomConvexQP(r *rand.Rand) (*Problem, []int64) {
-	return dispatchQP(r, kktSparseMinDim+r.Intn(16))
+	return dispatchQP(r, 16+r.Intn(16))
 }
 
-// smallConvexQP builds a dispatch-shaped QP with 4–12 variables, so its
-// KKT systems stay below kktSparseMinDim and take the dense path.
+// smallConvexQP builds a dispatch-shaped QP with 4–12 variables, the size
+// of the case30 and case57 dispatch QPs.
 func smallConvexQP(r *rand.Rand) (*Problem, []int64) {
 	return dispatchQP(r, 4+r.Intn(9))
 }
@@ -63,36 +63,42 @@ func dispatchQP(r *rand.Rand, n int) (*Problem, []int64) {
 }
 
 // TestDifferentialSchurVsDenseKKT drives the bordered sparse KKT path and
-// the dense factorization over randomized dispatch-shaped QPs: both must
-// agree on feasibility, objective (1e-7), and the primal point.
+// the dense factorization over randomized dispatch-shaped QPs, large and
+// small: both must agree on feasibility, objective (1e-7), and the primal
+// point.
 func TestDifferentialSchurVsDenseKKT(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	solved := 0
-	for trial := 0; trial < 150; trial++ {
-		p, _ := randomConvexQP(r)
-		dense, derr := SolveWith(p, Options{DenseKKT: true})
-		sparse, serr := SolveWith(p, Options{})
-		if (derr == nil) != (serr == nil) {
-			t.Fatalf("trial %d: dense err %v vs sparse err %v", trial, derr, serr)
-		}
-		if derr != nil {
-			continue
-		}
-		solved++
-		if d := math.Abs(dense.Objective - sparse.Objective); d > 1e-7*(1+math.Abs(dense.Objective)) {
-			t.Fatalf("trial %d: objective gap %g (dense %.12g sparse %.12g)",
-				trial, d, dense.Objective, sparse.Objective)
-		}
-		for j := range dense.X {
-			if math.Abs(dense.X[j]-sparse.X[j]) > 1e-6 {
-				t.Fatalf("trial %d: x[%d] = %.12g dense vs %.12g sparse", trial, j, dense.X[j], sparse.X[j])
+	for _, tc := range []struct {
+		name string
+		gen  func(*rand.Rand) (*Problem, []int64)
+	}{{"large", randomConvexQP}, {"small", smallConvexQP}} {
+		r := rand.New(rand.NewSource(11))
+		solved := 0
+		for trial := 0; trial < 150; trial++ {
+			p, _ := tc.gen(r)
+			dense, derr := solveDenseKKT(p, Options{})
+			sparse, serr := SolveWith(p, Options{})
+			if (derr == nil) != (serr == nil) {
+				t.Fatalf("%s trial %d: dense err %v vs sparse err %v", tc.name, trial, derr, serr)
+			}
+			if derr != nil {
+				continue
+			}
+			solved++
+			if d := math.Abs(dense.Objective - sparse.Objective); d > 1e-7*(1+math.Abs(dense.Objective)) {
+				t.Fatalf("%s trial %d: objective gap %g (dense %.12g sparse %.12g)",
+					tc.name, trial, d, dense.Objective, sparse.Objective)
+			}
+			for j := range dense.X {
+				if math.Abs(dense.X[j]-sparse.X[j]) > 1e-6 {
+					t.Fatalf("%s trial %d: x[%d] = %.12g dense vs %.12g sparse", tc.name, trial, j, dense.X[j], sparse.X[j])
+				}
 			}
 		}
+		if solved < 50 {
+			t.Fatalf("%s: only %d/150 trials solved; generator is degenerate", tc.name, solved)
+		}
+		t.Logf("%s: %d QPs differentially verified", tc.name, solved)
 	}
-	if solved < 50 {
-		t.Fatalf("only %d/150 trials solved; generator is degenerate", solved)
-	}
-	t.Logf("%d QPs differentially verified", solved)
 }
 
 // family returns a generator of problems of one fixed structure — n, H,
@@ -114,37 +120,14 @@ func family(gen func(*rand.Rand) (*Problem, []int64), seed int64) func(shift, de
 // factorization reuse: solving a sequence of problems that share structure
 // but vary right-hand sides through one KKTCache must give results
 // bit-identical to solving each with a fresh cache and with no cache at all.
-// Cached border columns, Schur dots, Schur factorizations, and dense
-// working-set factorizations are all computed once and reused, so any drift
-// here means the cache is not the pure memoization it claims.
+// Cached border columns, Schur dots, and Schur factorizations are all
+// computed once and reused, so any drift here means the cache is not the
+// pure memoization it claims.
 func TestKKTCacheTransparency(t *testing.T) {
 	t.Run("schur", func(t *testing.T) {
 		r := rand.New(rand.NewSource(23))
 		build := family(randomConvexQP, 99)
 		checkTransparent(t, 30, SolveWith, func() (*Problem, []int64) { return build(0.5*r.Float64(), 0) })
-	})
-	t.Run("dense", func(t *testing.T) {
-		// Moving both the limits and the balance target widely walks the
-		// active set through more distinct working sets than the table
-		// has slots, so eviction and slot-storage reuse run.
-		r := rand.New(rand.NewSource(29))
-		build := family(smallConvexQP, 7)
-		p, _ := build(0, 0)
-		if p.n+len(p.aeq) >= kktSparseMinDim {
-			t.Fatalf("dense family has KKT dimension %d, want below %d", p.n+len(p.aeq), kktSparseMinDim)
-		}
-		shared, reg := checkTransparent(t, 80, SolveWith, func() (*Problem, []int64) {
-			return build(4*r.Float64()-2, 8*r.Float64()-4)
-		})
-		factors := reg.Counter("qp_kkt_factorizations_total").Value()
-		solves := reg.Counter("qp_kkt_solves_total").Value()
-		if factors <= kktDenseSlots || shared.dense.used != kktDenseSlots {
-			t.Fatalf("%d factorizations filled %d slots: the sequence never evicted", factors, shared.dense.used)
-		}
-		if factors >= solves {
-			t.Fatalf("%d factorizations for %d KKT solves: the table never hit", factors, solves)
-		}
-		t.Logf("%d factorizations for %d KKT solves", factors, solves)
 	})
 	t.Run("dependent", func(t *testing.T) {
 		// A unit fixed at lo = hi has both bound rows active everywhere:
@@ -158,14 +141,11 @@ func TestKKTCacheTransparency(t *testing.T) {
 			p.lower[0] = p.upper[0]
 			return p, keys
 		}
-		shared, _ := checkTransparent(t, 20, solvePrimal, build)
-		bad := 0
-		for i := 0; i < shared.dense.used; i++ {
-			if shared.dense.slots[i].err != nil {
-				bad++
-			}
+		shared := checkTransparent(t, 20, solvePrimal, build)
+		if shared.sc == nil {
+			t.Fatal("the solves did not take the bordered path")
 		}
-		if bad == 0 {
+		if len(shared.sc.sbad) == 0 {
 			t.Fatal("no dependent working set was remembered")
 		}
 		p, keys := build()
@@ -184,17 +164,15 @@ func TestKKTCacheTransparency(t *testing.T) {
 
 // checkTransparent solves trials problems from next three ways with solve —
 // through one shared KKTCache, with a fresh cache each, and with no cache —
-// and requires bit-identical solutions. It returns the shared cache and the
-// registry that counted the shared solves' work.
+// and requires bit-identical solutions. It returns the shared cache.
 func checkTransparent(t *testing.T, trials int, solve func(*Problem, Options) (*Solution, error),
-	next func() (*Problem, []int64)) (*KKTCache, *telemetry.Registry) {
+	next func() (*Problem, []int64)) *KKTCache {
 	t.Helper()
 	shared := &KKTCache{}
-	reg := telemetry.NewRegistry()
 	solved := 0
 	for trial := 0; trial < trials; trial++ {
 		p, keys := next()
-		a, aerr := solve(p, Options{Cache: shared, RowKeys: keys, Metrics: reg})
+		a, aerr := solve(p, Options{Cache: shared, RowKeys: keys})
 		b, berr := solve(p, Options{Cache: &KKTCache{}, RowKeys: keys})
 		c, cerr := solve(p, Options{RowKeys: keys})
 		if (aerr == nil) != (berr == nil) || (aerr == nil) != (cerr == nil) {
@@ -214,7 +192,7 @@ func checkTransparent(t *testing.T, trials int, solve func(*Problem, Options) (*
 	if solved < trials/2 {
 		t.Fatalf("only %d/%d trials solved; family is degenerate", solved, trials)
 	}
-	return shared, reg
+	return shared
 }
 
 // solutionDiff describes the first bit-level difference between two
@@ -259,7 +237,7 @@ func TestKKTCacheShapeReset(t *testing.T) {
 	if err != nil {
 		t.Fatalf("second solve after shape change: %v", err)
 	}
-	ref, err := SolveWith(p2, Options{DenseKKT: true})
+	ref, err := solveDenseKKT(p2, Options{})
 	if err != nil {
 		t.Fatalf("reference solve: %v", err)
 	}
@@ -268,8 +246,8 @@ func TestKKTCacheShapeReset(t *testing.T) {
 	}
 }
 
-// TestWorkspaceDropsKKTCache: after a dense solve served from a KKTCache on
-// a caller's workspace, the workspace keeps buffers only — no reference to
+// TestWorkspaceDropsKKTCache: after a solve served from a KKTCache on a
+// caller's workspace, the workspace keeps buffers only — no reference to
 // the problem or the cache — and the returned solution shares no storage
 // with it, so scribbling on one solution cannot change the next.
 func TestWorkspaceDropsKKTCache(t *testing.T) {
@@ -296,54 +274,30 @@ func TestWorkspaceDropsKKTCache(t *testing.T) {
 		}
 	}
 	as := &scratchFrom(ws).as
-	if as.p != nil || as.opts.Cache != nil || as.dense != nil || as.schur != nil {
+	if as.p != nil || as.opts.Cache != nil || as.schur != nil {
 		t.Fatal("workspace still references the finished solve's problem or KKTCache")
 	}
-	if cache.dense.used == 0 {
-		t.Fatal("the dense solve never used the KKTCache")
+	if cache.sc == nil {
+		t.Fatal("the solve never used the KKTCache")
 	}
 }
 
-// TestDenseKKTCacheHitZeroAlloc pins a dense KKT solve served from the
-// KKTCache's table at zero allocations: the right-hand side, the packed
-// key, and the solution all live in reused buffers. A whole steady-state
-// dual re-solve on the dense path allocates only the returned Solution.
-func TestDenseKKTCacheHitZeroAlloc(t *testing.T) {
-	p, keys := smallConvexQP(rand.New(rand.NewSource(3)))
-	opts := Options{Cache: &KKTCache{}, RowKeys: keys}.withDefaults()
-	sc := scratchFrom(lp.NewWorkspace())
-	sc.rows = gatherIneqsInto(p, sc.rows)
-	s := sc.attach(p, sc.rows, make([]float64, p.n), opts)
-	sets := [][]int{nil, {0}, {0, 1}}
-	for _, w := range sets {
-		if _, _, _, err := s.solveKKT(w); err != nil {
-			t.Fatalf("working set %v: %v", w, err)
-		}
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		for _, w := range sets {
-			_, _, _, _ = s.solveKKT(w)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("cached dense KKT solves allocate %.1f objects per round, want 0", allocs)
-	}
-	if s.kktFactors != len(sets) {
-		t.Fatalf("%d factorizations for %d distinct working sets", s.kktFactors, len(sets))
-	}
-	if c := checkSteadyStateAllocs(t, p, keys); c.sc != nil || c.dense.used == 0 {
-		t.Fatal("the steady-state solves did not take the cached dense path")
-	}
-}
-
-// TestSchurKKTCacheZeroAlloc is the bordered-path twin: once the KKTCache
-// holds the base factorization, border columns, dots, and Schur factors of
-// a problem's working sets, a dual re-solve allocates only the returned
-// Solution.
+// TestSchurKKTCacheZeroAlloc pins the bordered path's steady state: once
+// the KKTCache holds the base factorization, border columns, dots, and
+// Schur factors of a problem's working sets, a dual re-solve allocates only
+// the returned Solution, for large problems and for small ones the size of
+// the case30 and case57 dispatch QPs.
 func TestSchurKKTCacheZeroAlloc(t *testing.T) {
-	p, keys := randomConvexQP(rand.New(rand.NewSource(3)))
-	if c := checkSteadyStateAllocs(t, p, keys); c.sc == nil {
-		t.Fatal("the steady-state solves did not take the bordered path")
+	for _, tc := range []struct {
+		name string
+		gen  func(*rand.Rand) (*Problem, []int64)
+	}{{"large", randomConvexQP}, {"small", smallConvexQP}} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, keys := tc.gen(rand.New(rand.NewSource(3)))
+			if c := checkSteadyStateAllocs(t, p, keys); c.sc == nil {
+				t.Fatal("the steady-state solves did not take the bordered path")
+			}
+		})
 	}
 }
 

@@ -234,9 +234,9 @@ func (s *activeSet) curvature(p int) float64 {
 // direction solves K(W)·[z; dν; dλ] = [−ĝ_p; 0; 0] for the working set
 // work and the candidate row p, returning z and dλ, the changes of the
 // iterate and the working-set multipliers per unit of p's multiplier. It
-// runs on the same factorizations as solveKKT — the cached dense table's
-// working-set LU, or the bordered base and Schur factors — with a new
-// right-hand side. The results live in dirBuf/dirLam until the next call.
+// runs on the same factorizations as solveKKT — the bordered base and Schur
+// factors, or the dense fallback — with a new right-hand side. The results
+// live in dirBuf/dirLam until the next call.
 func (s *activeSet) direction(work []int, p int) (z, dlam []float64, err error) {
 	s.kktSolves++
 	if s.bordered() {
@@ -254,11 +254,10 @@ func (s *activeSet) direction(work []int, p int) (z, dlam []float64, err error) 
 	} else {
 		rhs[r.idx] = -r.sign
 	}
-	u, err := s.solveDense(work, rhs, s.dirBuf)
+	u, err := s.solveDense(work, rhs)
 	if err != nil {
 		return nil, nil, err
 	}
-	s.dirBuf = u
 	return u[:n], u[n+me:], nil
 }
 

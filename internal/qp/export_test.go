@@ -6,3 +6,12 @@ package qp
 func solvePrimal(p *Problem, opts Options) (*Solution, error) {
 	return solve(p, opts, true)
 }
+
+// solveDenseKKT solves p with every KKT system assembled and factored
+// densely afresh, bypassing the bordered Schur path and any cache reuse:
+// the oracle the bordered path is tested against, reachable only from
+// tests.
+func solveDenseKKT(p *Problem, opts Options) (*Solution, error) {
+	opts.denseKKT = true
+	return SolveWith(p, opts)
+}

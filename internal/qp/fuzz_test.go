@@ -10,36 +10,30 @@ import (
 	"github.com/edsec/edattack/internal/mat"
 )
 
-// FuzzKKTPaths drives the three KKT paths over a sequence of right-hand-side
-// perturbations of one dispatch-shaped QP family (see dispatchQP), sized
-// below or above kktSparseMinDim by the fuzzed size:
-//   - the dense path without a cache is the oracle;
-//   - the dense path through one shared KKTCache must equal it bit for bit;
-//   - the default path through its own shared KKTCache (bordered Schur when
-//     the base is large enough) must match its objective within 1e-7
-//     relative.
+// FuzzKKTPaths drives the two KKT paths over a sequence of right-hand-side
+// perturbations of one dispatch-shaped QP family (see dispatchQP) of the
+// fuzzed size: the default path through one shared KKTCache (the bordered
+// Schur reduction) must match the oracle — a fresh dense factorization of
+// every KKT system, without a cache — on its objective within 1e-7
+// relative.
 //
 // The seed corpus lives in testdata/fuzz/FuzzKKTPaths; explore further with
 // go test -run '^$' -fuzz FuzzKKTPaths -fuzztime 20s ./internal/qp.
 func FuzzKKTPaths(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, size, steps uint8) {
-		n := 2 + int(size)%30 // KKT base dimension n+1 spans both sides of kktSparseMinDim
+		n := 2 + int(size)%30
 		build := family(func(r *rand.Rand) (*Problem, []int64) { return dispatchQP(r, n) }, seed)
 		r := rand.New(rand.NewSource(^seed))
-		dense, schur := &KKTCache{}, &KKTCache{}
+		cache := &KKTCache{}
 		for step := 0; step <= int(steps)%12; step++ {
 			p, keys := build(r.Float64()-0.5, 2*r.Float64()-1)
-			want, werr := SolveWith(p, Options{DenseKKT: true})
-			got, gerr := SolveWith(p, Options{DenseKKT: true, Cache: dense, RowKeys: keys})
-			alt, aerr := SolveWith(p, Options{Cache: schur, RowKeys: keys})
-			if (werr == nil) != (gerr == nil) || (werr == nil) != (aerr == nil) {
-				t.Fatalf("step %d (n=%d): oracle err %v, cached dense err %v, default err %v", step, n, werr, gerr, aerr)
+			want, werr := solveDenseKKT(p, Options{})
+			alt, aerr := SolveWith(p, Options{Cache: cache, RowKeys: keys})
+			if (werr == nil) != (aerr == nil) {
+				t.Fatalf("step %d (n=%d): oracle err %v, default err %v", step, n, werr, aerr)
 			}
 			if werr != nil {
 				continue
-			}
-			if d := solutionDiff(want, got); d != "" {
-				t.Fatalf("step %d (n=%d): cached dense vs oracle: %s", step, n, d)
 			}
 			if d := math.Abs(want.Objective - alt.Objective); d > 1e-7*(1+math.Abs(want.Objective)) {
 				t.Fatalf("step %d (n=%d): default path objective %.12g, oracle %.12g", step, n, alt.Objective, want.Objective)
@@ -76,9 +70,17 @@ func FuzzDualVsPrimal(f *testing.F) {
 				t.Fatalf("step %d (n=%d shape=%d): oracle: %v", step, n, shape%5, werr)
 			}
 			var cold *Solution
-			for _, o := range []Options{{Cache: cache, RowKeys: keys}, {DenseKKT: true}, {Cache: cache, RowKeys: keys, Start: start}} {
-				label := fmt.Sprintf("step %d (n=%d shape=%d dense=%v hot=%v)", step, n, shape%5, o.DenseKKT, o.Start != nil)
-				got, gerr := SolveWith(p, o)
+			for _, leg := range []struct {
+				name  string
+				solve func(*Problem, Options) (*Solution, error)
+				o     Options
+			}{
+				{"cached", SolveWith, Options{Cache: cache, RowKeys: keys}},
+				{"dense", solveDenseKKT, Options{}},
+				{"hot", SolveWith, Options{Cache: cache, RowKeys: keys, Start: start}},
+			} {
+				label := fmt.Sprintf("step %d (n=%d shape=%d %s)", step, n, shape%5, leg.name)
+				got, gerr := leg.solve(p, leg.o)
 				if gerr != nil && !errors.Is(gerr, ErrInfeasible) || (werr == nil) != (gerr == nil) {
 					t.Fatalf("%s: oracle err %v, dual err %v", label, werr, gerr)
 				}
@@ -95,7 +97,7 @@ func FuzzDualVsPrimal(f *testing.F) {
 				}
 				if cold == nil {
 					cold = got
-				} else if o.Start != nil {
+				} else if leg.o.Start != nil {
 					hot := *got
 					hot.Iterations = cold.Iterations
 					if d := solutionDiff(cold, &hot); d != "" {

@@ -186,22 +186,16 @@ type Options struct {
 	// (including the KKT solve and factorization work counts) and forwards
 	// to the feasibility LP's lp_* counters when the primal method runs.
 	Metrics *telemetry.Registry
-	// DenseKKT forces every KKT system onto the dense factorization
-	// instead of letting the solver pick the sparse LU by system size and
-	// density; used for A/B measurement against dense baselines.
-	DenseKKT bool
-	// Cache, when non-nil, lets both KKT paths reuse factorization work
-	// across solves of structurally identical problems — the sparse path
-	// its bordered base and Schur factors, the dense path (small or dense
-	// systems) up to 32 working-set factorizations, oldest evicted first.
-	// It also remembers whether the Hessian is positive definite. The
-	// caller asserts that the Hessian, the equality-row gradients, the
-	// bound structure, and the gradient behind every RowKeys identity are
-	// unchanged since the cache was filled. Objective vectors and all
-	// right-hand sides may differ. A cached factor is the one a fresh
-	// factorization computes, so results never depend on what the cache
-	// holds. Requires RowKeys when user inequality rows are present;
-	// ignored otherwise. Not safe for concurrent use.
+	// Cache, when non-nil, lets the bordered KKT path reuse its base
+	// factorization, border columns, and Schur factors across solves of
+	// structurally identical problems, and remembers whether the Hessian
+	// is positive definite. The caller asserts that the Hessian, the
+	// equality-row gradients, the bound structure, and the gradient behind
+	// every RowKeys identity are unchanged since the cache was filled.
+	// Objective vectors and all right-hand sides may differ. A cached
+	// factor is the one a fresh factorization computes, so results never
+	// depend on what the cache holds. Requires RowKeys when user inequality
+	// rows are present; ignored otherwise. Not safe for concurrent use.
 	Cache *KKTCache
 	// RowKeys assigns a stable identity in [0, 2²⁸) to each user
 	// inequality row, parallel to AddInequality order, so the Cache can
@@ -228,6 +222,11 @@ type Options struct {
 	// row order, so every field of the result but Iterations depends on the
 	// final working set only, not on the hint. Not safe for concurrent use.
 	Start *WorkingSet
+
+	// denseKKT solves every KKT system by a fresh dense factorization: the
+	// bordered path's differential oracle, set only by tests (see
+	// export_test.go).
+	denseKKT bool
 }
 
 func (o Options) withDefaults() Options {

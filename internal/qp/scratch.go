@@ -7,9 +7,9 @@ import "github.com/edsec/edattack/internal/lp"
 // Schur right-hand-side vectors, KKT-solution memo and its hand-out
 // buffers, step direction, candidate working sets) are reused across
 // solves. The cross-solve factorizations (the kktSchur's base LU, border
-// columns, and Schur factors; the kktDense table's working-set LUs) belong
-// to the KKTCache, not the scratch: they are shared by every solve of the
-// structural family and must never be reset per solve.
+// columns, and Schur factors) belong to the KKTCache, not the scratch: they
+// are shared by every solve of the structural family and must never be
+// reset per solve.
 type qpScratch struct {
 	as   activeSet
 	rows []ineqRow
