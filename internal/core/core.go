@@ -104,6 +104,9 @@ type Knowledge struct {
 	// changes speed only, never results. Shared across workers; cached
 	// Results are treated as immutable.
 	memo *edMemo
+	// memoKeyBuf packs solveMemo's lookup key. Each worker holds its own
+	// Knowledge (forWorker), so the buffer is never shared.
+	memoKeyBuf []byte
 }
 
 // NewKnowledge validates and bundles attacker knowledge. TrueDLR must have
@@ -149,14 +152,13 @@ func newEDMemo() *edMemo {
 	return &edMemo{m: make(map[string]*dispatch.Result)}
 }
 
-// memoKey packs the manipulated ratings (in the fixed DLR-line order) into
-// a byte string; float bits keep the key exact.
-func memoKey(order []int, dlr map[int]float64) string {
-	b := make([]byte, 8*len(order))
-	for i, li := range order {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(dlr[li]))
+// appendMemoKey appends the manipulated ratings (in the fixed DLR-line
+// order) to b; float bits keep the key exact.
+func appendMemoKey(b []byte, order []int, dlr map[int]float64) []byte {
+	for _, li := range order {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(dlr[li]))
 	}
-	return string(b)
+	return b
 }
 
 // solveMemo runs (or recalls) the operator's dispatch under a manipulation,
@@ -167,9 +169,12 @@ func (k *Knowledge) solveMemo(order []int, dlr map[int]float64) (*dispatch.Resul
 		res, err := k.Model.Solve(k.ratingsUnder(dlr))
 		return res, err == nil
 	}
-	key := memoKey(order, dlr)
+	// m[string(key)] looks up without allocating; only an insert copies
+	// the key into a string.
+	key := appendMemoKey(k.memoKeyBuf[:0], order, dlr)
+	k.memoKeyBuf = key
 	k.memo.mu.Lock()
-	res, hit := k.memo.m[key]
+	res, hit := k.memo.m[string(key)]
 	k.memo.mu.Unlock()
 	if hit {
 		k.Model.Metrics.Counter("core_edmemo_hits_total").Inc()
@@ -182,7 +187,7 @@ func (k *Knowledge) solveMemo(order []int, dlr map[int]float64) (*dispatch.Resul
 	}
 	k.memo.mu.Lock()
 	if len(k.memo.m) < edMemoCap {
-		k.memo.m[key] = res
+		k.memo.m[string(key)] = res
 	}
 	k.memo.mu.Unlock()
 	return res, res != nil

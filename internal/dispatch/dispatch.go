@@ -65,6 +65,14 @@ type Model struct {
 	// are reusable at every case size. Like lastBinding it is per-clone
 	// mutable state, never shared between workers.
 	kkt qp.KKTCache
+	// qp is the dispatch QP, built on the first QP solve (see qpProblem);
+	// each round re-solves it with new row sides and demand. Per-clone
+	// mutable state like kkt.
+	qp *qp.Problem
+	// inSet marks the lines whose limits a round enforces, and flows holds
+	// the round's line flows: Solve's per-round buffers.
+	inSet []bool
+	flows []float64
 	// Metrics, when non-nil, receives dispatch_* counters and forwards to
 	// the inner LP/QP solvers' lp_*/qp_* counters. Nil costs nothing.
 	Metrics *telemetry.Registry
@@ -213,11 +221,22 @@ func (m *Model) ForDemands(demands []float64, net *grid.Network) (*Model, error)
 
 // FlowsFor evaluates the DC line flows for a dispatch p.
 func (m *Model) FlowsFor(p []float64) ([]float64, error) {
-	mp, err := m.M.MulVec(p)
-	if err != nil {
-		return nil, fmt.Errorf("dispatch: %w", err)
+	if len(p) != len(m.Net.Gens) {
+		return nil, fmt.Errorf("dispatch: %d outputs for %d generators", len(p), len(m.Net.Gens))
 	}
-	return mat.AxPlusY(1, mp, m.Base), nil
+	return m.appendFlows(nil, p), nil
+}
+
+// appendFlows appends the DC line flows M·p + Base to dst.
+func (m *Model) appendFlows(dst, p []float64) []float64 {
+	for li, b := range m.Base {
+		f := 0.0
+		for j, v := range m.M.RawRow(li) {
+			f += v * p[j]
+		}
+		dst = append(dst, f+b)
+	}
+	return dst
 }
 
 // Cost evaluates the total generation cost (including constant terms) for a
@@ -271,7 +290,8 @@ type Result struct {
 // solved over a growing subset of line limits until no omitted line is
 // violated, which is equivalent to the full problem (omitted constraints
 // are slack with zero multipliers) and far faster on meshed systems where
-// few lines ever bind.
+// few lines ever bind. Intermediate rounds only look for violated lines in
+// the model's flow buffer; the final round alone builds the Result.
 func (m *Model) Solve(ratings []float64) (*Result, error) {
 	if ratings == nil {
 		ratings = m.Net.Ratings(nil)
@@ -284,42 +304,41 @@ func (m *Model) Solve(ratings []float64) (*Result, error) {
 		solveSubset = m.solveQP
 	}
 	// Seed with the lines that bound the previous solve on this model —
-	// across bilevel nodes and time steps the binding set is stable.
-	included := make([]int, 0, len(m.lastBinding)+8)
-	inSet := make([]bool, len(m.Net.Lines))
+	// across bilevel nodes and time steps the binding set is stable. Line
+	// rows go in in line-index order, whatever order the binding memory
+	// and the violations produced: the QP keeps its working set in row
+	// order, so a fixed row order makes each round's result depend only on
+	// its final working set.
+	inSet := slices.Grow(m.inSet[:0], len(ratings))[:len(ratings)]
+	clear(inSet)
+	m.inSet = inSet
 	for _, li := range m.lastBinding {
-		if li < len(inSet) && !inSet[li] && ratings[li] > 0 {
+		if li < len(inSet) && ratings[li] > 0 {
 			inSet[li] = true
-			included = append(included, li)
 		}
 	}
 	maxRounds := len(m.Net.Lines) + 2
 	totalIters := 0
 	for round := 0; round < maxRounds; round++ {
-		// Line rows go in in line-index order, whatever order the binding
-		// memory and the violations produced: the QP keeps its working set
-		// in row order, so a fixed row order makes each round's result
-		// depend only on its final working set.
-		slices.Sort(included)
-		res, err := solveSubset(ratings, included)
+		p, duals, iters, err := solveSubset(ratings, inSet)
 		if err != nil {
 			if m.Metrics != nil && errors.Is(err, ErrInfeasible) {
 				m.Metrics.Counter("dispatch_infeasible_total").Inc()
 			}
 			return nil, err
 		}
-		totalIters += res.Iterations
+		totalIters += iters
+		m.flows = m.appendFlows(m.flows[:0], p)
 		violated := false
-		for li, f := range res.Flows {
+		for li, f := range m.flows {
 			u := ratings[li]
 			if u > 0 && !inSet[li] && math.Abs(f) > u*(1+1e-9)+1e-9 {
 				inSet[li] = true
-				included = append(included, li)
 				violated = true
 			}
 		}
 		if !violated {
-			m.lastBinding = append(m.lastBinding[:0], res.Binding...)
+			res := m.result(p, duals, ratings)
 			res.Iterations = totalIters
 			res.Rounds = round + 1
 			if m.Metrics != nil {
@@ -333,8 +352,9 @@ func (m *Model) Solve(ratings []float64) (*Result, error) {
 }
 
 // solveLP handles purely linear costs via the simplex solver, enforcing
-// flow limits only for the included line subset.
-func (m *Model) solveLP(ratings []float64, included []int) (*Result, error) {
+// flow limits only for the lines in inSet. It returns the dispatch, the
+// signed line duals (indexed like Net.Lines), and the pivot count.
+func (m *Model) solveLP(ratings []float64, inSet []bool) ([]float64, []float64, int, error) {
 	gens := m.Net.Gens
 	ng := len(gens)
 	prob := lp.NewProblem(ng)
@@ -342,79 +362,116 @@ func (m *Model) solveLP(ratings []float64, included []int) (*Result, error) {
 	for i := range gens {
 		c[i] = gens[i].CostB
 		if err := prob.SetBounds(i, gens[i].Pmin, gens[i].Pmax); err != nil {
-			return nil, fmt.Errorf("dispatch: %w", err)
+			return nil, nil, 0, fmt.Errorf("dispatch: %w", err)
 		}
 	}
 	if err := prob.SetObjective(c, false); err != nil {
-		return nil, fmt.Errorf("dispatch: %w", err)
+		return nil, nil, 0, fmt.Errorf("dispatch: %w", err)
 	}
 	ones := make([]float64, ng)
 	for i := range ones {
 		ones[i] = 1
 	}
 	if _, err := prob.AddConstraint(ones, lp.EQ, m.Demand); err != nil {
-		return nil, fmt.Errorf("dispatch: %w", err)
+		return nil, nil, 0, fmt.Errorf("dispatch: %w", err)
 	}
-	type rowRef struct {
-		line int
-		dir  float64 // +1 upper, −1 lower
-		row  int
-	}
-	var refs []rowRef
+	// Line k of lines has the upper row 1+2k and the lower row 2+2k.
+	var lines []int
 	// AddConstraint copies the row, so one buffer serves every line.
 	negRow := make([]float64, ng)
-	for _, li := range included {
+	for li, in := range inSet {
 		u := ratings[li]
-		if u <= 0 {
+		if !in || u <= 0 {
 			continue
 		}
-		row := m.M.Row(li)
-		r1, err := prob.AddConstraint(row, lp.LE, u-m.Base[li])
-		if err != nil {
-			return nil, fmt.Errorf("dispatch: %w", err)
-		}
-		refs = append(refs, rowRef{li, 1, r1})
+		row := m.M.RawRow(li)
 		for j, v := range row {
 			negRow[j] = -v
 		}
-		r2, err := prob.AddConstraint(negRow, lp.LE, u+m.Base[li])
-		if err != nil {
-			return nil, fmt.Errorf("dispatch: %w", err)
+		if _, err := prob.AddConstraint(row, lp.LE, u-m.Base[li]); err != nil {
+			return nil, nil, 0, fmt.Errorf("dispatch: %w", err)
 		}
-		refs = append(refs, rowRef{li, -1, r2})
+		if _, err := prob.AddConstraint(negRow, lp.LE, u+m.Base[li]); err != nil {
+			return nil, nil, 0, fmt.Errorf("dispatch: %w", err)
+		}
+		lines = append(lines, li)
 	}
 	sol, err := lp.SolveWith(prob, lp.Options{Metrics: m.Metrics, DenseSolver: m.DenseSolver, Workspace: m.Workspace})
 	if err != nil {
-		return nil, fmt.Errorf("dispatch: %w", err)
+		return nil, nil, 0, fmt.Errorf("dispatch: %w", err)
 	}
 	switch sol.Status {
 	case lp.Optimal:
 	case lp.Infeasible:
-		return nil, ErrInfeasible
+		return nil, nil, 0, ErrInfeasible
 	default:
-		return nil, fmt.Errorf("dispatch: unexpected LP status %v", sol.Status)
+		return nil, nil, 0, fmt.Errorf("dispatch: unexpected LP status %v", sol.Status)
 	}
-	res, err := m.assemble(sol.X, ratings)
-	if err != nil {
-		return nil, err
-	}
-	res.Iterations = sol.Iterations
-	for _, ref := range refs {
+	duals := make([]float64, len(inSet))
+	for k, li := range lines {
 		// Dual of the ≤ row is ≤ 0 under the lp sign convention; a
 		// congested line has negative dual. Flip to a conventional
 		// non-negative congestion price signed by direction.
-		res.LineDuals[ref.line] += -sol.Dual[ref.row] * ref.dir
+		duals[li] -= sol.Dual[1+2*k]
+		duals[li] += sol.Dual[2+2*k]
 	}
-	return res, nil
+	return sol.X, duals, sol.Iterations, nil
 }
 
 // solveQP handles convex quadratic costs via the active-set solver,
-// enforcing flow limits only for the included line subset.
-func (m *Model) solveQP(ratings []float64, included []int) (*Result, error) {
+// enforcing flow limits only for the lines in inSet: it sets their rows'
+// sides to ±u − Base, opens every other row, and sets the balance target.
+// It returns the dispatch, the signed line duals (qp's λ_hi − λ_lo per row,
+// which is λ⁺ − λ⁻ per line), and the iteration count.
+func (m *Model) solveQP(ratings []float64, inSet []bool) ([]float64, []float64, int, error) {
+	prob, err := m.qpProblem()
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	inf := math.Inf(1)
+	for li, in := range inSet {
+		lo, hi := -inf, inf
+		if u := ratings[li]; in && u > 0 {
+			lo, hi = -u-m.Base[li], u-m.Base[li]
+		}
+		if err := prob.SetRowBounds(li, lo, hi); err != nil {
+			return nil, nil, 0, fmt.Errorf("dispatch: %w", err)
+		}
+	}
+	if err := prob.SetEqualityRHS(0, m.Demand); err != nil {
+		return nil, nil, 0, fmt.Errorf("dispatch: %w", err)
+	}
+	sol, err := qp.SolveWith(prob, qp.Options{
+		Metrics:   m.Metrics,
+		Cache:     &m.kkt,
+		Workspace: m.Workspace,
+		Start:     &m.start,
+	})
+	if err != nil {
+		if errors.Is(err, qp.ErrInfeasible) {
+			return nil, nil, 0, ErrInfeasible
+		}
+		return nil, nil, 0, fmt.Errorf("dispatch: %w", err)
+	}
+	return sol.X, sol.IneqDual, sol.Iterations, nil
+}
+
+// qpProblem returns the model's dispatch QP, building it on first use: the
+// cost curves, the generator limits, the balance row, and one row M_l·p per
+// line in line order, whose sides solveQP sets each round. Only ratings and
+// demand vary between solves — the Hessian, the balance row, the generator
+// bounds, and the gradient behind each row never change — which is exactly
+// the contract qp.KKTCache requires, so repeated dispatch solves share base
+// factorizations. The rows alias M, which is immutable.
+func (m *Model) qpProblem() (*qp.Problem, error) {
+	if m.qp != nil {
+		return m.qp, nil
+	}
 	gens := m.Net.Gens
-	ng := len(gens)
-	prob := qp.NewProblem(ng)
+	prob := qp.NewProblem(len(gens))
+	ones := make([]float64, len(gens))
 	for i := range gens {
+		ones[i] = 1
 		if err := prob.SetQuadCoeff(i, i, 2*gens[i].CostA); err != nil {
 			return nil, fmt.Errorf("dispatch: %w", err)
 		}
@@ -425,96 +482,45 @@ func (m *Model) solveQP(ratings []float64, included []int) (*Result, error) {
 			return nil, fmt.Errorf("dispatch: %w", err)
 		}
 	}
-	ones := make([]float64, ng)
-	for i := range ones {
-		ones[i] = 1
-	}
 	if _, err := prob.AddEquality(ones, m.Demand); err != nil {
 		return nil, fmt.Errorf("dispatch: %w", err)
 	}
-	type rowRef struct {
-		line int
-		dir  float64
-		row  int
-	}
-	var refs []rowRef
-	var rowKeys []int64
-	// AddInequality copies the row, so one buffer serves every line.
-	negRow := make([]float64, ng)
-	for _, li := range included {
-		u := ratings[li]
-		if u <= 0 {
-			continue
-		}
-		row := m.M.Row(li)
-		r1, err := prob.AddInequality(row, u-m.Base[li])
-		if err != nil {
+	for li := range m.Net.Lines {
+		if _, err := prob.AddInequality(m.M.RawRow(li), 0); err != nil {
 			return nil, fmt.Errorf("dispatch: %w", err)
 		}
-		refs = append(refs, rowRef{li, 1, r1})
-		rowKeys = append(rowKeys, int64(li)*2)
-		for j, v := range row {
-			negRow[j] = -v
-		}
-		r2, err := prob.AddInequality(negRow, u+m.Base[li])
-		if err != nil {
-			return nil, fmt.Errorf("dispatch: %w", err)
-		}
-		refs = append(refs, rowRef{li, -1, r2})
-		rowKeys = append(rowKeys, int64(li)*2+1)
 	}
-	// The QP family solved here is fixed per model up to right-hand sides:
-	// the Hessian (cost curves), the balance row, the generator bounds, and
-	// the ±PTDF gradient behind each (line, direction) key never change —
-	// only ratings and demand do. That is exactly the contract qp.KKTCache
-	// requires, so repeated dispatch solves share base factorizations.
-	sol, err := qp.SolveWith(prob, qp.Options{
-		Metrics:   m.Metrics,
-		Cache:     &m.kkt,
-		RowKeys:   rowKeys,
-		Workspace: m.Workspace,
-		Start:     &m.start,
-	})
-	if err != nil {
-		if errors.Is(err, qp.ErrInfeasible) {
-			return nil, ErrInfeasible
-		}
-		return nil, fmt.Errorf("dispatch: %w", err)
-	}
-	res, err := m.assemble(sol.X, ratings)
-	if err != nil {
-		return nil, err
-	}
-	res.Iterations = sol.Iterations
-	for _, ref := range refs {
-		res.LineDuals[ref.line] += sol.IneqDual[ref.row] * ref.dir
-	}
-	return res, nil
+	m.qp = prob
+	return prob, nil
 }
 
-// assemble computes flows, cost, and binding-set metadata for a dispatch.
-func (m *Model) assemble(p []float64, ratings []float64) (*Result, error) {
-	flows, err := m.FlowsFor(p)
-	if err != nil {
-		return nil, err
-	}
+// result builds the Result of a solve's final round from its dispatch p,
+// its line duals, and the flows in the model's buffer. P, Flows, and
+// LineDuals share one array. The binding set also becomes the model's
+// warm-start memory.
+func (m *Model) result(p, duals, ratings []float64) *Result {
+	ng, nl := len(p), len(m.flows)
+	buf := make([]float64, ng+2*nl)
 	res := &Result{
-		P:         mat.CloneVec(p),
-		Flows:     flows,
+		P:         buf[:ng:ng],
+		Flows:     buf[ng : ng+nl : ng+nl],
 		Cost:      m.Cost(p),
-		LineDuals: make([]float64, len(m.Net.Lines)),
+		LineDuals: buf[ng+nl:],
 	}
+	copy(res.P, p)
+	copy(res.Flows, m.flows)
+	copy(res.LineDuals, duals)
 	const bindTol = 1e-5
-	for li := range m.Net.Lines {
-		u := ratings[li]
-		if u <= 0 {
-			continue
-		}
-		if math.Abs(flows[li])-u > -bindTol*(1+u) {
-			res.Binding = append(res.Binding, li)
+	m.lastBinding = m.lastBinding[:0]
+	for li, f := range m.flows {
+		if u := ratings[li]; u > 0 && math.Abs(f)-u > -bindTol*(1+u) {
+			m.lastBinding = append(m.lastBinding, li)
 		}
 	}
-	return res, nil
+	if len(m.lastBinding) > 0 {
+		res.Binding = slices.Clone(m.lastBinding)
+	}
+	return res
 }
 
 // SolveRobust is the "attack-aware dispatch" mitigation sketched in Section

@@ -12,6 +12,7 @@ import (
 	"github.com/edsec/edattack/internal/dispatch"
 	"github.com/edsec/edattack/internal/grid"
 	"github.com/edsec/edattack/internal/grid/cases"
+	"github.com/edsec/edattack/internal/lp"
 	"github.com/edsec/edattack/internal/mat"
 	"github.com/edsec/edattack/internal/telemetry"
 )
@@ -467,19 +468,8 @@ func TestHotStartMatchesCold(t *testing.T) {
 			hot.Metrics = hotReg
 			cold := hot.ShallowClone()
 			cold.Metrics = coldReg
-			nominal := net.Ratings(nil)
-			scale := make([]float64, len(nominal))
-			for i := range scale {
-				scale[i] = 1
-			}
-			r := rand.New(rand.NewSource(7))
-			ratings := make([]float64, len(nominal))
 			solved, congested := 0, 0
-			for step := 0; step < 60; step++ {
-				for i := range scale {
-					scale[i] = min(max(scale[i]*(0.95+0.1*r.Float64()), 0.75), 1.15)
-					ratings[i] = nominal[i] * scale[i]
-				}
+			walkRatings(net, func(step int, ratings []float64) {
 				want, werr := hot.Solve(ratings)
 				cold.ResetWarmStart()
 				got, gerr := cold.Solve(ratings)
@@ -487,7 +477,7 @@ func TestHotStartMatchesCold(t *testing.T) {
 					t.Fatalf("step %d: hot err %v, cold err %v", step, werr, gerr)
 				}
 				if werr != nil {
-					continue
+					return
 				}
 				solved++
 				if len(want.Binding) > 0 {
@@ -496,7 +486,7 @@ func TestHotStartMatchesCold(t *testing.T) {
 				if d := resultDiff(want, got); d != "" {
 					t.Fatalf("step %d: hot vs cold: %s", step, d)
 				}
-			}
+			})
 			if solved < 30 || congested < 10 {
 				t.Fatalf("%d of 60 steps solved, %d congested: the walk exercises too little", solved, congested)
 			}
@@ -506,6 +496,26 @@ func TestHotStartMatchesCold(t *testing.T) {
 			}
 			t.Logf("%d solves (%d congested): %d QP iterations hot, %d cold", solved, congested, hi, ci)
 		})
+	}
+}
+
+// walkRatings calls visit with each of 60 rating vectors of a seeded walk
+// around the network's nominal ratings: every line's scale moves by up to
+// ±5% a step, within [0.75, 1.15]. The vector is reused between steps.
+func walkRatings(net *grid.Network, visit func(step int, ratings []float64)) {
+	nominal := net.Ratings(nil)
+	scale := make([]float64, len(nominal))
+	for i := range scale {
+		scale[i] = 1
+	}
+	r := rand.New(rand.NewSource(7))
+	ratings := make([]float64, len(nominal))
+	for step := 0; step < 60; step++ {
+		for i := range scale {
+			scale[i] = min(max(scale[i]*(0.95+0.1*r.Float64()), 0.75), 1.15)
+			ratings[i] = nominal[i] * scale[i]
+		}
+		visit(step, ratings)
 	}
 }
 
@@ -529,4 +539,84 @@ func resultDiff(a, b *dispatch.Result) string {
 		return fmt.Sprintf("binding %v vs %v", a.Binding, b.Binding)
 	}
 	return ""
+}
+
+// TestPersistentQPMatchesRebuilt walks case30 and case118 through the
+// TestHotStartMatchesCold rating sequence on one warm model, whose QP is
+// built once and re-solved by changing row sides under a carried KKTCache
+// and hot start, and checks every Result against SolveRebuilt: the final
+// round's QP built afresh from copied rows, solved cold, and assembled from
+// a second M·p. P, Flows, Cost, LineDuals, and Binding must be
+// bit-identical.
+func TestPersistentQPMatchesRebuilt(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func() (*grid.Network, error)
+	}{{"case30", cases.Case30}, {"case118", cases.Case118}} {
+		t.Run(tc.name, func(t *testing.T) {
+			net, err := tc.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := dispatch.BuildModel(net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			solved, congested := 0, 0
+			walkRatings(net, func(step int, ratings []float64) {
+				got, err := m.Solve(ratings)
+				if err != nil {
+					return
+				}
+				want, err := m.SolveRebuilt(ratings)
+				if err != nil {
+					t.Fatalf("step %d: rebuilt: %v", step, err)
+				}
+				solved++
+				if len(got.Binding) > 0 {
+					congested++
+				}
+				if d := resultDiff(want, got); d != "" {
+					t.Fatalf("step %d: persistent vs rebuilt: %s", step, d)
+				}
+			})
+			if solved < 30 || congested < 10 {
+				t.Fatalf("%d of 60 steps solved, %d congested: the walk exercises too little", solved, congested)
+			}
+		})
+	}
+}
+
+// TestHotResolveZeroAlloc pins the dispatch's steady state: once a model's
+// QP, KKT factors, warm-start memory, and workspace are warm, a congested
+// case118 re-solve in one round allocates exactly 5 objects — the returned
+// Result, the one array behind its P, Flows, and LineDuals, its Binding,
+// and the qp.Solution (struct and array) the Result is copied from.
+func TestHotResolveZeroAlloc(t *testing.T) {
+	net, err := cases.Case118()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := dispatch.BuildModel(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Workspace = lp.NewWorkspace()
+	ratings := net.Ratings(nil)
+	for i := range ratings {
+		ratings[i] *= 0.9
+	}
+	var res *dispatch.Result
+	for i := 0; i < 3; i++ {
+		if res, err = m.Solve(ratings); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(res.Binding) == 0 || res.Rounds != 1 {
+		t.Fatalf("warm re-solve: %d binding lines in %d rounds, want congestion in one round", len(res.Binding), res.Rounds)
+	}
+	const want = 5.0
+	if allocs := testing.AllocsPerRun(20, func() { _, _ = m.Solve(ratings) }); allocs != want {
+		t.Fatalf("hot re-solve allocates %.1f objects, want %.0f (the Result and its slices, the qp.Solution)", allocs, want)
+	}
 }

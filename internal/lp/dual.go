@@ -1,8 +1,9 @@
 package lp
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // This file implements the warm-started solve path: given a Basis from an
@@ -373,16 +374,14 @@ func (s *simplex) dualSimplex() bool {
 			// order; as long as flipping the candidate to its other bound
 			// still leaves violation to absorb, flip it and keep going, so
 			// one dual pivot can retire many box variables at once.
-			sort.Slice(cands, func(a, b int) bool {
-				ca, cb := cands[a], cands[b]
+			slices.SortFunc(cands, func(ca, cb dualCand) int {
 				if ca.ratio != cb.ratio {
-					return ca.ratio < cb.ratio
+					return cmp.Compare(ca.ratio, cb.ratio)
 				}
-				aa, ab := math.Abs(ca.alpha), math.Abs(cb.alpha)
-				if aa != ab {
-					return aa > ab
+				if aa, ab := math.Abs(ca.alpha), math.Abs(cb.alpha); aa != ab {
+					return cmp.Compare(ab, aa)
 				}
-				return ca.j < cb.j
+				return cmp.Compare(ca.j, cb.j)
 			})
 			remain := viol
 			for i, c := range cands {

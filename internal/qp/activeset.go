@@ -3,6 +3,7 @@ package qp
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/edsec/edattack/internal/mat"
 	"github.com/edsec/edattack/internal/sparse"
@@ -33,10 +34,6 @@ type activeSet struct {
 
 	activeBuffers
 
-	// Row keys (stable or positional), assigned once per solve by
-	// stableRowKeys; stable reports whether they may key a KKTCache.
-	keyed, stable bool
-
 	// Work counters: KKT systems solved and factorizations computed (sparse
 	// base, Schur complement, dense fallback KKT), reported once per solve.
 	kktSolves, kktFactors int
@@ -49,9 +46,6 @@ type activeSet struct {
 type activeBuffers struct {
 	work []int // indices into rows forming the working set
 
-	// keys[i] identifies rows[i] across solves sharing a KKTCache (stable
-	// scheme) or within this solve only (positional scheme).
-	keys []int64
 	// w0 = B⁻¹·[−c; beq] and the per-row dots ĝ_wᵀ·w0, per solve (the
 	// objective and right-hand sides may differ between cached solves).
 	w0    []float64
@@ -88,12 +82,12 @@ type activeBuffers struct {
 
 // KKTCache carries factorization work reusable across solves of structurally
 // identical QPs: same Hessian, same equality rows, same bound structure, and
-// the same gradient behind every stable inequality-row key (see
-// Options.RowKeys). Objective vectors and all right-hand sides — beq,
-// inequality limits, bound values — may differ freely between solves; those
-// enter only through per-solve vectors. The canonical client is repeated
-// economic dispatch under varying line ratings, where every KKT matrix is
-// drawn from one fixed family.
+// the same gradient behind every inequality row index. Objective vectors
+// and all right-hand sides — beq, inequality row sides, bound values — may
+// differ freely between solves; those enter only through per-solve
+// vectors. The canonical client is repeated economic dispatch under
+// varying line ratings, where every KKT matrix is drawn from one fixed
+// family.
 //
 // It holds the bordered factorization (kktSchur): the base LU, border
 // columns, Schur entries, and Schur factors. A cached factor is the one a
@@ -154,7 +148,7 @@ func (s *activeSet) run() (*Solution, error) {
 		if len(s.work) >= s.p.n-len(s.p.aeq) {
 			break // keep the working set small enough for independence
 		}
-		if s.rows[i].h-s.rows[i].value(s.x) < tol {
+		if s.rows[i].h-s.rows[i].dot(s.x) < tol {
 			cand := append(append(s.cand[:0], s.work...), i)
 			s.cand = cand
 			if s.tryKKT(cand) {
@@ -199,11 +193,11 @@ func (s *activeSet) run() (*Solution, error) {
 			if s.inWork(i) {
 				continue
 			}
-			gd := s.rows[i].dirDot(d)
+			gd := s.rows[i].dot(d)
 			if gd <= tol {
 				continue
 			}
-			slack := s.rows[i].h - s.rows[i].value(s.x)
+			slack := s.rows[i].h - s.rows[i].dot(s.x)
 			if slack < 0 {
 				slack = 0
 			}
@@ -288,31 +282,14 @@ func (s *activeSet) bordered() bool {
 	return s.schur != nil
 }
 
-// stableRowKeys assigns the row keys (once per solve) and reports whether
-// they identify rows across solves.
-func (s *activeSet) stableRowKeys() bool {
-	if !s.keyed {
-		s.keyed = true
-		s.stable = s.stableKeys()
-		if !s.stable {
-			s.positionalKeys()
-		}
-	}
-	return s.stable
-}
-
 // initSchur factors the base KKT matrix sparsely once per solve (or adopts
 // the caller's KKTCache's factorization) and computes B⁻¹r for this solve's
-// right-hand side. Rows without a stable identity make cross-solve reuse
-// unsound, so such a solve ignores the cache.
+// right-hand side.
 func (s *activeSet) initSchur() {
 	s.schurTried = true
 	n := s.p.n
 	me := len(s.p.aeq)
-	var cache *KKTCache
-	if s.stableRowKeys() {
-		cache = s.opts.Cache
-	}
+	cache := s.opts.Cache
 	if cache != nil && cache.tried && cache.n == n && cache.me == me {
 		if cache.sc != nil {
 			s.schur = cache.sc
@@ -327,43 +304,6 @@ func (s *activeSet) initSchur() {
 	if sc != nil {
 		s.schur = sc
 		s.initW0()
-	}
-}
-
-// stableKeys assigns cross-solve row identities: a caller-supplied key for
-// each user inequality row and the variable index for each bound row. It
-// reports false — leaving the keys unset — when the caller provided no (or
-// malformed) keys, in which case cross-solve caching is disabled.
-func (s *activeSet) stableKeys() bool {
-	rk := s.opts.RowKeys
-	if len(s.p.gin) > 0 && len(rk) != len(s.p.gin) {
-		return false
-	}
-	keys := growInt64(s.keys, len(s.rows))
-	for i := range s.rows {
-		r := &s.rows[i]
-		switch r.kind {
-		case kindUser:
-			k := rk[r.idx]
-			if k < 0 || k >= 1<<28 {
-				return false
-			}
-			keys[i] = k << 2
-		case kindUpper:
-			keys[i] = int64(r.idx)<<2 | 1
-		case kindLower:
-			keys[i] = int64(r.idx)<<2 | 2
-		}
-	}
-	s.keys = keys
-	return true
-}
-
-// positionalKeys identifies rows by position, valid within one solve only.
-func (s *activeSet) positionalKeys() {
-	s.keys = growInt64(s.keys, len(s.rows))
-	for i := range s.keys {
-		s.keys[i] = int64(i)<<2 | 3
 	}
 }
 
@@ -446,18 +386,20 @@ func (s *activeSet) initW0() {
 // cache never invalidates: B and the gradient behind a key are fixed for
 // the cache's lifetime.
 func (s *activeSet) borderCol(w int) []float64 {
-	if c, ok := s.schur.cols[s.keys[w]]; ok {
+	r := &s.rows[w]
+	if c, ok := s.schur.cols[r.key]; ok {
 		return c
 	}
 	v := make([]float64, s.schur.dim0)
-	r := &s.rows[w]
 	if r.g != nil {
-		copy(v, r.g)
+		for j, g := range r.g {
+			v[j] = r.sign * g
+		}
 	} else {
 		v[r.idx] = r.sign
 	}
 	s.schur.base.Solve(v)
-	s.schur.cols[s.keys[w]] = v
+	s.schur.cols[r.key] = v
 	return v
 }
 
@@ -465,7 +407,7 @@ func (s *activeSet) borderCol(w int) []float64 {
 // symmetric, so the dot is too; the canonical orientation makes the cached
 // value — and hence the Schur matrix — exactly symmetric).
 func (s *activeSet) pairDot(wi, wj int) float64 {
-	a, b := s.keys[wi], s.keys[wj]
+	a, b := s.rows[wi].key, s.rows[wj].key
 	if a > b {
 		a, b = b, a
 		wi, wj = wj, wi
@@ -494,7 +436,7 @@ func (s *activeSet) rhsDot(w int) float64 {
 func (s *activeSet) packWork(work []int) []byte {
 	buf := s.keyBuf[:0]
 	for _, w := range work {
-		k := uint32(s.keys[w])
+		k := uint32(s.rows[w].key)
 		buf = append(buf, byte(k), byte(k>>8), byte(k>>16), byte(k>>24))
 	}
 	s.keyBuf = buf
@@ -502,7 +444,8 @@ func (s *activeSet) packWork(work []int) []byte {
 }
 
 // rowDot is ĝ_wᵀ·v for a vector over the base dimension (the gradient is
-// zero over the equality block).
+// zero over the equality block). The sign multiplies each term, so a lower
+// side's dot is bit for bit that of a row holding the negated gradient.
 func rowDot(r *ineqRow, v []float64) float64 {
 	if r.g == nil {
 		return r.sign * v[r.idx]
@@ -510,7 +453,7 @@ func rowDot(r *ineqRow, v []float64) float64 {
 	d := 0.0
 	for j, g := range r.g {
 		if g != 0 {
-			d += g * v[j]
+			d += r.sign * g * v[j]
 		}
 	}
 	return d
@@ -521,7 +464,8 @@ func rowDot(r *ineqRow, v []float64) float64 {
 // are dependent (given the nonsingular base), exactly the condition the
 // dense path reports as ErrSingular.
 func (s *activeSet) solveKKTSchur(work []int) (x, nu, lam []float64, err error) {
-	if s.memoOK && sameWorkSet(s.memoWork, work) {
+	// Order matters: it fixes the multiplier rows.
+	if s.memoOK && slices.Equal(s.memoWork, work) {
 		s.retX = cloneInto(s.retX, s.memoX)
 		s.retNu = cloneInto(s.retNu, s.memoNu)
 		s.retLam = cloneInto(s.retLam, s.memoLam)
@@ -650,8 +594,8 @@ func (s *activeSet) fillKKT(kkt *mat.Matrix, work []int) {
 		r := &s.rows[w]
 		if r.g != nil {
 			for j, v := range r.g {
-				kkt.Set(n+me+k, j, v)
-				kkt.Set(j, n+me+k, v)
+				kkt.Set(n+me+k, j, r.sign*v)
+				kkt.Set(j, n+me+k, r.sign*v)
 			}
 		} else {
 			kkt.Set(n+me+k, r.idx, r.sign)
@@ -660,30 +604,21 @@ func (s *activeSet) fillKKT(kkt *mat.Matrix, work []int) {
 	}
 }
 
-// sameWorkSet reports whether two working sets are identical including
-// order (order determines multiplier rows).
-func sameWorkSet(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// assemble scatters working-set multipliers back to per-row duals.
+// assemble scatters working-set multipliers back to per-row duals. The
+// Solution's five vectors share one backing array.
 func (s *activeSet) assemble(nu, lam []float64) *Solution {
 	p := s.p
+	n, me, mi := p.n, len(nu), len(p.gin)
+	buf := make([]float64, 3*n+me+mi)
 	sol := &Solution{
-		X:         mat.CloneVec(s.x),
-		EqDual:    mat.CloneVec(nu),
-		IneqDual:  make([]float64, len(p.gin)),
-		LowerDual: make([]float64, p.n),
-		UpperDual: make([]float64, p.n),
+		X:         buf[:n:n],
+		EqDual:    buf[n : n+me : n+me],
+		IneqDual:  buf[n+me : n+me+mi : n+me+mi],
+		LowerDual: buf[n+me+mi : 2*n+me+mi : 2*n+me+mi],
+		UpperDual: buf[2*n+me+mi:],
 	}
+	copy(sol.X, s.x)
+	copy(sol.EqDual, nu)
 	for k, w := range s.work {
 		r := &s.rows[w]
 		l := lam[k]
@@ -692,16 +627,21 @@ func (s *activeSet) assemble(nu, lam []float64) *Solution {
 		}
 		switch r.kind {
 		case kindUser:
-			sol.IneqDual[r.idx] = l
+			sol.IneqDual[r.idx] += r.sign * l
 		case kindLower:
 			sol.LowerDual[r.idx] = l
 		case kindUpper:
 			sol.UpperDual[r.idx] = l
 		}
 	}
+	// With H diagonal each row dot xᵢ·Σⱼ Hᵢⱼxⱼ reduces to xᵢ·(Hᵢᵢ·xᵢ).
 	xHx := 0.0
 	for i, xi := range sol.X {
-		xHx += xi * mat.Dot(p.h.RawRow(i), sol.X)
+		hx := p.h.At(i, i) * xi
+		if p.offDiag != 0 {
+			hx = mat.Dot(p.h.RawRow(i), sol.X)
+		}
+		xHx += xi * hx
 	}
 	sol.Objective = 0.5*xHx + mat.Dot(p.c, sol.X)
 	return sol

@@ -12,20 +12,20 @@ import (
 
 // randomConvexQP builds a dispatch-shaped QP (see dispatchQP) with 16–31
 // variables.
-func randomConvexQP(r *rand.Rand) (*Problem, []int64) {
+func randomConvexQP(r *rand.Rand) *Problem {
 	return dispatchQP(r, 16+r.Intn(16))
 }
 
 // smallConvexQP builds a dispatch-shaped QP with 4–12 variables, the size
 // of the case30 and case57 dispatch QPs.
-func smallConvexQP(r *rand.Rand) (*Problem, []int64) {
+func smallConvexQP(r *rand.Rand) *Problem {
 	return dispatchQP(r, 4+r.Intn(9))
 }
 
 // dispatchQP builds a strictly convex QP with n variables shaped like
 // economic dispatch: diagonal positive-definite Hessian, one dense equality
 // (the balance row), finite bounds, and sparse-gradient inequality rows.
-func dispatchQP(r *rand.Rand, n int) (*Problem, []int64) {
+func dispatchQP(r *rand.Rand, n int) *Problem {
 	p := NewProblem(n)
 	for j := 0; j < n; j++ {
 		_ = p.SetQuadCoeff(j, j, 0.5+2*r.Float64())
@@ -41,7 +41,6 @@ func dispatchQP(r *rand.Rand, n int) (*Problem, []int64) {
 		total += lo + (hi-lo)*r.Float64()
 	}
 	_, _ = p.AddEquality(ones, total)
-	var keys []int64
 	m := 2 + r.Intn(6)
 	for i := 0; i < m; i++ {
 		g := make([]float64, n)
@@ -57,9 +56,8 @@ func dispatchQP(r *rand.Rand, n int) (*Problem, []int64) {
 			act += g[j] * (p.lower[j] + p.upper[j]) / 2
 		}
 		_, _ = p.AddInequality(g, act+0.2+r.Float64())
-		keys = append(keys, int64(i))
 	}
-	return p, keys
+	return p
 }
 
 // TestDifferentialSchurVsDenseKKT drives the bordered sparse KKT path and
@@ -69,12 +67,12 @@ func dispatchQP(r *rand.Rand, n int) (*Problem, []int64) {
 func TestDifferentialSchurVsDenseKKT(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		gen  func(*rand.Rand) (*Problem, []int64)
+		gen  func(*rand.Rand) *Problem
 	}{{"large", randomConvexQP}, {"small", smallConvexQP}} {
 		r := rand.New(rand.NewSource(11))
 		solved := 0
 		for trial := 0; trial < 150; trial++ {
-			p, _ := tc.gen(r)
+			p := tc.gen(r)
 			dense, derr := solveDenseKKT(p, Options{})
 			sparse, serr := SolveWith(p, Options{})
 			if (derr == nil) != (serr == nil) {
@@ -103,16 +101,17 @@ func TestDifferentialSchurVsDenseKKT(t *testing.T) {
 
 // family returns a generator of problems of one fixed structure — n, H,
 // bounds, and gradients drawn by gen from an rng seeded with seed — whose
-// inequality limits move with shift and whose balance target moves with
+// inequality row sides move with shift and whose balance target moves with
 // demand: the right-hand-side variation a KKTCache must tolerate.
-func family(gen func(*rand.Rand) (*Problem, []int64), seed int64) func(shift, demand float64) (*Problem, []int64) {
-	return func(shift, demand float64) (*Problem, []int64) {
-		p, keys := gen(rand.New(rand.NewSource(seed)))
+func family(gen func(*rand.Rand) *Problem, seed int64) func(shift, demand float64) *Problem {
+	return func(shift, demand float64) *Problem {
+		p := gen(rand.New(rand.NewSource(seed)))
 		for i := range p.hin {
 			p.hin[i] += shift
+			p.lin[i] += shift
 		}
 		p.beq[0] += demand
-		return p, keys
+		return p
 	}
 }
 
@@ -127,7 +126,7 @@ func TestKKTCacheTransparency(t *testing.T) {
 	t.Run("schur", func(t *testing.T) {
 		r := rand.New(rand.NewSource(23))
 		build := family(randomConvexQP, 99)
-		checkTransparent(t, 30, SolveWith, func() (*Problem, []int64) { return build(0.5*r.Float64(), 0) })
+		checkTransparent(t, 30, SolveWith, func() *Problem { return build(0.5*r.Float64(), 0) })
 	})
 	t.Run("dependent", func(t *testing.T) {
 		// A unit fixed at lo = hi has both bound rows active everywhere:
@@ -136,10 +135,10 @@ func TestKKTCacheTransparency(t *testing.T) {
 		// (The dual method never forms a dependent working set here.)
 		r := rand.New(rand.NewSource(31))
 		fam := family(smallConvexQP, 13)
-		build := func() (*Problem, []int64) {
-			p, keys := fam(0.3*r.Float64(), 0)
+		build := func() *Problem {
+			p := fam(0.3*r.Float64(), 0)
 			p.lower[0] = p.upper[0]
-			return p, keys
+			return p
 		}
 		shared := checkTransparent(t, 20, solvePrimal, build)
 		if shared.sc == nil {
@@ -148,12 +147,12 @@ func TestKKTCacheTransparency(t *testing.T) {
 		if len(shared.sc.sbad) == 0 {
 			t.Fatal("no dependent working set was remembered")
 		}
-		p, keys := build()
-		if _, err := solvePrimal(p, Options{Cache: shared, RowKeys: keys}); err != nil {
+		p := build()
+		if _, err := solvePrimal(p, Options{Cache: shared}); err != nil {
 			t.Fatal(err)
 		}
 		reg := telemetry.NewRegistry()
-		if _, err := solvePrimal(p, Options{Cache: shared, RowKeys: keys, Metrics: reg}); err != nil {
+		if _, err := solvePrimal(p, Options{Cache: shared, Metrics: reg}); err != nil {
 			t.Fatal(err)
 		}
 		if f := reg.Counter("qp_kkt_factorizations_total").Value(); f != 0 {
@@ -166,15 +165,15 @@ func TestKKTCacheTransparency(t *testing.T) {
 // through one shared KKTCache, with a fresh cache each, and with no cache —
 // and requires bit-identical solutions. It returns the shared cache.
 func checkTransparent(t *testing.T, trials int, solve func(*Problem, Options) (*Solution, error),
-	next func() (*Problem, []int64)) *KKTCache {
+	next func() *Problem) *KKTCache {
 	t.Helper()
 	shared := &KKTCache{}
 	solved := 0
 	for trial := 0; trial < trials; trial++ {
-		p, keys := next()
-		a, aerr := solve(p, Options{Cache: shared, RowKeys: keys})
-		b, berr := solve(p, Options{Cache: &KKTCache{}, RowKeys: keys})
-		c, cerr := solve(p, Options{RowKeys: keys})
+		p := next()
+		a, aerr := solve(p, Options{Cache: shared})
+		b, berr := solve(p, Options{Cache: &KKTCache{}})
+		c, cerr := solve(p, Options{})
 		if (aerr == nil) != (berr == nil) || (aerr == nil) != (cerr == nil) {
 			t.Fatalf("trial %d: shared err %v, fresh err %v, uncached err %v", trial, aerr, berr, cerr)
 		}
@@ -221,19 +220,18 @@ func solutionDiff(a, b *Solution) string {
 func TestKKTCacheShapeReset(t *testing.T) {
 	shared := &KKTCache{}
 	r := rand.New(rand.NewSource(5))
-	p1, k1 := randomConvexQP(r)
-	if _, err := SolveWith(p1, Options{Cache: shared, RowKeys: k1}); err != nil {
+	p1 := randomConvexQP(r)
+	if _, err := SolveWith(p1, Options{Cache: shared}); err != nil {
 		t.Fatalf("first solve: %v", err)
 	}
 	var p2 *Problem
-	var k2 []int64
 	for {
-		p2, k2 = randomConvexQP(r)
+		p2 = randomConvexQP(r)
 		if p2.n != p1.n {
 			break
 		}
 	}
-	sol2, err := SolveWith(p2, Options{Cache: shared, RowKeys: k2})
+	sol2, err := SolveWith(p2, Options{Cache: shared})
 	if err != nil {
 		t.Fatalf("second solve after shape change: %v", err)
 	}
@@ -251,10 +249,10 @@ func TestKKTCacheShapeReset(t *testing.T) {
 // the problem or the cache — and the returned solution shares no storage
 // with it, so scribbling on one solution cannot change the next.
 func TestWorkspaceDropsKKTCache(t *testing.T) {
-	p, keys := smallConvexQP(rand.New(rand.NewSource(3)))
+	p := smallConvexQP(rand.New(rand.NewSource(3)))
 	ws := lp.NewWorkspace()
 	cache := &KKTCache{}
-	opts := Options{Cache: cache, RowKeys: keys, Workspace: ws}
+	opts := Options{Cache: cache, Workspace: ws}
 	first, err := SolveWith(p, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -290,11 +288,11 @@ func TestWorkspaceDropsKKTCache(t *testing.T) {
 func TestSchurKKTCacheZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		gen  func(*rand.Rand) (*Problem, []int64)
+		gen  func(*rand.Rand) *Problem
 	}{{"large", randomConvexQP}, {"small", smallConvexQP}} {
 		t.Run(tc.name, func(t *testing.T) {
-			p, keys := tc.gen(rand.New(rand.NewSource(3)))
-			if c := checkSteadyStateAllocs(t, p, keys); c.sc == nil {
+			p := tc.gen(rand.New(rand.NewSource(3)))
+			if c := checkSteadyStateAllocs(t, p); c.sc == nil {
 				t.Fatal("the steady-state solves did not take the bordered path")
 			}
 		})
@@ -303,15 +301,15 @@ func TestSchurKKTCacheZeroAlloc(t *testing.T) {
 
 // checkSteadyStateAllocs warms a KKTCache and a workspace on p, then
 // requires each further solve to allocate exactly the returned Solution:
-// the struct and its non-empty X, EqDual, IneqDual, LowerDual, and
-// UpperDual slices. It checks a cold re-solve and a re-solve hot-started
-// from a carried WorkingSet, which starts at the final working set and so
-// finishes in one iteration with the cold solution. It returns the warmed
-// cache.
-func checkSteadyStateAllocs(t *testing.T, p *Problem, keys []int64) *KKTCache {
+// 2 objects, the struct and the one array behind its X, EqDual, IneqDual,
+// LowerDual, and UpperDual. It checks a cold re-solve and a re-solve
+// hot-started from a carried WorkingSet, which starts at the final working
+// set and so finishes in one iteration with the cold solution. It returns
+// the warmed cache.
+func checkSteadyStateAllocs(t *testing.T, p *Problem) *KKTCache {
 	t.Helper()
 	cache := &KKTCache{}
-	opts := Options{Cache: cache, RowKeys: keys, Workspace: lp.NewWorkspace()}
+	opts := Options{Cache: cache, Workspace: lp.NewWorkspace()}
 	var sol *Solution
 	for i := 0; i < 2; i++ {
 		var err error
@@ -322,12 +320,7 @@ func checkSteadyStateAllocs(t *testing.T, p *Problem, keys []int64) *KKTCache {
 	if sol.Iterations < 2 {
 		t.Fatalf("solved in %d iterations: no working-set row exercised", sol.Iterations)
 	}
-	want := 1.0
-	for _, v := range [][]float64{sol.X, sol.EqDual, sol.IneqDual, sol.LowerDual, sol.UpperDual} {
-		if len(v) > 0 {
-			want++
-		}
-	}
+	const want = 2.0
 	allocs := testing.AllocsPerRun(20, func() { _, _ = SolveWith(p, opts) })
 	if allocs != want {
 		t.Fatalf("steady-state dual re-solve allocates %.1f objects, want %.0f (the Solution)", allocs, want)

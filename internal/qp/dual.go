@@ -59,15 +59,12 @@ func (w *WorkingSet) CopyFrom(src *WorkingSet) { w.keys = append(w.keys[:0], src
 // hint, nor on the path that reached the set.
 func (s *activeSet) runDual() (*Solution, error) {
 	hint := s.opts.Start
-	if hint != nil && !s.stableRowKeys() {
-		hint = nil
-	}
 	sol, err := s.dualIterate(hint)
 	if hint != nil {
 		hint.keys = hint.keys[:0]
 		if err == nil {
 			for _, w := range s.work {
-				hint.keys = append(hint.keys, s.keys[w])
+				hint.keys = append(hint.keys, s.rows[w].key)
 			}
 			slices.Sort(hint.keys)
 		}
@@ -93,7 +90,7 @@ func (s *activeSet) dualIterate(hint *WorkingSet) (*Solution, error) {
 	for {
 		p, viol := -1, tol
 		for i := range s.rows {
-			if v := s.rows[i].value(s.x) - s.rows[i].h; v > viol && !s.inWork(i) {
+			if v := s.rows[i].dot(s.x) - s.rows[i].h; v > viol && !s.inWork(i) {
 				p, viol = i, v
 			}
 		}
@@ -124,7 +121,7 @@ func (s *activeSet) dualIterate(hint *WorkingSet) (*Solution, error) {
 			}
 			// With n independent rows active (equalities included), every
 			// further row is dependent.
-			gz := s.rows[p].dirDot(z)
+			gz := s.rows[p].dot(z)
 			dependent := len(s.work)+len(s.p.aeq) >= s.p.n || -gz <= depRatio*sigma
 			if !dependent && viol/-gz <= t1 {
 				at, _ := slices.BinarySearch(s.work, p)
@@ -149,7 +146,7 @@ func (s *activeSet) dualIterate(hint *WorkingSet) (*Solution, error) {
 				for j := range s.x {
 					s.x[j] += t1 * z[j]
 				}
-				viol = s.rows[p].value(s.x) - s.rows[p].h
+				viol = s.rows[p].dot(s.x) - s.rows[p].h
 			}
 			for j, d := range dlam {
 				s.wlamBuf[j] += t1 * d
@@ -171,7 +168,7 @@ func (s *activeSet) hotStart(hint *WorkingSet) (int, error) {
 		return 0, nil
 	}
 	for i := range s.rows {
-		if _, ok := slices.BinarySearch(hint.keys, s.keys[i]); ok {
+		if _, ok := slices.BinarySearch(hint.keys, s.rows[i].key); ok {
 			s.work = append(s.work, i)
 		}
 	}
@@ -249,7 +246,7 @@ func (s *activeSet) direction(work []int, p int) (z, dlam []float64, err error) 
 	clear(rhs)
 	if r := &s.rows[p]; r.g != nil {
 		for j, v := range r.g {
-			rhs[j] = -v
+			rhs[j] = -(r.sign * v)
 		}
 	} else {
 		rhs[r.idx] = -r.sign

@@ -22,13 +22,13 @@ import (
 func FuzzKKTPaths(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, size, steps uint8) {
 		n := 2 + int(size)%30
-		build := family(func(r *rand.Rand) (*Problem, []int64) { return dispatchQP(r, n) }, seed)
+		build := family(func(r *rand.Rand) *Problem { return dispatchQP(r, n) }, seed)
 		r := rand.New(rand.NewSource(^seed))
 		cache := &KKTCache{}
 		for step := 0; step <= int(steps)%12; step++ {
-			p, keys := build(r.Float64()-0.5, 2*r.Float64()-1)
+			p := build(r.Float64()-0.5, 2*r.Float64()-1)
 			want, werr := solveDenseKKT(p, Options{})
-			alt, aerr := SolveWith(p, Options{Cache: cache, RowKeys: keys})
+			alt, aerr := SolveWith(p, Options{Cache: cache})
 			if (werr == nil) != (aerr == nil) {
 				t.Fatalf("step %d (n=%d): oracle err %v, default err %v", step, n, werr, aerr)
 			}
@@ -45,29 +45,33 @@ func FuzzKKTPaths(f *testing.F) {
 // FuzzDualVsPrimal checks the dual method against the primal method with
 // an LP feasible start (the oracle, reached through solvePrimal) over a
 // sequence of right-hand-side perturbations of one QP family. The shape
-// byte picks the family: plain dispatch-shaped (see dispatchQP), demand
-// near or past the generation limits, duplicated rows, dependent rows, or
-// tight bounds. The dual method runs three ways — cold on the default KKT
-// path through a shared KKTCache, cold on the uncached dense path, and on
-// the default path hot-started from one WorkingSet carried across the
-// steps — and each run must agree with the oracle on the ErrInfeasible
-// verdict, on x within 1e-9·(1+|x|), and on the objective within 1e-9
-// relative. The hot run must also equal the cold cached run bit for bit in
-// everything but Iterations.
+// byte picks the family (shape%5): plain dispatch-shaped (see dispatchQP),
+// demand near or past the generation limits, duplicated rows, dependent
+// rows, or tight bounds; and whether rows get random sides (shape/5 odd):
+// two-sided or lower-only rows, and open rows with both sides infinite at
+// the end. The dual method runs three ways — cold on the default KKT path
+// through a shared KKTCache, cold on the uncached dense path, and on the
+// default path hot-started from one WorkingSet carried across the steps —
+// and each run must agree with the oracle on the ErrInfeasible verdict, on
+// x within 1e-9·(1+|x|), and on the objective within 1e-9 relative. The
+// hot run must also equal the cold cached run bit for bit in everything
+// but Iterations, and a problem with open rows must solve bit for bit as
+// the same problem with them omitted, with zero multipliers on them.
 //
 // The seed corpus lives in testdata/fuzz/FuzzDualVsPrimal; explore further
 // with go test -run '^$' -fuzz FuzzDualVsPrimal -fuzztime 20s ./internal/qp.
 func FuzzDualVsPrimal(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, size, shape, steps uint8) {
 		n := 2 + int(size)%30
-		build := family(func(r *rand.Rand) (*Problem, []int64) { return shapedQP(r, n, shape%5) }, seed)
+		sides := shape/5%2 == 1
+		build := family(func(r *rand.Rand) *Problem { return shapedQP(r, n, shape%5, sides) }, seed)
 		r := rand.New(rand.NewSource(^seed))
 		cache, start := &KKTCache{}, &WorkingSet{}
 		for step := 0; step <= int(steps)%8; step++ {
-			p, keys := build(r.Float64()-0.5, 2*r.Float64()-1)
+			p := build(r.Float64()-0.5, 2*r.Float64()-1)
 			want, werr := solvePrimal(p, Options{})
 			if werr != nil && !errors.Is(werr, ErrInfeasible) {
-				t.Fatalf("step %d (n=%d shape=%d): oracle: %v", step, n, shape%5, werr)
+				t.Fatalf("step %d (n=%d shape=%d): oracle: %v", step, n, shape%10, werr)
 			}
 			var cold *Solution
 			for _, leg := range []struct {
@@ -75,11 +79,11 @@ func FuzzDualVsPrimal(f *testing.F) {
 				solve func(*Problem, Options) (*Solution, error)
 				o     Options
 			}{
-				{"cached", SolveWith, Options{Cache: cache, RowKeys: keys}},
+				{"cached", SolveWith, Options{Cache: cache}},
 				{"dense", solveDenseKKT, Options{}},
-				{"hot", SolveWith, Options{Cache: cache, RowKeys: keys, Start: start}},
+				{"hot", SolveWith, Options{Cache: cache, Start: start}},
 			} {
-				label := fmt.Sprintf("step %d (n=%d shape=%d %s)", step, n, shape%5, leg.name)
+				label := fmt.Sprintf("step %d (n=%d shape=%d %s)", step, n, shape%10, leg.name)
 				got, gerr := leg.solve(p, leg.o)
 				if gerr != nil && !errors.Is(gerr, ErrInfeasible) || (werr == nil) != (gerr == nil) {
 					t.Fatalf("%s: oracle err %v, dual err %v", label, werr, gerr)
@@ -105,8 +109,45 @@ func FuzzDualVsPrimal(f *testing.F) {
 					}
 				}
 			}
+			if sides {
+				checkOpenRowsOmitted(t, fmt.Sprintf("step %d (n=%d shape=%d)", step, n, shape%10), p)
+			}
 		}
 	})
+}
+
+// checkOpenRowsOmitted solves p and p without its trailing open rows (both
+// sides infinite) uncached: the verdicts and every field of the solutions
+// must be identical, and the open rows' multipliers zero.
+func checkOpenRowsOmitted(t *testing.T, label string, p *Problem) {
+	t.Helper()
+	q := *p
+	m := len(q.gin)
+	for m > 0 && math.IsInf(q.hin[m-1], 1) && math.IsInf(q.lin[m-1], -1) {
+		m--
+	}
+	if m == len(p.gin) {
+		t.Fatalf("%s: no open rows to omit", label)
+	}
+	q.gin, q.hin, q.lin = q.gin[:m], q.hin[:m], q.lin[:m]
+	got, gerr := SolveWith(p, Options{})
+	want, werr := SolveWith(&q, Options{})
+	if (gerr == nil) != (werr == nil) {
+		t.Fatalf("%s: err %v with open rows, %v without", label, gerr, werr)
+	}
+	if gerr != nil {
+		return
+	}
+	for _, l := range got.IneqDual[m:] {
+		if l != 0 {
+			t.Fatalf("%s: open row multiplier %g", label, l)
+		}
+	}
+	trimmed := *got
+	trimmed.IneqDual = got.IneqDual[:m]
+	if d := solutionDiff(want, &trimmed); d != "" {
+		t.Fatalf("%s: with open rows vs omitted: %s", label, d)
+	}
 }
 
 // shapedQP draws a dispatchQP with n variables and reshapes it:
@@ -120,14 +161,14 @@ func FuzzDualVsPrimal(f *testing.F) {
 //	   balance row itself as an inequality;
 //	4: tight bounds — some units fixed (lo = hi) or nearly so.
 //
-// Every row gets its own key: duplicated gradients under distinct keys are
-// within the KKTCache contract.
-func shapedQP(r *rand.Rand, n int, shape uint8) (*Problem, []int64) {
-	p, keys := dispatchQP(r, n)
-	addRow := func(g []float64, h float64) {
-		_, _ = p.AddInequality(g, h)
-		keys = append(keys, int64(len(keys)))
-	}
+// With sides, each row then stays one-sided, gains a lower side, or trades
+// its upper side for a lower one, and one to three open rows (random
+// gradients, both sides infinite) are appended. Every row has its own
+// index, and so its own cache key: duplicated gradients under distinct
+// rows are within the KKTCache contract.
+func shapedQP(r *rand.Rand, n int, shape uint8, sides bool) *Problem {
+	p := dispatchQP(r, n)
+	addRow := func(g []float64, h float64) { _, _ = p.AddInequality(g, h) }
 	switch shape {
 	case 1:
 		side := p.upper
@@ -159,5 +200,26 @@ func shapedQP(r *rand.Rand, n int, shape uint8) (*Problem, []int64) {
 			}
 		}
 	}
-	return p, keys
+	if !sides {
+		return p
+	}
+	inf := math.Inf(1)
+	for i, hi := range p.hin {
+		lo := hi - 0.4 - 2*r.Float64()
+		switch r.Intn(3) {
+		case 1:
+			_ = p.SetRowBounds(i, lo, hi)
+		case 2:
+			_ = p.SetRowBounds(i, lo, inf)
+		}
+	}
+	for k := 1 + r.Intn(3); k > 0; k-- {
+		g := make([]float64, n)
+		for j := range g {
+			g[j] = -1 + 2*r.Float64()
+		}
+		i, _ := p.AddInequality(g, 0)
+		_ = p.SetRowBounds(i, -inf, inf)
+	}
+	return p
 }

@@ -2,7 +2,7 @@
 //
 //	minimize    ½·xᵀHx + cᵀx
 //	subject to  A x  = b      (equality rows)
-//	            G x ≤ h       (inequality rows)
+//	            lo ≤ G x ≤ hi (inequality rows; either side may be infinite)
 //	            l ≤ x ≤ u     (bounds, folded into G internally)
 //
 // H must be symmetric positive semidefinite and positive definite on the
@@ -31,17 +31,25 @@ var ErrIterLimit = errors.New("qp: iteration limit exceeded")
 // ErrInfeasible is returned when no point satisfies the constraints.
 var ErrInfeasible = errors.New("qp: infeasible")
 
-// Problem is a convex QP under construction. Create with NewProblem.
+// Problem is a convex QP. Create with NewProblem. Its right-hand sides —
+// equality targets and inequality row bounds — may be changed between
+// solves (SetEqualityRHS, SetRowBounds), so one Problem can be re-solved
+// under varying limits without being rebuilt.
 type Problem struct {
-	n     int
-	h     *mat.Matrix
-	c     []float64
-	aeq   [][]float64
-	beq   []float64
+	n   int
+	h   *mat.Matrix
+	c   []float64
+	aeq [][]float64
+	beq []float64
+	// Inequality row i is lin[i] ≤ gin[i]ᵀx ≤ hin[i]; an infinite side is
+	// absent.
 	gin   [][]float64
 	hin   []float64
+	lin   []float64
 	lower []float64
 	upper []float64
+	// offDiag counts the nonzero off-diagonal entries of h.
+	offDiag int
 }
 
 // NewProblem returns a QP with n variables, zero objective, and free bounds.
@@ -72,6 +80,13 @@ func (p *Problem) SetQuadCoeff(i, j int, v float64) error {
 	if !isFinite(v) {
 		return fmt.Errorf("qp: quad coefficient (%d,%d) is %g", i, j, v)
 	}
+	if i != j {
+		if old := p.h.At(i, j); old == 0 && v != 0 {
+			p.offDiag += 2
+		} else if old != 0 && v == 0 {
+			p.offDiag -= 2
+		}
+	}
 	p.h.Set(i, j, v)
 	p.h.Set(j, i, v)
 	return nil
@@ -97,14 +112,23 @@ func (p *Problem) SetBounds(j int, lo, hi float64) error {
 	if j < 0 || j >= p.n {
 		return fmt.Errorf("qp: bound index %d out of range", j)
 	}
-	if math.IsNaN(lo) || math.IsNaN(hi) || math.IsInf(lo, 1) || math.IsInf(hi, -1) {
-		return fmt.Errorf("qp: variable %d has invalid bounds [%g, %g]", j, lo, hi)
-	}
-	if lo > hi {
-		return fmt.Errorf("qp: variable %d has lower bound %g > upper bound %g", j, lo, hi)
+	if err := checkSides("variable", j, lo, hi); err != nil {
+		return err
 	}
 	p.lower[j] = lo
 	p.upper[j] = hi
+	return nil
+}
+
+// checkSides validates a [lo, hi] pair as SetBounds and SetRowBounds
+// accept it.
+func checkSides(what string, i int, lo, hi float64) error {
+	if math.IsNaN(lo) || math.IsNaN(hi) || math.IsInf(lo, 1) || math.IsInf(hi, -1) {
+		return fmt.Errorf("qp: %s %d has invalid bounds [%g, %g]", what, i, lo, hi)
+	}
+	if lo > hi {
+		return fmt.Errorf("qp: %s %d has lower bound %g > upper bound %g", what, i, lo, hi)
+	}
 	return nil
 }
 
@@ -124,8 +148,10 @@ func (p *Problem) AddEquality(a []float64, b float64) (int, error) {
 	return len(p.aeq) - 1, nil
 }
 
-// AddInequality appends an inequality row gᵀx ≤ h and returns its index.
-// Coefficients and h must be finite.
+// AddInequality appends an inequality row gᵀx ≤ h and returns its index;
+// SetRowBounds gives it a lower side or moves either side. Coefficients and
+// h must be finite. The problem keeps g itself, not a copy: g must not
+// change while the problem is in use.
 func (p *Problem) AddInequality(g []float64, h float64) (int, error) {
 	if len(g) != p.n {
 		return 0, fmt.Errorf("qp: inequality row has %d coefficients, want %d", len(g), p.n)
@@ -133,11 +159,36 @@ func (p *Problem) AddInequality(g []float64, h float64) (int, error) {
 	if err := checkRow(g, h); err != nil {
 		return 0, err
 	}
-	row := make([]float64, p.n)
-	copy(row, g)
-	p.gin = append(p.gin, row)
+	p.gin = append(p.gin, g)
 	p.hin = append(p.hin, h)
+	p.lin = append(p.lin, math.Inf(-1))
 	return len(p.gin) - 1, nil
+}
+
+// SetRowBounds sets inequality row i to lo ≤ gᵀx ≤ hi. Use -Inf/+Inf for an
+// absent side: a row with both sides infinite constrains nothing. The sides
+// are validated as SetBounds validates a variable's.
+func (p *Problem) SetRowBounds(i int, lo, hi float64) error {
+	if i < 0 || i >= len(p.gin) {
+		return fmt.Errorf("qp: inequality row %d out of range", i)
+	}
+	if err := checkSides("inequality row", i, lo, hi); err != nil {
+		return err
+	}
+	p.lin[i], p.hin[i] = lo, hi
+	return nil
+}
+
+// SetEqualityRHS sets the target of equality row e, which must be finite.
+func (p *Problem) SetEqualityRHS(e int, b float64) error {
+	if e < 0 || e >= len(p.aeq) {
+		return fmt.Errorf("qp: equality row %d out of range", e)
+	}
+	if !isFinite(b) {
+		return fmt.Errorf("qp: equality row %d target is %g", e, b)
+	}
+	p.beq[e] = b
+	return nil
 }
 
 // checkRow rejects a constraint row with a non-finite coefficient or
@@ -166,7 +217,10 @@ type Solution struct {
 	// EqDual holds one multiplier per equality row (ν in H x + c + Aᵀν +
 	// Gᵀλ = 0).
 	EqDual []float64
-	// IneqDual holds one non-negative multiplier per user inequality row.
+	// IneqDual holds one multiplier per user inequality row, λ_hi − λ_lo:
+	// the upper side's multiplier less the lower side's. It is positive
+	// where the upper side binds, negative where the lower side does, and
+	// never negative for a one-sided gᵀx ≤ h row.
 	IneqDual []float64
 	// LowerDual and UpperDual hold the non-negative multipliers of active
 	// variable bounds.
@@ -190,18 +244,13 @@ type Options struct {
 	// factorization, border columns, and Schur factors across solves of
 	// structurally identical problems, and remembers whether the Hessian
 	// is positive definite. The caller asserts that the Hessian, the
-	// equality-row gradients, the bound structure, and the gradient behind
-	// every RowKeys identity are unchanged since the cache was filled.
-	// Objective vectors and all right-hand sides may differ. A cached
-	// factor is the one a fresh factorization computes, so results never
-	// depend on what the cache holds. Requires RowKeys when user inequality
-	// rows are present; ignored otherwise. Not safe for concurrent use.
+	// equality-row gradients, the bound structure, and the gradient of
+	// every inequality row (by index) are unchanged since the cache was
+	// filled. Objective vectors and all right-hand sides may differ, and
+	// row sides may come and go. A cached factor is the one a fresh
+	// factorization computes, so results never depend on what the cache
+	// holds. Not safe for concurrent use.
 	Cache *KKTCache
-	// RowKeys assigns a stable identity in [0, 2²⁸) to each user
-	// inequality row, parallel to AddInequality order, so the Cache can
-	// recognize the same constraint across solves even when the row set
-	// (and hence row positions) changes.
-	RowKeys []int64
 	// Workspace supplies the active-set iteration's working storage (row
 	// list, Schur right-hand-side and memo buffers, step direction) in its
 	// QP slot, reused across solves so a steady-state QP re-solve under a
@@ -216,11 +265,10 @@ type Options struct {
 	// Start, when non-nil, hot-starts the dual method from a working set
 	// carried across solves: on entry its row keys are mapped onto this
 	// solve's rows, and on return it holds the final working set's keys
-	// (emptied on error). It reuses its storage, and it needs RowKeys when
-	// user inequality rows are present, as Cache does; the primal method
-	// and solves without stable keys ignore it. The working set is kept in
-	// row order, so every field of the result but Iterations depends on the
-	// final working set only, not on the hint. Not safe for concurrent use.
+	// (emptied on error). It reuses its storage; the primal method ignores
+	// it. The working set is kept in row order, so every field of the
+	// result but Iterations depends on the final working set only, not on
+	// the hint. Not safe for concurrent use.
 	Start *WorkingSet
 
 	// denseKKT solves every KKT system by a fresh dense factorization: the
@@ -244,13 +292,20 @@ func Solve(p *Problem) (*Solution, error) {
 	return SolveWith(p, Options{})
 }
 
-// ineqRow is one generalized inequality (user row or bound) in gᵀx ≤ h form.
+// ineqRow is one side of a user row or of a variable's bounds in
+// sign·gᵀx ≤ h form: an upper side has sign +1 and h = hi, a lower side sign
+// −1 and h = −lo.
 type ineqRow struct {
-	g    []float64 // nil means a bound row described by (idx, sign)
-	idx  int
-	sign float64 // +1: x_idx ≤ h, −1: −x_idx ≤ h
+	g    []float64 // nil means a bound row on variable idx
+	idx  int       // user row index, or the bounded variable
+	sign float64
 	h    float64
 	kind rowKind
+	// key identifies the side across solves of one problem family (the
+	// KKTCache and hot-start identity): (2·row + side) << 2 for a user row,
+	// with side 0 upper and 1 lower, and idx << 2 | 1 (upper) or | 2
+	// (lower) for a bound.
+	key int64
 }
 
 type rowKind int
@@ -261,18 +316,13 @@ const (
 	kindUpper
 )
 
-func (r *ineqRow) value(x []float64) float64 {
+// dot is the row's sign·gᵀv: its value at a point, or its rate along a
+// direction.
+func (r *ineqRow) dot(v []float64) float64 {
 	if r.g != nil {
-		return mat.Dot(r.g, x)
+		return r.sign * mat.Dot(r.g, v)
 	}
-	return r.sign * x[r.idx]
-}
-
-func (r *ineqRow) dirDot(d []float64) float64 {
-	if r.g != nil {
-		return mat.Dot(r.g, d)
-	}
-	return r.sign * d[r.idx]
+	return r.sign * v[r.idx]
 }
 
 // SolveWith solves the QP with explicit options: by the dual method when H
@@ -345,22 +395,25 @@ func positiveDefinite(p *Problem, c *KKTCache) bool {
 	return err == nil
 }
 
-// gatherIneqsInto folds user inequalities and finite bounds into one row
-// list, appending into buf's backing array.
+// gatherIneqsInto folds the finite sides of user rows and bounds into one
+// row list, appending into buf's backing array; an infinite side is
+// skipped.
 func gatherIneqsInto(p *Problem, buf []ineqRow) []ineqRow {
 	rows := buf[:0]
-	if cap(rows) == 0 {
-		rows = make([]ineqRow, 0, len(p.gin)+2*p.n)
-	}
 	for i, g := range p.gin {
-		rows = append(rows, ineqRow{g: g, h: p.hin[i], kind: kindUser, idx: i})
+		if !math.IsInf(p.hin[i], 1) {
+			rows = append(rows, ineqRow{g: g, idx: i, sign: 1, h: p.hin[i], kind: kindUser, key: int64(2*i) << 2})
+		}
+		if !math.IsInf(p.lin[i], -1) {
+			rows = append(rows, ineqRow{g: g, idx: i, sign: -1, h: -p.lin[i], kind: kindUser, key: int64(2*i+1) << 2})
+		}
 	}
 	for j := 0; j < p.n; j++ {
 		if !math.IsInf(p.upper[j], 1) {
-			rows = append(rows, ineqRow{idx: j, sign: 1, h: p.upper[j], kind: kindUpper})
+			rows = append(rows, ineqRow{idx: j, sign: 1, h: p.upper[j], kind: kindUpper, key: int64(j)<<2 | 1})
 		}
 		if !math.IsInf(p.lower[j], -1) {
-			rows = append(rows, ineqRow{idx: j, sign: -1, h: -p.lower[j], kind: kindLower})
+			rows = append(rows, ineqRow{idx: j, sign: -1, h: -p.lower[j], kind: kindLower, key: int64(j)<<2 | 2})
 		}
 	}
 	return rows
@@ -381,7 +434,14 @@ func feasibleStart(p *Problem, opts Options) ([]float64, error) {
 		}
 	}
 	for i, g := range p.gin {
-		if _, err := prob.AddConstraint(g, lp.LE, p.hin[i]); err != nil {
+		var err error
+		if !math.IsInf(p.hin[i], 1) {
+			_, err = prob.AddConstraint(g, lp.LE, p.hin[i])
+		}
+		if err == nil && !math.IsInf(p.lin[i], -1) {
+			_, err = prob.AddConstraint(g, lp.GE, p.lin[i])
+		}
+		if err != nil {
 			return nil, fmt.Errorf("qp: %w", err)
 		}
 	}

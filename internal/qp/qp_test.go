@@ -155,6 +155,16 @@ func TestAPIErrors(t *testing.T) {
 	if _, err := p.AddInequality([]float64{1}, 0); err == nil {
 		t.Fatal("want inequality length error")
 	}
+	if err := p.SetRowBounds(0, 0, 1); err == nil {
+		t.Fatal("want row index error")
+	}
+	if err := p.SetEqualityRHS(0, 1); err == nil {
+		t.Fatal("want equality index error")
+	}
+	_, _ = p.AddInequality([]float64{1, 1}, 1)
+	if err := p.SetRowBounds(0, 2, 1); err == nil {
+		t.Fatal("want inverted row bounds error")
+	}
 	if p.NumVars() != 2 {
 		t.Fatal("NumVars")
 	}
@@ -314,6 +324,14 @@ func TestRejectsNonFiniteInput(t *testing.T) {
 		{"equality rhs Inf", func(p *Problem) error { _, err := p.AddEquality([]float64{1, 1}, inf); return err }},
 		{"inequality coeff Inf", func(p *Problem) error { _, err := p.AddInequality([]float64{-inf, 1}, 1); return err }},
 		{"inequality rhs NaN", func(p *Problem) error { _, err := p.AddInequality([]float64{1, 1}, nan); return err }},
+		{"row lower NaN", func(p *Problem) error { return withRow(p).SetRowBounds(0, nan, 1) }},
+		{"row upper NaN", func(p *Problem) error { return withRow(p).SetRowBounds(0, 0, nan) }},
+		{"row lower +Inf", func(p *Problem) error { return withRow(p).SetRowBounds(0, inf, inf) }},
+		{"row upper -Inf", func(p *Problem) error { return withRow(p).SetRowBounds(0, -inf, -inf) }},
+		{"equality target Inf", func(p *Problem) error {
+			_, _ = p.AddEquality([]float64{1, 1}, 1)
+			return p.SetEqualityRHS(0, inf)
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -324,5 +342,45 @@ func TestRejectsNonFiniteInput(t *testing.T) {
 	}
 	if err := NewProblem(1).SetBounds(0, math.Inf(-1), math.Inf(1)); err != nil {
 		t.Fatalf("free variable rejected: %v", err)
+	}
+	if err := withRow(NewProblem(2)).SetRowBounds(0, math.Inf(-1), math.Inf(1)); err != nil {
+		t.Fatalf("open row rejected: %v", err)
+	}
+}
+
+// withRow adds the inequality row x₀ + x₁ ≤ 1 to a two-variable p.
+func withRow(p *Problem) *Problem {
+	_, _ = p.AddInequality([]float64{1, 1}, 1)
+	return p
+}
+
+// TestTwoSidedRow: minimizing x₀² + x₁² under lo ≤ x₀ + x₁ ≤ hi puts the
+// optimum at (t/2, t/2) with t the nearer side (or 0 between them), and
+// IneqDual is λ_hi − λ_lo: +|t| at the upper side, −|t| at the lower one.
+func TestTwoSidedRow(t *testing.T) {
+	inf := math.Inf(1)
+	for _, tc := range []struct{ lo, hi, x, dual float64 }{
+		{2, 5, 1, -2},
+		{-5, -2, -1, 2},
+		{-1, 1, 0, 0},
+		{2, inf, 1, -2},
+		{-inf, -2, -1, 2},
+		{-inf, inf, 0, 0},
+	} {
+		p := NewProblem(2)
+		for i := 0; i < 2; i++ {
+			_ = p.SetQuadCoeff(i, i, 2)
+		}
+		_, _ = p.AddInequality([]float64{1, 1}, 0)
+		if err := p.SetRowBounds(0, tc.lo, tc.hi); err != nil {
+			t.Fatal(err)
+		}
+		sol, err := Solve(p)
+		if err != nil {
+			t.Fatalf("[%g, %g]: %v", tc.lo, tc.hi, err)
+		}
+		if math.Abs(sol.X[0]-tc.x) > 1e-9 || math.Abs(sol.X[1]-tc.x) > 1e-9 || math.Abs(sol.IneqDual[0]-tc.dual) > 1e-9 {
+			t.Errorf("[%g, %g]: x = %v, dual %g; want x = %g, dual %g", tc.lo, tc.hi, sol.X, sol.IneqDual[0], tc.x, tc.dual)
+		}
 	}
 }

@@ -54,7 +54,7 @@ func cloneInto(dst, src []float64) []float64 {
 	return dst
 }
 
-// growFloat/growBool/growInt64 reslice to length n, reallocating only when
+// growFloat/growBool reslice to length n, reallocating only when
 // capacity is insufficient; contents are unspecified (callers write or clear).
 func growFloat(s []float64, n int) []float64 {
 	if cap(s) < n {
@@ -66,13 +66,6 @@ func growFloat(s []float64, n int) []float64 {
 func growBool(s []bool, n int) []bool {
 	if cap(s) < n {
 		return make([]bool, n)
-	}
-	return s[:n]
-}
-
-func growInt64(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
 	}
 	return s[:n]
 }
