@@ -116,6 +116,7 @@ func FindOptimalAttack(k *Knowledge, o Options) (*Attack, error) {
 	// (its dispatch warm start is the one mutation, and it happens before
 	// any worker exists).
 	pre := precompute(k, o)
+	stats.SimplexIterations += pre.rootIters
 
 	// Fan out. Each task gets its own shallow model clone so its solve
 	// trajectory never depends on which goroutine (or predecessor task)

@@ -33,25 +33,69 @@ type ineqRow struct {
 // precomp caches the solve-invariant scaffolding every one of Algorithm 1's
 // 2·|E_D| subproblems shares: the DLR variable order, the initial monitored
 // line set (whose computation costs a full dispatch solve — previously paid
-// once per subproblem), and the KKT inequality-row layout for that set. It
-// is built once before the fan-out and read concurrently by all workers, so
-// nothing in it may be mutated after construction.
+// once per subproblem), the KKT inequality-row layout for that set, and a
+// feasible basis of the round-1 KKT relaxation. It is built once before the
+// fan-out and read concurrently by all workers, so nothing in it may be
+// mutated after construction.
 type precomp struct {
 	dlrOrder  []int
 	monitored []int
 	rows      []ineqRow // row layout for the initial monitored set
+	// rootBasis is a primal-feasible basis of the round-1 relaxation (nil
+	// when warm starts are off or the relaxation is infeasible). Every
+	// subproblem's round-1 LP has the same rows and bounds — only the
+	// objective differs — so one phase I serves all of their roots, each of
+	// which then starts in phase II. lp.Basis is immutable, so the workers
+	// share it. rootIters is the pivot count of the solve that found it.
+	rootBasis *lp.Basis
+	rootIters int
 }
 
 // precompute builds the shared scaffolding on the caller's model (the one
 // model mutation — the dispatch warm start inside initialMonitoredSet —
-// happens here, before any worker exists).
+// happens here, before any worker exists). Computing the root basis here,
+// not in whichever subproblem runs first, keeps every subproblem's search
+// independent of the worker count.
 func precompute(k *Knowledge, o Options) *precomp {
 	p := &precomp{
 		dlrOrder:  k.Model.Net.DLRLines(),
 		monitored: initialMonitoredSet(k, o),
 	}
 	p.rows = buildRows(len(k.Model.Net.Gens), p.monitored)
+	if !o.NoWarmStart && len(p.dlrOrder) > 0 {
+		p.rootBasis, p.rootIters = rootFeasibleBasis(k, o, p)
+	}
 	return p
+}
+
+// rootFeasibleBasis solves the round-1 KKT relaxation once under a zero
+// objective and returns its final basis: the end of phase I, feasible for
+// every subproblem's round-1 root — and its pivot count. The target only
+// picks an objective, which is then cleared.
+func rootFeasibleBasis(k *Knowledge, o Options, pre *precomp) (*lp.Basis, int) {
+	sp := newSubproblem(k, pre.dlrOrder[0], 1, pre.monitored, o, pre)
+	prob, err := sp.build()
+	if err != nil {
+		return nil, 0
+	}
+	base := prob.Base
+	if err := base.SetObjective(make([]float64, base.NumVars()), false); err != nil {
+		return nil, 0
+	}
+	sol, err := lp.SolveWith(base, lp.Options{
+		DenseSolver:  o.DenseSolver,
+		ForceSparse:  o.ForceSparse,
+		CaptureBasis: true,
+		Metrics:      o.Metrics,
+		Ctx:          o.Ctx,
+	})
+	if err != nil {
+		return nil, 0
+	}
+	if sol.Status != lp.Optimal {
+		return nil, sol.Iterations
+	}
+	return sol.Basis, sol.Iterations
 }
 
 // buildRows lays out the inner problem's inequality rows for a monitored
@@ -116,9 +160,10 @@ type subproblem struct {
 	solvedBase      *lp.Problem
 	solvedRootBasis *lp.Basis
 
-	// warmSeed, when non-nil, seeds the first round's root relaxation from
-	// a prior run's basis (WarmCache); later rounds warm-start from the
-	// previous round instead.
+	// warmSeed, when non-nil, seeds the first round's root relaxation: a
+	// prior run's optimal basis (WarmCache) when there is one, else the
+	// run's shared feasible root basis (precomp.rootBasis). Later rounds
+	// warm-start from the previous round instead.
 	warmSeed *lp.Basis
 }
 
@@ -936,8 +981,15 @@ func solveSubproblemSeeded(k *Knowledge, target int, dir int, o Options, inc *in
 		sp := newSubproblem(k, target, float64(dir), monitored, o, pre)
 		sp.span = span
 		sp.round = rounds
-		if round == 0 && o.Warm != nil && !o.NoWarmStart {
-			sp.warmSeed = o.Warm.lookup(target, dir, sp)
+		if round == 0 && !o.NoWarmStart {
+			if o.Warm != nil {
+				sp.warmSeed = o.Warm.lookup(target, dir, sp)
+			}
+			if sp.warmSeed == nil && pre != nil {
+				// Round 1 monitors exactly pre.monitored, so the row layout
+				// is the one the shared root basis was captured on.
+				sp.warmSeed = pre.rootBasis
+			}
 		}
 		var seed *float64
 		if g, ok := inc.Best(); ok {

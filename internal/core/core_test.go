@@ -9,6 +9,7 @@ import (
 
 	"github.com/edsec/edattack/internal/core"
 	"github.com/edsec/edattack/internal/dispatch"
+	"github.com/edsec/edattack/internal/grid"
 	"github.com/edsec/edattack/internal/grid/cases"
 )
 
@@ -216,6 +217,32 @@ func TestBigMMatchesComplementarity(t *testing.T) {
 		}
 		if math.Abs(a1.GainPct-a2.GainPct) > 1e-3 {
 			t.Fatalf("(%v): complementarity gain %v != big-M gain %v", ud, a1.GainPct, a2.GainPct)
+		}
+	}
+	// The IEEE-sized cases at default options. Their big-M searches reach
+	// infeasible node LPs on which the cold two-phase solve fails
+	// numerically ("row 47 empty" on case30, a 0/0 pivot on case57); the
+	// warm dual simplex's Farkas-certified verdicts keep branch and bound
+	// off that path.
+	for _, c := range []struct {
+		name  string
+		build func() (*grid.Network, error)
+	}{
+		{"case9", cases.Case9},
+		{"case30", cases.Case30},
+		{"case57", cases.Case57},
+	} {
+		k := knowledgeFor(t, c.build)
+		a1, err := core.FindOptimalAttack(k, core.Options{Method: core.MethodComplementarity})
+		if err != nil {
+			t.Fatalf("%s complementarity: %v", c.name, err)
+		}
+		a2, err := core.FindOptimalAttack(k, core.Options{Method: core.MethodBigM})
+		if err != nil {
+			t.Fatalf("%s big-M: %v", c.name, err)
+		}
+		if math.Abs(a1.GainPct-a2.GainPct) > 1e-3 {
+			t.Fatalf("%s: complementarity gain %v != big-M gain %v", c.name, a1.GainPct, a2.GainPct)
 		}
 	}
 }

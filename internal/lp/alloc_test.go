@@ -68,7 +68,8 @@ func TestFTRANBTRANZeroAlloc(t *testing.T) {
 
 // TestWarmResolveZeroAlloc pins the steady-state branch-and-bound node shape
 // — re-solving a problem from a captured basis through a checked-out
-// workspace — at zero allocations. CaptureBasis is off in the measured loop
+// workspace, to an optimum or to a certified infeasibility — at zero
+// allocations. CaptureBasis is off in the measured loop
 // (capturing hands the caller a fresh Basis by contract), matching how the
 // MILP engine solves non-root nodes.
 func TestWarmResolveZeroAlloc(t *testing.T) {
@@ -97,5 +98,24 @@ func TestWarmResolveZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm workspace re-solve allocates %.1f objects per solve, want 0", allocs)
+	}
+
+	// An infeasible node: the warm verdict, its Farkas check and the
+	// returned Solution all live in the workspace.
+	ip, ibasis := branchedInfeasible(t, Options{ForceSparse: true})
+	iwarm := Options{ForceSparse: true, WarmBasis: ibasis, Workspace: ws}
+	for i := 0; i < 3; i++ {
+		if _, err := SolveWith(ip, iwarm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs = testing.AllocsPerRun(20, func() {
+		s, err := SolveWith(ip, iwarm)
+		if err != nil || s.Status != Infeasible || !s.Warm {
+			t.Fatalf("warm infeasible re-solve: %v (status %v, warm %v)", err, s.Status, s.Warm)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm infeasible re-solve allocates %.1f objects per solve, want 0", allocs)
 	}
 }

@@ -11,12 +11,16 @@ import (
 // (reusing the previous solve's final tableau when the workspace retained a
 // certified one), and — because bound changes cannot disturb dual
 // feasibility — restore primal feasibility with bound-flipping dual simplex
-// pivots instead of a full phase-I/phase-II cold solve. Whenever any step of
-// the warm path cannot be certified (singular refactorization,
-// dual-infeasible basis with an infeasible primal start, suspected
-// infeasibility or unboundedness, numerical trouble), the caller falls back
-// to the unchanged cold two-phase primal solver, so every final verdict is
-// produced by a certified path.
+// pivots instead of a full phase-I/phase-II cold solve. A warm Optimal
+// verdict is certified by the exact phase-II pass the cold solver ends on. A
+// warm Infeasible verdict is certified by an independent Farkas check
+// (farkas.go): the dual ray the dual simplex stopped on is rebuilt in the
+// problem's own row signs and checked against the original rows and bounds.
+// Whenever any step cannot be certified (singular refactorization,
+// dual-infeasible basis with an infeasible primal start, a rejected Farkas
+// certificate, suspected unboundedness, numerical trouble), the caller falls
+// back to the unchanged cold two-phase primal solver, which also re-derives
+// every Unbounded verdict.
 
 // refactorPivotTol is the minimum acceptable pivot magnitude (after partial
 // pivoting across candidate rows) when driving a warm basis into the
@@ -30,8 +34,8 @@ func isPosInf(v float64) bool { return math.IsInf(v, 1) }
 // trySolveWarm attempts a warm-started solve from basis b. A nil Solution
 // means the warm path could not certify a result and the caller must cold
 // solve; the returned simplex (when non-nil) carries the pivot accounting of
-// the attempt either way.
-func trySolveWarm(p *Problem, opts Options, b *Basis) (*simplex, *Solution) {
+// the attempt either way. Farkas checks are counted in stats.
+func trySolveWarm(p *Problem, opts Options, b *Basis, stats *solveStats) (*simplex, *Solution) {
 	m, n, nslack := len(p.rows), p.nvars, p.numSlacks()
 	if !b.matches(n, m, nslack) {
 		return nil, nil
@@ -48,8 +52,12 @@ func trySolveWarm(p *Problem, opts Options, b *Basis) (*simplex, *Solution) {
 	}
 	s.warmRestore(p, b)
 	if s.warmDualFeasible() {
-		if !s.dualSimplex() {
+		switch out, r := s.dualSimplex(); out {
+		case dualFailed:
 			return s, nil
+		case dualInfeasible:
+			s.rayRow(r, opts.Workspace.farkasRay(p))
+			return s, certifyInfeasible(p, opts.Workspace, stats)
 		}
 	} else if !s.warmPrimalFeasible() {
 		return s, nil
@@ -66,6 +74,37 @@ func trySolveWarm(p *Problem, opts Options, b *Basis) (*simplex, *Solution) {
 	sol := s.assemble()
 	sol.Warm = true
 	return s, sol
+}
+
+// certifyInfeasible runs the Farkas check on the certificate row the engine
+// loaded into the workspace (farkasRay) and returns the warm Infeasible
+// verdict when it passes, or nil (cold fallback) when it does not.
+func certifyInfeasible(p *Problem, ws *Workspace, stats *solveStats) *Solution {
+	if tamperRay != nil {
+		tamperRay(ws.farkasY)
+	}
+	if !farkasCertified(p, ws.farkasY, ws.farkasG) {
+		stats.farkasRejected++
+		return nil
+	}
+	stats.farkasCertified++
+	// The verdict lives in the workspace, like an optimum's vectors, so the
+	// infeasible-node path allocates nothing.
+	ws.sol = Solution{Status: Infeasible, Warm: true}
+	return &ws.sol
+}
+
+// rayRow loads row r of B⁻¹ into y in the problem's original row signs: the
+// artificial columns of tableau row r hold B⁻¹ of the sign-flipped rows, so
+// entry i is negated where setup flipped row i.
+func (s *simplex) rayRow(r int, y []float64) {
+	art := s.tab[r][s.artOff:]
+	for i := range y {
+		y[i] = art[i]
+		if s.rhsFlip[i] {
+			y[i] = -art[i]
+		}
+	}
 }
 
 // refactorTo drives the target basis into the tableau. Starting from
@@ -272,20 +311,31 @@ type dualCand struct {
 	span  float64 // distance between the variable's bounds
 }
 
+// dualOutcome is how a warm dual simplex run ended.
+type dualOutcome int8
+
+const (
+	dualFeasible   dualOutcome = iota // every basic variable is within its bounds
+	dualInfeasible                    // the returned leaving row is a dual ray
+	dualFailed                        // pivot budget, tiny pivot, or drift
+)
+
 // dualSimplex runs bound-flipping dual pivots until every basic variable is
 // back inside its bounds. Dual feasibility of the reduced costs is the loop
 // invariant (maintained by the min-ratio rule), so no phase I is needed.
-// Returns false when it cannot finish — no eligible entering column (the
-// standard dual certificate of primal infeasibility, which the cold solver
-// then re-derives) or an exhausted pivot budget.
-func (s *simplex) dualSimplex() bool {
+// It stops with dualInfeasible and the leaving row r when no entering column
+// can repair that row — none is eligible, or every candidate flips to its
+// other bound and violation remains — which makes row r of B⁻¹ the standard
+// dual certificate of primal infeasibility; the caller checks it
+// independently before trusting it.
+func (s *simplex) dualSimplex() (dualOutcome, int) {
 	tol := s.opts.Tol
 	sinceRefresh := 0
 	var cands []dualCand
 	var flips []int
 	for {
 		if s.iters >= s.opts.MaxIter {
-			return false
+			return dualFailed, -1
 		}
 		if sinceRefresh >= 200 {
 			s.initReducedCosts(s.costII)
@@ -306,7 +356,7 @@ func (s *simplex) dualSimplex() bool {
 			}
 		}
 		if r < 0 {
-			return true // primal feasible
+			return dualFeasible, -1
 		}
 		row := s.tab[r]
 		cands = cands[:0]
@@ -356,7 +406,7 @@ func (s *simplex) dualSimplex() bool {
 			cands = append(cands, dualCand{j: j, alpha: a, ratio: e, span: span})
 		}
 		if len(cands) == 0 {
-			return false // dual certificate of primal infeasibility
+			return dualInfeasible, r // no eligible entering column
 		}
 		enter := -1
 		flips = flips[:0]
@@ -393,7 +443,7 @@ func (s *simplex) dualSimplex() bool {
 				flips = append(flips, i)
 			}
 			if enter < 0 {
-				return false // all candidates flip and violation remains
+				return dualInfeasible, r // all candidates flip and violation remains
 			}
 		}
 		for _, fi := range flips {
@@ -419,7 +469,7 @@ func (s *simplex) dualSimplex() bool {
 		j := c.j
 		piv := s.tab[r][j]
 		if math.Abs(piv) < 1e-11 {
-			return false
+			return dualFailed, -1
 		}
 		leaving := s.basis[r]
 		var beta float64

@@ -41,7 +41,11 @@ func sameBits(a, b []float64) bool {
 //     dirtied by a larger unrelated problem, and with no workspace (a
 //     borrowed one) give the same X, duals, and pivot count, bit for bit;
 //   - warm re-solves from the captured basis, on the workspace that
-//     certified it and on a fresh one, certify the same optimum.
+//     certified it and on a fresh one, certify the same optimum;
+//   - after random bound tightenings of the kind branching makes, a warm
+//     re-solve from the captured basis on each engine reaches the same
+//     verdict as a cold solve, Infeasible included (the warm Infeasible
+//     path is the Farkas-certified one), and the same optimal objective.
 //
 // The seed corpus lives in testdata/fuzz/FuzzEngines; explore further with
 // go test -run '^$' -fuzz FuzzEngines -fuzztime 20s ./internal/lp.
@@ -57,9 +61,11 @@ func FuzzEngines(f *testing.F) {
 			{"sparse", Options{ForceSparse: true, CaptureBasis: true}},
 		}
 		var fresh [2]engineRun
+		var certified [2]*Workspace
 		for k, eng := range engines {
 			opts := eng.opts
 			ws := NewWorkspace()
+			certified[k] = ws
 			opts.Workspace = ws
 			fresh[k] = runEngine(p, opts)
 
@@ -110,8 +116,39 @@ func FuzzEngines(f *testing.F) {
 		if d.sol.Status != s.sol.Status {
 			t.Fatalf("dense status %v vs sparse status %v", d.sol.Status, s.sol.Status)
 		}
-		if d.sol.Status == Optimal && !objClose(d.sol.Objective, s.sol.Objective) {
+		if d.sol.Status != Optimal {
+			return
+		}
+		if !objClose(d.sol.Objective, s.sol.Objective) {
 			t.Fatalf("objective dense %.15g vs sparse %.15g", d.sol.Objective, s.sol.Objective)
+		}
+
+		// Branching leg: tighten random bounds as branch and bound does, then
+		// warm re-solve from each engine's captured basis on the workspace
+		// that certified it (the node-to-node fast path).
+		r := rand.New(rand.NewSource(seed ^ 0x5bd1e995))
+		for k := 1 + r.Intn(3); k > 0; k-- {
+			tighten(p, r, r.Intn(p.NumVars()))
+		}
+		for k, eng := range engines {
+			cold := runEngine(p, Options{DenseSolver: eng.opts.DenseSolver, ForceSparse: eng.opts.ForceSparse})
+			warmOpts := eng.opts
+			warmOpts.WarmBasis, warmOpts.Workspace = fresh[k].basis, certified[k]
+			warm := runEngine(p, warmOpts)
+			if (cold.err == nil) != (warm.err == nil) {
+				t.Fatalf("%s branched: cold err %v, warm err %v", eng.name, cold.err, warm.err)
+			}
+			if cold.err != nil {
+				continue
+			}
+			if warm.sol.Status != cold.sol.Status {
+				t.Fatalf("%s branched: warm %v (warm path %v), cold %v",
+					eng.name, warm.sol.Status, warm.sol.Warm, cold.sol.Status)
+			}
+			if cold.sol.Status == Optimal && !objClose(warm.sol.Objective, cold.sol.Objective) {
+				t.Fatalf("%s branched: warm objective %.15g, cold %.15g",
+					eng.name, warm.sol.Objective, cold.sol.Objective)
+			}
 		}
 	})
 }

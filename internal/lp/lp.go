@@ -368,7 +368,8 @@ type Solution struct {
 	// uninstrumented solver.
 	Iterations int
 	// Warm reports that the solution was produced by the warm-started dual
-	// simplex path rather than a cold two-phase solve.
+	// simplex path rather than a cold two-phase solve: a certified optimum,
+	// or an Infeasible verdict whose dual ray passed the Farkas check.
 	Warm bool
 	// Sparse reports which engine produced the solution: true for the
 	// sparse revised simplex, false for the dense tableau.
@@ -478,6 +479,7 @@ type solveStats struct {
 	iters, phase1, degen, flips, dualPivs int
 	warmTried, warmUsed                   bool
 	ftran, btran, etaApps, refactors      int
+	farkasCertified, farkasRejected       int
 }
 
 // Solve solves the problem with default options.
@@ -580,7 +582,7 @@ func solveDense(p *Problem, opts Options, stats *solveStats) (*Solution, error) 
 	ws := opts.Workspace
 	if b := opts.WarmBasis; b != nil {
 		stats.warmTried = true
-		s, sol = trySolveWarm(p, opts, b)
+		s, sol = trySolveWarm(p, opts, b, stats)
 		if s != nil {
 			stats.iters += s.iters
 			stats.degen += s.degenPivots
@@ -634,6 +636,8 @@ func emitSolveMetrics(m *telemetry.Registry, sol *Solution, err error, st *solve
 	m.Counter("lp_btran_total").Add(int64(st.btran))
 	m.Counter("lp_eta_length").Add(int64(st.etaApps))
 	m.Counter("lp_refactorizations_total").Add(int64(st.refactors))
+	m.Counter("lp_farkas_certified_total").Add(int64(st.farkasCertified))
+	m.Counter("lp_farkas_rejected_total").Add(int64(st.farkasRejected))
 	if st.warmTried {
 		if st.warmUsed {
 			m.Counter("lp_warm_solves_total").Inc()

@@ -24,7 +24,9 @@ import (
 // the warm basis seeds the initial LU factorization directly (or reuses the
 // cached factorization when the basis is unchanged since the last capture),
 // and the same dual-simplex/certification flow as the dense engine runs on
-// top.
+// top. A warm Infeasible verdict carries the same independent Farkas check
+// (farkas.go), with the certificate row y = σ∘BTRAN(e_r) for the leaving
+// position r and the setup row signs σ.
 
 // etaRefactorLimit is the eta-file length at which the basis is
 // refactorized. Each FTRAN/BTRAN applies every eta term, so long files make
@@ -870,7 +872,7 @@ func solveSparse(p *Problem, opts Options, stats *solveStats) (*Solution, error)
 	}
 	if b := opts.WarmBasis; b != nil {
 		stats.warmTried = true
-		we, wsol := trySolveWarmSparse(p, opts, b)
+		we, wsol := trySolveWarmSparse(p, opts, b, stats)
 		if we != nil {
 			addStats(we)
 		}
@@ -911,8 +913,9 @@ func solveSparse(p *Problem, opts Options, stats *solveStats) (*Solution, error)
 // factorization when the basis set is unchanged), then the bound-flipping
 // dual simplex restores primal feasibility and the exact phase-II pass
 // certifies. A nil Solution means the caller must cold-solve; the returned
-// engine (when non-nil) carries the attempt's counters either way.
-func trySolveWarmSparse(p *Problem, opts Options, b *Basis) (*revised, *Solution) {
+// engine (when non-nil) carries the attempt's counters either way. Farkas
+// checks are counted in stats.
+func trySolveWarmSparse(p *Problem, opts Options, b *Basis, stats *solveStats) (*revised, *Solution) {
 	m, n, nslack := len(p.rows), p.nvars, p.numSlacks()
 	if !b.matches(n, m, nslack) {
 		return nil, nil
@@ -959,8 +962,12 @@ func trySolveWarmSparse(p *Problem, opts Options, b *Basis) (*revised, *Solution
 	e.bland, e.stall = false, 0
 	e.warmRestore(b)
 	if e.warmDualFeasible() {
-		if !e.dualSimplex() {
+		switch out, r := e.dualSimplex(); out {
+		case dualFailed:
 			return e, nil
+		case dualInfeasible:
+			e.rayRow(r, ws.farkasRay(p))
+			return e, certifyInfeasible(p, ws, stats)
 		}
 	} else if !e.warmPrimalFeasible() {
 		return e, nil
@@ -1095,11 +1102,25 @@ func (e *revised) warmPrimalFeasible() bool {
 	return true
 }
 
+// rayRow loads the certificate row for leaving position r into y in the
+// problem's original row signs: y = σ∘BTRAN(e_r). The dual simplex stops
+// right after pricing row r, so e.rho already holds BTRAN(e_r).
+func (e *revised) rayRow(r int, y []float64) {
+	for i := range y {
+		y[i] = e.rho[i]
+		if e.mat.rhsFlip[i] {
+			y[i] = -e.rho[i]
+		}
+	}
+}
+
 // dualSimplex runs bound-flipping dual pivots until every basic variable is
 // back inside its bounds — the revised-form twin of the dense engine's dual
 // simplex: the leaving row is priced with one BTRAN, accumulated bound flips
-// cost one FTRAN, and the entering column one more.
-func (e *revised) dualSimplex() bool {
+// cost one FTRAN, and the entering column one more. Its outcomes are the
+// dense engine's; on dualInfeasible e.rho holds BTRAN(e_r) for the returned
+// position r.
+func (e *revised) dualSimplex() (dualOutcome, int) {
 	tol := e.opts.Tol
 	sinceRefresh := 0
 	cands := e.cands
@@ -1110,7 +1131,7 @@ func (e *revised) dualSimplex() bool {
 	}()
 	for {
 		if e.iters >= e.opts.MaxIter {
-			return false
+			return dualFailed, -1
 		}
 		if sinceRefresh >= 200 {
 			e.refreshZ(e.costII)
@@ -1129,7 +1150,7 @@ func (e *revised) dualSimplex() bool {
 			}
 		}
 		if r < 0 {
-			return true // primal feasible
+			return dualFeasible, -1
 		}
 		e.pivotRow(r)
 		cands = cands[:0]
@@ -1176,7 +1197,7 @@ func (e *revised) dualSimplex() bool {
 			cands = append(cands, dualCand{j: j, alpha: a, ratio: ratio, span: span})
 		}
 		if len(cands) == 0 {
-			return false // dual certificate of primal infeasibility
+			return dualInfeasible, r // no eligible entering column
 		}
 		enter := -1
 		flips = flips[:0]
@@ -1201,7 +1222,7 @@ func (e *revised) dualSimplex() bool {
 				flips = append(flips, i)
 			}
 			if enter < 0 {
-				return false // all candidates flip and violation remains
+				return dualInfeasible, r // all candidates flip and violation remains
 			}
 		}
 		if len(flips) > 0 {
@@ -1249,18 +1270,18 @@ func (e *revised) dualSimplex() bool {
 			// it — dividing the primal step by the stale value is how
 			// near-singular pivots produce runaway basic values.
 			if e.refactor() != nil {
-				return false
+				return dualFailed, -1
 			}
 			e.pivotRow(r)
 			e.ftranCol(j)
 			piv = e.col[r]
 			c.alpha = e.arow[j]
 			if !pivotsAgree(piv, c.alpha) {
-				return false
+				return dualFailed, -1
 			}
 		}
 		if math.Abs(piv) < 1e-11 {
-			return false
+			return dualFailed, -1
 		}
 		leaving := e.basis[r]
 		var beta float64
@@ -1298,7 +1319,7 @@ func (e *revised) dualSimplex() bool {
 		e.xN[j] = enterVal
 		if e.netas >= etaRefactorLimit {
 			if err := e.refactor(); err != nil {
-				return false
+				return dualFailed, -1
 			}
 		}
 		e.iters++

@@ -55,9 +55,12 @@ type Workspace struct {
 	bcnt  []int
 	bnext []int
 
-	// Warm-start scratch.
-	wanted []int
-	tmp    []int
+	// Warm-start scratch, including the Farkas certificate row y and its
+	// image g = yᵀ[A | S] (see farkasCertified).
+	wanted  []int
+	tmp     []int
+	farkasY []float64
+	farkasG []float64
 
 	// Workspace-owned solution storage (see type comment for lifetime).
 	sol     Solution
@@ -173,6 +176,15 @@ func (ws *Workspace) solution(n, m int) *Solution {
 	ws.solRC = growFloat(ws.solRC, n)
 	ws.sol = Solution{Status: Optimal, X: ws.solX, Dual: ws.solDual, ReducedCost: ws.solRC}
 	return &ws.sol
+}
+
+// farkasRay sizes the Farkas scratch for p — the certificate row y, one
+// entry per row, and g, one per structural and slack column — and returns y
+// for the engine to fill.
+func (ws *Workspace) farkasRay(p *Problem) []float64 {
+	ws.farkasY = growFloat(ws.farkasY, len(p.rows))
+	ws.farkasG = growFloat(ws.farkasG, p.nvars+p.numSlacks())
+	return ws.farkasY
 }
 
 // detach returns a copy of sol whose vectors no longer alias any workspace,

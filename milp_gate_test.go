@@ -133,10 +133,11 @@ func TestRecordMILPBaseline(t *testing.T) {
 
 // TestMILPGate is the MILP scaling gate (make bench-milp, part of make
 // check): every case in BENCH_milp.json must reproduce its recorded gain,
-// proven bound, gap, and deterministic work counts bit-exactly, and the
-// small IEEE systems must close to proven optimality (Exact with zero
-// gap) inside the same node budget that leaves case118 and grow300
-// truncated. The KKT relaxation's proven bound on the truncated cases is
+// proven bound, gap, and deterministic work counts bit-exactly, make at
+// most two cold LP solves with warm-start fallbacks on at most 1% of its
+// nodes, and the small IEEE systems must close to proven optimality (Exact
+// with zero gap) inside the same node budget that leaves case118 and
+// grow300 truncated. The KKT relaxation's proven bound on the truncated cases is
 // the trivial rating-band cap — the recorded gap documents that honestly
 // rather than claiming optimality the search did not prove.
 func TestMILPGate(t *testing.T) {
@@ -157,7 +158,19 @@ func TestMILPGate(t *testing.T) {
 			}
 			o := milpGateOpts(name)
 			o.Workers = 1
+			reg := edattack.NewMetricsRegistry()
+			o.Metrics = reg
 			att, wall := solveMILPCase(t, name, o)
+			// LP work inside the attack: one shared phase I for the
+			// round-1 roots, every other relaxation warm. Infeasible nodes
+			// are Farkas-certified warm, not re-solved cold.
+			lpCold := reg.Counter("lp_solves_total").Value() - reg.Counter("lp_warm_solves_total").Value()
+			if lpCold > 2 {
+				t.Errorf("%d cold LP solves, want at most 2", lpCold)
+			}
+			if fb := reg.Counter("lp_warm_fallbacks_total").Value(); 100*fb > int64(att.Stats.Nodes) {
+				t.Errorf("%d warm-start fallbacks over %d nodes, want at most 1%%", fb, att.Stats.Nodes)
+			}
 			if att.GainPct != rec.GainPct {
 				t.Errorf("gain %.17g differs from recorded %.17g", att.GainPct, rec.GainPct)
 			}
