@@ -81,12 +81,11 @@ bench-sweep:
 bench-sweep-baseline:
 	BENCH_SWEEP=1 $(GO) test -run TestRecordSweepBaseline .
 
-## bench-milp: the MILP scaling gate — the full pipeline (pseudo-cost,
-## hybrid node order, dive/polish) must close case9/30/57 to
-## proven optimality and reproduce the recorded gain/bound/gap and work
-## counts of the budgeted case118 and grow300 attacks bit-exactly
-## (BENCH_milp.json), with the grow300 result identical across node
-## orders and worker counts.
+## bench-milp: the MILP scaling gate — the default attack options must
+## close case9/30/57 to proven optimality and reproduce the recorded
+## gain/bound/gap and work counts of the budgeted case118 and grow300
+## attacks bit-exactly (BENCH_milp.json), with the grow300 result
+## identical across worker counts.
 bench-milp:
 	$(GO) test -run 'TestMILPGate' -count=1 -timeout 30m .
 

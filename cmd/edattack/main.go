@@ -35,8 +35,6 @@ func run() error {
 	caseName := flag.String("case", "case3", "benchmark case ("+strings.Join(edattack.CaseNames(), ", ")+")")
 	method := flag.String("method", "complementarity", "bilevel reformulation: complementarity or bigm")
 	maxNodes := flag.Int("nodes", 0, "branch-and-bound node budget per subproblem (0 = default)")
-	order := flag.String("order", "dfs", "node-selection strategy: dfs, best-first, or hybrid")
-	pseudocost := flag.Bool("pseudocost", false, "enable pseudo-cost branching")
 	udFlag := flag.String("ud", "", "true DLR values as line=value,... (default: static ratings)")
 	baselines := flag.Bool("baselines", false, "also run greedy and random baselines")
 	acEval := flag.Bool("ac", false, "evaluate the attack under the nonlinear (AC) model")
@@ -89,7 +87,7 @@ func run() error {
 	}
 
 	opts := edattack.AttackOptions{
-		MaxNodes: *maxNodes, Workers: *workers, PseudoCost: *pseudocost,
+		MaxNodes: *maxNodes, Workers: *workers,
 		Metrics: obs.Metrics, Tracer: obs.Tracer, Flight: obs.Flight,
 	}
 	model.Metrics = obs.Metrics
@@ -100,16 +98,6 @@ func run() error {
 		opts.Method = edattack.MethodBigM
 	default:
 		return fmt.Errorf("unknown method %q", *method)
-	}
-	switch *order {
-	case "dfs":
-		opts.NodeOrder = edattack.OrderDFS
-	case "best-first", "best":
-		opts.NodeOrder = edattack.OrderBestFirst
-	case "hybrid":
-		opts.NodeOrder = edattack.OrderHybrid
-	default:
-		return fmt.Errorf("unknown node order %q", *order)
 	}
 
 	fmt.Printf("case %s: %d buses, %d lines (%d DLR), %d generators, demand %.0f MW\n",

@@ -31,7 +31,6 @@ import (
 	"github.com/edsec/edattack/internal/dispatch"
 	"github.com/edsec/edattack/internal/grid"
 	"github.com/edsec/edattack/internal/grid/cases"
-	"github.com/edsec/edattack/internal/milp"
 )
 
 // Re-exported model types. These are aliases, not wrappers: values flow
@@ -70,17 +69,6 @@ type (
 const (
 	MethodComplementarity = core.MethodComplementarity
 	MethodBigM            = core.MethodBigM
-)
-
-// NodeOrder selects the branch-and-bound node-selection strategy (see
-// milp.NodeOrder); set it through AttackOptions.NodeOrder.
-type NodeOrder = milp.NodeOrder
-
-// Node-selection strategies.
-const (
-	OrderDFS       = milp.OrderDFS
-	OrderBestFirst = milp.OrderBestFirst
-	OrderHybrid    = milp.OrderHybrid
 )
 
 // Re-exported sentinel errors.

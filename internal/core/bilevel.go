@@ -508,8 +508,8 @@ const polishPasses = 6
 // non-rich polish screens with a leaner candidate set, fewer passes, and
 // a single dive start; the winner's rich refinement then restores
 // precision on the one subproblem where it matters. The cut is a pure
-// function of the instance, so determinism across node orders and worker
-// schedules is unaffected.
+// function of the instance, so determinism across search trajectories and
+// worker schedules is unaffected.
 const diveWideThreshold = 8
 
 // polish runs a deterministic coordinate ascent over the manipulated-rating
@@ -521,8 +521,8 @@ const diveWideThreshold = 8
 // all manipulated ratings, so no unmonitored line is violated — which makes
 // the polished result valid without another row-generation round. The scan
 // order, candidate set, and tie-breaks are pure functions of the instance,
-// so the polish preserves bit-identical results across node orders and
-// worker schedules. rich widens the candidate set (a finer band grid and
+// so the polish preserves bit-identical results across search trajectories
+// and worker schedules. rich widens the candidate set (a finer band grid and
 // extra relative steps): ~2× the dispatch solves for a deeper ascent, used
 // to refine a single winner rather than every dive.
 func (s *subproblem) polish(dlr map[int]float64, rich bool) (float64, map[int]float64, *dispatch.Result, bool) {
@@ -668,8 +668,6 @@ func (s *subproblem) solveOnce(o Options, incumbent *float64, bound milp.BoundSo
 		Bound:            bound,
 		Gap:              o.RelGap,
 		Heuristic:        s.heuristic,
-		NodeOrder:        o.NodeOrder,
-		PseudoCost:       o.PseudoCost,
 		WarmBasis:        warmRoot,
 		DisableWarmStart: o.NoWarmStart,
 		LP:               lp.Options{DenseSolver: o.DenseSolver, ForceSparse: o.ForceSparse, Workspace: o.ws},
@@ -817,7 +815,7 @@ func solveSubproblemSeeded(k *Knowledge, target int, dir int, o Options, inc *in
 	// Deterministic dive: before any branch-and-bound work, polish the
 	// no-attack rating vector toward this target on the true ED. The start
 	// point and the coordinate ascent are pure functions of the instance, so
-	// the dive gain is identical under every node order and worker schedule;
+	// the dive gain is identical under every search trajectory and worker schedule;
 	// offering it tightens pruning for every sibling, and the dive attack is
 	// what this subproblem returns when the search itself proves nothing
 	// better (pruned or truncated) — the reduced KKT encoding cannot certify

@@ -31,7 +31,6 @@ import (
 	"github.com/edsec/edattack/internal/dispatch"
 	"github.com/edsec/edattack/internal/grid"
 	"github.com/edsec/edattack/internal/lp"
-	"github.com/edsec/edattack/internal/milp"
 	"github.com/edsec/edattack/internal/telemetry"
 )
 
@@ -366,15 +365,6 @@ type Options struct {
 	// DenseSolver, this is an A/B hook: the engine gates compare the two
 	// engines' attacks on cases small enough to route dense by default.
 	ForceSparse bool
-	// NodeOrder selects the branch-and-bound node-selection strategy for
-	// every inner MILP search (default milp.OrderDFS). Exact attacks are
-	// identical under every strategy; node counts and wall time differ —
-	// best-first and hybrid close the proven gap faster on hard cases at
-	// the price of warm-basis locality.
-	NodeOrder milp.NodeOrder
-	// PseudoCost enables pseudo-cost branching, seeded at each root from
-	// complementarity-violation magnitudes.
-	PseudoCost bool
 	// Workers is the number of goroutines solving bilevel subproblems
 	// concurrently (0 = one per CPU core, 1 = sequential). The attack
 	// returned is identical for every worker count when subproblems solve

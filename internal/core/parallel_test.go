@@ -97,6 +97,10 @@ func TestFindOptimalAttackDeterministicAcrossWorkers(t *testing.T) {
 				if !att.Exact {
 					t.Fatalf("workers=%d: solve truncated; determinism contract needs exact solves", w)
 				}
+				if att.Stats == nil || att.Stats.Gap != 0 || att.Stats.BestBoundPct != att.GainPct {
+					t.Fatalf("workers=%d: exact attack carries bound %v gap %v",
+						w, att.Stats.BestBoundPct, att.Stats.Gap)
+				}
 				if ref == nil {
 					ref = att
 					if math.IsNaN(att.GainPct) {

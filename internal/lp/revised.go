@@ -3,6 +3,7 @@ package lp
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/edsec/edattack/internal/sparse"
@@ -1120,7 +1121,18 @@ func (e *revised) rayRow(r int, y []float64) {
 // cost one FTRAN, and the entering column one more. Its outcomes are the
 // dense engine's; on dualInfeasible e.rho holds BTRAN(e_r) for the returned
 // position r.
+//
+// An entering column whose pivot element is numerically zero is banned and
+// the ratio test redone without it, up to maxDualBans times before one
+// pivot succeeds. While a column is banned neither infeasibility exit is a
+// proof — the banned column may have been the one to enter — so both
+// report dualFailed instead. Bound flips applied before a banned pivot
+// stay: they are primal moves, and the certification pass after a
+// dualFeasible exit re-prices from exact reduced costs.
 func (e *revised) dualSimplex() (dualOutcome, int) {
+	const maxDualBans = 8
+	var banned [maxDualBans]int
+	nbanned := 0
 	tol := e.opts.Tol
 	sinceRefresh := 0
 	cands := e.cands
@@ -1164,7 +1176,7 @@ func (e *revised) dualSimplex() (dualOutcome, int) {
 				continue
 			}
 			a := e.arow[j]
-			if a > -tol && a < tol {
+			if a > -tol && a < tol || nbanned > 0 && slices.Contains(banned[:nbanned], j) {
 				continue
 			}
 			var ok bool
@@ -1197,6 +1209,9 @@ func (e *revised) dualSimplex() (dualOutcome, int) {
 			cands = append(cands, dualCand{j: j, alpha: a, ratio: ratio, span: span})
 		}
 		if len(cands) == 0 {
+			if nbanned > 0 {
+				return dualFailed, -1
+			}
 			return dualInfeasible, r // no eligible entering column
 		}
 		enter := -1
@@ -1222,6 +1237,9 @@ func (e *revised) dualSimplex() (dualOutcome, int) {
 				flips = append(flips, i)
 			}
 			if enter < 0 {
+				if nbanned > 0 {
+					return dualFailed, -1
+				}
 				return dualInfeasible, r // all candidates flip and violation remains
 			}
 		}
@@ -1281,8 +1299,14 @@ func (e *revised) dualSimplex() (dualOutcome, int) {
 			}
 		}
 		if math.Abs(piv) < 1e-11 {
-			return dualFailed, -1
+			if nbanned == maxDualBans {
+				return dualFailed, -1
+			}
+			banned[nbanned] = j
+			nbanned++
+			continue
 		}
+		nbanned = 0
 		leaving := e.basis[r]
 		var beta float64
 		if needUp {

@@ -2,116 +2,38 @@ package milp
 
 import "math"
 
-// NodeOrder selects the branch-and-bound node-selection discipline.
-type NodeOrder int
-
-// Node-selection strategies.
-const (
-	// OrderDFS pops the most recently pushed node (default; minimal
-	// frontier memory and maximal warm-basis locality).
-	OrderDFS NodeOrder = iota
-	// OrderBestFirst pops the open node with the best inherited relaxation
-	// bound, closing the proven gap as fast as possible at the price of
-	// basis locality.
-	OrderBestFirst
-	// OrderHybrid plunges depth-first along the preferred child until the
-	// dive ends (leaf, prune, or infeasibility), then restarts from the
-	// best-bound open node — incumbents early, bound progress afterwards.
-	OrderHybrid
-)
-
-func (o NodeOrder) String() string {
-	switch o {
-	case OrderDFS:
-		return "dfs"
-	case OrderBestFirst:
-		return "best-first"
-	case OrderHybrid:
-		return "hybrid"
-	default:
-		return "NodeOrder(?)"
-	}
-}
-
-// frontier holds the open nodes of a search under one NodeOrder. DFS keeps
-// everything on a stack; best-first keeps everything on a bound-ordered
-// heap; hybrid keeps the current dive child on the stack and parks every
-// sibling on the heap. Heap ties break on push sequence (earlier first), so
-// pop order is a pure function of the push history.
+// frontier holds the open nodes of the depth-first search on a stack: the
+// most recently pushed node pops first, which keeps the frontier small and
+// each node's warm basis one bound fix away from the LP the workspace just
+// solved.
 type frontier struct {
-	order    NodeOrder
 	maximize bool
-	seq      int
 	stack    []node
-	heap     []node
 }
 
-func newFrontier(order NodeOrder, maximize bool) *frontier {
-	return &frontier{order: order, maximize: maximize}
+func newFrontier(maximize bool) *frontier {
+	return &frontier{maximize: maximize}
 }
 
-func (f *frontier) len() int { return len(f.stack) + len(f.heap) }
+func (f *frontier) len() int { return len(f.stack) }
 
-// better reports whether bound a should be explored before bound b.
-func (f *frontier) better(a, b float64) bool {
-	if f.maximize {
-		return a > b
-	}
-	return a < b
-}
+func (f *frontier) push(n node) { f.stack = append(f.stack, n) }
 
-// before is the heap order: better bound first, earlier push on ties.
-func (f *frontier) before(a, b *node) bool {
-	if a.score != b.score {
-		return f.better(a.score, b.score)
-	}
-	return a.seq < b.seq
-}
-
-// push adds one node (the root, or a generic reinsertion).
-func (f *frontier) push(n node) {
-	n.seq = f.seq
-	f.seq++
-	if f.order == OrderBestFirst {
-		f.heapPush(n)
-		return
-	}
-	f.stack = append(f.stack, n)
-}
-
-// pushChildren adds a branch's two children. preferred is the child DFS
-// would explore first (rounding toward the relaxation point); under
-// best-first both children queue on bound, and under hybrid the preferred
-// child continues the plunge while its sibling parks on the heap.
+// pushChildren adds a branch's two children with preferred (the child that
+// rounds toward the relaxation point) on top, so it is explored first.
 func (f *frontier) pushChildren(preferred, sibling node) {
-	switch f.order {
-	case OrderBestFirst:
-		f.push(preferred)
-		f.push(sibling)
-	case OrderHybrid:
-		sibling.seq = f.seq
-		f.seq++
-		f.heapPush(sibling) // parked for the best-first restart
-		preferred.seq = f.seq
-		f.seq++
-		f.stack = append(f.stack, preferred) // continues the plunge
-	default: // OrderDFS: LIFO, preferred on top
-		f.push(sibling)
-		f.push(preferred)
-	}
+	f.push(sibling)
+	f.push(preferred)
 }
 
 // pop removes the next node to explore.
 func (f *frontier) pop() (node, bool) {
-	if f.order != OrderBestFirst && len(f.stack) > 0 {
-		n := f.stack[len(f.stack)-1]
-		f.stack = f.stack[:len(f.stack)-1]
-		return n, true
+	if len(f.stack) == 0 {
+		return node{}, false
 	}
-	if len(f.heap) > 0 {
-		return f.heapPop(), true
-	}
-	return node{}, false
+	n := f.stack[len(f.stack)-1]
+	f.stack = f.stack[:len(f.stack)-1]
+	return n, true
 }
 
 // bestBound returns the best inherited relaxation bound among all open
@@ -122,106 +44,10 @@ func (f *frontier) bestBound() float64 {
 	if !f.maximize {
 		best = math.Inf(1)
 	}
-	have := false
 	for i := range f.stack {
-		if !have || f.better(f.stack[i].score, best) {
-			best, have = f.stack[i].score, true
+		if s := f.stack[i].score; f.maximize && s > best || !f.maximize && s < best {
+			best = s
 		}
-	}
-	if len(f.heap) > 0 && (!have || f.better(f.heap[0].score, best)) {
-		best = f.heap[0].score
 	}
 	return best
-}
-
-func (f *frontier) heapPush(n node) {
-	f.heap = append(f.heap, n)
-	i := len(f.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !f.before(&f.heap[i], &f.heap[parent]) {
-			break
-		}
-		f.heap[i], f.heap[parent] = f.heap[parent], f.heap[i]
-		i = parent
-	}
-}
-
-func (f *frontier) heapPop() node {
-	top := f.heap[0]
-	last := len(f.heap) - 1
-	f.heap[0] = f.heap[last]
-	f.heap = f.heap[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < last && f.before(&f.heap[l], &f.heap[best]) {
-			best = l
-		}
-		if r < last && f.before(&f.heap[r], &f.heap[best]) {
-			best = r
-		}
-		if best == i {
-			break
-		}
-		f.heap[i], f.heap[best] = f.heap[best], f.heap[i]
-		i = best
-	}
-	return top
-}
-
-// pseudoCosts tracks, per branching entity and branch side, the average
-// relaxation-bound degradation observed when branching that way. Entities
-// are binaries first (index into Problem.binaries), then complementarity
-// pairs (offset by the binary count). Pair estimates are seeded from the
-// root relaxation's complementarity-violation magnitudes, so the first
-// branching decisions already prefer pairs whose violation is structurally
-// large — the signal the seeding heuristic in the attack generator exploits.
-type pseudoCosts struct {
-	downSum, upSum []float64
-	downN, upN     []int
-}
-
-func newPseudoCosts(entities int) *pseudoCosts {
-	return &pseudoCosts{
-		downSum: make([]float64, entities),
-		upSum:   make([]float64, entities),
-		downN:   make([]int, entities),
-		upN:     make([]int, entities),
-	}
-}
-
-// seed installs an initial one-observation estimate on both sides of an
-// entity, unless real observations exist.
-func (pc *pseudoCosts) seed(e int, degradation float64) {
-	if pc.downN[e] == 0 {
-		pc.downSum[e], pc.downN[e] = degradation, 1
-	}
-	if pc.upN[e] == 0 {
-		pc.upSum[e], pc.upN[e] = degradation, 1
-	}
-}
-
-// observe records a realized bound degradation for one branch side.
-func (pc *pseudoCosts) observe(e int, up bool, degradation float64) {
-	if up {
-		pc.upSum[e] += degradation
-		pc.upN[e]++
-	} else {
-		pc.downSum[e] += degradation
-		pc.downN[e]++
-	}
-}
-
-// score combines a fractionality/violation magnitude with the entity's
-// learned degradation averages; larger means branch here.
-func (pc *pseudoCosts) score(e int, viol float64) float64 {
-	avg := func(sum float64, n int) float64 {
-		if n == 0 {
-			return 0
-		}
-		return sum / float64(n)
-	}
-	return viol * (1 + avg(pc.downSum[e], pc.downN[e]) + avg(pc.upSum[e], pc.upN[e]))
 }

@@ -28,38 +28,6 @@ func randKnapsack(r *rand.Rand) (*Problem, float64) {
 	return p, bruteKnapsack(c, w, capacity)
 }
 
-// TestNodeOrderEquivalence is the strategy-independence contract: an exact
-// solve must reach the same optimal objective under every node-selection
-// order, with and without pseudo-cost branching.
-func TestNodeOrderEquivalence(t *testing.T) {
-	orders := []NodeOrder{OrderDFS, OrderBestFirst, OrderHybrid}
-	r := rand.New(rand.NewSource(7))
-	for inst := 0; inst < 25; inst++ {
-		seed := r.Int63()
-		for _, order := range orders {
-			for _, full := range []bool{false, true} {
-				p, want := randKnapsack(rand.New(rand.NewSource(seed)))
-				o := Options{NodeOrder: order, PseudoCost: full}
-				sol, err := SolveWith(p, o)
-				if err != nil {
-					t.Fatalf("inst %d order %v full=%v: %v", inst, order, full, err)
-				}
-				if sol.Status != Optimal {
-					t.Fatalf("inst %d order %v full=%v: status %v", inst, order, full, sol.Status)
-				}
-				if math.Abs(sol.Objective-want) > 1e-5*(1+want) {
-					t.Fatalf("inst %d order %v full=%v: objective %v, want %v",
-						inst, order, full, sol.Objective, want)
-				}
-				if sol.Status == Optimal && (sol.Gap != 0 || sol.BestBound != sol.Objective) {
-					t.Fatalf("inst %d order %v: optimal solve reports bound %v gap %v",
-						inst, order, sol.BestBound, sol.Gap)
-				}
-			}
-		}
-	}
-}
-
 // randKKTBigM builds a random big-M instance shaped like the bilevel KKT
 // reformulation: per pair i, a dual λ_i ≥ 0 and a slack s_i ∈ [0, U_i] with
 // indicator rows λ_i ≤ M·μ_i and s_i ≤ M·(1 − μ_i) for binary μ_i, plus a
@@ -120,7 +88,7 @@ func TestSolveRestoresProblem(t *testing.T) {
 		return rows, bounds
 	}
 	rows0, bounds0 := snap()
-	sol, err := SolveWith(p, Options{NodeOrder: OrderHybrid, PseudoCost: true})
+	sol, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,73 +117,28 @@ func TestSolveRestoresProblem(t *testing.T) {
 	}
 }
 
-// TestFrontierBestFirstOrder pins the heap discipline: best-first pops the
-// highest inherited bound first in a maximization, breaking ties by push
-// order.
-func TestFrontierBestFirstOrder(t *testing.T) {
-	f := newFrontier(OrderBestFirst, true)
-	f.push(node{score: 1})
-	f.push(node{score: 5})
-	f.push(node{score: 3})
-	f.push(node{score: 5})
-	want := []float64{5, 5, 3, 1}
-	var prevSeq int
-	for i, w := range want {
-		n, ok := f.pop()
-		if !ok || n.score != w {
-			t.Fatalf("pop %d: got %v ok=%v, want %v", i, n.score, ok, w)
-		}
-		if n.score == 5 {
-			if prevSeq != 0 && n.seq < prevSeq {
-				t.Fatalf("tie broken against push order: seq %d after %d", n.seq, prevSeq)
-			}
-			prevSeq = n.seq
-		}
-	}
-	if _, ok := f.pop(); ok {
-		t.Fatal("pop on empty frontier returned a node")
-	}
-}
-
-// TestFrontierHybridPlunges pins the hybrid discipline: the preferred child
-// goes to the dive stack and pops before anything on the heap; when the
-// stack drains, the search restarts from the best heap bound.
-func TestFrontierHybridPlunges(t *testing.T) {
-	f := newFrontier(OrderHybrid, true)
-	f.push(node{score: 10}) // root
-	root, _ := f.pop()
-	_ = root
-	f.pushChildren(node{score: 4}, node{score: 9})
-	// Preferred child (score 4) must pop before the better-bound sibling.
-	n, _ := f.pop()
-	if n.score != 4 {
-		t.Fatalf("hybrid popped %v first, want the plunge child 4", n.score)
-	}
-	f.pushChildren(node{score: 2}, node{score: 8})
-	if n, _ = f.pop(); n.score != 2 {
-		t.Fatalf("hybrid popped %v, want plunge continuation 2", n.score)
-	}
-	// Plunge ends (no children pushed): next pops come best-first.
-	if n, _ = f.pop(); n.score != 9 {
-		t.Fatalf("hybrid popped %v after plunge, want best sibling 9", n.score)
-	}
-	if n, _ = f.pop(); n.score != 8 {
-		t.Fatalf("hybrid popped %v, want 8", n.score)
-	}
-}
-
-// TestFrontierBestBound checks the truncation bound over a mixed frontier.
+// TestFrontierBestBound checks the truncation bound over an open stack in
+// both senses, and that pops come back newest first with the preferred
+// child on top.
 func TestFrontierBestBound(t *testing.T) {
-	f := newFrontier(OrderHybrid, true)
+	f := newFrontier(true)
 	f.pushChildren(node{score: 3}, node{score: 7})
 	if b := f.bestBound(); b != 7 {
 		t.Fatalf("bestBound = %v, want 7", b)
 	}
-	fmin := newFrontier(OrderBestFirst, false)
+	if n, _ := f.pop(); n.score != 3 {
+		t.Fatalf("popped %v first, want the preferred child 3", n.score)
+	}
+	fmin := newFrontier(false)
 	fmin.push(node{score: 3})
 	fmin.push(node{score: -2})
 	if b := fmin.bestBound(); b != -2 {
 		t.Fatalf("min-sense bestBound = %v, want -2", b)
+	}
+	fmin.pop()
+	fmin.pop()
+	if _, ok := fmin.pop(); ok || !math.IsInf(fmin.bestBound(), 1) {
+		t.Fatalf("empty frontier: pop ok=%v bestBound %v", ok, fmin.bestBound())
 	}
 }
 
@@ -223,7 +146,7 @@ func TestFrontierBestBound(t *testing.T) {
 // least as good as the true optimum and a non-negative gap.
 func TestNodeLimitBestBound(t *testing.T) {
 	p, want := randKnapsack(rand.New(rand.NewSource(99)))
-	sol, err := SolveWith(p, Options{MaxNodes: 2, NodeOrder: OrderBestFirst})
+	sol, err := SolveWith(p, Options{MaxNodes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,23 +158,5 @@ func TestNodeLimitBestBound(t *testing.T) {
 	}
 	if sol.Gap < 0 {
 		t.Fatalf("negative gap %v", sol.Gap)
-	}
-}
-
-// TestPseudoCostKnapsack: pseudo-cost branching must preserve exactness.
-func TestPseudoCostKnapsack(t *testing.T) {
-	base := lp.NewProblem(3)
-	_ = base.SetObjective([]float64{10, 13, 7}, true)
-	_, _ = base.AddConstraint([]float64{3, 4, 2}, lp.LE, 6)
-	p := NewProblem(base)
-	for j := 0; j < 3; j++ {
-		_ = p.SetBinary(j)
-	}
-	sol, err := SolveWith(p, Options{PseudoCost: true, NodeOrder: OrderHybrid})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Status != Optimal || math.Abs(sol.Objective-20) > tol {
-		t.Fatalf("got %v / %v, want optimal 20", sol.Status, sol.Objective)
 	}
 }

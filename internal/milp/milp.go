@@ -8,12 +8,10 @@
 //     direct complementarity branching, which avoids big-M constants and
 //     their numeric pitfalls.
 //
-// The search explores a frontier of open nodes under a pluggable selection
-// strategy (Options.NodeOrder): depth-first (default), best-first on the
-// inherited relaxation bound, or a hybrid that plunges depth-first and
-// restarts from the best bound. Branching picks the most fractional binary
-// or the most violated complementarity pair, optionally weighted by learned
-// pseudo-costs.
+// The search is depth-first: each branch explores the child that rounds
+// toward the relaxation point first, warm-started from its parent's basis.
+// Branching picks the most fractional binary, else the most violated
+// complementarity pair.
 package milp
 
 import (
@@ -177,18 +175,8 @@ type Options struct {
 	// non-complementary. The returned point is trusted to be feasible for
 	// the caller's problem semantics. The root point is a pure function of
 	// the instance, so the offer — unlike a per-node sweep — is identical
-	// under every NodeOrder and worker schedule, which keeps exact solves
-	// bit-identical across strategies.
+	// under every worker schedule and external Bound trajectory.
 	Heuristic func(relaxX []float64) (obj float64, point []float64, ok bool)
-	// NodeOrder selects the node-selection strategy (default OrderDFS).
-	// Exact results are identical under every strategy; node counts, work,
-	// and which of several equal-quality optima is reported first differ.
-	NodeOrder NodeOrder
-	// PseudoCost enables pseudo-cost branching: entities are scored by
-	// fractionality/violation weighted with the average relaxation-bound
-	// degradation observed when branching them, seeded at the root from
-	// complementarity-violation magnitudes.
-	PseudoCost bool
 	// LP are the options for each relaxation solve. Every relaxation of
 	// one run shares LP.Workspace; when it is nil, the run borrows one from
 	// lp's pool for its whole branch-and-bound sequence.
@@ -262,18 +250,8 @@ type node struct {
 	// export. Ids are assigned in pop order, matching the node count.
 	parent int
 	// score is the parent relaxation's objective — a proven bound on this
-	// subtree (±Inf for the root). Best-first ordering, frontier pruning,
-	// the truncated-search BestBound, and pseudo-cost degradations all read
-	// it.
+	// subtree (±Inf for the root), read for a truncated search's BestBound.
 	score float64
-	// seq is the frontier push sequence number, the deterministic heap
-	// tie-break.
-	seq int
-	// entity is the branching entity that created this node (binary
-	// position, or binary count + pair position; −1 for the root) and up
-	// its branch side, feeding pseudo-cost observations.
-	entity int
-	up     bool
 }
 
 // SolveWith runs branch and bound with explicit options.
@@ -393,18 +371,12 @@ func SolveWith(p *Problem, opts Options) (*Solution, error) {
 		incObj = *o.Incumbent
 	}
 
-	var pcosts *pseudoCosts
-	if o.PseudoCost {
-		pcosts = newPseudoCosts(len(p.binaries) + len(p.pairs))
-	}
-
 	rootScore := math.Inf(1)
 	if !maximize {
 		rootScore = math.Inf(-1)
 	}
-	f := newFrontier(o.NodeOrder, maximize)
-	f.push(node{basis: o.WarmBasis, score: rootScore, entity: -1})
-	strategy := o.NodeOrder.String()
+	f := newFrontier(maximize)
+	f.push(node{basis: o.WarmBasis, score: rootScore})
 	nodes := 0
 	// Per-node flight/timing state. finishNode is called at every exit
 	// point of a node's iteration with the node's disposition; when both
@@ -430,7 +402,6 @@ func SolveWith(p *Problem, opts Options) (*Solution, error) {
 		ev.Parent = nodeParent
 		ev.Depth = nodeDepth
 		ev.Label = label
-		ev.Strategy = strategy
 		ev.Frontier = f.len()
 		ev.DurUS = dur.Microseconds()
 		if rel != nil {
@@ -520,21 +491,6 @@ func SolveWith(p *Problem, opts Options) (*Solution, error) {
 			nodeStart = time.Now()
 		}
 
-		// Frontier prune: under bound-aware orders a popped node whose
-		// inherited bound cannot beat the incumbent (or the shared
-		// external bound) is discarded before any LP work. DFS keeps the
-		// historical solve-then-prune accounting.
-		if o.NodeOrder != OrderDFS {
-			if ref, have := pruneRef(); have {
-				gapTol := o.Gap * (1 + math.Abs(ref))
-				if maximize && cur.score <= ref+gapTol || !maximize && cur.score >= ref-gapTol {
-					pruned++
-					finishNode("pruned", nil)
-					continue
-				}
-			}
-		}
-
 		// Undo the previous node's fixes, then apply this node's.
 		if err := undoApplied(); err != nil {
 			return finish(nil, err)
@@ -587,36 +543,13 @@ func SolveWith(p *Problem, opts Options) (*Solution, error) {
 			return finish(nil, fmt.Errorf("milp: node %d relaxation unbounded", nodes))
 		}
 
-		// Pseudo-cost learning: record the realized bound degradation
-		// from the parent relaxation to this one.
-		if pcosts != nil && cur.entity >= 0 && !math.IsInf(cur.score, 0) {
-			degr := cur.score - rel.Objective
-			if !maximize {
-				degr = -degr
-			}
-			if degr < 0 {
-				degr = 0
-			}
-			pcosts.observe(cur.entity, cur.up, degr)
-		}
-
 		if nodes == 1 {
-			// Root work: seed pair pseudo-costs from the root relaxation's
-			// complementarity-violation magnitudes.
-			if pcosts != nil {
-				for pi, pr := range p.pairs {
-					if v := math.Min(rel.X[pr[0]], rel.X[pr[1]]); v > o.IntTol {
-						pcosts.seed(len(p.binaries)+pi, v)
-					}
-				}
-			}
-
 			// Root primal heuristic: let the caller round the root
 			// relaxation point into a known-feasible incumbent. Root-only
 			// on purpose: a per-node sweep would make the best offer depend
-			// on which nodes the chosen NodeOrder happens to visit before
-			// pruning, and with it the returned solution — the root point
-			// is the same under every strategy.
+			// on which nodes the external Bound lets the search visit
+			// before pruning, and with it the returned solution — the root
+			// point is the same under every schedule.
 			if o.Heuristic != nil {
 				if hObj, hPoint, ok := o.Heuristic(rel.X); ok {
 					if incumbent == nil && o.Incumbent == nil || better(hObj, incObj) {
@@ -642,18 +575,16 @@ func SolveWith(p *Problem, opts Options) (*Solution, error) {
 		}
 
 		// Pick a branching entity: the most fractional binary first, else
-		// the most violated complementarity pair; pseudo-cost branching
-		// weights both by learned bound degradations.
-		be, bkind := p.selectBranch(rel.X, o.IntTol, pcosts)
+		// the most violated complementarity pair.
+		be, bkind := p.selectBranch(rel.X, o.IntTol)
 		switch bkind {
 		case branchBinary:
 			// Branch on the binary: floor child and ceil child, each
 			// warm-started from this node's optimal basis. The child that
-			// rounds toward the relaxation value is preferred (explored
-			// first under DFS, continues the plunge under hybrid).
+			// rounds toward the relaxation value is explored first.
 			bj := p.binaries[be]
-			lo := cur.child(nodeID, rel.Basis, boundFix{bj, 0, 0}, rel.Objective, be, false)
-			hi := cur.child(nodeID, rel.Basis, boundFix{bj, 1, 1}, rel.Objective, be, true)
+			lo := cur.child(nodeID, rel.Basis, boundFix{bj, 0, 0}, rel.Objective)
+			hi := cur.child(nodeID, rel.Basis, boundFix{bj, 1, 1}, rel.Objective)
 			if rel.X[bj] >= 0.5 {
 				f.pushChildren(hi, lo)
 			} else {
@@ -663,9 +594,9 @@ func SolveWith(p *Problem, opts Options) (*Solution, error) {
 		case branchPair:
 			// Branch on the complementarity pair: fix one side to zero,
 			// preferring the child that zeroes the smaller value.
-			pr := p.pairs[be-len(p.binaries)]
-			ca := cur.child(nodeID, rel.Basis, boundFix{pr[0], 0, 0}, rel.Objective, be, false)
-			cb := cur.child(nodeID, rel.Basis, boundFix{pr[1], 0, 0}, rel.Objective, be, true)
+			pr := p.pairs[be]
+			ca := cur.child(nodeID, rel.Basis, boundFix{pr[0], 0, 0}, rel.Objective)
+			cb := cur.child(nodeID, rel.Basis, boundFix{pr[1], 0, 0}, rel.Objective)
 			if rel.X[pr[0]] <= rel.X[pr[1]] {
 				f.pushChildren(ca, cb)
 			} else {
@@ -704,11 +635,11 @@ func SolveWith(p *Problem, opts Options) (*Solution, error) {
 // child extends the fix list functionally (copy-on-write so siblings don't
 // alias), records the parent relaxation's basis as the child's warm seed, and
 // inherits the parent relaxation objective as the child's proven bound.
-func (n node) child(parent int, basis *lp.Basis, f boundFix, score float64, entity int, up bool) node {
+func (n node) child(parent int, basis *lp.Basis, f boundFix, score float64) node {
 	fixes := make([]boundFix, len(n.fixes)+1)
 	copy(fixes, n.fixes)
 	fixes[len(n.fixes)] = f
-	return node{fixes: fixes, basis: basis, parent: parent, score: score, entity: entity, up: up}
+	return node{fixes: fixes, basis: basis, parent: parent, score: score}
 }
 
 // Branch entity kinds returned by selectBranch.
@@ -718,43 +649,23 @@ const (
 	branchPair
 )
 
-// selectBranch picks the branching entity for a relaxation point: binaries
-// (most fractional) take precedence over complementarity pairs (most
-// violated); with pseudo-costs the raw fractionality/violation is weighted by
-// the entity's learned degradation averages. Returns the entity index
-// (binary position, or binary count + pair position) and its kind, or
-// (-1, branchNone) when the point is integral and complementary.
-func (p *Problem) selectBranch(x []float64, tol float64, pc *pseudoCosts) (int, int) {
+// selectBranch picks the branching entity for a relaxation point: the most
+// fractional binary takes precedence over the most violated complementarity
+// pair. Returns the entity's position in p.binaries or p.pairs and its kind,
+// or (-1, branchNone) when the point is integral and complementary.
+func (p *Problem) selectBranch(x []float64, tol float64) (int, int) {
 	best, bestScore := -1, tol
 	for bi, j := range p.binaries {
-		frac := math.Abs(x[j] - math.Round(x[j]))
-		if frac <= tol {
-			continue
-		}
-		score := frac
-		if pc != nil {
-			score = pc.score(bi, frac)
-		}
-		if score > bestScore {
-			best, bestScore = bi, score
+		if frac := math.Abs(x[j] - math.Round(x[j])); frac > bestScore {
+			best, bestScore = bi, frac
 		}
 	}
 	if best >= 0 {
 		return best, branchBinary
 	}
-	bestScore = tol
 	for pi, pr := range p.pairs {
-		v := math.Min(x[pr[0]], x[pr[1]])
-		if v <= tol {
-			continue
-		}
-		e := len(p.binaries) + pi
-		score := v
-		if pc != nil {
-			score = pc.score(e, v)
-		}
-		if score > bestScore {
-			best, bestScore = e, score
+		if v := math.Min(x[pr[0]], x[pr[1]]); v > bestScore {
+			best, bestScore = pi, v
 		}
 	}
 	if best >= 0 {

@@ -90,16 +90,12 @@ type FlightEvent struct {
 	Round  int `json:"round,omitempty"`
 
 	// Node and Parent are 1-based B&B node ids (Parent 0 = root); Depth is
-	// the number of branching fixes on the node's path. Strategy names the
-	// node-selection order the search ran under ("dfs", "best-first",
-	// "hybrid") and Frontier the number of open nodes left after this one —
-	// together they let tree renderings distinguish a plunge from a
-	// best-first hop.
-	Node     int    `json:"node,omitempty"`
-	Parent   int    `json:"parent,omitempty"`
-	Depth    int    `json:"depth,omitempty"`
-	Strategy string `json:"strategy,omitempty"`
-	Frontier int    `json:"frontier,omitempty"`
+	// the number of branching fixes on the node's path; Frontier is the
+	// number of open nodes left after this one.
+	Node     int `json:"node,omitempty"`
+	Parent   int `json:"parent,omitempty"`
+	Depth    int `json:"depth,omitempty"`
+	Frontier int `json:"frontier,omitempty"`
 
 	// Pivots counts simplex pivots (per LP solve, node, or round); Warm
 	// marks a warm-started solve; Sparse marks the sparse revised-simplex

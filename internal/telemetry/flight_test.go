@@ -132,6 +132,28 @@ func TestFlightReadBareArray(t *testing.T) {
 	}
 }
 
+// TestFlightReadsStrategyKey loads a dump from when node events still
+// named their node-selection order: the retired "strategy" key is ignored
+// and the rest of the event decodes.
+func TestFlightReadsStrategyKey(t *testing.T) {
+	in := `{"start":"2026-08-08T00:00:00Z","total":1,"dropped":0,"events":[` +
+		`{"seq":1,"t_us":3,"kind":"node","target":4,"dir":1,"node":2,"parent":1,"depth":1,"strategy":"hybrid","frontier":5,"label":"branch"}]}`
+	rec, err := ReadFlight(bytes.NewReader([]byte(in)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Total != 1 || len(rec.Events) != 1 {
+		t.Fatalf("total=%d events=%d", rec.Total, len(rec.Events))
+	}
+	ev := rec.Events[0]
+	if ev.Kind != FlightNode || ev.Target != 4 || ev.Node != 2 || ev.Parent != 1 || ev.Frontier != 5 || ev.Label != "branch" {
+		t.Errorf("event decoded as %+v", ev)
+	}
+	if tree := FlightTrees(rec.Events); len(tree) != 1 || len(tree[0].Nodes) != 1 {
+		t.Errorf("old dump does not rebuild its search tree: %+v", tree)
+	}
+}
+
 // TestFlightKindCodec covers unknown names and legacy integer kinds.
 func TestFlightKindCodec(t *testing.T) {
 	for k := FlightNode; k <= FlightAttack; k++ {

@@ -97,31 +97,16 @@ func (r *Report) LargestTree() *SearchTree {
 }
 
 func (t *SearchTree) title() string {
-	s := fmt.Sprintf("target %d dir %+d round %d — %d nodes", t.Target, t.Dir, t.Round, len(t.Nodes))
-	if st := t.Strategy(); st != "" {
-		s += " (" + st + ")"
-	}
-	return s
-}
-
-// Strategy returns the node-selection strategy the solve ran under, taken
-// from the first node event that recorded one ("" for pre-strategy dumps).
-func (t *SearchTree) Strategy() string {
-	for _, ev := range t.Nodes {
-		if ev.Strategy != "" {
-			return ev.Strategy
-		}
-	}
-	return ""
+	return fmt.Sprintf("target %d dir %+d round %d — %d nodes", t.Target, t.Dir, t.Round, len(t.Nodes))
 }
 
 // WriteDOT renders the tree in Graphviz DOT: one box per node with its
 // bound, pivot count, warm/cold marker, and open-frontier size, colored by
 // disposition (incumbents green, pruned gray, infeasible red). Edges where
-// the child was popped immediately after its parent (a continuing plunge)
-// are solid; edges where the search later hopped back to the child from the
-// frontier are dashed — under best-first and hybrid orders this makes the
-// pop schedule readable from the drawing.
+// the child was popped immediately after its parent (a continuing dive)
+// are solid; edges where the search later backtracked to the child from the
+// frontier are dashed, so the depth-first pop schedule reads from the
+// drawing.
 func (t *SearchTree) WriteDOT(w io.Writer) error {
 	var err error
 	p := func(format string, args ...any) {
@@ -137,11 +122,8 @@ func (t *SearchTree) WriteDOT(w io.Writer) error {
 		if ev.Warm {
 			start = "warm"
 		}
-		label := fmt.Sprintf("#%d d%d %s\\nbound %.4g\\n%d pivots %s",
-			ev.Node, ev.Depth, ev.Label, ev.Bound, ev.Pivots, start)
-		if ev.Strategy != "" {
-			label += fmt.Sprintf("\\nfrontier %d", ev.Frontier)
-		}
+		label := fmt.Sprintf("#%d d%d %s\\nbound %.4g\\n%d pivots %s\\nfrontier %d",
+			ev.Node, ev.Depth, ev.Label, ev.Bound, ev.Pivots, start, ev.Frontier)
 		color := "black"
 		switch ev.Label {
 		case "incumbent", "integral":

@@ -11,10 +11,10 @@ import (
 func reportFixture() *Report {
 	f := NewFlight(64)
 	// Subproblem (3, +1, round 1): a 3-node tree that finds an incumbent.
-	f.Record(FlightEvent{Kind: FlightNode, Target: 3, Dir: 1, Round: 1, Node: 1, Depth: 0, Bound: 8.0, Pivots: 12, Label: "branch", Strategy: "hybrid", Frontier: 2})
-	f.Record(FlightEvent{Kind: FlightNode, Target: 3, Dir: 1, Round: 1, Node: 2, Parent: 1, Depth: 1, Bound: 6.5, Pivots: 4, Warm: true, Label: "incumbent", Strategy: "hybrid", Frontier: 1})
+	f.Record(FlightEvent{Kind: FlightNode, Target: 3, Dir: 1, Round: 1, Node: 1, Depth: 0, Bound: 8.0, Pivots: 12, Label: "branch", Frontier: 2})
+	f.Record(FlightEvent{Kind: FlightNode, Target: 3, Dir: 1, Round: 1, Node: 2, Parent: 1, Depth: 1, Bound: 6.5, Pivots: 4, Warm: true, Label: "incumbent", Frontier: 1})
 	f.Record(FlightEvent{Kind: FlightIncumbent, Target: 3, Dir: 1, Incumbent: 6.5, Label: "integral"})
-	f.Record(FlightEvent{Kind: FlightNode, Target: 3, Dir: 1, Round: 1, Node: 3, Parent: 1, Depth: 1, Bound: 5.0, Pivots: 2, Warm: true, Label: "pruned", Strategy: "hybrid", Frontier: 0})
+	f.Record(FlightEvent{Kind: FlightNode, Target: 3, Dir: 1, Round: 1, Node: 3, Parent: 1, Depth: 1, Bound: 5.0, Pivots: 2, Warm: true, Label: "pruned", Frontier: 0})
 	f.Record(FlightEvent{Kind: FlightRound, Target: 3, Dir: 1, Round: 1, Monitored: 5, Violated: 2, Label: "grow"})
 	f.Record(FlightEvent{Kind: FlightSubproblem, Target: 3, Dir: 1, Round: 2, Bound: 6.5, Label: "optimal"})
 	// Subproblem (7, -1): a lone infeasible root.
@@ -92,13 +92,13 @@ func TestWriteDOT(t *testing.T) {
 		"digraph bnb {",
 		"n1 -> n2;",
 		// Node 3 was popped off the frontier later than its sibling, so
-		// its edge renders dashed — the hop marker.
+		// its edge renders dashed — the backtrack marker.
 		"n1 -> n3 [style=dashed];",
 		"color=forestgreen", // incumbent node
 		"color=gray50",      // pruned node
 		"warm",
 		"frontier 2",
-		"target 3 dir +1 round 1 — 3 nodes (hybrid)",
+		"target 3 dir +1 round 1 — 3 nodes",
 	} {
 		if !strings.Contains(dot, want) {
 			t.Errorf("DOT missing %q:\n%s", want, dot)

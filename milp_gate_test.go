@@ -11,21 +11,18 @@ import (
 	edattack "github.com/edsec/edattack"
 )
 
-// milpGateOpts is the full production MILP pipeline: pseudo-cost
-// branching, hybrid node selection, and the dive/polish discovery layer all
-// enabled. The small IEEE systems run unbudgeted — the search must close
-// them to proven optimality — while case118 and the synthetic
-// interconnections get the budgeted node cap the other gates use (their KKT
-// relaxation bound is stuck at the trivial rating-band cap, so more nodes
-// buy no proof; see TestMILPGate). This is the configuration the BENCH_milp.json scaling
+// milpGateOpts is the production attack configuration: the default
+// options, with the depth-first search and the dive/polish discovery layer.
+// The small IEEE systems run unbudgeted — the search must close them to
+// proven optimality — while case118 and the synthetic interconnections get
+// the budgeted node cap the other gates use (their KKT relaxation bound is
+// stuck at the trivial rating-band cap, so more nodes buy no proof; see
+// TestMILPGate). This is the configuration the BENCH_milp.json scaling
 // baseline records and the MILP gate replays; the solver gates
 // (warmstart_gate_test.go, sparse_gate_test.go) deliberately strip it
 // down to measure the search machinery in isolation.
 func milpGateOpts(name string) edattack.AttackOptions {
-	o := edattack.AttackOptions{
-		NodeOrder:  edattack.OrderHybrid,
-		PseudoCost: true,
-	}
+	var o edattack.AttackOptions
 	switch name {
 	case "case118", "grow300", "grow1000":
 		o.MaxNodes = 40
@@ -72,7 +69,7 @@ func loadMILPBaseline() (map[string]milpRecord, error) {
 	return out, nil
 }
 
-// solveMILPCase runs the full-pipeline attack and returns it with its wall
+// solveMILPCase runs the production attack and returns it with its wall
 // time.
 func solveMILPCase(tb testing.TB, name string, o edattack.AttackOptions) (*edattack.Attack, time.Duration) {
 	tb.Helper()
@@ -118,7 +115,7 @@ func TestRecordMILPBaseline(t *testing.T) {
 			att.Stats.Nodes, wall)
 	}
 	out, err := json.MarshalIndent(map[string]any{
-		"note":    "MILP scaling baseline for the full pipeline (pseudo-cost branching, hybrid node order, dive/polish on; case118 and grow300 at MaxNodes 40, RelGap 1e-3); gain/bound/gap/node/pivot counts recorded at Workers=1 and deterministic, wall_ms machine-dependent; regenerate with BENCH_MILP=1 go test -run TestRecordMILPBaseline (make bench-milp-baseline); compare with gridtool benchdiff",
+		"note":    "MILP scaling baseline for the default attack options (depth-first search, dive/polish on; case118 and grow300 at MaxNodes 40, RelGap 1e-3); gain/bound/gap/node/pivot counts recorded at Workers=1 and deterministic, wall_ms machine-dependent; regenerate with BENCH_MILP=1 go test -run TestRecordMILPBaseline (make bench-milp-baseline); compare with gridtool benchdiff",
 		"cpus":    runtime.GOMAXPROCS(0),
 		"records": records,
 	}, "", "  ")
@@ -211,34 +208,30 @@ func TestMILPGate(t *testing.T) {
 // TestMILPGateGrow300Deterministic pins the end-to-end determinism of the
 // budgeted synthetic-grid attack: the grow300 result must be bit-identical
 // — target, direction, gain, every manipulated rating — across worker
-// counts and across node-selection strategies. The dive/polish discovery
-// layer is instance-pure and the per-subproblem searches either converge
-// (strategy-independent optimum) or fall back to the dive, so neither the
-// worker schedule nor the frontier order can move the answer.
+// counts. The dive/polish discovery layer is instance-pure and the
+// per-subproblem searches either converge or fall back to the dive, so the
+// worker schedule cannot move the answer.
 func TestMILPGateGrow300Deterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grow300 determinism gate skipped in -short mode")
 	}
 	k := knowledgeCase(t, "grow300")
-	solve := func(order edattack.NodeOrder, workers int) *edattack.Attack {
+	solve := func(workers int) *edattack.Attack {
 		o := milpGateOpts("grow300")
-		o.NodeOrder = order
 		o.Workers = workers
 		att, err := edattack.FindOptimalAttack(k, o)
 		if err != nil {
-			t.Fatalf("order=%v workers=%d: %v", order, workers, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		return att
 	}
-	ref := solve(edattack.OrderHybrid, 1)
-	sameAttack(t, "grow300/hybrid w1-vs-w4", ref, solve(edattack.OrderHybrid, 4))
-	sameAttack(t, "grow300/hybrid-vs-dfs", ref, solve(edattack.OrderDFS, 1))
-	sameAttack(t, "grow300/hybrid-vs-bestfirst", ref, solve(edattack.OrderBestFirst, 1))
-	t.Logf("grow300 budgeted: target %d dir %+d gain %.9f%%, identical across orders and workers",
+	ref := solve(1)
+	sameAttack(t, "grow300 w1-vs-w4", ref, solve(4))
+	t.Logf("grow300 budgeted: target %d dir %+d gain %.9f%%, identical across workers",
 		ref.TargetLine, ref.Direction, ref.GainPct)
 }
 
-// BenchmarkMILPScale measures the full-pipeline budgeted attack wall time
+// BenchmarkMILPScale measures the production budgeted attack wall time
 // across system sizes, IEEE 118 through the synthetic 300- and 1000-bus
 // interconnections. Run via go test -bench MILPScale -run - .
 func BenchmarkMILPScale(b *testing.B) {
