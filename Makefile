@@ -2,14 +2,18 @@
 
 GO ?= go
 
-.PHONY: check vet build test race telemetry parallel bench bench-workers bench-baseline bench-warmstart bench-sparse bench-flight bench-sweep bench-sweep-baseline bench-milp bench-milp-baseline bench-serve bench-serve-baseline bench-alloc clean
+.PHONY: check fmt vet build test race telemetry parallel bench bench-workers bench-baseline bench-warmstart bench-sparse bench-flight bench-sweep bench-sweep-baseline bench-milp bench-milp-baseline bench-serve bench-serve-baseline bench-alloc clean
 
-## check: full PR gate — vet, build, race-enabled tests, a doubled run of
+## check: full PR gate — gofmt, vet, build, race-enabled tests, a doubled run of
 ## the telemetry suite (span/journal determinism under repetition), the
 ## concurrency-path determinism tests under the race detector, and the
 ## warm-start, sparse-engine, flight-recorder, scenario-sweep, MILP
 ## scaling, serving, and allocation regression gates.
-check: vet build race telemetry parallel bench-warmstart bench-sparse bench-flight bench-sweep bench-milp bench-serve bench-alloc
+check: fmt vet build race telemetry parallel bench-warmstart bench-sparse bench-flight bench-sweep bench-milp bench-serve bench-alloc
+
+## fmt: fail if any Go file is not gofmt-formatted.
+fmt:
+	@files="$$(gofmt -l .)"; if [ -n "$$files" ]; then echo "gofmt needed:"; echo "$$files"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

@@ -59,14 +59,6 @@ func FindOptimalAttack(k *Knowledge, o Options) (*Attack, error) {
 	if err := ctxErr(o.Ctx, "run"); err != nil {
 		return nil, err
 	}
-	if o.DenseSolver && !k.Model.DenseSolver {
-		// Run the whole attack — dispatch evaluations included — on the
-		// dense LP engine, without mutating the caller's model.
-		// Fresh memo: cached sparse-engine results must not leak into a
-		// dense run (the engines agree on attacks, not on every last bit).
-		k = &Knowledge{Model: k.Model.ShallowClone(), TrueDLR: k.TrueDLR, memo: newEDMemo()}
-		k.Model.DenseSolver = true
-	}
 	dlrLines := k.Model.Net.DLRLines()
 	if len(dlrLines) == 0 {
 		return nil, ErrNoDLRLines

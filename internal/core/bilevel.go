@@ -126,7 +126,6 @@ type subproblem struct {
 	monitored []int // line indices whose flow constraints the inner ED sees
 	dlrOrder  []int // DLR line indices in variable order
 	method    Method
-	bigM      float64
 
 	// variable offsets in the master LP
 	nx, np, ni           int
@@ -168,28 +167,21 @@ type subproblem struct {
 }
 
 // newSubproblem assembles the index bookkeeping for a monitored line set.
-// When pre is non-nil and the monitored set is still the initial one, the
-// hoisted row layout and DLR order are shared (read-only) instead of
-// rebuilt.
+// The DLR order is pre's; while the monitored set is still the initial one,
+// so is the row layout (both shared read-only).
 func newSubproblem(k *Knowledge, target int, dir float64, monitored []int, o Options, pre *precomp) *subproblem {
 	s := &subproblem{
 		k: k, target: target, dir: dir,
 		monitored: append([]int(nil), monitored...),
+		dlrOrder:  pre.dlrOrder,
 		method:    o.Method,
-		bigM:      o.BigM,
 		metrics:   o.Metrics,
 		ctx:       o.Ctx,
 	}
 	ng := len(k.Model.Net.Gens)
-	if pre != nil {
-		s.dlrOrder = pre.dlrOrder
-		if len(monitored) == len(pre.monitored) {
-			s.rows = pre.rows
-		}
+	if len(monitored) == len(pre.monitored) {
+		s.rows = pre.rows
 	} else {
-		s.dlrOrder = k.Model.Net.DLRLines()
-	}
-	if s.rows == nil {
 		s.rows = buildRows(ng, s.monitored)
 	}
 	s.nx = len(s.dlrOrder)
@@ -362,11 +354,11 @@ func (s *subproblem) build() (*milp.Problem, error) {
 				return nil, fmt.Errorf("core: %w", err)
 			}
 			if _, err := base.AddSparseConstraint(
-				[]int{s.lamOff + j, mu}, []float64{1, -s.bigM}, lp.LE, 0); err != nil {
+				[]int{s.lamOff + j, mu}, []float64{1, -bigM}, lp.LE, 0); err != nil {
 				return nil, fmt.Errorf("core: %w", err)
 			}
 			if _, err := base.AddSparseConstraint(
-				[]int{s.sOff + j, mu}, []float64{1, s.bigM}, lp.LE, s.bigM); err != nil {
+				[]int{s.sOff + j, mu}, []float64{1, bigM}, lp.LE, bigM); err != nil {
 				return nil, fmt.Errorf("core: %w", err)
 			}
 		}
@@ -645,11 +637,11 @@ func (s *subproblem) dive() (float64, map[int]float64, *dispatch.Result, bool) {
 }
 
 // solveOnce builds and solves the subproblem for the current monitored set.
-// incumbent is a static pruning seed in the LP objective scale; bound, when
-// non-nil, is the live shared incumbent bound polled per branch-and-bound
-// node. prev, when non-nil, is the previous row-generation round's
-// subproblem: its root basis is remapped onto this round's grown problem so
-// the re-solve warm-starts instead of repeating phase I from scratch.
+// incumbent is a static pruning seed in the LP objective scale; bound is the
+// live shared incumbent bound polled per branch-and-bound node. prev, when
+// non-nil, is the previous row-generation round's subproblem: its root basis
+// is remapped onto this round's grown problem so the re-solve warm-starts
+// instead of repeating phase I from scratch.
 func (s *subproblem) solveOnce(o Options, incumbent *float64, bound milp.BoundSource, prev *subproblem) (*subResult, error) {
 	prob, err := s.build()
 	if err != nil {
@@ -691,7 +683,7 @@ func (s *subproblem) solveOnce(o Options, incumbent *float64, bound milp.BoundSo
 	}
 	// Big-M reformulations go numerically wrong exactly when multipliers
 	// approach the constant; record how close this solve came.
-	if s.method == MethodBigM && sol.X != nil && s.metrics != nil && s.bigM > 0 {
+	if s.method == MethodBigM && sol.X != nil && s.metrics != nil {
 		maxMult := 0.0
 		for j := 0; j < s.ni; j++ {
 			if v := sol.X[s.lamOff+j]; v > maxMult {
@@ -701,7 +693,7 @@ func (s *subproblem) solveOnce(o Options, incumbent *float64, bound milp.BoundSo
 				maxMult = v
 			}
 		}
-		ratio := maxMult / s.bigM
+		ratio := maxMult / bigM
 		s.metrics.Gauge("core_bigm_max_ratio").SetMax(ratio)
 		if ratio > 0.99 {
 			s.metrics.Counter("core_bigm_saturated_total").Inc()
@@ -742,35 +734,20 @@ func (s *subproblem) solveOnce(o Options, incumbent *float64, bound milp.BoundSo
 	}, nil
 }
 
-// SolveSubproblem solves one (target, direction) bilevel subproblem,
-// growing the monitored line set by row generation until the predicted
-// dispatch is feasible for the operator's full constraint set.
-func SolveSubproblem(k *Knowledge, target int, dir int, o Options) (*Attack, error) {
-	release := o.checkoutWorkspaces(k.Model)
-	att, _, err := solveSubproblemSeeded(k, target, dir, o, nil, nil, nil)
-	release()
-	return att, err
-}
-
-// solveSubproblemSeeded additionally accepts the shared incumbent bound of a
-// surrounding Algorithm 1 run; a nil inc disables pruning. Gains already
-// proven by sibling subproblems seed the branch-and-bound search statically
-// (per row-generation round) and dynamically (polled per node), both backed
-// off by pruneSeed so equal-quality optima survive under any schedule. When
-// nothing here beats the shared bound the function returns a nil attack.
-// The stats block is returned even when no attack is — a pruned, truncated,
-// or infeasible subproblem still reports its work, its Truncated count, and
-// its proven bound, so the surrounding run can aggregate honest totals. pre,
-// when non-nil, supplies the hoisted solve-invariant scaffolding. A non-nil
+// solveSubproblemSeeded solves one (target, direction) bilevel subproblem of
+// an Algorithm 1 run, growing the monitored line set by row generation until
+// the predicted dispatch is feasible for the operator's full constraint set.
+// o carries the run's defaults, and pre its hoisted solve-invariant
+// scaffolding. Gains already proven by sibling subproblems, published in
+// inc, seed the branch-and-bound search statically (per row-generation
+// round) and dynamically (polled per node), both backed off by pruneSeed so
+// equal-quality optima survive under any schedule. When nothing here beats
+// the shared bound the function returns a nil attack. The stats block is
+// returned even when no attack is — a pruned, truncated, or infeasible
+// subproblem still reports its work, its Truncated count, and its proven
+// bound, so the surrounding run can aggregate honest totals. A non-nil
 // parent span (or o.Tracer) yields one "core.subproblem" span per call.
 func solveSubproblemSeeded(k *Knowledge, target int, dir int, o Options, inc *incumbentBound, pre *precomp, parent *telemetry.Span) (*Attack, *SolverStats, error) {
-	o = o.withDefaults()
-	if dir != 1 && dir != -1 {
-		return nil, nil, fmt.Errorf("core: direction must be ±1, got %d", dir)
-	}
-	if _, ok := k.TrueDLR[target]; !ok {
-		return nil, nil, fmt.Errorf("core: target line %d is not a DLR line", target)
-	}
 	net := k.Model.Net
 
 	start := time.Now()
@@ -788,12 +765,7 @@ func solveSubproblemSeeded(k *Knowledge, target int, dir int, o Options, inc *in
 		}()
 	}
 
-	var monitored []int
-	if pre != nil {
-		monitored = append([]int(nil), pre.monitored...)
-	} else {
-		monitored = initialMonitoredSet(k, o)
-	}
+	monitored := append([]int(nil), pre.monitored...)
 	inSet := make(map[int]bool, len(monitored))
 	for _, li := range monitored {
 		inSet[li] = true
@@ -802,14 +774,10 @@ func solveSubproblemSeeded(k *Knowledge, target int, dir int, o Options, inc *in
 	// One live-bound adapter per call: masterObj is affine in the gain with
 	// unit slope, so the conversion to this subproblem's LP objective scale
 	// is the constant offset masterObj(0).
-	var sb *subproblemBound
-	if inc != nil {
-		ud := k.TrueDLR[target]
-		sb = &subproblemBound{
-			inc:    inc,
-			offset: 100 - 100*float64(dir)*k.Model.Base[target]/ud,
-			relGap: o.RelGap,
-		}
+	sb := &subproblemBound{
+		inc:    inc,
+		offset: 100 - 100*float64(dir)*k.Model.Base[target]/k.TrueDLR[target],
+		relGap: o.RelGap,
 	}
 
 	// Deterministic dive: before any branch-and-bound work, polish the
@@ -843,7 +811,7 @@ func solveSubproblemSeeded(k *Knowledge, target int, dir int, o Options, inc *in
 			haveDive = false
 		}
 	}
-	if haveDive && inc != nil {
+	if haveDive {
 		inc.Offer(diveGain)
 		if o.Flight != nil {
 			o.Flight.Record(telemetry.FlightEvent{
@@ -983,7 +951,7 @@ func solveSubproblemSeeded(k *Knowledge, target int, dir int, o Options, inc *in
 			if o.Warm != nil {
 				sp.warmSeed = o.Warm.lookup(target, dir, sp)
 			}
-			if sp.warmSeed == nil && pre != nil {
+			if sp.warmSeed == nil {
 				// Round 1 monitors exactly pre.monitored, so the row layout
 				// is the one the shared root basis was captured on.
 				sp.warmSeed = pre.rootBasis
@@ -995,11 +963,7 @@ func solveSubproblemSeeded(k *Knowledge, target int, dir int, o Options, inc *in
 			seed = &v
 			hadSeed = true
 		}
-		var bound milp.BoundSource
-		if sb != nil {
-			bound = sb
-		}
-		res, err := sp.solveOnce(o, seed, bound, prevRound)
+		res, err := sp.solveOnce(o, seed, sb, prevRound)
 		if round == 0 && o.Warm != nil && !o.NoWarmStart {
 			o.Warm.store(target, dir, sp)
 		}
@@ -1189,10 +1153,10 @@ func canonicalDLR(k *Knowledge, dlr map[int]float64, flows []float64) map[int]fl
 }
 
 // initialMonitoredSet seeds row generation: all DLR lines plus any line
-// binding in the no-attack dispatch (or every rated line when MonitorAll).
+// binding in the no-attack dispatch (or every rated line under monitorAll).
 func initialMonitoredSet(k *Knowledge, o Options) []int {
 	net := k.Model.Net
-	if o.MonitorAll {
+	if o.monitorAll {
 		all := make([]int, 0, len(net.Lines))
 		for li := range net.Lines {
 			if net.Ratings(k.TrueDLR)[li] > 0 {

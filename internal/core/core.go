@@ -325,13 +325,6 @@ type Options struct {
 	// Method selects the KKT reformulation (default
 	// MethodComplementarity).
 	Method Method
-	// BigM is the big-M constant for MethodBigM (default 1e5, mirroring
-	// the paper's "M is infinity (chosen as a significantly large
-	// number)").
-	BigM float64
-	// MonitorAll includes every rated line's constraints in the inner
-	// problem up front instead of growing the set by row generation.
-	MonitorAll bool
 	// MaxRounds caps row-generation refinements (default 12).
 	MaxRounds int
 	// MaxNodes caps branch-and-bound nodes per subproblem (default
@@ -407,14 +400,19 @@ type Options struct {
 	// set per fan-out task by checkoutWorkspaces (never by callers). The
 	// dispatch model carries its own workspace separately.
 	ws *lp.Workspace
+	// monitorAll includes every rated line's constraints in the inner
+	// problem up front instead of growing the set by row generation: the
+	// exact reference row generation is tested against (export_test.go).
+	monitorAll bool
 }
+
+// bigM is the big-M constant of MethodBigM, mirroring the paper's "M is
+// infinity (chosen as a significantly large number)".
+const bigM = 1e5
 
 func (o Options) withDefaults() Options {
 	if o.Method == 0 {
 		o.Method = MethodComplementarity
-	}
-	if o.BigM == 0 {
-		o.BigM = 1e5
 	}
 	if o.MaxRounds <= 0 {
 		o.MaxRounds = 12

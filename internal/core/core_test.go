@@ -11,6 +11,7 @@ import (
 	"github.com/edsec/edattack/internal/dispatch"
 	"github.com/edsec/edattack/internal/grid"
 	"github.com/edsec/edattack/internal/grid/cases"
+	"github.com/edsec/edattack/internal/telemetry"
 )
 
 // knowledge3 builds attacker knowledge for the paper's 3-bus case with
@@ -247,28 +248,46 @@ func TestBigMMatchesComplementarity(t *testing.T) {
 	}
 }
 
+// TestNodeRelaxationErrorDropsNode pins the numerical-failure path of
+// branch and bound: on case57 the cold big-M node relaxations hit an
+// unstable pivot within 60 nodes. The failed node is dropped, so the attack
+// still comes back, reported inexact, with a gain the true ED realizes.
+func TestNodeRelaxationErrorDropsNode(t *testing.T) {
+	k := knowledgeFor(t, cases.Case57)
+	reg := telemetry.NewRegistry()
+	att, err := core.FindOptimalAttack(k, core.Options{
+		Method: core.MethodBigM, NoWarmStart: true, MaxNodes: 60, Workers: 1, Metrics: reg,
+	})
+	if err != nil {
+		t.Fatalf("a failed node relaxation aborted the attack: %v", err)
+	}
+	if n := reg.Counter("milp_node_errors_total").Value(); n < 1 {
+		t.Fatalf("milp_node_errors_total = %d, want >= 1: the reproducer no longer fails a node", n)
+	}
+	if att.Exact {
+		t.Fatal("attack with a dropped node reported exact")
+	}
+	ev, err := k.EvaluateAttack(att.DLR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ev.Feasible || math.Abs(ev.GainPct-att.GainPct) > 1e-4 {
+		t.Fatalf("reported gain %v, realized %v (feasible %v)", att.GainPct, ev.GainPct, ev.Feasible)
+	}
+}
+
 func TestMonitorAllMatchesRowGeneration(t *testing.T) {
 	k := knowledge3(t, 130, 120)
 	a1, err := core.FindOptimalAttack(k, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := core.FindOptimalAttack(k, core.Options{MonitorAll: true})
+	a2, err := core.FindOptimalAttack(k, core.WithMonitorAll(core.Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(a1.GainPct-a2.GainPct) > 1e-4 {
 		t.Fatalf("row-generation gain %v != monitor-all gain %v", a1.GainPct, a2.GainPct)
-	}
-}
-
-func TestSolveSubproblemInputValidation(t *testing.T) {
-	k := knowledge3(t, 130, 120)
-	if _, err := core.SolveSubproblem(k, 1, 3, core.Options{}); err == nil {
-		t.Fatal("want direction error")
-	}
-	if _, err := core.SolveSubproblem(k, 0, 1, core.Options{}); err == nil {
-		t.Fatal("want non-DLR target error")
 	}
 }
 

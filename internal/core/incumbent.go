@@ -81,9 +81,6 @@ func (b *incumbentBound) Offer(gain float64) {
 
 // Best returns the best gain published so far, if any.
 func (b *incumbentBound) Best() (float64, bool) {
-	if b == nil {
-		return 0, false
-	}
 	var v uint64
 	if b.seq {
 		v = b.seqV
@@ -113,9 +110,6 @@ var _ milp.BoundSource = (*subproblemBound)(nil)
 
 // Bound implements milp.BoundSource.
 func (sb *subproblemBound) Bound() (float64, bool) {
-	if sb == nil || sb.inc == nil {
-		return 0, false
-	}
 	g, ok := sb.inc.Best()
 	if !ok {
 		return 0, false
@@ -126,5 +120,5 @@ func (sb *subproblemBound) Bound() (float64, bool) {
 
 // sawBound reports whether any poll observed a published bound.
 func (sb *subproblemBound) sawBound() bool {
-	return sb != nil && sb.saw.Load()
+	return sb.saw.Load()
 }

@@ -67,11 +67,11 @@ func TestSparseVsDenseRealKKT(t *testing.T) {
 			if len(targets) > 2 {
 				targets = targets[:2]
 			}
-			monitored := initialMonitoredSet(k, o)
+			pre := precompute(k, o)
 			solved := 0
 			for _, target := range targets {
 				for _, dir := range []float64{1, -1} {
-					s := newSubproblem(k, target, dir, monitored, o, nil)
+					s := newSubproblem(k, target, dir, pre.monitored, o, pre)
 					mp, err := s.build()
 					if err != nil {
 						t.Fatalf("target %d dir %+d: build: %v", target, int(dir), err)

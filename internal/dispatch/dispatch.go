@@ -76,10 +76,6 @@ type Model struct {
 	// Metrics, when non-nil, receives dispatch_* counters and forwards to
 	// the inner LP/QP solvers' lp_*/qp_* counters. Nil costs nothing.
 	Metrics *telemetry.Registry
-	// DenseSolver forces the inner LP solves onto the dense tableau simplex
-	// instead of the sparse revised simplex; used for A/B measurement
-	// against dense baselines. QP solves are unaffected.
-	DenseSolver bool
 	// Workspace, when non-nil, supplies the inner LP/QP solvers' working
 	// storage, reused across rowgen rounds and solves. Like lastBinding it
 	// is per-clone mutable state: a workspace belongs to exactly one worker
@@ -157,12 +153,11 @@ func (m *Model) PTDF() *mat.Matrix { return m.ptdf }
 // the O(n³) PTDF factorization BuildModel pays.
 func (m *Model) ShallowClone() *Model {
 	c := &Model{
-		Net:         m.Net,
-		M:           m.M,
-		Demand:      m.Demand,
-		ptdf:        m.ptdf,
-		Metrics:     m.Metrics,
-		DenseSolver: m.DenseSolver,
+		Net:     m.Net,
+		M:       m.M,
+		Demand:  m.Demand,
+		ptdf:    m.ptdf,
+		Metrics: m.Metrics,
 	}
 	c.Base = append([]float64(nil), m.Base...)
 	return c
@@ -396,7 +391,7 @@ func (m *Model) solveLP(ratings []float64, inSet []bool) ([]float64, []float64, 
 		}
 		lines = append(lines, li)
 	}
-	sol, err := lp.SolveWith(prob, lp.Options{Metrics: m.Metrics, DenseSolver: m.DenseSolver, Workspace: m.Workspace})
+	sol, err := lp.SolveWith(prob, lp.Options{Metrics: m.Metrics, Workspace: m.Workspace})
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("dispatch: %w", err)
 	}

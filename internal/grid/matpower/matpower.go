@@ -110,11 +110,14 @@ func Parse(src string) (*grid.Network, error) {
 	return n, nil
 }
 
-// Format renders a Network as a MATPOWER case file.
+// Format renders a Network as a MATPOWER case file. A name that is not a
+// plain identifier (letters, digits, '_' and '-') is written as "case": the
+// header line must not hold text Parse would read as a field, such as
+// "mpc.baseMVA = 5".
 func Format(n *grid.Network) string {
 	var b strings.Builder
 	name := n.Name
-	if name == "" {
+	if name == "" || strings.IndexFunc(name, notIdentRune) >= 0 {
 		name = "case"
 	}
 	fmt.Fprintf(&b, "function mpc = %s\n", name)
@@ -162,6 +165,10 @@ func Format(n *grid.Network) string {
 	}
 	b.WriteString("];\n")
 	return b.String()
+}
+
+func notIdentRune(r rune) bool {
+	return !(r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9' || r == '_' || r == '-')
 }
 
 // sortedGens returns generators in a stable order for deterministic output.

@@ -262,13 +262,13 @@ func (s *simplex) warmDualFeasible() bool {
 			maxC = a
 		}
 	}
-	dtol := s.opts.Tol * (1 + maxC)
+	dtol := s.opts.tol * (1 + maxC)
 	for j := 0; j < s.total; j++ {
 		st := s.status[j]
 		if st == basic {
 			continue
 		}
-		if st != isFree && s.upper[j]-s.lower[j] < s.opts.Tol {
+		if st != isFree && s.upper[j]-s.lower[j] < s.opts.tol {
 			continue // fixed variables cannot move in any direction
 		}
 		zj := s.z[j]
@@ -293,7 +293,7 @@ func (s *simplex) warmDualFeasible() bool {
 // warmPrimalFeasible reports whether every basic value sits within its
 // bounds, i.e. the warm basis can seed phase II directly.
 func (s *simplex) warmPrimalFeasible() bool {
-	tol := s.opts.Tol
+	tol := s.opts.tol
 	for i := 0; i < s.m; i++ {
 		v := s.basis[i]
 		if s.xB[i] < s.lower[v]-tol || s.xB[i] > s.upper[v]+tol {
@@ -329,12 +329,12 @@ const (
 // dual certificate of primal infeasibility; the caller checks it
 // independently before trusting it.
 func (s *simplex) dualSimplex() (dualOutcome, int) {
-	tol := s.opts.Tol
+	tol := s.opts.tol
 	sinceRefresh := 0
 	var cands []dualCand
 	var flips []int
 	for {
-		if s.iters >= s.opts.MaxIter {
+		if s.iters >= s.opts.maxIter {
 			return dualFailed, -1
 		}
 		if sinceRefresh >= 200 {

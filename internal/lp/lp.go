@@ -382,11 +382,6 @@ type Solution struct {
 
 // Options tune the simplex.
 type Options struct {
-	// MaxIter caps total pivots across both phases (default 50000).
-	MaxIter int
-	// Tol is the numeric tolerance for pricing and feasibility
-	// (default 1e-9).
-	Tol float64
 	// Metrics, when non-nil, receives lp_* solve/pivot counters and the
 	// lp_pivots histogram. A nil registry costs one branch per solve.
 	Metrics *telemetry.Registry
@@ -437,14 +432,20 @@ type Options struct {
 	// returns fresh copies. Results are bit-identical either way. A
 	// workspace must not be used by two goroutines at once.
 	Workspace *Workspace
+
+	// maxIter caps total pivots across both phases (default 50000), and
+	// tol is the numeric tolerance for pricing and feasibility (default
+	// 1e-9). Only this package's tests set them.
+	maxIter int
+	tol     float64
 }
 
 func (o Options) withDefaults() Options {
-	if o.MaxIter <= 0 {
-		o.MaxIter = 50000
+	if o.maxIter <= 0 {
+		o.maxIter = 50000
 	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-9
+	if o.tol <= 0 {
+		o.tol = 1e-9
 	}
 	return o
 }

@@ -23,7 +23,7 @@ func TestIterLimit(t *testing.T) {
 		}
 		_, _ = p.AddConstraint(row, LE, 50)
 	}
-	_, err := SolveWith(p, Options{MaxIter: 2})
+	_, err := SolveWith(p, Options{maxIter: 2})
 	if !errors.Is(err, ErrIterLimit) {
 		t.Fatalf("want ErrIterLimit, got %v", err)
 	}
@@ -31,11 +31,11 @@ func TestIterLimit(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.MaxIter != 50000 || o.Tol != 1e-9 {
+	if o.maxIter != 50000 || o.tol != 1e-9 {
 		t.Fatalf("defaults = %+v", o)
 	}
-	o = Options{MaxIter: 7, Tol: 1e-6}.withDefaults()
-	if o.MaxIter != 7 || o.Tol != 1e-6 {
+	o = Options{maxIter: 7, tol: 1e-6}.withDefaults()
+	if o.maxIter != 7 || o.tol != 1e-6 {
 		t.Fatalf("overrides lost: %+v", o)
 	}
 }

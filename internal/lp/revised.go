@@ -588,11 +588,11 @@ func (e *revised) phaseObjective(cost []float64) float64 {
 // dense engine, with FTRAN/BTRAN replacing tableau row access.
 func (e *revised) optimize(cost []float64) (Status, error) {
 	e.refreshZ(cost)
-	tol := e.opts.Tol
+	tol := e.opts.tol
 	lastObj := math.Inf(1)
 	sinceRefresh := 0
 	for {
-		if e.iters >= e.opts.MaxIter {
+		if e.iters >= e.opts.maxIter {
 			return 0, fmt.Errorf("%w (after %d pivots)", ErrIterLimit, e.iters)
 		}
 		if sinceRefresh >= 200 {
@@ -1063,13 +1063,13 @@ func (e *revised) warmDualFeasible() bool {
 			maxC = a
 		}
 	}
-	dtol := e.opts.Tol * (1 + maxC)
+	dtol := e.opts.tol * (1 + maxC)
 	for j := 0; j < e.total; j++ {
 		st := e.status[j]
 		if st == basic {
 			continue
 		}
-		if st != isFree && e.upper[j]-e.lower[j] < e.opts.Tol {
+		if st != isFree && e.upper[j]-e.lower[j] < e.opts.tol {
 			continue
 		}
 		zj := e.z[j]
@@ -1093,7 +1093,7 @@ func (e *revised) warmDualFeasible() bool {
 
 // warmPrimalFeasible reports whether every basic value sits within bounds.
 func (e *revised) warmPrimalFeasible() bool {
-	tol := e.opts.Tol
+	tol := e.opts.tol
 	for i := 0; i < e.m; i++ {
 		v := e.basis[i]
 		if e.xB[i] < e.lower[v]-tol || e.xB[i] > e.upper[v]+tol {
@@ -1133,7 +1133,7 @@ func (e *revised) dualSimplex() (dualOutcome, int) {
 	const maxDualBans = 8
 	var banned [maxDualBans]int
 	nbanned := 0
-	tol := e.opts.Tol
+	tol := e.opts.tol
 	sinceRefresh := 0
 	cands := e.cands
 	flips := e.flips
@@ -1142,7 +1142,7 @@ func (e *revised) dualSimplex() (dualOutcome, int) {
 		e.flips = flips[:0]
 	}()
 	for {
-		if e.iters >= e.opts.MaxIter {
+		if e.iters >= e.opts.maxIter {
 			return dualFailed, -1
 		}
 		if sinceRefresh >= 200 {

@@ -265,11 +265,11 @@ func (s *simplex) initReducedCosts(cost []float64) {
 // optimize runs the simplex loop for one phase.
 func (s *simplex) optimize(cost []float64) (Status, error) {
 	s.initReducedCosts(cost)
-	tol := s.opts.Tol
+	tol := s.opts.tol
 	lastObj := math.Inf(1)
 	sinceRefresh := 0
 	for {
-		if s.iters >= s.opts.MaxIter {
+		if s.iters >= s.opts.maxIter {
 			return 0, fmt.Errorf("%w (after %d pivots)", ErrIterLimit, s.iters)
 		}
 		// The z row is updated incrementally on every pivot; rebuild it

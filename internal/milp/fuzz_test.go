@@ -12,7 +12,7 @@ import (
 // complementarity pairs on non-negative continuous variables, up to 2 free
 // continuous variables, and a few rows. All data are small integers, so
 // every relaxation vertex is a rational with a small denominator: a value
-// within IntTol of an integer (or of zero, for a pair) is exactly there,
+// within intTol of an integer (or of zero, for a pair) is exactly there,
 // and the search's tolerance cannot accept a point the enumeration rejects.
 type fuzzMILP struct {
 	base     *lp.Problem

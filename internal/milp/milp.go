@@ -33,7 +33,11 @@ const (
 	Optimal Status = iota + 1
 	Infeasible
 	Unbounded
-	NodeLimit // search truncated; Solution carries the best incumbent
+	// NodeLimit reports a search that proved no verdict: the node budget
+	// cut it off, or a node relaxation failed numerically and was dropped
+	// (counted in milp_node_errors_total). Solution carries the best
+	// incumbent, if any.
+	NodeLimit
 )
 
 func (s Status) String() string {
@@ -136,8 +140,8 @@ type Solution struct {
 	RootBasis *lp.Basis
 	// BestBound is the proven bound on the optimum in the problem's own
 	// sense: equal to Objective when Status is Optimal, the best inherited
-	// relaxation bound over the surviving frontier when a node limit
-	// truncated the search, and the pruning seed when a seeded search
+	// relaxation bound over the surviving frontier and the dropped nodes
+	// when Status is NodeLimit, and the pruning seed when a seeded search
 	// proved nothing beats it (Status Infeasible with Options.Incumbent
 	// set). A truncated search that never solved the root reports ±Inf.
 	BestBound float64
@@ -151,8 +155,6 @@ type Solution struct {
 type Options struct {
 	// MaxNodes caps branch-and-bound nodes (default 200000).
 	MaxNodes int
-	// IntTol is the integrality/complementarity tolerance (default 1e-6).
-	IntTol float64
 	// Gap is the relative optimality gap at which a node is pruned
 	// against the incumbent (default 1e-9).
 	Gap float64
@@ -177,9 +179,10 @@ type Options struct {
 	// the instance, so the offer — unlike a per-node sweep — is identical
 	// under every worker schedule and external Bound trajectory.
 	Heuristic func(relaxX []float64) (obj float64, point []float64, ok bool)
-	// LP are the options for each relaxation solve. Every relaxation of
-	// one run shares LP.Workspace; when it is nil, the run borrows one from
-	// lp's pool for its whole branch-and-bound sequence.
+	// LP are the options for each relaxation solve; the search sets their
+	// Metrics, Flight, and Ctx from its own. Every relaxation of one run
+	// shares LP.Workspace; when it is nil, the run borrows one from lp's
+	// pool for its whole branch-and-bound sequence.
 	LP lp.Options
 	// WarmBasis, when non-nil, seeds the root relaxation with a basis from
 	// an earlier solve of the same LP shape (e.g. the previous row-
@@ -188,37 +191,36 @@ type Options struct {
 	// DisableWarmStart turns off basis reuse across nodes, cold-solving
 	// every relaxation as the solver did before warm starts existed.
 	DisableWarmStart bool
-	// Metrics, when non-nil, receives milp_* search counters; it is also
-	// forwarded to the relaxation LPs unless LP.Metrics is already set.
+	// Metrics, when non-nil, receives milp_* search counters and the
+	// relaxation LPs' lp_* counters.
 	Metrics *telemetry.Registry
 	// Span, when non-nil, parents a per-solve trace span carrying node,
 	// prune, and incumbent counts.
 	Span *telemetry.Span
 	// Flight, when non-nil, records one FlightNode event per B&B node
 	// (disposition, depth, bound, pivots, warm/cold) and a FlightIncumbent
-	// event per incumbent update. It is also forwarded to the relaxation
-	// LPs unless LP.Flight is already set. Recording is observational only
-	// and never alters the search.
+	// event per incumbent update, and the relaxation LPs' FlightLP events.
+	// Recording is observational only and never alters the search.
 	Flight *telemetry.Flight
 	// FlightTemplate pre-fills identity fields (Target, Dir, Round) on
 	// every event this solve records, so a caller running many MILPs can
 	// attribute nodes to its own work items.
 	FlightTemplate telemetry.FlightEvent
 	// Ctx, when non-nil, is polled once per branch-and-bound node (before
-	// the node's LP solve) and forwarded to the relaxation LPs unless
-	// LP.Ctx is already set. A canceled or expired context aborts the
-	// search with the context's error (wrapped, errors.Is-compatible);
-	// no partial Solution is returned, since a schedule-dependent
-	// truncation point would break the solver's determinism contract.
+	// the node's LP solve) and by the relaxation LPs. A canceled or expired
+	// context aborts the search with the context's error (wrapped,
+	// errors.Is-compatible); no partial Solution is returned, since a
+	// schedule-dependent truncation point would break the solver's
+	// determinism contract.
 	Ctx context.Context
 }
+
+// intTol is the integrality/complementarity tolerance.
+const intTol = 1e-6
 
 func (o Options) withDefaults() Options {
 	if o.MaxNodes <= 0 {
 		o.MaxNodes = 200000
-	}
-	if o.IntTol <= 0 {
-		o.IntTol = 1e-6
 	}
 	if o.Gap <= 0 {
 		o.Gap = 1e-9
@@ -257,15 +259,9 @@ type node struct {
 // SolveWith runs branch and bound with explicit options.
 func SolveWith(p *Problem, opts Options) (*Solution, error) {
 	o := opts.withDefaults()
-	if o.LP.Metrics == nil {
-		o.LP.Metrics = o.Metrics
-	}
-	if o.LP.Flight == nil {
-		o.LP.Flight = o.Flight
-	}
-	if o.LP.Ctx == nil {
-		o.LP.Ctx = o.Ctx
-	}
+	o.LP.Metrics = o.Metrics
+	o.LP.Flight = o.Flight
+	o.LP.Ctx = o.Ctx
 	ws := o.LP.Workspace
 	if ws == nil {
 		ws = lp.GetWorkspace()
@@ -283,7 +279,7 @@ func SolveWith(p *Problem, opts Options) (*Solution, error) {
 	}
 
 	var lpIters, incumbents, pruned, heurHits int
-	var warmNodes, warmFallbacks int
+	var warmNodes, warmFallbacks, dropped int
 	var rootBasis *lp.Basis
 	span := telemetry.StartSpan(nil, o.Span, "milp.solve")
 	finish := func(sol *Solution, err error) (*Solution, error) {
@@ -305,6 +301,9 @@ func SolveWith(p *Problem, opts Options) (*Solution, error) {
 			if sol != nil {
 				m.Counter("milp_nodes_total").Add(int64(sol.Nodes))
 				m.Histogram("milp_nodes", telemetry.NodeBuckets).Observe(float64(sol.Nodes))
+			}
+			if dropped > 0 {
+				m.Counter("milp_node_errors_total").Add(int64(dropped))
 			}
 			if err != nil {
 				m.Counter("milp_errors_total").Inc()
@@ -466,6 +465,30 @@ func SolveWith(p *Problem, opts Options) (*Solution, error) {
 		}
 		return g / (1 + math.Abs(incObj))
 	}
+	// droppedBound is the best inherited bound over the nodes dropped for a
+	// failed relaxation: their subtrees stay unexplored, so it bounds them.
+	droppedBound := math.Inf(-1)
+	if !maximize {
+		droppedBound = math.Inf(1)
+	}
+	// truncated reports a search that proved no verdict — cut off by the
+	// node budget, or finished with dropped nodes — with its incumbent (if
+	// any) and the best bound over everything left unexplored.
+	truncated := func() (*Solution, error) {
+		bound := f.bestBound()
+		if better(droppedBound, bound) {
+			bound = droppedBound
+		}
+		if (incumbent != nil || o.Incumbent != nil) && better(incObj, bound) {
+			bound = incObj
+		}
+		sol := &Solution{Status: NodeLimit, Nodes: nodes, BestBound: bound, Gap: relGapTo(bound)}
+		if incumbent != nil {
+			sol.X = incumbent
+			sol.Objective = incObj
+		}
+		return finish(sol, nil)
+	}
 	for f.len() > 0 {
 		if o.Ctx != nil {
 			if err := o.Ctx.Err(); err != nil {
@@ -473,16 +496,7 @@ func SolveWith(p *Problem, opts Options) (*Solution, error) {
 			}
 		}
 		if nodes >= o.MaxNodes {
-			bound := f.bestBound()
-			if (incumbent != nil || o.Incumbent != nil) && better(incObj, bound) {
-				bound = incObj
-			}
-			sol := &Solution{Status: NodeLimit, Nodes: nodes, BestBound: bound, Gap: relGapTo(bound)}
-			if incumbent != nil {
-				sol.X = incumbent
-				sol.Objective = incObj
-			}
-			return finish(sol, nil)
+			return truncated()
 		}
 		cur, _ := f.pop()
 		nodes++
@@ -527,7 +541,19 @@ func SolveWith(p *Problem, opts Options) (*Solution, error) {
 			}
 		}
 		if err != nil {
-			return finish(nil, fmt.Errorf("milp: node %d relaxation: %w", nodes, err))
+			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+				return finish(nil, fmt.Errorf("milp: node %d relaxation: %w", nodes, err))
+			}
+			// A relaxation that fails numerically proves nothing about its
+			// subtree. Drop the node rather than abort the search: its
+			// inherited score still bounds the subtree, and the search can
+			// no longer return a proven verdict.
+			dropped++
+			if better(cur.score, droppedBound) {
+				droppedBound = cur.score
+			}
+			finishNode("error", nil)
+			continue
 		}
 		switch rel.Status {
 		case lp.Infeasible:
@@ -576,7 +602,7 @@ func SolveWith(p *Problem, opts Options) (*Solution, error) {
 
 		// Pick a branching entity: the most fractional binary first, else
 		// the most violated complementarity pair.
-		be, bkind := p.selectBranch(rel.X, o.IntTol)
+		be, bkind := p.selectBranch(rel.X, intTol)
 		switch bkind {
 		case branchBinary:
 			// Branch on the binary: floor child and ceil child, each
@@ -615,6 +641,9 @@ func SolveWith(p *Problem, opts Options) (*Solution, error) {
 				finishNode("integral", rel)
 			}
 		}
+	}
+	if dropped > 0 {
+		return truncated()
 	}
 	if incumbent == nil {
 		// Exhausted frontier with no incumbent: with a pruning seed that is

@@ -142,7 +142,7 @@ type kktSchur struct {
 // either take a (possibly blocked) step, drop a constraint with a negative
 // multiplier, or declare optimality.
 func (s *activeSet) run() (*Solution, error) {
-	tol := s.opts.Tol
+	tol := s.opts.tol
 	// Seed the working set with constraints active at the start point.
 	for i := range s.rows {
 		if len(s.work) >= s.p.n-len(s.p.aeq) {
@@ -156,7 +156,7 @@ func (s *activeSet) run() (*Solution, error) {
 			}
 		}
 	}
-	for iter := 0; iter < s.opts.MaxIter; iter++ {
+	for iter := 0; iter < s.opts.maxIter; iter++ {
 		xStar, nu, lam, err := s.solveKKT(s.work)
 		if err != nil {
 			// Dependent working set: drop the newest row and retry.
@@ -220,7 +220,7 @@ func (s *activeSet) run() (*Solution, error) {
 			}
 		}
 	}
-	return nil, fmt.Errorf("%w (after %d iterations)", ErrIterLimit, s.opts.MaxIter)
+	return nil, fmt.Errorf("%w (after %d iterations)", ErrIterLimit, s.opts.maxIter)
 }
 
 func (s *activeSet) inWork(i int) bool {

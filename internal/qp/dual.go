@@ -50,7 +50,7 @@ func (w *WorkingSet) CopyFrom(src *WorkingSet) { w.keys = append(w.keys[:0], src
 // first (the partial step t₁), its row leaves W and p is tried again. A p
 // dependent on W (z = 0) takes a pure dual step; when no multiplier limits
 // that step either, no point satisfies the rows, and the method returns
-// ErrInfeasible. Violations are tested against the absolute Tol, as the
+// ErrInfeasible. Violations are tested against the absolute tol, as the
 // primal method's activeness test is.
 //
 // W is kept in row order: p is inserted in place, not appended. The
@@ -75,7 +75,7 @@ func (s *activeSet) runDual() (*Solution, error) {
 // dualIterate runs the dual method from the hinted working set (nil for a
 // cold start).
 func (s *activeSet) dualIterate(hint *WorkingSet) (*Solution, error) {
-	tol := s.opts.Tol
+	tol := s.opts.tol
 	iter, err := s.hotStart(hint)
 	if err != nil {
 		return nil, err
@@ -101,8 +101,8 @@ func (s *activeSet) dualIterate(hint *WorkingSet) (*Solution, error) {
 		}
 		sigma := s.curvature(p)
 		for added := false; !added; {
-			if iter >= s.opts.MaxIter {
-				return nil, fmt.Errorf("%w (after %d iterations)", ErrIterLimit, s.opts.MaxIter)
+			if iter >= s.opts.maxIter {
+				return nil, fmt.Errorf("%w (after %d iterations)", ErrIterLimit, s.opts.maxIter)
 			}
 			iter++
 			z, dlam, err := s.direction(s.work, p)
@@ -159,7 +159,7 @@ func (s *activeSet) dualIterate(hint *WorkingSet) (*Solution, error) {
 
 // hotStart seeds W with this solve's rows whose keys the hint holds, in
 // row order, then makes W dual feasible: while its KKT system is singular
-// it drops the last row, and while a multiplier is below −Tol it drops the
+// it drops the last row, and while a multiplier is below −tol it drops the
 // row with the most negative one. Each drop counts as an
 // iteration; the count is returned. On return the iterate is adopted from
 // the KKT solve of W, unless W ended empty.
@@ -174,8 +174,8 @@ func (s *activeSet) hotStart(hint *WorkingSet) (int, error) {
 	}
 	iter := 0
 	for len(s.work) > 0 {
-		if iter >= s.opts.MaxIter {
-			return 0, fmt.Errorf("%w (after %d iterations)", ErrIterLimit, s.opts.MaxIter)
+		if iter >= s.opts.maxIter {
+			return 0, fmt.Errorf("%w (after %d iterations)", ErrIterLimit, s.opts.maxIter)
 		}
 		x, nu, lam, err := s.solveKKT(s.work)
 		if err != nil {
@@ -186,7 +186,7 @@ func (s *activeSet) hotStart(hint *WorkingSet) (int, error) {
 			iter++
 			continue
 		}
-		k, least := -1, -s.opts.Tol
+		k, least := -1, -s.opts.tol
 		for j, l := range lam {
 			if l < least {
 				k, least = j, l

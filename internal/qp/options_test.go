@@ -7,11 +7,11 @@ import (
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.MaxIter != 2000 || o.Tol != 1e-8 {
+	if o.maxIter != 2000 || o.tol != 1e-8 {
 		t.Fatalf("defaults = %+v", o)
 	}
-	o = Options{MaxIter: 3, Tol: 1e-5}.withDefaults()
-	if o.MaxIter != 3 || o.Tol != 1e-5 {
+	o = Options{maxIter: 3, tol: 1e-5}.withDefaults()
+	if o.maxIter != 3 || o.tol != 1e-5 {
 		t.Fatalf("overrides lost: %+v", o)
 	}
 }
@@ -38,7 +38,7 @@ func TestIterLimitSurfaces(t *testing.T) {
 			_ = p.SetBounds(i, 0, 1)
 		}
 		_, _ = p.AddInequality([]float64{1, 1, 1}, 1.5)
-		sol, err := solve(p, Options{MaxIter: 1}, tc.primal)
+		sol, err := solve(p, Options{maxIter: 1}, tc.primal)
 		if err == nil {
 			t.Fatalf("primal=%v: solved within the budget (%d iterations reported); want ErrIterLimit", tc.primal, sol.Iterations)
 		}

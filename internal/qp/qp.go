@@ -232,10 +232,6 @@ type Solution struct {
 
 // Options tune the solver.
 type Options struct {
-	// MaxIter caps active-set iterations (default 2000).
-	MaxIter int
-	// Tol is the numeric tolerance (default 1e-8).
-	Tol float64
 	// Metrics, when non-nil, receives qp_* solve/iteration counters
 	// (including the KKT solve and factorization work counts) and forwards
 	// to the feasibility LP's lp_* counters when the primal method runs.
@@ -275,14 +271,18 @@ type Options struct {
 	// bordered path's differential oracle, set only by tests (see
 	// export_test.go).
 	denseKKT bool
+	// maxIter caps active-set iterations (default 2000), and tol is the
+	// numeric tolerance (default 1e-8). Only this package's tests set them.
+	maxIter int
+	tol     float64
 }
 
 func (o Options) withDefaults() Options {
-	if o.MaxIter <= 0 {
-		o.MaxIter = 2000
+	if o.maxIter <= 0 {
+		o.maxIter = 2000
 	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-8
+	if o.tol <= 0 {
+		o.tol = 1e-8
 	}
 	return o
 }

@@ -22,10 +22,11 @@ type SurfaceConfig struct {
 	// Hours are the hour-of-day sample points (e.g. 0, 3, …, 21).
 	Hours []float64
 	// Magnitudes are the fractional rating inflations the attacker
-	// applies to the seen DLR feed (0.2 = report 120% of the true
-	// rating). Magnitude 0 is the no-attack baseline column. Falsified
-	// values are clamped into each line's plausibility band, exactly what
-	// a bound-checking EMS ingest would admit.
+	// applies to the seen feed of every DLR-instrumented line (0.2 =
+	// report 120% of the true rating). Magnitude 0 is the no-attack
+	// baseline column. Falsified values are clamped into each line's
+	// plausibility band, exactly what a bound-checking EMS ingest would
+	// admit.
 	Magnitudes []float64
 	// Draws is the Monte-Carlo sample size per cell (≤ 0 → 64).
 	Draws int
@@ -37,9 +38,6 @@ type SurfaceConfig struct {
 	// scada.MonteCarloConfig (0 → its defaults, negative disables).
 	DemandNoisePct float64
 	RatingNoisePct float64
-	// AttackLines are the line indices whose seen ratings the attacker
-	// controls; nil means every DLR-instrumented line.
-	AttackLines []int
 	// Dispatch supplies the operator's dispatch for each scenario. Nil
 	// falls back to scaling every generator proportionally to capacity,
 	// which keeps the runner self-contained for tests; the CLI wires in
@@ -141,18 +139,7 @@ func GenScenarios(pc *Precomp, cfg SurfaceConfig) ([]Scenario, []SurfaceCell, er
 	if draws <= 0 {
 		draws = 64
 	}
-	attack := cfg.AttackLines
-	if attack == nil {
-		attack = pc.Net.DLRLines()
-	}
-	for _, li := range attack {
-		if li < 0 || li >= len(pc.Net.Lines) {
-			return nil, nil, fmt.Errorf("sweep: attack line %d out of range", li)
-		}
-		if !pc.Net.Lines[li].HasDLR {
-			return nil, nil, fmt.Errorf("sweep: attack line %d has no DLR feed to falsify", li)
-		}
-	}
+	attack := pc.Net.DLRLines()
 	dispatch := cfg.Dispatch
 	if dispatch == nil {
 		dispatch = defaultDispatch(pc)

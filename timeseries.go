@@ -59,10 +59,9 @@ type TimeSeriesConfig struct {
 	StepMinutes float64
 	// Attacker selects the attacker model (default AttackerOptimal).
 	Attacker AttackerKind
-	// AttackOptions tunes AttackerOptimal.
+	// AttackOptions tunes AttackerOptimal. AttackerCoordinate runs with
+	// the default CoordinateOptions.
 	AttackOptions AttackOptions
-	// Coordinate tunes AttackerCoordinate.
-	Coordinate core.CoordinateOptions
 	// ACEvaluate additionally measures each attacked dispatch under the
 	// nonlinear model (Figs. 4b/4c and 5 "MATPOWER" curves).
 	ACEvaluate bool
@@ -194,7 +193,7 @@ func RunTimeSeries(cfg TimeSeriesConfig) ([]TimeStep, error) {
 		case AttackerGreedy:
 			att, err = core.GreedyVertexAttack(k)
 		case AttackerCoordinate:
-			att, err = core.CoordinateAscentAttack(k, cfg.Coordinate)
+			att, err = core.CoordinateAscentAttack(k, core.CoordinateOptions{})
 		default:
 			return step, fmt.Errorf("edattack: unknown attacker kind %v", cfg.Attacker)
 		}
