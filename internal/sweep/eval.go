@@ -38,6 +38,19 @@ type Violation struct {
 	Pct float64
 }
 
+// N1Summary is an N−1 screen kept as counts: how many post-contingency
+// overloads there are and the worst, with no record per overload.
+type N1Summary struct {
+	// Overloads counts the (outage, overloaded line) pairs.
+	Overloads int
+	// InsecureOutages counts the outages causing at least one overload.
+	InsecureOutages int
+	// IslandingOutages counts outages skipped because they island the grid.
+	IslandingOutages int
+	// WorstPct is the largest post-contingency percentage overload.
+	WorstPct float64
+}
+
 // RatingView is a scenario evaluated against one rating vector: the
 // base-case overloads and the N−1 screen.
 type RatingView struct {
@@ -45,8 +58,8 @@ type RatingView struct {
 	Violations []Violation
 	// WorstPct is the largest base-case percentage overload.
 	WorstPct float64
-	// N1 is the full N−1 screening report against the same ratings.
-	N1 contingency.Report
+	// N1 summarizes the N−1 screen against the same ratings.
+	N1 N1Summary
 }
 
 // Outcome is one evaluated scenario.
@@ -208,14 +221,20 @@ func EvalOne(pc *Precomp, s *Scenario) (Outcome, error) {
 	return out, nil
 }
 
-// oracleView fills one RatingView via the existing sequential primitives.
+// oracleView fills one RatingView via the existing sequential primitives,
+// reducing contingency.Screen's full report to its summary.
 func oracleView(pc *Precomp, flows, ratings []float64, v *RatingView) error {
 	v.Violations, v.WorstPct = baseViolations(flows, ratings)
 	rep, err := contingency.Screen(pc.LODF, flows, ratings)
 	if err != nil {
 		return fmt.Errorf("sweep: %w", err)
 	}
-	v.N1 = *rep
+	v.N1 = N1Summary{
+		Overloads:        len(rep.Overloads),
+		InsecureOutages:  rep.InsecureOutages,
+		IslandingOutages: rep.IslandingOutages,
+		WorstPct:         rep.WorstPct,
+	}
 	return nil
 }
 
@@ -257,11 +276,11 @@ func finishOutcome(out *Outcome) {
 }
 
 // batchScratch holds one batch's packed blocks — injections, flows, ratings,
-// extrema, view pointers — recycled through batchPool so a steady-state sweep
-// allocates only the per-scenario Outcome vectors it hands to the caller.
+// extrema, N−1 summaries, outage marks — recycled through batchPool so a
+// steady-state sweep allocates only the per-scenario Outcome vectors it
+// hands to the caller.
 // Every block is fully overwritten before use, so no clearing is needed on
-// checkout; view pointers are dropped on release so the pool never pins a
-// finished batch's outcomes.
+// checkout, and none points into a batch's outcomes.
 type batchScratch struct {
 	inj        []float64
 	col        []float64
@@ -269,29 +288,16 @@ type batchScratch struct {
 	ratings    []float64
 	maxAbs     []float64
 	minU       []float64
-	views      []*RatingView
+	sums       []N1Summary
 	lastOutage []int
 }
 
 var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
-func (sc *batchScratch) release() {
-	for i := range sc.views {
-		sc.views[i] = nil
-	}
-	batchPool.Put(sc)
-}
-
-func growFloat(s []float64, n int) []float64 {
+// grow reslices s to length n, reallocating only when its capacity is short.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func growInt(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
@@ -306,9 +312,9 @@ func growInt(s []int, n int) []int {
 func evalBatch(pc *Precomp, scs []Scenario, outcomes []Outcome) error {
 	nb, nl, S := len(pc.Net.Buses), len(pc.Net.Lines), len(scs)
 	sc := batchPool.Get().(*batchScratch)
-	defer sc.release()
-	sc.inj = growFloat(sc.inj, nb*S)
-	sc.col = growFloat(sc.col, nb)
+	defer batchPool.Put(sc)
+	sc.inj = grow(sc.inj, nb*S)
+	sc.col = grow(sc.col, nb)
 	inj := sc.inj
 	col := sc.col
 	for j := range scs {
@@ -317,7 +323,7 @@ func evalBatch(pc *Precomp, scs []Scenario, outcomes []Outcome) error {
 			inj[i*S+j] = v
 		}
 	}
-	sc.flows = growFloat(sc.flows, nl*S)
+	sc.flows = grow(sc.flows, nl*S)
 	flows := sc.flows
 	if pc.PTDFSparse != nil {
 		if err := pc.PTDFSparse.MulDenseInto(flows, inj, S); err != nil {
@@ -361,28 +367,28 @@ func evalBatch(pc *Precomp, scs []Scenario, outcomes []Outcome) error {
 }
 
 // screenBatch runs the batched N−1 screen for one rating set (true or
-// seen) over a whole flow block, writing per-scenario reports.
+// seen) over a whole flow block, counting into per-scenario summaries.
 //
 // For every (monitored line l, outage k) pair the LODF factor is applied
 // to the entire batch — post[l][j] = f[l][j] + LODF(l,k)·f[k][j], the
-// exact expression contingency.Screen evaluates per scenario — so reports
-// match the oracle bit-for-bit. A conservative per-(l,k) bound
-// (max|f_l| + |LODF|·max|f_k| ≤ min rating) skips batch columns that
-// cannot possibly overload; the 1e-9 relative slack in the overload
-// threshold dwarfs the bound's rounding, so skipping never changes a
-// report, only the work.
+// exact expression contingency.Screen evaluates per scenario — so
+// summaries match the oracle's reduced reports bit-for-bit. A conservative
+// per-(l,k) bound (max|f_l| + |LODF|·max|f_k| ≤ min rating) skips batch
+// columns that cannot possibly overload; the 1e-9 relative slack in the
+// overload threshold dwarfs the bound's rounding, so skipping never changes
+// a summary, only the work.
 //
-// The scan runs k-outer / l-inner — the oracle's own order, so overloads
-// append directly in (outage, line) order with no re-sort — and reads the
-// factors from the precomputed outage-major LODF transpose, so the
-// bound-scan over l streams contiguous memory instead of striding a
+// The scan runs k-outer / l-inner, so an outage's overloads arrive
+// together and one last-outage mark per scenario counts insecure outages,
+// and reads the factors from the precomputed outage-major LODF transpose,
+// so the bound-scan over l streams contiguous memory instead of striding a
 // column per factor.
 func screenBatch(pc *Precomp, sc *batchScratch, flows []float64, scs []Scenario, outcomes []Outcome, trueView bool) {
 	nl, S := len(pc.Net.Lines), len(scs)
 
 	// Pack the per-scenario rating vectors into a line-major block and
 	// fold per-line batch extrema.
-	sc.ratings = growFloat(sc.ratings, nl*S)
+	sc.ratings = grow(sc.ratings, nl*S)
 	ratings := sc.ratings
 	for j := range scs {
 		r := scs[j].TrueRatings
@@ -393,8 +399,8 @@ func screenBatch(pc *Precomp, sc *batchScratch, flows []float64, scs []Scenario,
 			ratings[l*S+j] = r[l]
 		}
 	}
-	sc.maxAbs = growFloat(sc.maxAbs, nl)
-	sc.minU = growFloat(sc.minU, nl)
+	sc.maxAbs = grow(sc.maxAbs, nl)
+	sc.minU = grow(sc.minU, nl)
 	maxAbs := sc.maxAbs
 	minU := sc.minU
 	for l := 0; l < nl; l++ {
@@ -415,22 +421,10 @@ func screenBatch(pc *Precomp, sc *batchScratch, flows []float64, scs []Scenario,
 		minU[l] = mu
 	}
 
-	if cap(sc.views) < S {
-		sc.views = make([]*RatingView, S)
-	}
-	sc.views = sc.views[:S]
-	views := sc.views
-	for j := range outcomes {
-		if trueView {
-			views[j] = &outcomes[j].True
-		} else {
-			views[j] = &outcomes[j].Seen
-		}
-		views[j].N1.IslandingOutages = pc.Islanding
-	}
-	sc.lastOutage = growInt(sc.lastOutage, S)
-	lastOutage := sc.lastOutage
-	for j := range lastOutage {
+	sc.sums, sc.lastOutage = grow(sc.sums, S), grow(sc.lastOutage, S)
+	sums, lastOutage := sc.sums, sc.lastOutage
+	for j := range sums {
+		sums[j] = N1Summary{IslandingOutages: pc.Islanding}
 		lastOutage[j] = -1
 	}
 
@@ -456,23 +450,27 @@ func screenBatch(pc *Precomp, sc *batchScratch, flows []float64, scs []Scenario,
 				if u <= 0 {
 					continue
 				}
-				post := fl[j] + c*fk[j]
-				a := math.Abs(post)
+				a := math.Abs(fl[j] + c*fk[j])
 				if a > u*(1+1e-9) {
 					pct := 100 * (a/u - 1)
-					v := views[j]
+					v := &sums[j]
+					v.Overloads++
 					if lastOutage[j] != k {
-						v.N1.InsecureOutages++
+						v.InsecureOutages++
 						lastOutage[j] = k
 					}
-					v.N1.Overloads = append(v.N1.Overloads, contingency.Overload{
-						Outage: k, Line: l, FlowMW: post, RatingMW: u, Pct: pct,
-					})
-					if pct > v.N1.WorstPct {
-						v.N1.WorstPct = pct
+					if pct > v.WorstPct {
+						v.WorstPct = pct
 					}
 				}
 			}
 		}
+	}
+	for j := range outcomes {
+		v := &outcomes[j].Seen
+		if trueView {
+			v = &outcomes[j].True
+		}
+		v.N1 = sums[j]
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/edsec/edattack/internal/grid"
@@ -133,6 +134,52 @@ func TestEvalMatchesOracle(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestEvalAllocBudget pins the counts-only N−1 screen with a deterministic
+// work counter: one batched Eval of a daemon-shaped case118 sweep (hours
+// {0, 12} × magnitudes {0, 0.2} × 16 draws, one 64-scenario batch) may
+// allocate at most 1 MiB once the batch scratch pool is warm. Storing a
+// record per post-contingency overload allocated ~95 MB here.
+func TestEvalAllocBudget(t *testing.T) {
+	net, err := cases.Case118()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc, err := Precompute(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scs, _, err := GenScenarios(pc, SurfaceConfig{
+		Hours: []float64{0, 12}, Magnitudes: []float64{0, 0.2}, Draws: 16, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Eval(pc, scs, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	out, err := Eval(pc, scs, Options{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	overloads := 0
+	for i := range out {
+		overloads += out[i].True.N1.Overloads + out[i].Seen.N1.Overloads
+	}
+	if overloads == 0 {
+		t.Fatal("sweep screened no N−1 overloads — the budget pins nothing")
+	}
+	const budget = 1 << 20
+	got := after.TotalAlloc - before.TotalAlloc
+	if got > budget {
+		t.Fatalf("one Eval of %d scenarios (%d N−1 overloads) allocated %d bytes, budget %d",
+			len(scs), overloads, got, budget)
+	}
+	t.Logf("one Eval of %d scenarios (%d N−1 overloads) allocated %d bytes", len(scs), overloads, got)
 }
 
 // TestEvalShapeValidation: malformed scenarios are rejected up front.

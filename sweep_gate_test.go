@@ -3,8 +3,6 @@ package edattack_test
 import (
 	"encoding/json"
 	"fmt"
-	"math"
-	"math/rand"
 	"os"
 	"reflect"
 	"runtime"
@@ -116,58 +114,6 @@ func measureSweep(tb testing.TB, pc *edattack.SweepPrecomp, scs []edattack.Sweep
 	return outcomes, best
 }
 
-// speedRef is a machine-speed reference timed beside the sweep, as the
-// benchmark in bench/ times its own: a sort of 20,000 floats and an LU
-// factorization of a dense 120×120 matrix, whose times on a calm 2-vCPU
-// Xeon VM are 1.7 ms and 0.35 ms. A shared VM drifts in speed by tens of
-// percent within seconds, and a computation timed right beside the sweep
-// drifts with it.
-type speedRef struct {
-	src, buf []float64 // sort input and its working copy
-	lu, a    []float64 // LU input and its working copy
-}
-
-const speedRefN = 120 // order of the LU kernel's matrix
-
-func newSpeedRef() *speedRef {
-	rng := rand.New(rand.NewSource(1))
-	r := &speedRef{
-		src: make([]float64, 20000), buf: make([]float64, 20000),
-		lu: make([]float64, speedRefN*speedRefN), a: make([]float64, speedRefN*speedRefN),
-	}
-	for i := range r.src {
-		r.src[i] = rng.Float64()
-	}
-	for i := range r.lu {
-		r.lu[i] = rng.Float64()
-	}
-	for i := 0; i < speedRefN; i++ {
-		r.lu[i*speedRefN+i] += speedRefN // diagonally dominant: no pivoting
-	}
-	return r
-}
-
-// times runs each kernel once and returns their times in milliseconds.
-func (r *speedRef) times() (sortMS, luMS float64) {
-	start := time.Now()
-	copy(r.buf, r.src)
-	sort.Float64s(r.buf)
-	sortMS = float64(time.Since(start).Nanoseconds()) / 1e6
-	start = time.Now()
-	copy(r.a, r.lu)
-	n := speedRefN
-	for k := 0; k < n; k++ {
-		for i := k + 1; i < n; i++ {
-			f := r.a[i*n+k] / r.a[k*n+k]
-			for j := k + 1; j < n; j++ {
-				r.a[i*n+j] -= f * r.a[k*n+j]
-			}
-		}
-	}
-	luMS = float64(time.Since(start).Nanoseconds()) / 1e6
-	return sortMS, luMS
-}
-
 // measureSweepAtRef times runs single sweeps, each between two timings of
 // the speed reference, and returns the outcomes and the median throughput
 // at reference speed: each run's scenarios/s divided by the machine's
@@ -176,16 +122,12 @@ func (r *speedRef) times() (sortMS, luMS float64) {
 func measureSweepAtRef(tb testing.TB, pc *edattack.SweepPrecomp, scs []edattack.SweepScenario, runs int) ([]edattack.SweepOutcome, float64) {
 	tb.Helper()
 	ref := newSpeedRef()
-	ref.times() // warm the kernels' caches and pages
 	var outcomes []edattack.SweepOutcome
 	rates := make([]float64, runs)
 	for r := range rates {
-		s0, l0 := ref.times()
-		out, wall := measureSweep(tb, pc, scs, 1)
-		s1, l1 := ref.times()
-		speed := math.Sqrt(1.7 / ((s0 + s1) / 2) * 0.35 / ((l0 + l1) / 2))
+		var wall time.Duration
+		speed := ref.around(func() { outcomes, wall = measureSweep(tb, pc, scs, 1) })
 		rates[r] = float64(len(scs)) / wall.Seconds() / speed
-		outcomes = out
 	}
 	sort.Float64s(rates)
 	return outcomes, rates[runs/2]

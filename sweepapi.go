@@ -14,7 +14,10 @@ type (
 	// SweepScenario is one (demand, dispatch, true ratings, seen ratings)
 	// operating point.
 	SweepScenario = sweep.Scenario
-	// SweepOutcome is one evaluated scenario.
+	// SweepOutcome is one evaluated scenario: its cost and flows, the
+	// base-case violations and an N−1 summary (overload counts and the
+	// worst overload, no per-overload records) against the true and the
+	// seen ratings, and the Dangerous/Detected/Success verdicts.
 	SweepOutcome = sweep.Outcome
 	// SweepOptions tunes batch size, workers, and telemetry sinks.
 	SweepOptions = sweep.Options
