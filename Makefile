@@ -30,10 +30,15 @@ race:
 telemetry:
 	$(GO) test -run TestTelemetry -count=2 ./...
 
-## parallel: the worker-pool and worker-count-determinism tests under the
-## race detector (short mode keeps the 118-bus sweep out of the gate).
+## parallel: the determinism-under-race list, the one CI's race job runs —
+## the worker-pool and worker-count-determinism tests, the telemetry suite,
+## the flight recorder, and the batched sweep (whose par.Each workers write
+## outcomes in place) under the race detector (short mode keeps the 118-bus
+## sweep out of the gate).
+PARALLEL_TESTS := TestEach|TestResolve|TestFindOptimalAttackDeterministicAcrossWorkers|TestGreedyAndRandomDeterministicAcrossWorkers|TestScreenParallel|TestRunTimeSeriesWorkers|TestTelemetry|TestFlightGate|TestServeConcurrentSameTopology|TestEvalMatchesOracle|TestEvalAllocBudget
+PARALLEL_PKGS := ./internal/par/ ./internal/core/ ./internal/contingency/ ./internal/telemetry/ ./internal/serve/ ./internal/sweep/ .
 parallel:
-	$(GO) test -race -short -run 'TestEach|TestResolve|TestFindOptimalAttackDeterministicAcrossWorkers|TestGreedyAndRandomDeterministicAcrossWorkers|TestScreenParallel|TestRunTimeSeriesWorkers|TestServeConcurrentSameTopology' ./internal/par/ ./internal/core/ ./internal/contingency/ ./internal/serve/ .
+	$(GO) test -race -short -count=1 -run '$(PARALLEL_TESTS)' $(PARALLEL_PKGS)
 
 ## bench: the paper-experiment and substrate benchmarks.
 bench:

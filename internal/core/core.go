@@ -96,11 +96,10 @@ type Knowledge struct {
 	// memo caches dive/polish dispatch evaluations keyed by the manipulated
 	// rating vector. The dispatch solution is a unique pure function of the
 	// ratings: the QP is strictly convex, and a solve's bits do not depend
-	// on the model's warm-start memory by construction — line rows enter in
-	// line-index order and the QP keeps its working set in row order, so
-	// the result is the KKT solution of the final working set whatever the
-	// binding memory or the hot-start working set held. The cache therefore
-	// changes speed only, never results. Shared across workers; cached
+	// on the model's warm-start memory by construction — the QP keeps its
+	// working set in row order, so the result is the KKT solution of the
+	// final working set whatever the hot-start working set held. The cache
+	// therefore changes speed only, never results. Shared across workers; cached
 	// Results are treated as immutable.
 	memo *edMemo
 	// memoKeyBuf packs solveMemo's lookup key. Each worker holds its own
@@ -509,7 +508,6 @@ func (k *Knowledge) EvaluateAttack(dlr map[int]float64) (*Evaluation, error) {
 		Dispatch: res,
 		Stats: SolverStats{
 			SimplexIterations: res.Iterations,
-			Rounds:            res.Rounds,
 			WallTime:          time.Since(start),
 		},
 	}, nil

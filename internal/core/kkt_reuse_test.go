@@ -14,6 +14,9 @@ import (
 // qpWork is the dispatch QP work one cold budgeted attack reports.
 type qpWork struct {
 	solves, iterations, kktSolves, kktFactors int64
+	// dispatches counts the attack's dispatch solves, successful or
+	// infeasible.
+	dispatches int64
 }
 
 // coldAttackQPWork runs a cold budgeted attack (the serving options) on a
@@ -49,17 +52,20 @@ func coldAttackQPWork(t *testing.T, build func() (*grid.Network, error)) (*core.
 		iterations: reg.Counter("qp_iterations_total").Value(),
 		kktSolves:  reg.Counter("qp_kkt_solves_total").Value(),
 		kktFactors: reg.Counter("qp_kkt_factorizations_total").Value(),
+		dispatches: reg.Counter("dispatch_solves_total").Value() + reg.Counter("dispatch_infeasible_total").Value(),
 	}
 }
 
 // TestKKTFactorReuseCounted pins the dispatch QP's work by its counters. A
-// cold budgeted case57 attack reports the same counts on every run, at most
-// a tenth as many KKT factorizations as KKT solves (without cross-solve
-// reuse of the model's base LU and Schur factors every working set is
-// factored afresh), and at most 4 dual iterations per QP
-// (without the hot start from the previous solve's working set every QP
-// climbs from the empty set). Outside -short, the case118 attack is held to
-// at most 10 iterations per QP.
+// cold budgeted case57 attack reports the same counts on every run, exactly
+// one QP solve per dispatch solve (the dual method enforces every rated
+// line itself; no row-generation round re-solves it), at most a tenth as
+// many KKT factorizations as KKT solves (without cross-solve reuse of the
+// model's base LU and Schur factors every working set is factored afresh),
+// and at most 4 dual iterations per QP (without the hot start from the
+// previous solve's working set every QP climbs from the empty set).
+// Outside -short, the case118 attack is held to one QP per dispatch and at
+// most 10 iterations per QP.
 func TestKKTFactorReuseCounted(t *testing.T) {
 	first, w := coldAttackQPWork(t, cases.Case57)
 	second, w2 := coldAttackQPWork(t, cases.Case57)
@@ -69,6 +75,9 @@ func TestKKTFactorReuseCounted(t *testing.T) {
 	}
 	if w.kktSolves == 0 || w.solves == 0 {
 		t.Fatal("no QP or KKT solves counted")
+	}
+	if w.solves != w.dispatches {
+		t.Fatalf("%d QP solves for %d dispatch solves, want one each", w.solves, w.dispatches)
 	}
 	if 10*w.kktFactors > w.kktSolves {
 		t.Fatalf("%d KKT factorizations for %d solves, want at most a tenth", w.kktFactors, w.kktSolves)
@@ -83,6 +92,9 @@ func TestKKTFactorReuseCounted(t *testing.T) {
 		return
 	}
 	_, w = coldAttackQPWork(t, cases.Case118)
+	if w.solves != w.dispatches {
+		t.Fatalf("case118: %d QP solves for %d dispatch solves, want one each", w.solves, w.dispatches)
+	}
 	if w.iterations > 10*w.solves {
 		t.Fatalf("case118: %d QP iterations for %d QP solves (%.2f per solve), want at most 10 per solve",
 			w.iterations, w.solves, float64(w.iterations)/float64(w.solves))

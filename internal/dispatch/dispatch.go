@@ -36,7 +36,8 @@ var ErrInfeasible = errors.New("dispatch: economic dispatch infeasible")
 // per solve.
 //
 // A Model is NOT safe for concurrent Solve/SetDemands calls: Solve mutates
-// the warm-start memory (lastBinding) and SetDemands rewrites Base/Demand.
+// the warm-start memory (the QP working set) and SetDemands rewrites
+// Base/Demand.
 // Concurrent workers should each hold a ShallowClone, which shares the
 // expensive immutable inputs (Net, M, ptdf) and owns the mutable state.
 type Model struct {
@@ -52,37 +53,30 @@ type Model struct {
 	Demand float64
 	// ptdf is retained to rebuild Base under demand overrides.
 	ptdf *mat.Matrix
-	// lastBinding warm-starts constraint generation across solves.
-	lastBinding []int
 	// start hot-starts the dual QP method from the working set the
-	// previous QP solve on this model ended with. Like lastBinding it is
-	// per-clone mutable state; results do not depend on it, only the work
-	// does (see qp.Options.Start).
+	// previous QP solve on this model ended with. It is per-clone mutable
+	// state; results do not depend on it, only the work does (see
+	// qp.Options.Start).
 	start qp.WorkingSet
 	// kkt carries QP factorization work across solves: the dispatch QP's
 	// matrix family is fixed per model (only ratings and demand vary), so
 	// the bordered KKT path's base LU, border columns, and Schur factors
-	// are reusable at every case size. Like lastBinding it is per-clone
-	// mutable state, never shared between workers.
+	// are reusable at every case size. Like start it is per-clone mutable
+	// state, never shared between workers.
 	kkt qp.KKTCache
 	// qp is the dispatch QP, built on the first QP solve (see qpProblem);
-	// each round re-solves it with new row sides and demand. Per-clone
+	// each solve re-solves it with new row sides and demand. Per-clone
 	// mutable state like kkt.
 	qp *qp.Problem
-	// inSet marks the lines whose limits a round enforces, and flows holds
-	// the round's line flows: Solve's per-round buffers.
-	inSet []bool
-	flows []float64
 	// Metrics, when non-nil, receives dispatch_* counters and forwards to
 	// the inner LP/QP solvers' lp_*/qp_* counters. Nil costs nothing.
 	Metrics *telemetry.Registry
 	// Workspace, when non-nil, supplies the inner LP/QP solvers' working
-	// storage, reused across rowgen rounds and solves. Like lastBinding it
-	// is per-clone mutable state: a workspace belongs to exactly one worker
-	// at a time and is never shared concurrently. ShallowClone deliberately
-	// leaves it nil — each worker attaches its own. When nil, every inner
-	// solve borrows one from lp's pool; results are bit-identical either
-	// way.
+	// storage, reused across solves. Like start it is per-clone mutable
+	// state: a workspace belongs to exactly one worker at a time and is
+	// never shared concurrently. ShallowClone deliberately leaves it nil —
+	// each worker attaches its own. When nil, every inner solve borrows one
+	// from lp's pool; results are bit-identical either way.
 	Workspace *lp.Workspace
 }
 
@@ -163,40 +157,29 @@ func (m *Model) ShallowClone() *Model {
 	return c
 }
 
-// ResetWarmStart clears the cross-solve warm-start memory (the
-// constraint-generation binding set and the QP working set), putting the
-// model in the state a fresh ShallowClone starts in. The KKT factorization
-// cache is deliberately kept: cached factors — sparse base and Schur
-// complements alike — are bit-identical to freshly computed ones (same
-// matrices, deterministic factorization), so reuse never changes results,
-// whichever Schur factors the cache still holds. That is what lets a
-// sequential fan-out share one model across tasks instead of cloning per
+// ResetWarmStart clears the cross-solve warm-start memory (the QP working
+// set), putting the model in the state a fresh ShallowClone starts in. The
+// KKT factorization cache is deliberately kept: cached factors — sparse
+// base and Schur complements alike — are bit-identical to freshly computed
+// ones (same matrices, deterministic factorization), so reuse never changes
+// results, whichever Schur factors the cache still holds. That is what lets
+// a sequential fan-out share one model across tasks instead of cloning per
 // task.
-func (m *Model) ResetWarmStart() {
-	m.lastBinding = m.lastBinding[:0]
-	m.start.Reset()
-}
+func (m *Model) ResetWarmStart() { m.start.Reset() }
 
 // WarmStart is a snapshot of a model's warm-start memory.
-type WarmStart struct {
-	binding []int
-	start   qp.WorkingSet
-}
+type WarmStart struct{ start qp.WorkingSet }
 
 // WarmStartState returns a copy of the warm-start memory, for callers that
 // reset it per task and want to restore the pre-fan-out state afterwards.
-func (m *Model) WarmStartState() WarmStart {
-	w := WarmStart{binding: append([]int(nil), m.lastBinding...)}
+func (m *Model) WarmStartState() (w WarmStart) {
 	w.start.CopyFrom(&m.start)
 	return w
 }
 
 // RestoreWarmStart overwrites the warm-start memory with a snapshot from
 // WarmStartState.
-func (m *Model) RestoreWarmStart(w WarmStart) {
-	m.lastBinding = append(m.lastBinding[:0], w.binding...)
-	m.start.CopyFrom(&w.start)
-}
+func (m *Model) RestoreWarmStart(w WarmStart) { m.start.CopyFrom(&w.start) }
 
 // ForDemands returns a ShallowClone with the per-bus demand overridden —
 // the concurrency-safe counterpart of SetDemands for scenario workers that
@@ -219,19 +202,14 @@ func (m *Model) FlowsFor(p []float64) ([]float64, error) {
 	if len(p) != len(m.Net.Gens) {
 		return nil, fmt.Errorf("dispatch: %d outputs for %d generators", len(p), len(m.Net.Gens))
 	}
-	return m.appendFlows(nil, p), nil
-}
-
-// appendFlows appends the DC line flows M·p + Base to dst.
-func (m *Model) appendFlows(dst, p []float64) []float64 {
-	for li, b := range m.Base {
-		f := 0.0
-		for j, v := range m.M.RawRow(li) {
-			f += v * p[j]
-		}
-		dst = append(dst, f+b)
+	f, err := m.M.MulVec(p)
+	if err != nil {
+		return nil, fmt.Errorf("dispatch: %w", err)
 	}
-	return dst
+	for li, b := range m.Base {
+		f[li] += b
+	}
+	return f, nil
 }
 
 // Cost evaluates the total generation cost (including constant terms) for a
@@ -270,23 +248,19 @@ type Result struct {
 	// Binding lists indices of lines whose rating constraint is active
 	// (within tolerance) in either direction.
 	Binding []int
-	// Iterations is the total inner-solver iteration count (simplex pivots
-	// or active-set steps) across all constraint-generation rounds.
+	// Iterations is the inner solver's iteration count (simplex pivots or
+	// active-set steps).
 	Iterations int
-	// Rounds is the number of constraint-generation rounds performed.
-	Rounds int
 }
 
 // Solve runs the DC economic dispatch against the given effective line
 // ratings (MW, indexed like Net.Lines; entries ≤ 0 mean unlimited). When
 // ratings is nil the network's static/DLR defaults are used.
 //
-// Internally the flow constraints are generated lazily: the dispatch is
-// solved over a growing subset of line limits until no omitted line is
-// violated, which is equivalent to the full problem (omitted constraints
-// are slack with zero multipliers) and far faster on meshed systems where
-// few lines ever bind. Intermediate rounds only look for violated lines in
-// the model's flow buffer; the final round alone builds the Result.
+// It makes one LP or QP solve that enforces every rated line. The QP's
+// dual method adds violated line rows as it goes, pricing first the rows
+// the model's previous solve ended with, so the few lines that ever bind
+// on a meshed system cost the work, not the many that never do.
 func (m *Model) Solve(ratings []float64) (*Result, error) {
 	if ratings == nil {
 		ratings = m.Net.Ratings(nil)
@@ -294,62 +268,31 @@ func (m *Model) Solve(ratings []float64) (*Result, error) {
 	if len(ratings) != len(m.Net.Lines) {
 		return nil, fmt.Errorf("dispatch: %d ratings for %d lines", len(ratings), len(m.Net.Lines))
 	}
-	solveSubset := m.solveLP
+	solve := m.solveLP
 	if m.HasQuadraticCost() {
-		solveSubset = m.solveQP
+		solve = m.solveQP
 	}
-	// Seed with the lines that bound the previous solve on this model —
-	// across bilevel nodes and time steps the binding set is stable. Line
-	// rows go in in line-index order, whatever order the binding memory
-	// and the violations produced: the QP keeps its working set in row
-	// order, so a fixed row order makes each round's result depend only on
-	// its final working set.
-	inSet := slices.Grow(m.inSet[:0], len(ratings))[:len(ratings)]
-	clear(inSet)
-	m.inSet = inSet
-	for _, li := range m.lastBinding {
-		if li < len(inSet) && ratings[li] > 0 {
-			inSet[li] = true
+	p, mp, duals, iters, err := solve(ratings)
+	if err != nil {
+		if m.Metrics != nil && errors.Is(err, ErrInfeasible) {
+			m.Metrics.Counter("dispatch_infeasible_total").Inc()
 		}
+		return nil, err
 	}
-	maxRounds := len(m.Net.Lines) + 2
-	totalIters := 0
-	for round := 0; round < maxRounds; round++ {
-		p, duals, iters, err := solveSubset(ratings, inSet)
-		if err != nil {
-			if m.Metrics != nil && errors.Is(err, ErrInfeasible) {
-				m.Metrics.Counter("dispatch_infeasible_total").Inc()
-			}
-			return nil, err
-		}
-		totalIters += iters
-		m.flows = m.appendFlows(m.flows[:0], p)
-		violated := false
-		for li, f := range m.flows {
-			u := ratings[li]
-			if u > 0 && !inSet[li] && math.Abs(f) > u*(1+1e-9)+1e-9 {
-				inSet[li] = true
-				violated = true
-			}
-		}
-		if !violated {
-			res := m.result(p, duals, ratings)
-			res.Iterations = totalIters
-			res.Rounds = round + 1
-			if m.Metrics != nil {
-				m.Metrics.Counter("dispatch_solves_total").Inc()
-				m.Metrics.Counter("dispatch_rowgen_rounds_total").Add(int64(res.Rounds))
-			}
-			return res, nil
-		}
+	res := m.result(p, mp, duals, ratings)
+	res.Iterations = iters
+	if m.Metrics != nil {
+		m.Metrics.Counter("dispatch_solves_total").Inc()
+		// One round per solve: the QP adds the violated line rows itself.
+		m.Metrics.Counter("dispatch_rowgen_rounds_total").Inc()
 	}
-	return nil, fmt.Errorf("dispatch: constraint generation did not converge after %d rounds", maxRounds)
+	return res, nil
 }
 
 // solveLP handles purely linear costs via the simplex solver, enforcing
-// flow limits only for the lines in inSet. It returns the dispatch, the
+// every rated line's flow limits. It returns the dispatch p, M·p, the
 // signed line duals (indexed like Net.Lines), and the pivot count.
-func (m *Model) solveLP(ratings []float64, inSet []bool) ([]float64, []float64, int, error) {
+func (m *Model) solveLP(ratings []float64) ([]float64, []float64, []float64, int, error) {
 	gens := m.Net.Gens
 	ng := len(gens)
 	prob := lp.NewProblem(ng)
@@ -357,26 +300,25 @@ func (m *Model) solveLP(ratings []float64, inSet []bool) ([]float64, []float64, 
 	for i := range gens {
 		c[i] = gens[i].CostB
 		if err := prob.SetBounds(i, gens[i].Pmin, gens[i].Pmax); err != nil {
-			return nil, nil, 0, fmt.Errorf("dispatch: %w", err)
+			return nil, nil, nil, 0, fmt.Errorf("dispatch: %w", err)
 		}
 	}
 	if err := prob.SetObjective(c, false); err != nil {
-		return nil, nil, 0, fmt.Errorf("dispatch: %w", err)
+		return nil, nil, nil, 0, fmt.Errorf("dispatch: %w", err)
 	}
 	ones := make([]float64, ng)
 	for i := range ones {
 		ones[i] = 1
 	}
 	if _, err := prob.AddConstraint(ones, lp.EQ, m.Demand); err != nil {
-		return nil, nil, 0, fmt.Errorf("dispatch: %w", err)
+		return nil, nil, nil, 0, fmt.Errorf("dispatch: %w", err)
 	}
 	// Line k of lines has the upper row 1+2k and the lower row 2+2k.
 	var lines []int
 	// AddConstraint copies the row, so one buffer serves every line.
 	negRow := make([]float64, ng)
-	for li, in := range inSet {
-		u := ratings[li]
-		if !in || u <= 0 {
+	for li, u := range ratings {
+		if u <= 0 {
 			continue
 		}
 		row := m.M.RawRow(li)
@@ -384,25 +326,25 @@ func (m *Model) solveLP(ratings []float64, inSet []bool) ([]float64, []float64, 
 			negRow[j] = -v
 		}
 		if _, err := prob.AddConstraint(row, lp.LE, u-m.Base[li]); err != nil {
-			return nil, nil, 0, fmt.Errorf("dispatch: %w", err)
+			return nil, nil, nil, 0, fmt.Errorf("dispatch: %w", err)
 		}
 		if _, err := prob.AddConstraint(negRow, lp.LE, u+m.Base[li]); err != nil {
-			return nil, nil, 0, fmt.Errorf("dispatch: %w", err)
+			return nil, nil, nil, 0, fmt.Errorf("dispatch: %w", err)
 		}
 		lines = append(lines, li)
 	}
 	sol, err := lp.SolveWith(prob, lp.Options{Metrics: m.Metrics, Workspace: m.Workspace})
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("dispatch: %w", err)
+		return nil, nil, nil, 0, fmt.Errorf("dispatch: %w", err)
 	}
 	switch sol.Status {
 	case lp.Optimal:
 	case lp.Infeasible:
-		return nil, nil, 0, ErrInfeasible
+		return nil, nil, nil, 0, ErrInfeasible
 	default:
-		return nil, nil, 0, fmt.Errorf("dispatch: unexpected LP status %v", sol.Status)
+		return nil, nil, nil, 0, fmt.Errorf("dispatch: unexpected LP status %v", sol.Status)
 	}
-	duals := make([]float64, len(inSet))
+	duals := make([]float64, len(ratings))
 	for k, li := range lines {
 		// Dual of the ≤ row is ≤ 0 under the lp sign convention; a
 		// congested line has negative dual. Flip to a conventional
@@ -410,31 +352,35 @@ func (m *Model) solveLP(ratings []float64, inSet []bool) ([]float64, []float64, 
 		duals[li] -= sol.Dual[1+2*k]
 		duals[li] += sol.Dual[2+2*k]
 	}
-	return sol.X, duals, sol.Iterations, nil
+	mp, err := m.M.MulVec(sol.X)
+	if err != nil {
+		return nil, nil, nil, 0, fmt.Errorf("dispatch: %w", err)
+	}
+	return sol.X, mp, duals, sol.Iterations, nil
 }
 
-// solveQP handles convex quadratic costs via the active-set solver,
-// enforcing flow limits only for the lines in inSet: it sets their rows'
-// sides to ±u − Base, opens every other row, and sets the balance target.
-// It returns the dispatch, the signed line duals (qp's λ_hi − λ_lo per row,
-// which is λ⁺ − λ⁻ per line), and the iteration count.
-func (m *Model) solveQP(ratings []float64, inSet []bool) ([]float64, []float64, int, error) {
+// solveQP handles convex quadratic costs via the active-set solver: it sets
+// every rated line's row sides to ±u − Base, opens each unrated line's row,
+// and sets the balance target. It returns the dispatch p, M·p (the rows'
+// activities), the signed line duals (qp's λ_hi − λ_lo per row, which is
+// λ⁺ − λ⁻ per line), and the iteration count.
+func (m *Model) solveQP(ratings []float64) ([]float64, []float64, []float64, int, error) {
 	prob, err := m.qpProblem()
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, nil, 0, err
 	}
 	inf := math.Inf(1)
-	for li, in := range inSet {
+	for li, u := range ratings {
 		lo, hi := -inf, inf
-		if u := ratings[li]; in && u > 0 {
+		if u > 0 {
 			lo, hi = -u-m.Base[li], u-m.Base[li]
 		}
 		if err := prob.SetRowBounds(li, lo, hi); err != nil {
-			return nil, nil, 0, fmt.Errorf("dispatch: %w", err)
+			return nil, nil, nil, 0, fmt.Errorf("dispatch: %w", err)
 		}
 	}
 	if err := prob.SetEqualityRHS(0, m.Demand); err != nil {
-		return nil, nil, 0, fmt.Errorf("dispatch: %w", err)
+		return nil, nil, nil, 0, fmt.Errorf("dispatch: %w", err)
 	}
 	sol, err := qp.SolveWith(prob, qp.Options{
 		Metrics:   m.Metrics,
@@ -444,11 +390,11 @@ func (m *Model) solveQP(ratings []float64, inSet []bool) ([]float64, []float64, 
 	})
 	if err != nil {
 		if errors.Is(err, qp.ErrInfeasible) {
-			return nil, nil, 0, ErrInfeasible
+			return nil, nil, nil, 0, ErrInfeasible
 		}
-		return nil, nil, 0, fmt.Errorf("dispatch: %w", err)
+		return nil, nil, nil, 0, fmt.Errorf("dispatch: %w", err)
 	}
-	return sol.X, sol.IneqDual, sol.Iterations, nil
+	return sol.X, sol.Activity, sol.IneqDual, sol.Iterations, nil
 }
 
 // qpProblem returns the model's dispatch QP, building it on first use: the
@@ -489,12 +435,10 @@ func (m *Model) qpProblem() (*qp.Problem, error) {
 	return prob, nil
 }
 
-// result builds the Result of a solve's final round from its dispatch p,
-// its line duals, and the flows in the model's buffer. P, Flows, and
-// LineDuals share one array. The binding set also becomes the model's
-// warm-start memory.
-func (m *Model) result(p, duals, ratings []float64) *Result {
-	ng, nl := len(p), len(m.flows)
+// result builds the Result of a solve from its dispatch p, M·p, and its
+// line duals. P, Flows, and LineDuals share one array.
+func (m *Model) result(p, mp, duals, ratings []float64) *Result {
+	ng, nl := len(p), len(m.Base)
 	buf := make([]float64, ng+2*nl)
 	res := &Result{
 		P:         buf[:ng:ng],
@@ -503,17 +447,20 @@ func (m *Model) result(p, duals, ratings []float64) *Result {
 		LineDuals: buf[ng+nl:],
 	}
 	copy(res.P, p)
-	copy(res.Flows, m.flows)
+	for li, b := range m.Base {
+		res.Flows[li] = mp[li] + b
+	}
 	copy(res.LineDuals, duals)
 	const bindTol = 1e-5
-	m.lastBinding = m.lastBinding[:0]
-	for li, f := range m.flows {
+	var stack [32]int
+	binding := stack[:0]
+	for li, f := range res.Flows {
 		if u := ratings[li]; u > 0 && math.Abs(f)-u > -bindTol*(1+u) {
-			m.lastBinding = append(m.lastBinding, li)
+			binding = append(binding, li)
 		}
 	}
-	if len(m.lastBinding) > 0 {
-		res.Binding = slices.Clone(m.lastBinding)
+	if len(binding) > 0 {
+		res.Binding = slices.Clone(binding)
 	}
 	return res
 }

@@ -7,14 +7,11 @@ import (
 	"github.com/edsec/edattack/internal/qp"
 )
 
-// SolveRebuilt re-solves the final round of m's last Solve from scratch:
-// a fresh qp.Problem with a fresh copy of every line's M row, the lines
-// that round enforced bounded on both sides and the rest open, solved cold
-// without a KKTCache, a hot start, or a workspace, with the flows computed
-// again by mat (M·p, then + Base). Every row sits at its line index, as in
-// the model's persistent QP: row keys follow the row index, and their
-// order fixes which side of each cached Schur dot is computed, so a
-// problem holding only the enforced lines would differ in the last bits.
+// SolveRebuilt re-solves m's dispatch QP from scratch: a fresh qp.Problem
+// with a fresh copy of every line's M row, the rated lines bounded on both
+// sides and the rest open, solved cold without a KKTCache, a hot start, or
+// a workspace, with the flows computed again by mat (M·p, then + Base).
+// Every row sits at its line index, as in the model's persistent QP.
 func (m *Model) SolveRebuilt(ratings []float64) (*Result, error) {
 	gens := m.Net.Gens
 	ng := len(gens)
@@ -27,10 +24,10 @@ func (m *Model) SolveRebuilt(ratings []float64) (*Result, error) {
 		_ = prob.SetBounds(i, gens[i].Pmin, gens[i].Pmax)
 	}
 	_, _ = prob.AddEquality(ones, m.Demand)
-	for li, in := range m.inSet {
+	for li, u := range ratings {
 		i, _ := prob.AddInequality(m.M.Row(li), 0)
 		lo, hi := math.Inf(-1), math.Inf(1)
-		if u := ratings[li]; in && u > 0 {
+		if u > 0 {
 			// −(u + Base), not Solve's −u − Base: the two are the same
 			// bits.
 			lo, hi = -(u + m.Base[li]), u-m.Base[li]

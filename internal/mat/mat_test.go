@@ -346,6 +346,32 @@ func TestCholeskyProperty(t *testing.T) {
 	}
 }
 
+// TestDotRowsMatchesDot checks DotRows against Dot bit for bit on row
+// counts that do and do not fill its four-row blocks.
+func TestDotRowsMatchesDot(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	x := make([]float64, 37)
+	for j := range x {
+		x[j] = r.NormFloat64()
+	}
+	for m := 0; m <= 9; m++ {
+		rows := make([][]float64, m)
+		for k := range rows {
+			rows[k] = make([]float64, len(x))
+			for j := range rows[k] {
+				rows[k][j] = r.NormFloat64() * math.Pow(10, float64(r.Intn(9)-4))
+			}
+		}
+		dst := make([]float64, m)
+		DotRows(dst, rows, x)
+		for k, row := range rows {
+			if want := Dot(row, x); math.Float64bits(dst[k]) != math.Float64bits(want) {
+				t.Fatalf("%d rows: row %d = %.17g, Dot %.17g", m, k, dst[k], want)
+			}
+		}
+	}
+}
+
 func TestVecHelpers(t *testing.T) {
 	a := []float64{1, 2, 3}
 	b := []float64{4, 5, 6}

@@ -14,6 +14,29 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
+// DotRows sets dst[k] = Dot(rows[k], x) for every row; each row must be
+// as long as x. It runs four rows at a time: their sums do not depend on
+// one another, so their additions overlap instead of each waiting on the
+// last, and every sum is still accumulated in Dot's order, bit for bit.
+func DotRows(dst []float64, rows [][]float64, x []float64) {
+	k := 0
+	for ; k+4 <= len(rows); k += 4 {
+		n := len(x)
+		r0, r1, r2, r3 := rows[k][:n], rows[k+1][:n], rows[k+2][:n], rows[k+3][:n]
+		var s0, s1, s2, s3 float64
+		for j, v := range x {
+			s0 += r0[j] * v
+			s1 += r1[j] * v
+			s2 += r2[j] * v
+			s3 += r3[j] * v
+		}
+		dst[k], dst[k+1], dst[k+2], dst[k+3] = s0, s1, s2, s3
+	}
+	for ; k < len(rows); k++ {
+		dst[k] = Dot(rows[k], x)
+	}
+}
+
 // AxPlusY returns a·x + y element-wise as a new vector.
 func AxPlusY(a float64, x, y []float64) []float64 {
 	out := make([]float64, len(x))

@@ -3,6 +3,7 @@ package qp
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"github.com/edsec/edattack/internal/mat"
@@ -14,7 +15,6 @@ import (
 // per-solve field and keeps the buffers.
 type activeSet struct {
 	p    *Problem
-	rows []ineqRow
 	x    []float64
 	opts Options
 
@@ -44,15 +44,20 @@ type activeSet struct {
 // content left by an earlier solve is never observed; only work, which the
 // iteration appends to, is truncated per solve.
 type activeBuffers struct {
-	work []int // indices into rows forming the working set
+	work []int // side positions (see Problem.side) forming the working set
 
-	// w0 = B⁻¹·[−c; beq] and the per-row dots ĝ_wᵀ·w0, per solve (the
-	// objective and right-hand sides may differ between cached solves).
-	w0    []float64
-	rw0   []float64
-	rw0ok []bool
+	// w0 = B⁻¹·[−c; beq] and the per-row dots ĝ_wᵀ·w0 (NaN until
+	// computed), per solve (the objective and right-hand sides may differ
+	// between cached solves).
+	w0  []float64
+	rw0 []float64
 	// keyBuf is scratch for packing working sets into map keys.
 	keyBuf []byte
+	// cands are the dual method's pricing candidates: the hinted sides and
+	// the sides found violated during the solve.
+	cands []int
+	// act holds gᵀx per user row, as of the last full pricing scan.
+	act []float64
 
 	// The memoized solve (valid while activeSet.memoOK).
 	memoWork []int
@@ -81,11 +86,12 @@ type activeBuffers struct {
 }
 
 // KKTCache carries factorization work reusable across solves of structurally
-// identical QPs: same Hessian, same equality rows, same bound structure, and
-// the same gradient behind every inequality row index. Objective vectors
-// and all right-hand sides — beq, inequality row sides, bound values — may
-// differ freely between solves; those enter only through per-solve
-// vectors. The canonical client is repeated economic dispatch under
+// identical QPs: same Hessian, same equality rows, and the same gradient
+// behind every inequality row index. Objective vectors and all right-hand
+// sides — beq, inequality row sides, bound values, open or not — may differ
+// freely between solves; those enter only through per-solve vectors. A
+// change in the number of variables, equality rows, or inequality rows
+// resets the cache. The canonical client is repeated economic dispatch under
 // varying line ratings, where every KKT matrix is drawn from one fixed
 // family.
 //
@@ -97,9 +103,9 @@ type activeBuffers struct {
 // The zero value is ready to use. A KKTCache is not safe for concurrent use;
 // per-worker model clones must each own one.
 type KKTCache struct {
-	n, me int
-	tried bool
-	sc    *kktSchur
+	n, me, sides int
+	tried        bool
+	sc           *kktSchur
 
 	// Whether the n-variable Hessian is positive definite (selecting the
 	// dual method), once pdKnown.
@@ -123,19 +129,19 @@ type KKTCache struct {
 //
 //	S·λ = GᵀB⁻¹r − h,   u = B⁻¹r − (B⁻¹G)·λ
 //
-// B⁻¹ĝ_w is cached per row key, every Schur entry ĝ_vᵀB⁻¹ĝ_w is cached per
-// key pair, and Schur factorizations are cached per working set — all of
-// which depend only on the gradients, so with a cross-solve KKTCache a
+// B⁻¹ĝ_w is cached per row position, every Schur entry ĝ_vᵀB⁻¹ĝ_w per
+// position pair, and Schur factorizations per working set — all of which
+// depend only on the gradients, so with a cross-solve KKTCache a
 // steady-state KKT solve costs one small triangular solve instead of the
 // dense (n+me+mw)³ factorization it replaced.
 type kktSchur struct {
 	dim0 int        // n + me
 	base *sparse.LU // factorization of B
 
-	cols  map[int64][]float64 // row key → B⁻¹·ĝ_w
-	dots  map[uint64]float64  // packed key pair → ĝ_vᵀ·B⁻¹·ĝ_w
-	sfact map[string]*mat.LU  // packed working set → Schur factorization
-	sbad  map[string]bool     // packed working set → singular (dependent)
+	cols  [][]float64        // row position → B⁻¹·ĝ_w, nil until computed
+	dots  [][]float64        // position v → ĝ_vᵀ·B⁻¹·ĝ_w by position w, NaN until computed
+	sfact map[string]*mat.LU // packed working set → Schur factorization
+	sbad  map[string]bool    // packed working set → singular (dependent)
 }
 
 // run iterates: solve the equality-constrained QP on the working set, then
@@ -144,11 +150,11 @@ type kktSchur struct {
 func (s *activeSet) run() (*Solution, error) {
 	tol := s.opts.tol
 	// Seed the working set with constraints active at the start point.
-	for i := range s.rows {
+	for i := 0; i < s.p.numSides(); i++ {
 		if len(s.work) >= s.p.n-len(s.p.aeq) {
 			break // keep the working set small enough for independence
 		}
-		if s.rows[i].h-s.rows[i].dot(s.x) < tol {
+		if r := s.p.side(i); !r.open() && r.h-r.dot(s.x) < tol {
 			cand := append(append(s.cand[:0], s.work...), i)
 			s.cand = cand
 			if s.tryKKT(cand) {
@@ -180,6 +186,7 @@ func (s *activeSet) run() (*Solution, error) {
 				}
 			}
 			if minIdx < 0 {
+				s.activities()
 				sol := s.assemble(nu, lam)
 				sol.Iterations = iter + 1
 				return sol, nil
@@ -189,15 +196,16 @@ func (s *activeSet) run() (*Solution, error) {
 		}
 		// Ratio test against rows not in the working set.
 		alpha, blocking := 1.0, -1
-		for i := range s.rows {
-			if s.inWork(i) {
+		for i := 0; i < s.p.numSides(); i++ {
+			r := s.p.side(i)
+			if r.open() || slices.Contains(s.work, i) {
 				continue
 			}
-			gd := s.rows[i].dot(d)
+			gd := r.dot(d)
 			if gd <= tol {
 				continue
 			}
-			slack := s.rows[i].h - s.rows[i].dot(s.x)
+			slack := r.h - r.dot(s.x)
 			if slack < 0 {
 				slack = 0
 			}
@@ -221,15 +229,6 @@ func (s *activeSet) run() (*Solution, error) {
 		}
 	}
 	return nil, fmt.Errorf("%w (after %d iterations)", ErrIterLimit, s.opts.maxIter)
-}
-
-func (s *activeSet) inWork(i int) bool {
-	for _, w := range s.work {
-		if w == i {
-			return true
-		}
-	}
-	return false
 }
 
 // tryKKT reports whether the KKT matrix for the given working set is
@@ -261,7 +260,7 @@ func (s *activeSet) solveKKT(work []int) (x, nu, lam []float64, err error) {
 		rhs[n+e] = s.p.beq[e]
 	}
 	for k, w := range work {
-		rhs[n+me+k] = s.rows[w].h
+		rhs[n+me+k] = s.p.side(w).h
 	}
 	u, err := s.solveDense(work, rhs)
 	if err != nil {
@@ -290,7 +289,7 @@ func (s *activeSet) initSchur() {
 	n := s.p.n
 	me := len(s.p.aeq)
 	cache := s.opts.Cache
-	if cache != nil && cache.tried && cache.n == n && cache.me == me {
+	if cache != nil && cache.tried && cache.n == n && cache.me == me && cache.sides == s.p.numSides() {
 		if cache.sc != nil {
 			s.schur = cache.sc
 			s.initW0()
@@ -299,7 +298,7 @@ func (s *activeSet) initSchur() {
 	}
 	sc := s.buildSchur()
 	if cache != nil {
-		cache.n, cache.me, cache.tried, cache.sc = n, me, true, sc
+		cache.n, cache.me, cache.sides, cache.tried, cache.sc = n, me, s.p.numSides(), true, sc
 	}
 	if sc != nil {
 		s.schur = sc
@@ -352,8 +351,8 @@ func (s *activeSet) buildSchur() *kktSchur {
 	return &kktSchur{
 		dim0:  dim0,
 		base:  base,
-		cols:  make(map[int64][]float64),
-		dots:  make(map[uint64]float64),
+		cols:  make([][]float64, s.p.numSides()),
+		dots:  make([][]float64, s.p.numSides()),
 		sfact: make(map[string]*mat.LU),
 		sbad:  make(map[string]bool),
 	}
@@ -370,26 +369,22 @@ func (s *activeSet) initW0() {
 	for e := 0; e < len(s.p.aeq); e++ {
 		w0[n+e] = s.p.beq[e]
 	}
-	for i := n + len(s.p.aeq); i < len(w0); i++ {
-		w0[i] = 0
-	}
 	s.schur.base.Solve(w0)
 	s.w0 = w0
-	s.rw0 = growFloat(s.rw0, len(s.rows))
-	s.rw0ok = growBool(s.rw0ok, len(s.rows))
-	for i := range s.rw0ok {
-		s.rw0ok[i] = false
+	s.rw0 = growFloat(s.rw0, s.p.numSides())
+	for i := range s.rw0 {
+		s.rw0[i] = math.NaN()
 	}
 }
 
 // borderCol returns B⁻¹·ĝ_w, computing and caching it on first use. The
-// cache never invalidates: B and the gradient behind a key are fixed for
-// the cache's lifetime.
+// cache never invalidates: B and the gradient behind a position are fixed
+// for the cache's lifetime.
 func (s *activeSet) borderCol(w int) []float64 {
-	r := &s.rows[w]
-	if c, ok := s.schur.cols[r.key]; ok {
+	if c := s.schur.cols[w]; c != nil {
 		return c
 	}
+	r := s.p.side(w)
 	v := make([]float64, s.schur.dim0)
 	if r.g != nil {
 		for j, g := range r.g {
@@ -399,44 +394,70 @@ func (s *activeSet) borderCol(w int) []float64 {
 		v[r.idx] = r.sign
 	}
 	s.schur.base.Solve(v)
-	s.schur.cols[r.key] = v
+	s.schur.cols[w] = v
 	return v
 }
 
-// pairDot returns ĝ_vᵀ·B⁻¹·ĝ_w, cached per unordered key pair (the base is
-// symmetric, so the dot is too; the canonical orientation makes the cached
-// value — and hence the Schur matrix — exactly symmetric).
+// pairDot returns ĝ_vᵀ·B⁻¹·ĝ_w, cached under both position orders. The
+// base is symmetric, so the dot is too; computing it in one canonical
+// orientation (see dotOrder) makes the cached value — and hence the Schur
+// matrix — exactly symmetric.
 func (s *activeSet) pairDot(wi, wj int) float64 {
-	a, b := s.rows[wi].key, s.rows[wj].key
-	if a > b {
-		a, b = b, a
-		wi, wj = wj, wi
-	}
-	key := uint64(a)<<32 | uint64(b)
-	if v, ok := s.schur.dots[key]; ok {
+	if v := s.dotRow(wi)[wj]; !math.IsNaN(v) {
 		return v
 	}
-	v := rowDot(&s.rows[wi], s.borderCol(wj))
-	s.schur.dots[key] = v
+	a, b := wi, wj
+	if s.dotOrder(a) > s.dotOrder(b) {
+		a, b = b, a
+	}
+	r := s.p.side(a)
+	v := rowDot(&r, s.borderCol(b))
+	s.dotRow(wi)[wj], s.dotRow(wj)[wi] = v, v
 	return v
+}
+
+// dotRow returns row w's cached Schur dots, allocating it (NaN, not yet
+// computed) on first use.
+func (s *activeSet) dotRow(w int) []float64 {
+	dots := s.schur.dots[w]
+	if dots == nil {
+		dots = make([]float64, s.p.numSides())
+		for i := range dots {
+			dots[i] = math.NaN()
+		}
+		s.schur.dots[w] = dots
+	}
+	return dots
+}
+
+// dotOrder ranks row positions for pairDot's orientation: 4p for the user
+// side at position p, 4j+1 and 4j+2 for the upper and lower bound sides of
+// variable j. Any fixed order keeps the Schur matrix symmetric; this one
+// interleaves bounds with user rows as dispatch results have always been
+// computed, so they stay bit-identical.
+func (s *activeSet) dotOrder(w int) int {
+	if u := 2 * len(s.p.gin); w >= u {
+		return 4*((w-u)/2) + 1 + (w-u)%2
+	}
+	return 4 * w
 }
 
 // rhsDot returns ĝ_wᵀ·w0, cached per row for this solve.
 func (s *activeSet) rhsDot(w int) float64 {
-	if s.rw0ok[w] {
-		return s.rw0[w]
+	if v := s.rw0[w]; !math.IsNaN(v) {
+		return v
 	}
-	v := rowDot(&s.rows[w], s.w0)
-	s.rw0[w], s.rw0ok[w] = v, true
-	return v
+	r := s.p.side(w)
+	s.rw0[w] = rowDot(&r, s.w0)
+	return s.rw0[w]
 }
 
-// packWork packs a working set's ordered row keys into keyBuf; string(key)
-// keys the Schur maps.
+// packWork packs a working set's ordered row positions into keyBuf;
+// string(key) keys the Schur maps.
 func (s *activeSet) packWork(work []int) []byte {
 	buf := s.keyBuf[:0]
 	for _, w := range work {
-		k := uint32(s.rows[w].key)
+		k := uint32(w)
 		buf = append(buf, byte(k), byte(k>>8), byte(k>>16), byte(k>>24))
 	}
 	s.keyBuf = buf
@@ -483,7 +504,7 @@ func (s *activeSet) solveKKTSchur(work []int) (x, nu, lam []float64, err error) 
 		rhs := growFloat(s.rhsBuf, len(work))
 		s.rhsBuf = rhs
 		for i, w := range work {
-			rhs[i] = s.rhsDot(w) - s.rows[w].h
+			rhs[i] = s.rhsDot(w) - s.p.side(w).h
 		}
 		if lmb, err = f.SolveInto(s.lamBuf, rhs); err != nil {
 			return nil, nil, nil, err
@@ -591,7 +612,7 @@ func (s *activeSet) fillKKT(kkt *mat.Matrix, work []int) {
 		}
 	}
 	for k, w := range work {
-		r := &s.rows[w]
+		r := s.p.side(w)
 		if r.g != nil {
 			for j, v := range r.g {
 				kkt.Set(n+me+k, j, r.sign*v)
@@ -604,33 +625,42 @@ func (s *activeSet) fillKKT(kkt *mat.Matrix, work []int) {
 	}
 }
 
-// assemble scatters working-set multipliers back to per-row duals. The
-// Solution's five vectors share one backing array.
+// activities computes act, gᵀx per user row at the iterate.
+func (s *activeSet) activities() {
+	s.act = growFloat(s.act, len(s.p.gin))
+	mat.DotRows(s.act, s.p.gin, s.x)
+}
+
+// assemble scatters working-set multipliers back to per-row duals and
+// copies the row activities, which must be current. The Solution's six
+// vectors share one backing array.
 func (s *activeSet) assemble(nu, lam []float64) *Solution {
 	p := s.p
 	n, me, mi := p.n, len(nu), len(p.gin)
-	buf := make([]float64, 3*n+me+mi)
+	buf := make([]float64, 3*n+me+2*mi)
 	sol := &Solution{
 		X:         buf[:n:n],
 		EqDual:    buf[n : n+me : n+me],
 		IneqDual:  buf[n+me : n+me+mi : n+me+mi],
-		LowerDual: buf[n+me+mi : 2*n+me+mi : 2*n+me+mi],
-		UpperDual: buf[2*n+me+mi:],
+		Activity:  buf[n+me+mi : n+me+2*mi : n+me+2*mi],
+		LowerDual: buf[n+me+2*mi : 2*n+me+2*mi : 2*n+me+2*mi],
+		UpperDual: buf[2*n+me+2*mi:],
 	}
 	copy(sol.X, s.x)
 	copy(sol.EqDual, nu)
+	copy(sol.Activity, s.act)
 	for k, w := range s.work {
-		r := &s.rows[w]
+		r := s.p.side(w)
 		l := lam[k]
 		if l < 0 {
 			l = 0 // within tolerance of zero
 		}
-		switch r.kind {
-		case kindUser:
+		switch {
+		case r.g != nil:
 			sol.IneqDual[r.idx] += r.sign * l
-		case kindLower:
+		case r.sign < 0:
 			sol.LowerDual[r.idx] = l
-		case kindUpper:
+		default:
 			sol.UpperDual[r.idx] = l
 		}
 	}

@@ -204,7 +204,7 @@ func solutionDiff(a, b *Solution) string {
 		name string
 		x, y []float64
 	}{{"X", a.X, b.X}, {"EqDual", a.EqDual, b.EqDual}, {"IneqDual", a.IneqDual, b.IneqDual},
-		{"LowerDual", a.LowerDual, b.LowerDual}, {"UpperDual", a.UpperDual, b.UpperDual}} {
+		{"Activity", a.Activity, b.Activity}, {"LowerDual", a.LowerDual, b.LowerDual}, {"UpperDual", a.UpperDual, b.UpperDual}} {
 		if !slices.EqualFunc(v.x, v.y, func(p, q float64) bool { return math.Float64bits(p) == math.Float64bits(q) }) {
 			return v.name + " differs"
 		}

@@ -17,18 +17,18 @@ import (
 // keep orders of magnitude more.
 const depRatio = 1e-9
 
-// WorkingSet is a hot start for the dual method (Options.Start): the row
-// keys of the working set a solve ended with. The zero value is a cold
-// start.
+// WorkingSet is a hot start for the dual method (Options.Start): the side
+// positions (see Problem.side) of the working set a solve ended with.
+// The zero value is a cold start.
 type WorkingSet struct {
-	keys []int64 // ascending, for lookup
+	rows []int // ascending
 }
 
 // Reset empties the working set, keeping its storage.
-func (w *WorkingSet) Reset() { w.keys = w.keys[:0] }
+func (w *WorkingSet) Reset() { w.rows = w.rows[:0] }
 
 // CopyFrom makes w a copy of src, reusing w's storage.
-func (w *WorkingSet) CopyFrom(src *WorkingSet) { w.keys = append(w.keys[:0], src.keys...) }
+func (w *WorkingSet) CopyFrom(src *WorkingSet) { w.rows = append(w.rows[:0], src.rows...) }
 
 // runDual is the Goldfarb–Idnani dual active-set method for a positive
 // definite H. It keeps the iterate at the KKT point of the working set W,
@@ -38,9 +38,13 @@ func (w *WorkingSet) CopyFrom(src *WorkingSet) { w.keys = append(w.keys[:0], src
 //
 // It starts at the KKT point of a dual-feasible W: the hinted working set
 // (see hotStart) or, without one, the empty set, whose KKT point is the
-// equality-constrained minimizer. It then repeatedly picks the most
-// violated row p. Raising p's multiplier by t moves the iterate along z and
-// the working-set multipliers along dλ, where
+// equality-constrained minimizer. It then repeatedly picks a violated row
+// p, pricing partially: p is the most violated of the candidates — the
+// hinted rows and every row a full scan has found violated — and only when
+// no candidate is violated does a full scan of every row pick the most
+// violated row overall. A full scan that finds no violated row ends the
+// solve. Raising p's multiplier by t moves the iterate along z and the
+// working-set multipliers along dλ, where
 //
 //	K(W)·[z; dν; dλ] = [−ĝ_p; 0; 0].
 //
@@ -61,12 +65,9 @@ func (s *activeSet) runDual() (*Solution, error) {
 	hint := s.opts.Start
 	sol, err := s.dualIterate(hint)
 	if hint != nil {
-		hint.keys = hint.keys[:0]
+		hint.rows = hint.rows[:0]
 		if err == nil {
-			for _, w := range s.work {
-				hint.keys = append(hint.keys, s.rows[w].key)
-			}
-			slices.Sort(hint.keys)
+			hint.rows = append(hint.rows, s.work...)
 		}
 	}
 	return sol, err
@@ -75,7 +76,6 @@ func (s *activeSet) runDual() (*Solution, error) {
 // dualIterate runs the dual method from the hinted working set (nil for a
 // cold start).
 func (s *activeSet) dualIterate(hint *WorkingSet) (*Solution, error) {
-	tol := s.opts.tol
 	iter, err := s.hotStart(hint)
 	if err != nil {
 		return nil, err
@@ -88,17 +88,15 @@ func (s *activeSet) dualIterate(hint *WorkingSet) (*Solution, error) {
 		s.adopt(x, nu, lam)
 	}
 	for {
-		p, viol := -1, tol
-		for i := range s.rows {
-			if v := s.rows[i].dot(s.x) - s.rows[i].h; v > viol && !s.inWork(i) {
-				p, viol = i, v
+		p, viol := s.priceCandidates()
+		if p < 0 {
+			if p, viol = s.priceAll(); p < 0 {
+				sol := s.assemble(s.nuBuf, s.wlamBuf)
+				sol.Iterations = iter + 1
+				return sol, nil
 			}
 		}
-		if p < 0 {
-			sol := s.assemble(s.nuBuf, s.wlamBuf)
-			sol.Iterations = iter + 1
-			return sol, nil
-		}
+		rp := s.p.side(p)
 		sigma := s.curvature(p)
 		for added := false; !added; {
 			if iter >= s.opts.maxIter {
@@ -121,7 +119,7 @@ func (s *activeSet) dualIterate(hint *WorkingSet) (*Solution, error) {
 			}
 			// With n independent rows active (equalities included), every
 			// further row is dependent.
-			gz := s.rows[p].dot(z)
+			gz := rp.dot(z)
 			dependent := len(s.work)+len(s.p.aeq) >= s.p.n || -gz <= depRatio*sigma
 			if !dependent && viol/-gz <= t1 {
 				at, _ := slices.BinarySearch(s.work, p)
@@ -146,7 +144,7 @@ func (s *activeSet) dualIterate(hint *WorkingSet) (*Solution, error) {
 				for j := range s.x {
 					s.x[j] += t1 * z[j]
 				}
-				viol = s.rows[p].dot(s.x) - s.rows[p].h
+				viol = rp.dot(s.x) - rp.h
 			}
 			for j, d := range dlam {
 				s.wlamBuf[j] += t1 * d
@@ -157,21 +155,65 @@ func (s *activeSet) dualIterate(hint *WorkingSet) (*Solution, error) {
 	}
 }
 
-// hotStart seeds W with this solve's rows whose keys the hint holds, in
-// row order, then makes W dual feasible: while its KKT system is singular
-// it drops the last row, and while a multiplier is below −tol it drops the
-// row with the most negative one. Each drop counts as an
-// iteration; the count is returned. On return the iterate is adopted from
-// the KKT solve of W, unless W ended empty.
+// priceCandidates returns the most violated pricing candidate outside W
+// and its violation, or −1 when no candidate is violated by more than tol.
+func (s *activeSet) priceCandidates() (int, float64) {
+	p, viol := -1, s.opts.tol
+	for _, i := range s.cands {
+		r := s.p.side(i)
+		if v := r.dot(s.x) - r.h; v > viol && !slices.Contains(s.work, i) {
+			p, viol = i, v
+		}
+	}
+	return p, viol
+}
+
+// priceAll scans every side for the most violated one outside W, as
+// priceCandidates does, and makes every violated side it meets a
+// candidate. It prices the user rows from their activities, which it
+// computes first (one dot per row serves both sides); an open side's
+// h = +Inf makes its violation −Inf. The activities it leaves are the
+// Solution's when it finds nothing.
+func (s *activeSet) priceAll() (int, float64) {
+	s.activities()
+	p, viol := -1, s.opts.tol
+	price := func(i int, v float64) {
+		if v > s.opts.tol && !slices.Contains(s.work, i) {
+			s.cands = append(s.cands, i)
+			if v > viol {
+				p, viol = i, v
+			}
+		}
+	}
+	for k, a := range s.act {
+		price(2*k, a-s.p.hin[k])
+		price(2*k+1, -a+s.p.lin[k])
+	}
+	user := 2 * len(s.act)
+	for j, x := range s.x {
+		price(user+2*j, x-s.p.upper[j])
+		price(user+2*j+1, -x+s.p.lower[j])
+	}
+	return p, viol
+}
+
+// hotStart seeds W and the pricing candidates with the hint's rows that
+// are not open in this solve, in row order, then makes W dual feasible:
+// while its KKT system is singular it drops the last row, and while a
+// multiplier is below −tol it drops the row with the most negative one.
+// Each drop counts as an iteration; the count is returned. On return the
+// iterate is adopted from the KKT solve of W, unless W ended empty.
 func (s *activeSet) hotStart(hint *WorkingSet) (int, error) {
+	s.cands = s.cands[:0]
 	if hint == nil {
 		return 0, nil
 	}
-	for i := range s.rows {
-		if _, ok := slices.BinarySearch(hint.keys, s.rows[i].key); ok {
+	for _, i := range hint.rows {
+		if i < s.p.numSides() && !s.p.side(i).open() {
 			s.work = append(s.work, i)
 		}
 	}
+	s.cands = append(s.cands, s.work...)
 	iter := 0
 	for len(s.work) > 0 {
 		if iter >= s.opts.maxIter {
@@ -215,7 +257,7 @@ func (s *activeSet) adopt(x, nu, lam []float64) {
 // projected curvature falls below depRatio·σ_p is dependent on the working
 // set.
 func (s *activeSet) curvature(p int) float64 {
-	r := &s.rows[p]
+	r := s.p.side(p)
 	if r.g == nil {
 		return 1 / s.p.h.At(r.idx, r.idx)
 	}
@@ -244,7 +286,7 @@ func (s *activeSet) direction(work []int, p int) (z, dlam []float64, err error) 
 	rhs := growFloat(s.rhsBuf, n+me+len(work))
 	s.rhsBuf = rhs
 	clear(rhs)
-	if r := &s.rows[p]; r.g != nil {
+	if r := s.p.side(p); r.g != nil {
 		for j, v := range r.g {
 			rhs[j] = -(r.sign * v)
 		}

@@ -53,10 +53,16 @@ func FuzzKKTPaths(f *testing.F) {
 // through a shared KKTCache, cold on the uncached dense path, and on the
 // default path hot-started from one WorkingSet carried across the steps —
 // and each run must agree with the oracle on the ErrInfeasible verdict, on
-// x within 1e-9·(1+|x|), and on the objective within 1e-9 relative. The
-// hot run must also equal the cold cached run bit for bit in everything
-// but Iterations, and a problem with open rows must solve bit for bit as
-// the same problem with them omitted, with zero multipliers on them.
+// x within 1e-9·(1+|x|), and on the objective within 1e-9 relative, and
+// its Activity must be gᵀx bit for bit. The hot run must also equal the
+// cold cached run bit for bit in everything but Iterations, and a problem
+// with open rows must solve bit for bit as the same problem with them
+// omitted, with zero multipliers on them.
+//
+// The hot run prices its hinted sides first and scans every side only when
+// none of them is violated. The hot-misses-row-* seeds hold steps whose
+// hint leaves out a side that the solve ends with in its working set, so
+// only a full scan can have found it.
 //
 // The seed corpus lives in testdata/fuzz/FuzzDualVsPrimal; explore further
 // with go test -run '^$' -fuzz FuzzDualVsPrimal -fuzztime 20s ./internal/qp.
@@ -98,6 +104,11 @@ func FuzzDualVsPrimal(f *testing.F) {
 				}
 				if d := math.Abs(got.Objective - want.Objective); d > 1e-9*(1+math.Abs(want.Objective)) {
 					t.Fatalf("%s: objective %.15g, oracle %.15g", label, got.Objective, want.Objective)
+				}
+				for k, g := range p.gin {
+					if a := mat.Dot(g, got.X); math.Float64bits(got.Activity[k]) != math.Float64bits(a) {
+						t.Fatalf("%s: activity[%d] = %.17g, gᵀx %.17g", label, k, got.Activity[k], a)
+					}
 				}
 				if cold == nil {
 					cold = got
@@ -144,7 +155,7 @@ func checkOpenRowsOmitted(t *testing.T, label string, p *Problem) {
 		}
 	}
 	trimmed := *got
-	trimmed.IneqDual = got.IneqDual[:m]
+	trimmed.IneqDual, trimmed.Activity = got.IneqDual[:m], got.Activity[:m]
 	if d := solutionDiff(want, &trimmed); d != "" {
 		t.Fatalf("%s: with open rows vs omitted: %s", label, d)
 	}

@@ -222,6 +222,8 @@ type Solution struct {
 	// where the upper side binds, negative where the lower side does, and
 	// never negative for a one-sided gᵀx ≤ h row.
 	IneqDual []float64
+	// Activity holds gᵀX per user inequality row, open rows included.
+	Activity []float64
 	// LowerDual and UpperDual hold the non-negative multipliers of active
 	// variable bounds.
 	LowerDual []float64
@@ -240,15 +242,16 @@ type Options struct {
 	// factorization, border columns, and Schur factors across solves of
 	// structurally identical problems, and remembers whether the Hessian
 	// is positive definite. The caller asserts that the Hessian, the
-	// equality-row gradients, the bound structure, and the gradient of
-	// every inequality row (by index) are unchanged since the cache was
-	// filled. Objective vectors and all right-hand sides may differ, and
-	// row sides may come and go. A cached factor is the one a fresh
-	// factorization computes, so results never depend on what the cache
-	// holds. Not safe for concurrent use.
+	// equality-row gradients, and the gradient of every inequality row (by
+	// index) are unchanged since the cache was filled. Objective vectors
+	// and all right-hand sides may differ, and row sides and bounds may
+	// open and close. A cached factor is the one a fresh factorization
+	// computes, so results never depend on what the cache holds. Not safe
+	// for concurrent use.
 	Cache *KKTCache
-	// Workspace supplies the active-set iteration's working storage (row
-	// list, Schur right-hand-side and memo buffers, step direction) in its
+	// Workspace supplies the active-set iteration's working storage
+	// (pricing candidates, Schur right-hand-side and memo buffers, step
+	// direction) in its
 	// QP slot, reused across solves so a steady-state QP re-solve under a
 	// warm KKTCache allocates only the returned Solution. When nil, the
 	// solve borrows a workspace from lp's pool for the call. The primal
@@ -259,12 +262,12 @@ type Options struct {
 	// for concurrent use.
 	Workspace *lp.Workspace
 	// Start, when non-nil, hot-starts the dual method from a working set
-	// carried across solves: on entry its row keys are mapped onto this
-	// solve's rows, and on return it holds the final working set's keys
-	// (emptied on error). It reuses its storage; the primal method ignores
-	// it. The working set is kept in row order, so every field of the
-	// result but Iterations depends on the final working set only, not on
-	// the hint. Not safe for concurrent use.
+	// carried across solves: on entry its rows that are not open seed the
+	// working set and the pricing candidates, and on return it holds the
+	// final working set (emptied on error). It reuses its storage; the
+	// primal method ignores it. The working set is kept in row order, so
+	// every field of the result but Iterations depends on the final working
+	// set only, not on the hint. Not safe for concurrent use.
 	Start *WorkingSet
 
 	// denseKKT solves every KKT system by a fresh dense factorization: the
@@ -287,38 +290,49 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Solve solves the QP with default options.
-func Solve(p *Problem) (*Solution, error) {
-	return SolveWith(p, Options{})
-}
-
 // ineqRow is one side of a user row or of a variable's bounds in
 // sign·gᵀx ≤ h form: an upper side has sign +1 and h = hi, a lower side sign
-// −1 and h = −lo.
+// −1 and h = −lo. An infinite side has h = +Inf: it is open, never
+// violated, and never priced.
 type ineqRow struct {
 	g    []float64 // nil means a bound row on variable idx
 	idx  int       // user row index, or the bounded variable
 	sign float64
 	h    float64
-	kind rowKind
-	// key identifies the side across solves of one problem family (the
-	// KKTCache and hot-start identity): (2·row + side) << 2 for a user row,
-	// with side 0 upper and 1 lower, and idx << 2 | 1 (upper) or | 2
-	// (lower) for a bound.
-	key int64
 }
 
-type rowKind int
+// numSides is the number of inequality sides of p: two per user row and
+// two per variable.
+func (p *Problem) numSides() int { return 2 * (len(p.gin) + p.n) }
 
-const (
-	kindUser rowKind = iota + 1
-	kindLower
-	kindUpper
-)
+// side returns p's inequality side at position i: user row k's upper side
+// at 2k and lower side at 2k+1, then variable j's upper bound at 2·mi+2j and
+// lower bound at 2·mi+2j+1, for mi user rows. Every side has its position
+// whether it is open or not, so a position is the side's identity across
+// the solves of one problem family: the KKTCache's columns and dots and
+// the WorkingSet hot start are indexed by it.
+func (p *Problem) side(i int) ineqRow {
+	user := 2 * len(p.gin)
+	if i < user {
+		k := i / 2
+		if i%2 == 0 {
+			return ineqRow{g: p.gin[k], idx: k, sign: 1, h: p.hin[k]}
+		}
+		return ineqRow{g: p.gin[k], idx: k, sign: -1, h: -p.lin[k]}
+	}
+	j := (i - user) / 2
+	if i%2 == 0 {
+		return ineqRow{idx: j, sign: 1, h: p.upper[j]}
+	}
+	return ineqRow{idx: j, sign: -1, h: -p.lower[j]}
+}
+
+// open reports whether the side is infinite: it constrains nothing.
+func (r ineqRow) open() bool { return math.IsInf(r.h, 1) }
 
 // dot is the row's sign·gᵀv: its value at a point, or its rate along a
 // direction.
-func (r *ineqRow) dot(v []float64) float64 {
+func (r ineqRow) dot(v []float64) float64 {
 	if r.g != nil {
 		return r.sign * mat.Dot(r.g, v)
 	}
@@ -347,18 +361,16 @@ func solve(p *Problem, opts Options, primal bool) (*Solution, error) {
 	}
 	sc := scratchFrom(ws)
 	defer sc.release()
-	rows := gatherIneqsInto(p, sc.rows)
-	sc.rows = rows
 	var as *activeSet
 	var sol *Solution
 	var err error
 	if !primal && positiveDefinite(p, opts.Cache) {
-		as = sc.attach(p, rows, nil, opts)
+		as = sc.attach(p, nil, opts)
 		sol, err = as.runDual()
 	} else {
 		var x []float64
 		if x, err = feasibleStart(p, opts); err == nil {
-			as = sc.attach(p, rows, x, opts)
+			as = sc.attach(p, x, opts)
 			sol, err = as.run()
 		}
 	}
@@ -393,30 +405,6 @@ func positiveDefinite(p *Problem, c *KKTCache) bool {
 		c.pdKnown, c.pdN, c.pd = true, p.n, err == nil
 	}
 	return err == nil
-}
-
-// gatherIneqsInto folds the finite sides of user rows and bounds into one
-// row list, appending into buf's backing array; an infinite side is
-// skipped.
-func gatherIneqsInto(p *Problem, buf []ineqRow) []ineqRow {
-	rows := buf[:0]
-	for i, g := range p.gin {
-		if !math.IsInf(p.hin[i], 1) {
-			rows = append(rows, ineqRow{g: g, idx: i, sign: 1, h: p.hin[i], kind: kindUser, key: int64(2*i) << 2})
-		}
-		if !math.IsInf(p.lin[i], -1) {
-			rows = append(rows, ineqRow{g: g, idx: i, sign: -1, h: -p.lin[i], kind: kindUser, key: int64(2*i+1) << 2})
-		}
-	}
-	for j := 0; j < p.n; j++ {
-		if !math.IsInf(p.upper[j], 1) {
-			rows = append(rows, ineqRow{idx: j, sign: 1, h: p.upper[j], kind: kindUpper, key: int64(j)<<2 | 1})
-		}
-		if !math.IsInf(p.lower[j], -1) {
-			rows = append(rows, ineqRow{idx: j, sign: -1, h: -p.lower[j], kind: kindLower, key: int64(j)<<2 | 2})
-		}
-	}
-	return rows
 }
 
 // feasibleStart finds any point satisfying the constraints via the LP solver.

@@ -18,7 +18,7 @@ func TestUnconstrainedMin(t *testing.T) {
 	_ = p.SetQuadCoeff(1, 1, 2)
 	_ = p.SetLinCoeff(0, -6)
 	_ = p.SetLinCoeff(1, 2)
-	sol, err := Solve(p)
+	sol, err := SolveWith(p, Options{})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -33,7 +33,7 @@ func TestBoundHitsOptimum(t *testing.T) {
 	_ = p.SetQuadCoeff(0, 0, 2)
 	_ = p.SetLinCoeff(0, -6)
 	_ = p.SetBounds(0, math.Inf(-1), 2)
-	sol, err := Solve(p)
+	sol, err := SolveWith(p, Options{})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -53,7 +53,7 @@ func TestEqualityConstrained(t *testing.T) {
 	if _, err := p.AddEquality([]float64{1, 1}, 2); err != nil {
 		t.Fatal(err)
 	}
-	sol, err := Solve(p)
+	sol, err := SolveWith(p, Options{})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -79,7 +79,7 @@ func TestInequalityActive(t *testing.T) {
 	if _, err := p.AddInequality([]float64{1, 1}, 2); err != nil {
 		t.Fatal(err)
 	}
-	sol, err := Solve(p)
+	sol, err := SolveWith(p, Options{})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -97,7 +97,7 @@ func TestInequalityInactive(t *testing.T) {
 	_ = p.SetQuadCoeff(0, 0, 2)
 	_ = p.SetLinCoeff(0, -2)
 	_, _ = p.AddInequality([]float64{1}, 100)
-	sol, err := Solve(p)
+	sol, err := SolveWith(p, Options{})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -111,7 +111,7 @@ func TestInfeasible(t *testing.T) {
 	_ = p.SetQuadCoeff(0, 0, 2)
 	_ = p.SetBounds(0, 0, 1)
 	_, _ = p.AddInequality([]float64{-1}, -5) // x >= 5
-	if _, err := Solve(p); err == nil {
+	if _, err := SolveWith(p, Options{}); err == nil {
 		t.Fatal("want infeasibility error")
 	}
 }
@@ -126,7 +126,7 @@ func TestDispatchShapedQP(t *testing.T) {
 	_ = p.SetBounds(0, 0, 8)
 	_ = p.SetBounds(1, 0, 8)
 	_, _ = p.AddEquality([]float64{1, 1}, 10)
-	sol, err := Solve(p)
+	sol, err := SolveWith(p, Options{})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -227,7 +227,7 @@ func TestPropertyKKT(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		p := randomQP(r)
-		sol, err := Solve(p)
+		sol, err := SolveWith(p, Options{})
 		if err != nil {
 			return true // rare random infeasibility is acceptable
 		}
@@ -279,7 +279,7 @@ func TestPropertyOptimalityAgainstBoxPoints(t *testing.T) {
 			_ = p.SetLinCoeff(i, -1+2*r.Float64())
 			_ = p.SetBounds(i, -2, 2)
 		}
-		sol, err := Solve(p)
+		sol, err := SolveWith(p, Options{})
 		if err != nil {
 			return false
 		}
@@ -375,7 +375,7 @@ func TestTwoSidedRow(t *testing.T) {
 		if err := p.SetRowBounds(0, tc.lo, tc.hi); err != nil {
 			t.Fatal(err)
 		}
-		sol, err := Solve(p)
+		sol, err := SolveWith(p, Options{})
 		if err != nil {
 			t.Fatalf("[%g, %g]: %v", tc.lo, tc.hi, err)
 		}
