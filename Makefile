@@ -42,7 +42,7 @@ parallel:
 
 ## bench: the paper-experiment and substrate benchmarks.
 bench:
-	$(GO) test -bench=. -benchmem -run '^$$' .
+	$(GO) test -bench=. -benchmem -run '^$$' . ./internal/core/
 
 ## bench-workers: the Algorithm 1 worker-scaling benchmark (sequential vs
 ## parallel fan-out on case30/case118).
@@ -52,14 +52,14 @@ bench-workers:
 ## bench-baseline: re-record the solver-work baseline (BENCH_solver.json)
 ## for the budgeted case30/case118 attacks.
 bench-baseline:
-	BENCH_SOLVER=1 $(GO) test -run TestRecordSolverBaseline .
+	BENCH_SOLVER=1 $(GO) test -run TestRecordSolverBaseline ./internal/core/
 
 ## bench-warmstart: the warm-started dual simplex regression gate —
 ## bit-identical attacks across worker counts and warm on/off on
 ## case9/30/57, and the case118 budgeted pivot total pinned at ≥2× under
 ## an otherwise identical cold run, cross-checked against BENCH_solver.json.
 bench-warmstart:
-	$(GO) test -run 'TestWarmStart' -count=1 .
+	$(GO) test -run 'TestWarmStart' -count=1 ./internal/core/
 
 ## bench-sparse: the sparse revised-simplex regression gate — bit-identical
 ## attacks sparse-vs-dense (and across worker counts) on case9/30/57, and
@@ -67,14 +67,14 @@ bench-warmstart:
 ## wall time pinned against the recorded dense baseline in BENCH_solver.json
 ## (recorded speedup must be ≥1.5×).
 bench-sparse:
-	$(GO) test -run 'TestSparseGate' -count=1 .
+	$(GO) test -run 'TestSparseGate' -count=1 ./internal/core/
 
 ## bench-flight: the flight-recorder gate — the budgeted attacks must be
 ## bit-identical with the recorder on and off, every solver layer must
 ## contribute events, and the case118 wall overhead is measured and logged
 ## (target ≤5%, asserted at a noise-tolerant 50% backstop).
 bench-flight:
-	$(GO) test -run 'TestFlightGate' -count=1 -v .
+	$(GO) test -run 'TestFlightGate' -count=1 -v ./internal/core/
 
 ## bench-sweep: the batched scenario-sweep gate — recorded case118
 ## throughput must be ≥10,000 N−1-screened scenarios/s, the live run,
@@ -112,12 +112,12 @@ bench-milp-baseline:
 ## pool with no goroutine leak, and the recorded allocation/attack-RPS
 ## fields must stay within the alloc gate's ceilings.
 bench-serve:
-	$(GO) test -run 'TestServeGate|TestServeEvaluateMissingDLRBoundsGate|TestAllocGate' -count=1 -timeout 20m -v .
+	$(GO) test -run 'TestServeGate|TestServeEvaluateMissingDLRBoundsGate|TestAllocGate' -count=1 -timeout 20m -v . ./internal/core/
 
 ## bench-serve-baseline: re-record the serving-layer latency and allocation
 ## baseline (BENCH_serve.json) on case118.
 bench-serve-baseline:
-	BENCH_SERVE=1 $(GO) test -run TestRecordServeBaseline -timeout 30m .
+	BENCH_SERVE=1 $(GO) test -run TestRecordServeBaseline -timeout 30m ./internal/core/
 
 ## bench-alloc: the allocation regression gate — the zero-allocation pins on
 ## the solver hot kernels (CSR·dense batch, blocked GEMM, FTRAN/BTRAN, warm
@@ -129,7 +129,7 @@ bench-serve-baseline:
 ## BENCH_serve.json figure.
 bench-alloc:
 	$(GO) test -run 'TestMulDenseIntoZeroAlloc|TestLUSolveZeroAlloc|TestMulBlockedIntoZeroAlloc|TestFTRANBTRANZeroAlloc|TestWarmResolveZeroAlloc|TestSchurKKTCacheZeroAlloc|TestHotResolveZeroAlloc' -count=1 -v ./internal/sparse/ ./internal/mat/ ./internal/lp/ ./internal/qp/ ./internal/dispatch/
-	$(GO) test -run 'TestWorkspaceIdentityGate|TestAllocGate' -count=1 -timeout 20m -v .
+	$(GO) test -run 'TestWorkspaceIdentityGate|TestAllocGate' -count=1 -timeout 20m -v ./internal/core/
 
 clean:
 	$(GO) clean ./...

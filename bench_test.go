@@ -5,12 +5,8 @@
 package edattack_test
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"testing"
-	"time"
 
 	edattack "github.com/edsec/edattack"
 	"github.com/edsec/edattack/internal/acflow"
@@ -18,7 +14,6 @@ import (
 	"github.com/edsec/edattack/internal/dlr"
 	"github.com/edsec/edattack/internal/lp"
 	"github.com/edsec/edattack/internal/milp"
-	"github.com/edsec/edattack/internal/telemetry"
 )
 
 // mustKnowledge builds case3 attacker knowledge for Table I row 1.
@@ -520,149 +515,6 @@ func BenchmarkMILPKnapsack(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// TestRecordSolverBaseline records MILP node counts and simplex iteration
-// totals for the budgeted case30/case118 attacks into BENCH_solver.json, so
-// future performance PRs have a solver-work baseline to diff against. The
-// numbers are deterministic (same budgets as BenchmarkFig5aTimeOfAttack118),
-// so the file only changes when solver behavior does. Gated behind
-// BENCH_SOLVER=1 because it rewrites a checked-in artifact:
-//
-//	BENCH_SOLVER=1 go test -run TestRecordSolverBaseline
-func TestRecordSolverBaseline(t *testing.T) {
-	if os.Getenv("BENCH_SOLVER") == "" {
-		t.Skip("set BENCH_SOLVER=1 to (re)record BENCH_solver.json")
-	}
-	type record struct {
-		Case              string  `json:"case"`
-		DLRLines          int     `json:"dlr_lines"`
-		Subproblems       int     `json:"subproblems"`
-		Pruned            int     `json:"pruned"`
-		MILPNodes         int     `json:"milp_nodes"`
-		SimplexIterations int     `json:"simplex_iterations"`
-		RowGenRounds      int     `json:"rowgen_rounds"`
-		GainPct           float64 `json:"gain_pct"`
-		// Warm-start effectiveness (deterministic, Workers=1): nodes
-		// solved by the warm dual simplex path, nodes where the warm
-		// basis fell back to a cold solve, the resulting hit rate, and
-		// average pivots per branch-and-bound node.
-		WarmNodes     int     `json:"warm_nodes"`
-		WarmFallbacks int     `json:"warm_fallbacks"`
-		WarmHitRate   float64 `json:"warm_hit_rate"`
-		PivotsPerNode float64 `json:"pivots_per_node"`
-		// Wall times are machine-dependent (unlike the work counts above,
-		// which are recorded at Workers=1 and deterministic): sequential
-		// is Workers=1, parallel is Workers=GOMAXPROCS. On a single-core
-		// recording host the speedup is ~1.
-		WallMsSequential float64 `json:"wall_ms_sequential"`
-		WallMsParallel   float64 `json:"wall_ms_parallel"`
-		ParallelWorkers  int     `json:"parallel_workers"`
-		Speedup          float64 `json:"speedup"`
-		// Sparse revised-simplex run (the default engine; the counts above
-		// pin the dense tableau via DenseSolver). Same budgets, Workers=1.
-		// Under a truncating node budget the engines legitimately explore
-		// different branch-and-bound trees, so the sparse run gets its own
-		// iteration/gain record. FTRAN/BTRAN solves and basis
-		// refactorizations are the engine's deterministic work measure;
-		// kkt_nnz/kkt_density are the largest and densest LP the run
-		// solved; sparse_speedup is wall-clock (machine-dependent), dense
-		// sequential wall over sparse sequential wall.
-		SparseSimplexIterations int     `json:"sparse_simplex_iterations"`
-		SparseGainPct           float64 `json:"sparse_gain_pct"`
-		FTRANTotal              int64   `json:"lp_ftran_total"`
-		BTRANTotal              int64   `json:"lp_btran_total"`
-		RefactorizationsTotal   int64   `json:"lp_refactorizations_total"`
-		KKTNNZ                  int     `json:"kkt_nnz"`
-		KKTDensity              float64 `json:"kkt_density"`
-		SparseWallMs            float64 `json:"sparse_wall_ms"`
-		SparseSpeedup           float64 `json:"sparse_speedup"`
-	}
-	// Dense-engine budgets, matching warmGateOpts(): the recorded
-	// trajectory fields stay trajectories of the dense tableau oracle.
-	opts := edattack.AttackOptions{MaxNodes: 40, RelGap: 1e-3, DenseSolver: true, NoDive: true}
-	var records []record
-	for _, name := range []string{"case9", "case30", "case57", "case118"} {
-		k := knowledgeCase(t, name)
-		// Deterministic work counts: the sequential reference schedule.
-		seqOpts := opts
-		seqOpts.Workers = 1
-		seqStart := time.Now()
-		att, err := edattack.FindOptimalAttack(k, seqOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seqWall := time.Since(seqStart)
-		if att.Stats == nil {
-			t.Fatalf("%s: attack carries no SolverStats", name)
-		}
-		parOpts := opts
-		parOpts.Workers = runtime.GOMAXPROCS(0)
-		parStart := time.Now()
-		if _, err := edattack.FindOptimalAttack(k, parOpts); err != nil {
-			t.Fatal(err)
-		}
-		parWall := time.Since(parStart)
-		// Sparse engine: default selection, sequential schedule, with a
-		// metrics registry attached so revised-simplex work counters and
-		// the problem shape land in the record.
-		reg := telemetry.NewRegistry()
-		spOpts := edattack.AttackOptions{MaxNodes: 40, RelGap: 1e-3, Workers: 1, Metrics: reg, NoDive: true}
-		spStart := time.Now()
-		spAtt, err := edattack.FindOptimalAttack(k, spOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spWall := time.Since(spStart)
-		if spAtt.Stats == nil {
-			t.Fatalf("%s: sparse attack carries no SolverStats", name)
-		}
-		var hitRate, pivotsPerNode float64
-		if att.Stats.Nodes > 0 {
-			hitRate = float64(att.Stats.WarmNodes) / float64(att.Stats.Nodes)
-			pivotsPerNode = float64(att.Stats.SimplexIterations) / float64(att.Stats.Nodes)
-		}
-		records = append(records, record{
-			Case:              name,
-			DLRLines:          len(k.Model.Net.DLRLines()),
-			Subproblems:       att.Stats.Subproblems,
-			Pruned:            att.Stats.Pruned,
-			MILPNodes:         att.Stats.Nodes,
-			SimplexIterations: att.Stats.SimplexIterations,
-			RowGenRounds:      att.Stats.Rounds,
-			GainPct:           att.GainPct,
-			WarmNodes:         att.Stats.WarmNodes,
-			WarmFallbacks:     att.Stats.WarmFallbacks,
-			WarmHitRate:       hitRate,
-			PivotsPerNode:     pivotsPerNode,
-			WallMsSequential:  float64(seqWall.Microseconds()) / 1000,
-			WallMsParallel:    float64(parWall.Microseconds()) / 1000,
-			ParallelWorkers:   parOpts.Workers,
-			Speedup:           seqWall.Seconds() / parWall.Seconds(),
-
-			SparseSimplexIterations: spAtt.Stats.SimplexIterations,
-			SparseGainPct:           spAtt.GainPct,
-			FTRANTotal:              reg.Counter("lp_ftran_total").Value(),
-			BTRANTotal:              reg.Counter("lp_btran_total").Value(),
-			RefactorizationsTotal:   reg.Counter("lp_refactorizations_total").Value(),
-			KKTNNZ:                  int(reg.Gauge("lp_problem_nnz").Value()),
-			KKTDensity:              reg.Gauge("lp_problem_density").Value(),
-			SparseWallMs:            float64(spWall.Microseconds()) / 1000,
-			SparseSpeedup:           seqWall.Seconds() / spWall.Seconds(),
-		})
-	}
-	out, err := json.MarshalIndent(map[string]any{
-		"note":    "solver-work baseline for budgeted attacks (MaxNodes 40, RelGap 1e-3, NoDive — pure search machinery); dense-tableau counts (DenseSolver) and sparse revised-simplex counts (sparse_*/lp_*) both recorded at Workers=1 and deterministic, wall_ms/speedup machine-dependent; regenerate with BENCH_SOLVER=1 go test -run TestRecordSolverBaseline",
-		"cpus":    runtime.GOMAXPROCS(0),
-		"records": records,
-	}, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_solver.json", append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote BENCH_solver.json: %s", out)
 }
 
 // BenchmarkEMSProcessBuild measures victim-process construction (heap

@@ -158,11 +158,13 @@ func sweepCmd(args []string) error {
 		DemandNoisePct: *demandNoise,
 		RatingNoisePct: *ratingNoise,
 		Dispatch:       dispatchFn,
-		BatchSize:      *batch,
-		Workers:        *workers,
-		Sequential:     *oracle,
-		Metrics:        reg,
-		Flight:         fl,
+		Eval: edattack.SweepOptions{
+			BatchSize:  *batch,
+			Workers:    *workers,
+			Sequential: *oracle,
+			Metrics:    reg,
+			Flight:     fl,
+		},
 	})
 	if err != nil {
 		return err

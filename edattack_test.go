@@ -3,6 +3,7 @@ package edattack_test
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	edattack "github.com/edsec/edattack"
@@ -21,6 +22,23 @@ func TestLoadCaseNames(t *testing.T) {
 	}
 	if _, err := edattack.LoadCase("nope"); err == nil {
 		t.Fatal("want unknown-case error")
+	}
+}
+
+// TestAttackOptionsFields pins the public attack options. A/B switches that
+// only a gate flips belong in internal/core's export_test.go, not here, so
+// adding a field must be a deliberate edit of this list.
+func TestAttackOptionsFields(t *testing.T) {
+	want := []string{"Method", "MaxRounds", "MaxNodes", "RelGap", "Workers", "Metrics", "Tracer", "Flight", "Ctx", "Warm"}
+	var got []string
+	typ := reflect.TypeOf(edattack.AttackOptions{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.IsExported() {
+			got = append(got, f.Name)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("AttackOptions exported fields %v, want %v", got, want)
 	}
 }
 

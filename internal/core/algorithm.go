@@ -213,7 +213,7 @@ func FindOptimalAttack(k *Knowledge, o Options) (*Attack, error) {
 	// already schedule-independent, so the refined attack is too. A fresh
 	// worker clone keeps the caller's model untouched; strict improvement
 	// only, so a no-op polish leaves the merge result bit-identical.
-	if !o.NoDive && best.GainPct > 0 {
+	if !o.noDive && best.GainPct > 0 {
 		raw := best.rawDLR
 		if raw == nil {
 			raw = best.DLR

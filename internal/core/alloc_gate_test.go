@@ -1,6 +1,7 @@
-package edattack_test
+package core_test
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -11,9 +12,15 @@ import (
 	"strings"
 	"testing"
 
-	edattack "github.com/edsec/edattack"
+	"github.com/edsec/edattack/internal/core"
+	"github.com/edsec/edattack/internal/gatetest"
+	"github.com/edsec/edattack/internal/grid/cases"
 	"github.com/edsec/edattack/internal/lp"
 )
+
+// serveBaselinePath is the serving-layer baseline at the repository root,
+// whose allocation figures the alloc gate pins.
+const serveBaselinePath = "../../BENCH_serve.json"
 
 // mallocsNow reads the cumulative heap-object allocation counter.
 func mallocsNow() uint64 {
@@ -25,11 +32,11 @@ func mallocsNow() uint64 {
 // attackAllocRun runs one attack on a fresh knowledge bundle and returns the
 // attack plus the Mallocs spent inside FindOptimalAttack alone (knowledge
 // construction is excluded — the serving layer builds it once per topology).
-func attackAllocRun(tb testing.TB, caseName string, o edattack.AttackOptions) (*edattack.Attack, uint64) {
+func attackAllocRun(tb testing.TB, caseName string, o core.Options) (*core.Attack, uint64) {
 	tb.Helper()
-	k := knowledgeCase(tb, caseName)
+	k := caseKnowledge(tb, caseName)
 	before := mallocsNow()
-	att, err := edattack.FindOptimalAttack(k, o)
+	att, err := core.FindOptimalAttack(k, o)
 	after := mallocsNow()
 	if err != nil {
 		tb.Fatalf("attack on %s: %v", caseName, err)
@@ -39,13 +46,13 @@ func attackAllocRun(tb testing.TB, caseName string, o edattack.AttackOptions) (*
 
 // perNodeAllocs measures the marginal allocation cost of one extra
 // branch-and-bound node: two otherwise-identical budgeted runs (MaxNodes 1
-// vs maxNodes), ΔMallocs over Δnodes. NoDive keeps the delta pure
-// branch-and-bound, Workers 1 keeps it deterministic, ForceSparse pins the
-// sparse engine.
+// vs maxNodes), ΔMallocs over Δnodes. With the dive off the delta is pure
+// branch-and-bound, Workers 1 keeps it deterministic, and the LP engine is
+// pinned to the sparse one.
 func perNodeAllocs(tb testing.TB, caseName string, maxNodes int) float64 {
 	tb.Helper()
-	opts := func(nodes int) edattack.AttackOptions {
-		return edattack.AttackOptions{MaxNodes: nodes, Workers: 1, NoDive: true, ForceSparse: true}
+	opts := func(nodes int) core.Options {
+		return core.WithLPEngine(core.WithoutDive(core.Options{MaxNodes: nodes, Workers: 1}), lp.EngineSparse)
 	}
 	small, smallAllocs := attackAllocRun(tb, caseName, opts(1))
 	big, bigAllocs := attackAllocRun(tb, caseName, opts(maxNodes))
@@ -62,7 +69,7 @@ func perNodeAllocs(tb testing.TB, caseName string, maxNodes int) float64 {
 // exact shape edserve runs per evaluate request (modulo HTTP).
 func measureEvaluateAllocs(tb testing.TB, caseName string, solves int) float64 {
 	tb.Helper()
-	k := knowledgeCase(tb, caseName)
+	k := caseKnowledge(tb, caseName)
 	k.Model.Workspace = lp.NewWorkspace()
 	att := attackDLR(tb, caseName, 1.05)
 	// Warm-up: grow the workspace and the dispatch warm-start state.
@@ -83,7 +90,7 @@ func measureEvaluateAllocs(tb testing.TB, caseName string, solves int) float64 {
 // attackDLR builds the in-band +5% manipulation the evaluate benchmarks use.
 func attackDLR(tb testing.TB, caseName string, scale float64) map[int]float64 {
 	tb.Helper()
-	net, err := edattack.LoadCase(caseName)
+	net, err := cases.Load(caseName)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -94,33 +101,11 @@ func attackDLR(tb testing.TB, caseName string, scale float64) map[int]float64 {
 	return dlr
 }
 
-// assertSameAttack compares two attacks bit for bit on everything the
-// serving contract promises: gain, target, direction, and the full
-// manipulated-rating vector.
-func assertSameAttack(tb testing.TB, label string, got, want *edattack.Attack) {
-	tb.Helper()
-	if got.GainPct != want.GainPct || got.TargetLine != want.TargetLine || got.Direction != want.Direction {
-		tb.Errorf("%s: gain %.17g target %d dir %+d, want %.17g %d %+d",
-			label, got.GainPct, got.TargetLine, got.Direction,
-			want.GainPct, want.TargetLine, want.Direction)
-		return
-	}
-	if len(got.DLR) != len(want.DLR) {
-		tb.Errorf("%s: DLR has %d lines, want %d", label, len(got.DLR), len(want.DLR))
-		return
-	}
-	for li, v := range want.DLR {
-		if got.DLR[li] != v {
-			tb.Errorf("%s: DLR[%d] = %.17g, want %.17g", label, li, got.DLR[li], v)
-		}
-	}
-}
-
 // BenchmarkWarmEvaluateAllocs is the -benchmem smoke the CI allocation job
 // runs: the warm workspace-backed evaluate solve — the serving layer's
 // per-request hot path — reporting wall time and allocs/op.
 func BenchmarkWarmEvaluateAllocs(b *testing.B) {
-	k := knowledgeCase(b, "case118")
+	k := caseKnowledge(b, "case118")
 	k.Model.Workspace = lp.NewWorkspace()
 	att := attackDLR(b, "case118", 1.05)
 	for i := 0; i < 3; i++ {
@@ -144,7 +129,7 @@ const identityChildArg = "workspace-identity-child"
 
 // identityBudget is the budgeted case118 attack the serving baselines
 // record.
-var identityBudget = edattack.AttackOptions{MaxNodes: 40, RelGap: 1e-3, Workers: 1}
+var identityBudget = core.Options{MaxNodes: 40, RelGap: 1e-3, Workers: 1}
 
 // identityRecords runs the identity gate's attacks — case9/30/57 at one and
 // four workers, then (outside -short) the budgeted case118 attack — and
@@ -154,8 +139,8 @@ var identityBudget = edattack.AttackOptions{MaxNodes: 40, RelGap: 1e-3, Workers:
 func identityRecords(tb testing.TB) []string {
 	tb.Helper()
 	var out []string
-	run := func(label, name string, o edattack.AttackOptions) {
-		att, err := edattack.FindOptimalAttack(knowledgeCase(tb, name), o)
+	run := func(label, name string, o core.Options) {
+		att, err := core.FindOptimalAttack(caseKnowledge(tb, name), o)
 		if err != nil {
 			tb.Fatalf("%s: %v", label, err)
 		}
@@ -163,7 +148,7 @@ func identityRecords(tb testing.TB) []string {
 	}
 	for _, name := range []string{"case9", "case30", "case57"} {
 		for _, workers := range []int{1, 4} {
-			run(fmt.Sprintf("%s workers=%d", name, workers), name, edattack.AttackOptions{Workers: workers})
+			run(fmt.Sprintf("%s workers=%d", name, workers), name, core.Options{Workers: workers})
 		}
 	}
 	if !testing.Short() {
@@ -172,7 +157,7 @@ func identityRecords(tb testing.TB) []string {
 	return out
 }
 
-func identityRecord(label string, a *edattack.Attack, work bool) string {
+func identityRecord(label string, a *core.Attack, work bool) string {
 	hex := func(v float64) string { return strconv.FormatFloat(v, 'x', -1, 64) }
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s: gain=%s target=%d dir=%+d", label, hex(a.GainPct), a.TargetLine, a.Direction)
@@ -237,8 +222,8 @@ func TestWorkspaceIdentityGate(t *testing.T) {
 	if testing.Short() {
 		dirty = "case57"
 	}
-	if _, err := edattack.FindOptimalAttack(knowledgeCase(t, dirty),
-		edattack.AttackOptions{MaxNodes: 40, Workers: 4, NoDive: true}); err != nil {
+	if _, err := core.FindOptimalAttack(caseKnowledge(t, dirty),
+		core.WithoutDive(core.Options{MaxNodes: 40, Workers: 4})); err != nil {
 		t.Fatalf("dirtying %s attack: %v", dirty, err)
 	}
 	got := identityRecords(t)
@@ -287,7 +272,7 @@ func TestAllocGate(t *testing.T) {
 		t.Errorf("warm workspace-backed evaluate allocates %.1f objects/solve, want ≤8", evalAllocs)
 	}
 
-	base, err := loadServeBaseline()
+	base, err := gatetest.LoadServeBaseline(serveBaselinePath)
 	if err != nil {
 		t.Fatalf("BENCH_serve.json: %v — record it with make bench-serve-baseline", err)
 	}
@@ -305,4 +290,45 @@ func TestAllocGate(t *testing.T) {
 	if rec.AttackRPS <= 0 {
 		t.Error("BENCH_serve.json records no concurrent attack throughput — rerun make bench-serve-baseline")
 	}
+}
+
+// TestRecordServeBaseline records the serving-layer latency baseline into
+// BENCH_serve.json. Gated behind BENCH_SERVE=1 because it rewrites a
+// checked-in artifact:
+//
+//	BENCH_SERVE=1 go test -run TestRecordServeBaseline ./internal/core
+func TestRecordServeBaseline(t *testing.T) {
+	if os.Getenv("BENCH_SERVE") == "" {
+		t.Skip("set BENCH_SERVE=1 to (re)record BENCH_serve.json")
+	}
+	var records []gatetest.ServeRecord
+	for _, name := range []string{"case118"} {
+		m := gatetest.MeasureServe(t, name, 5, 64, 4, 2)
+		records = append(records, gatetest.ServeRecord{
+			Case:            name,
+			ColdAttackMS:    float64(m.Cold.Microseconds()) / 1000,
+			WarmAttackP50MS: float64(m.WarmP50.Microseconds()) / 1000,
+			WarmSpeedup:     m.Cold.Seconds() / m.WarmP50.Seconds(),
+			WarmHitRate:     m.WarmHit,
+			EvaluateP50MS:   float64(m.EvalP50.Microseconds()) / 1000,
+			EvaluateP99MS:   float64(m.EvalP99.Microseconds()) / 1000,
+			EvaluateRPS:     m.EvalRPS,
+			AttackRPS:       m.AttackRPS,
+			AllocsPerSolve:  measureEvaluateAllocs(t, name, 32),
+			AllocsPerNode:   perNodeAllocs(t, name, 40),
+			HeapLiveBytes:   m.HeapLive,
+		})
+	}
+	out, err := json.MarshalIndent(map[string]any{
+		"note":    "attack-as-a-service latency and allocation baseline (budgeted case118 attack cold vs warm-cache repeats, p50 of 5 repeats, a 4×2 closed-loop concurrent attack burst, a 64-request evaluate burst on the warm topology, allocs per warm workspace-backed evaluate, and marginal allocs per branch-and-bound node); wall numbers machine-dependent, allocation counts are not; regenerate with BENCH_SERVE=1 go test -run TestRecordServeBaseline ./internal/core",
+		"cpus":    runtime.GOMAXPROCS(0),
+		"records": records,
+	}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(serveBaselinePath, append(out, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fmt.Println(string(out))
 }

@@ -62,7 +62,7 @@ func precompute(k *Knowledge, o Options) *precomp {
 		monitored: initialMonitoredSet(k, o),
 	}
 	p.rows = buildRows(len(k.Model.Net.Gens), p.monitored)
-	if !o.NoWarmStart && len(p.dlrOrder) > 0 {
+	if !o.noWarmStart && len(p.dlrOrder) > 0 {
 		p.rootBasis, p.rootIters = rootFeasibleBasis(k, o, p)
 	}
 	return p
@@ -83,8 +83,7 @@ func rootFeasibleBasis(k *Knowledge, o Options, pre *precomp) (*lp.Basis, int) {
 		return nil, 0
 	}
 	sol, err := lp.SolveWith(base, lp.Options{
-		DenseSolver:  o.DenseSolver,
-		ForceSparse:  o.ForceSparse,
+		Engine:       o.engine,
 		CaptureBasis: true,
 		Metrics:      o.Metrics,
 		Ctx:          o.Ctx,
@@ -649,9 +648,9 @@ func (s *subproblem) solveOnce(o Options, incumbent *float64, bound milp.BoundSo
 	}
 	s.solvedBase = prob.Base
 	var warmRoot *lp.Basis
-	if prev != nil && !o.NoWarmStart {
+	if prev != nil && !o.noWarmStart {
 		warmRoot = prev.remapRootBasis(s, prob.Base)
-	} else if s.warmSeed != nil && !o.NoWarmStart {
+	} else if s.warmSeed != nil && !o.noWarmStart {
 		warmRoot = s.warmSeed
 	}
 	sol, err := milp.SolveWith(prob, milp.Options{
@@ -661,8 +660,8 @@ func (s *subproblem) solveOnce(o Options, incumbent *float64, bound milp.BoundSo
 		Gap:              o.RelGap,
 		Heuristic:        s.heuristic,
 		WarmBasis:        warmRoot,
-		DisableWarmStart: o.NoWarmStart,
-		LP:               lp.Options{DenseSolver: o.DenseSolver, ForceSparse: o.ForceSparse, Workspace: o.ws},
+		DisableWarmStart: o.noWarmStart,
+		LP:               lp.Options{Engine: o.engine, Workspace: o.ws},
 		Ctx:              o.Ctx,
 		Metrics:          s.metrics,
 		Span:             s.span,
@@ -801,7 +800,7 @@ func solveSubproblemSeeded(k *Knowledge, target int, dir int, o Options, inc *in
 			return nil, nil, fmt.Errorf("core: subproblem line %d dir %+d aborted: %w", target, dir, err)
 		}
 	}
-	if !o.NoDive {
+	if !o.noDive {
 		diveSP := newSubproblem(k, target, float64(dir), monitored, o, pre)
 		diveGain, diveDLR, diveRes, haveDive = diveSP.dive()
 	}
@@ -947,7 +946,7 @@ func solveSubproblemSeeded(k *Knowledge, target int, dir int, o Options, inc *in
 		sp := newSubproblem(k, target, float64(dir), monitored, o, pre)
 		sp.span = span
 		sp.round = rounds
-		if round == 0 && !o.NoWarmStart {
+		if round == 0 && !o.noWarmStart {
 			if o.Warm != nil {
 				sp.warmSeed = o.Warm.lookup(target, dir, sp)
 			}
@@ -964,7 +963,7 @@ func solveSubproblemSeeded(k *Knowledge, target int, dir int, o Options, inc *in
 			hadSeed = true
 		}
 		res, err := sp.solveOnce(o, seed, sb, prevRound)
-		if round == 0 && o.Warm != nil && !o.NoWarmStart {
+		if round == 0 && o.Warm != nil && !o.noWarmStart {
 			o.Warm.store(target, dir, sp)
 		}
 		totalNodes += sp.solvedNodes
@@ -1072,7 +1071,7 @@ func solveSubproblemSeeded(k *Knowledge, target int, dir int, o Options, inc *in
 			// models attacks whose binding lines are monitored; the polish
 			// explores the quantized rating band directly and routinely
 			// recovers gains the KKT encoding cannot certify.
-			if !o.NoDive {
+			if !o.noDive {
 				if pg, pdlr, pres, ok := sp.polish(res.dlr, false); ok && pg > res.gain+gainQuantum/2 {
 					res.gain = pg
 					res.dlr = pdlr

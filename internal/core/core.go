@@ -333,30 +333,6 @@ type Options struct {
 	// milp package's 1e-9); larger values (e.g. 1e-4) speed up large
 	// cases at a bounded optimality sacrifice.
 	RelGap float64
-	// NoWarmStart disables simplex basis reuse across branch-and-bound
-	// nodes and row-generation rounds, cold-solving every LP relaxation.
-	// Results are certified-identical either way; this exists for A/B
-	// measurement and as an escape hatch.
-	NoWarmStart bool
-	// NoDive disables the deterministic discovery layer around the KKT
-	// search: the per-subproblem dives (coordinate-ascent attacks polished
-	// on the true ED before branch-and-bound), the converged-attack polish,
-	// and the winner's rich refinement. Attacks then come from the reduced
-	// search alone — machinery gates and search benchmarks use this to
-	// exercise branch-and-bound directly; production runs leave it off.
-	NoDive bool
-	// DenseSolver forces every LP relaxation onto the dense tableau engine
-	// instead of letting the solver pick the sparse revised simplex by
-	// problem size and density. Verdicts are certified either way; this
-	// exists for A/B measurement against recorded dense baselines and as an
-	// escape hatch.
-	DenseSolver bool
-	// ForceSparse forces every LP relaxation onto the sparse revised
-	// simplex even below the size cutover where the selection heuristic
-	// prefers the dense tableau. Ignored when DenseSolver is set. Like
-	// DenseSolver, this is an A/B hook: the engine gates compare the two
-	// engines' attacks on cases small enough to route dense by default.
-	ForceSparse bool
 	// Workers is the number of goroutines solving bilevel subproblems
 	// concurrently (0 = one per CPU core, 1 = sequential). The attack
 	// returned is identical for every worker count when subproblems solve
@@ -392,17 +368,30 @@ type Options struct {
 	// Warm, when non-nil, carries round-1 root-relaxation bases across
 	// runs on the same grid (see WarmCache). Results are bit-identical
 	// with or without it — the warm path certifies or falls back cold —
-	// so it is purely a latency lever for repeat attacks. Ignored under
-	// NoWarmStart.
+	// so it is purely a latency lever for repeat attacks.
 	Warm *WarmCache
 	// ws is the borrowed workspace for this task's inner-MILP LP relaxations,
 	// set per fan-out task by checkoutWorkspaces (never by callers). The
 	// dispatch model carries its own workspace separately.
 	ws *lp.Workspace
+	// The remaining fields are A/B switches set only by the gates, through
+	// export_test.go; the zero values are the production path.
+	//
 	// monitorAll includes every rated line's constraints in the inner
 	// problem up front instead of growing the set by row generation: the
-	// exact reference row generation is tested against (export_test.go).
+	// exact reference row generation is tested against.
 	monitorAll bool
+	// noWarmStart cold-solves every LP relaxation: no basis reuse across
+	// branch-and-bound nodes, row-generation rounds, or runs (Warm is
+	// ignored). Attacks are certified-identical either way.
+	noWarmStart bool
+	// noDive turns off the discovery layer around the KKT search: the
+	// per-subproblem dives, the converged-attack polish, and the winner's
+	// rich refinement, so attacks come from branch-and-bound alone.
+	noDive bool
+	// engine pins the LP relaxations' simplex engine (default: chosen by
+	// problem size and density).
+	engine lp.Engine
 }
 
 // bigM is the big-M constant of MethodBigM, mirroring the paper's "M is

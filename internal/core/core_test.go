@@ -255,9 +255,9 @@ func TestBigMMatchesComplementarity(t *testing.T) {
 func TestNodeRelaxationErrorDropsNode(t *testing.T) {
 	k := knowledgeFor(t, cases.Case57)
 	reg := telemetry.NewRegistry()
-	att, err := core.FindOptimalAttack(k, core.Options{
-		Method: core.MethodBigM, NoWarmStart: true, MaxNodes: 60, Workers: 1, Metrics: reg,
-	})
+	att, err := core.FindOptimalAttack(k, core.WithColdLP(core.Options{
+		Method: core.MethodBigM, MaxNodes: 60, Workers: 1, Metrics: reg,
+	}))
 	if err != nil {
 		t.Fatalf("a failed node relaxation aborted the attack: %v", err)
 	}

@@ -1,10 +1,11 @@
-package edattack_test
+package core_test
 
 import (
 	"testing"
 	"time"
 
-	edattack "github.com/edsec/edattack"
+	"github.com/edsec/edattack/internal/core"
+	"github.com/edsec/edattack/internal/gatetest"
 	"github.com/edsec/edattack/internal/telemetry"
 )
 
@@ -19,19 +20,19 @@ func TestFlightGateIdenticalAttacks(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			k := knowledgeCase(t, name)
-			solve := func(fl *edattack.FlightRecorder) *edattack.Attack {
+			k := caseKnowledge(t, name)
+			solve := func(fl *telemetry.Flight) *core.Attack {
 				o := sparseGateOpts()
 				o.Workers = 1
 				o.Flight = fl
-				att, err := edattack.FindOptimalAttack(k, o)
+				att, err := core.FindOptimalAttack(k, o)
 				if err != nil {
 					t.Fatalf("flight=%v: %v", fl != nil, err)
 				}
 				return att
 			}
 			off := solve(nil)
-			fl := edattack.NewFlightRecorder(0)
+			fl := telemetry.NewFlight(0)
 			on := solve(fl)
 			sameAttack(t, name+"/flight on-vs-off", off, on)
 			if off.Stats.SimplexIterations != on.Stats.SimplexIterations ||
@@ -79,13 +80,13 @@ func TestFlightGateCase118Overhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("case118 gate skipped in -short mode")
 	}
-	k := knowledgeCase(t, "case118")
-	run := func(fl *edattack.FlightRecorder) (*edattack.Attack, time.Duration) {
+	k := caseKnowledge(t, "case118")
+	run := func(fl *telemetry.Flight) (*core.Attack, time.Duration) {
 		o := sparseGateOpts()
 		o.Workers = 1
 		o.Flight = fl
 		start := time.Now()
-		att, err := edattack.FindOptimalAttack(k, o)
+		att, err := core.FindOptimalAttack(k, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +95,7 @@ func TestFlightGateCase118Overhead(t *testing.T) {
 	// Warm the caches once so the off/on comparison is not first-run-biased.
 	run(nil)
 	off, wallOff := run(nil)
-	fl := edattack.NewFlightRecorder(0)
+	fl := telemetry.NewFlight(0)
 	on, wallOn := run(fl)
 
 	sameAttack(t, "case118/flight on-vs-off", off, on)
@@ -103,7 +104,7 @@ func TestFlightGateCase118Overhead(t *testing.T) {
 			off.Stats.SimplexIterations, on.Stats.SimplexIterations)
 	}
 	overhead := float64(wallOn-wallOff) / float64(wallOff) * 100
-	if !raceDetectorEnabled && float64(wallOn) > 1.5*float64(wallOff) {
+	if !gatetest.RaceEnabled && float64(wallOn) > 1.5*float64(wallOff) {
 		t.Errorf("recorder overhead %.1f%% exceeds the 50%% backstop (off %v, on %v)",
 			overhead, wallOff, wallOn)
 	}

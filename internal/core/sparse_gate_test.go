@@ -1,22 +1,24 @@
-package edattack_test
+package core_test
 
 import (
 	"testing"
 	"time"
 
-	edattack "github.com/edsec/edattack"
+	"github.com/edsec/edattack/internal/core"
+	"github.com/edsec/edattack/internal/gatetest"
+	"github.com/edsec/edattack/internal/lp"
 	"github.com/edsec/edattack/internal/telemetry"
 )
 
 // sparseGateOpts mirrors warmGateOpts' budgets but leaves engine selection
 // to the default heuristic: the case118 KKT relaxations (~180 rows) land on
 // the sparse revised simplex, while the tiny case9/30/57 systems (≲40 rows)
-// stay on the dense tableau, which is faster at that size. NoDive keeps the
-// A/B on the engines' KKT searches (the dive/polish layer would add
+// stay on the dense tableau, which is faster at that size. The dive is off
+// to keep the A/B on the engines' KKT searches (the dive/polish layer would add
 // identical dispatch work to both sides and swamp the wall comparison). Run
 // via make bench-sparse (part of make check).
-func sparseGateOpts() edattack.AttackOptions {
-	return edattack.AttackOptions{MaxNodes: 40, RelGap: 1e-3, NoDive: true}
+func sparseGateOpts() core.Options {
+	return core.WithoutDive(core.Options{MaxNodes: 40, RelGap: 1e-3})
 }
 
 // TestSparseGateIdenticalAttacks is the sparse-engine correctness gate on
@@ -25,19 +27,21 @@ func sparseGateOpts() edattack.AttackOptions {
 // are solved by the sparse revised simplex or the dense tableau oracle, and
 // the sparse engine must preserve worker-count independence (one worker vs
 // four). These cases route dense under the default heuristic, so the sparse
-// side is pinned with ForceSparse to keep the comparison a real A/B.
+// side is pinned to the sparse engine to keep the comparison a real A/B.
 func TestSparseGateIdenticalAttacks(t *testing.T) {
 	for _, name := range []string{"case9", "case30", "case57"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			k := knowledgeCase(t, name)
-			solve := func(dense bool, workers int) *edattack.Attack {
-				o := sparseGateOpts()
-				o.DenseSolver = dense
-				o.ForceSparse = !dense
+			k := caseKnowledge(t, name)
+			solve := func(dense bool, workers int) *core.Attack {
+				eng := lp.EngineSparse
+				if dense {
+					eng = lp.EngineDense
+				}
+				o := core.WithLPEngine(sparseGateOpts(), eng)
 				o.Workers = workers
-				att, err := edattack.FindOptimalAttack(k, o)
+				att, err := core.FindOptimalAttack(k, o)
 				if err != nil {
 					t.Fatalf("dense=%v workers=%d: %v", dense, workers, err)
 				}
@@ -66,12 +70,12 @@ func TestSparseGateEngineSelection(t *testing.T) {
 		name, wantSparse := name, wantSparse
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			k := knowledgeCase(t, name)
+			k := caseKnowledge(t, name)
 			reg := telemetry.NewRegistry()
 			o := sparseGateOpts()
 			o.Workers = 1
 			o.Metrics = reg
-			if _, err := edattack.FindOptimalAttack(k, o); err != nil {
+			if _, err := core.FindOptimalAttack(k, o); err != nil {
 				t.Fatal(err)
 			}
 			sparse := reg.Counter("lp_sparse_solves_total").Value()
@@ -100,8 +104,9 @@ func TestSparseGateEngineSelection(t *testing.T) {
 //   - match the recorded sparse iteration count and FTRAN/BTRAN/
 //     refactorization work exactly (the deterministic Workers=1 schedule) —
 //     so BENCH_solver.json stays honest;
-//   - finish, at reference speed (see speedRef), under the recorded dense
-//     sequential wall time, with the recorded speedup itself at least 1.5×.
+//   - finish, at reference speed (see gatetest.SpeedRef), under the
+//     recorded dense sequential wall time, with the recorded speedup itself
+//     at least 1.5×.
 func TestSparseGateCase118(t *testing.T) {
 	if testing.Short() {
 		t.Skip("case118 gate skipped in -short mode")
@@ -114,24 +119,24 @@ func TestSparseGateCase118(t *testing.T) {
 	if !ok {
 		t.Fatal("BENCH_solver.json has no case118 record")
 	}
-	k := knowledgeCase(t, "case118")
+	k := caseKnowledge(t, "case118")
 	reg := telemetry.NewRegistry()
 	o := sparseGateOpts()
 	o.Workers = 1
 	o.Metrics = reg
-	var att *edattack.Attack
+	var att *core.Attack
 	var wall time.Duration
-	speed := newSpeedRef().around(func() {
+	speed := gatetest.NewSpeedRef().Around(func() {
 		start := time.Now()
 		var err error
-		att, err = edattack.FindOptimalAttack(k, o)
+		att, err = core.FindOptimalAttack(k, o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wall = time.Since(start)
 	})
 	wallMs := float64(wall.Microseconds()) / 1000
-	refMs := wallMs * speed // the live wall at reference speed (see speedRef)
+	refMs := wallMs * speed // the live wall at reference speed (see gatetest.SpeedRef)
 	if att.Stats == nil {
 		t.Fatal("attack carries no SolverStats")
 	}
@@ -142,7 +147,7 @@ func TestSparseGateCase118(t *testing.T) {
 		t.Errorf("gain %.17g differs from recorded sparse gain %.17g", att.GainPct, rec.SparseGainPct)
 	}
 	if att.Stats.SimplexIterations != rec.SparseSimplexIterations {
-		t.Errorf("simplex iterations %d differ from recorded %d — rerun BENCH_SOLVER=1 go test -run TestRecordSolverBaseline",
+		t.Errorf("simplex iterations %d differ from recorded %d — rerun BENCH_SOLVER=1 go test -run TestRecordSolverBaseline ./internal/core",
 			att.Stats.SimplexIterations, rec.SparseSimplexIterations)
 	}
 	for _, c := range []struct {
@@ -154,7 +159,7 @@ func TestSparseGateCase118(t *testing.T) {
 		{"lp_refactorizations_total", rec.RefactorizationsTotal},
 	} {
 		if got := reg.Counter(c.name).Value(); got != c.want {
-			t.Errorf("%s = %d differs from recorded %d — rerun BENCH_SOLVER=1 go test -run TestRecordSolverBaseline",
+			t.Errorf("%s = %d differs from recorded %d — rerun BENCH_SOLVER=1 go test -run TestRecordSolverBaseline ./internal/core",
 				c.name, got, c.want)
 		}
 	}
@@ -171,7 +176,7 @@ func TestSparseGateCase118(t *testing.T) {
 	// on the recorded numbers, where both walls come from one recording
 	// run on one machine. Skipped under the race detector, whose
 	// instrumentation slowdown swamps the engine difference.
-	if !raceDetectorEnabled && rec.WallMsSequential > 0 && refMs > rec.WallMsSequential {
+	if !gatetest.RaceEnabled && rec.WallMsSequential > 0 && refMs > rec.WallMsSequential {
 		t.Errorf("sparse wall %.0fms (%.0fms at reference speed) did not beat the recorded dense sequential wall %.0fms",
 			wallMs, refMs, rec.WallMsSequential)
 	}
@@ -180,7 +185,7 @@ func TestSparseGateCase118(t *testing.T) {
 	// engines are compared on raw KKT pivoting alone and the honest gap on
 	// this machine is ~1.6×.
 	if rec.SparseSpeedup < 1.5 {
-		t.Errorf("recorded sparse speedup %.2f× < 1.5× over the dense baseline — rerun BENCH_SOLVER=1 go test -run TestRecordSolverBaseline",
+		t.Errorf("recorded sparse speedup %.2f× < 1.5× over the dense baseline — rerun BENCH_SOLVER=1 go test -run TestRecordSolverBaseline ./internal/core",
 			rec.SparseSpeedup)
 	}
 	t.Logf("case118 budgeted sparse: %d iterations, %d FTRAN, %d BTRAN, %d refactorizations, gain %.6f%%, %.0fms live, %.0fms at reference speed (recorded %.2f× vs dense)",

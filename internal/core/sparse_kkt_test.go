@@ -77,8 +77,8 @@ func TestSparseVsDenseRealKKT(t *testing.T) {
 						t.Fatalf("target %d dir %+d: build: %v", target, int(dir), err)
 					}
 					base := mp.Base
-					dense, derr := lp.SolveWith(base, lp.Options{DenseSolver: true, CaptureBasis: true})
-					sparse, serr := lp.SolveWith(base, lp.Options{ForceSparse: true, CaptureBasis: true})
+					dense, derr := lp.SolveWith(base, lp.Options{Engine: lp.EngineDense, CaptureBasis: true})
+					sparse, serr := lp.SolveWith(base, lp.Options{Engine: lp.EngineSparse, CaptureBasis: true})
 					if (derr == nil) != (serr == nil) {
 						t.Fatalf("target %d dir %+d: dense err %v vs sparse err %v", target, int(dir), derr, serr)
 					}
@@ -96,11 +96,11 @@ func TestSparseVsDenseRealKKT(t *testing.T) {
 						t.Fatalf("target %d dir %+d: objective gap %g (dense %.15g sparse %.15g)",
 							target, int(dir), d, dense.Objective, sparse.Objective)
 					}
-					dw, err := lp.SolveWith(base, lp.Options{DenseSolver: true, WarmBasis: dense.Basis})
+					dw, err := lp.SolveWith(base, lp.Options{Engine: lp.EngineDense, WarmBasis: dense.Basis})
 					if err != nil {
 						t.Fatalf("target %d dir %+d: dense warm: %v", target, int(dir), err)
 					}
-					sw, err := lp.SolveWith(base, lp.Options{ForceSparse: true, WarmBasis: dense.Basis})
+					sw, err := lp.SolveWith(base, lp.Options{Engine: lp.EngineSparse, WarmBasis: dense.Basis})
 					if err != nil {
 						t.Fatalf("target %d dir %+d: sparse warm: %v", target, int(dir), err)
 					}

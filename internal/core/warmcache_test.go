@@ -47,14 +47,14 @@ func TestWarmCacheBitIdentical(t *testing.T) {
 	}
 }
 
-// TestWarmCacheIgnoredUnderNoWarmStart: NoWarmStart must keep the cache
-// untouched — no stores, no lookups.
+// TestWarmCacheIgnoredUnderNoWarmStart: a cold-LP run (WithColdLP) must
+// keep the cache untouched — no stores, no lookups.
 func TestWarmCacheIgnoredUnderNoWarmStart(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	warm := core.NewWarmCache()
 	warm.Metrics = reg
 	k := knowledgeFor(t, cases.Case9)
-	if _, err := core.FindOptimalAttack(k, core.Options{Workers: 1, Warm: warm, NoWarmStart: true}); err != nil {
+	if _, err := core.FindOptimalAttack(k, core.WithColdLP(core.Options{Workers: 1, Warm: warm})); err != nil {
 		t.Fatal(err)
 	}
 	if warm.Len() != 0 {

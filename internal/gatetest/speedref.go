@@ -1,4 +1,8 @@
-package edattack_test
+// Package gatetest holds what the regression gates of the root package and
+// of internal/core share: the machine-speed reference, the race-detector
+// flag, and the serving-layer baseline and its measurement. Only _test.go
+// files import it.
+package gatetest
 
 import (
 	"math"
@@ -7,13 +11,13 @@ import (
 	"time"
 )
 
-// speedRef is a machine-speed reference timed beside a measured run, as the
+// SpeedRef is a machine-speed reference timed beside a measured run, as the
 // benchmark in bench/ times its own: a sort of 20,000 floats and an LU
 // factorization of a dense 120×120 matrix, whose times on a calm 2-vCPU
 // Xeon VM are speedRefSortMS and speedRefLUMS. A shared VM drifts in speed
 // by tens of percent within seconds, and a computation timed right beside
 // the run drifts with it, so wall gates compare walls at reference speed.
-type speedRef struct {
+type SpeedRef struct {
 	src, buf []float64 // sort input and its working copy
 	lu, a    []float64 // LU input and its working copy
 }
@@ -24,11 +28,11 @@ const (
 	speedRefLUMS   = 0.35 // nominal LU time
 )
 
-// newSpeedRef builds the kernels' inputs and runs each once to warm their
+// NewSpeedRef builds the kernels' inputs and runs each once to warm their
 // caches and pages.
-func newSpeedRef() *speedRef {
+func NewSpeedRef() *SpeedRef {
 	rng := rand.New(rand.NewSource(1))
-	r := &speedRef{
+	r := &SpeedRef{
 		src: make([]float64, 20000), buf: make([]float64, 20000),
 		lu: make([]float64, speedRefN*speedRefN), a: make([]float64, speedRefN*speedRefN),
 	}
@@ -46,7 +50,7 @@ func newSpeedRef() *speedRef {
 }
 
 // times runs each kernel once and returns their times in milliseconds.
-func (r *speedRef) times() (sortMS, luMS float64) {
+func (r *SpeedRef) times() (sortMS, luMS float64) {
 	start := time.Now()
 	copy(r.buf, r.src)
 	sort.Float64s(r.buf)
@@ -66,11 +70,11 @@ func (r *speedRef) times() (sortMS, luMS float64) {
 	return sortMS, luMS
 }
 
-// around runs fn between two timings of the kernels and returns the
+// Around runs fn between two timings of the kernels and returns the
 // machine's speed around it: the geometric mean of nominal over measured
 // kernel times, below 1 in a slow spell. A wall times the speed is the wall
 // at reference speed; a rate divided by it is the rate at reference speed.
-func (r *speedRef) around(fn func()) float64 {
+func (r *SpeedRef) Around(fn func()) float64 {
 	s0, l0 := r.times()
 	fn()
 	s1, l1 := r.times()

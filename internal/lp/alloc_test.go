@@ -45,7 +45,7 @@ func allocLP(t *testing.T) *Problem {
 func TestFTRANBTRANZeroAlloc(t *testing.T) {
 	p := allocLP(t)
 	ws := NewWorkspace()
-	sol, err := SolveWith(p, Options{ForceSparse: true, Workspace: ws})
+	sol, err := SolveWith(p, Options{Engine: EngineSparse, Workspace: ws})
 	if err != nil || sol.Status != Optimal {
 		t.Fatalf("seed solve: %v (status %v)", err, sol.Status)
 	}
@@ -75,12 +75,12 @@ func TestFTRANBTRANZeroAlloc(t *testing.T) {
 func TestWarmResolveZeroAlloc(t *testing.T) {
 	p := allocLP(t)
 	ws := NewWorkspace()
-	sol, err := SolveWith(p, Options{ForceSparse: true, CaptureBasis: true, Workspace: ws})
+	sol, err := SolveWith(p, Options{Engine: EngineSparse, CaptureBasis: true, Workspace: ws})
 	if err != nil || sol.Status != Optimal || sol.Basis == nil {
 		t.Fatalf("seed solve: %v (status %v)", err, sol.Status)
 	}
 	basis := sol.Basis
-	warm := Options{ForceSparse: true, WarmBasis: basis, Workspace: ws}
+	warm := Options{Engine: EngineSparse, WarmBasis: basis, Workspace: ws}
 	// Warm-up passes grow every workspace buffer to its steady-state size.
 	for i := 0; i < 3; i++ {
 		if _, err := SolveWith(p, warm); err != nil {
@@ -102,8 +102,8 @@ func TestWarmResolveZeroAlloc(t *testing.T) {
 
 	// An infeasible node: the warm verdict, its Farkas check and the
 	// returned Solution all live in the workspace.
-	ip, ibasis := branchedInfeasible(t, Options{ForceSparse: true})
-	iwarm := Options{ForceSparse: true, WarmBasis: ibasis, Workspace: ws}
+	ip, ibasis := branchedInfeasible(t, Options{Engine: EngineSparse})
+	iwarm := Options{Engine: EngineSparse, WarmBasis: ibasis, Workspace: ws}
 	for i := 0; i < 3; i++ {
 		if _, err := SolveWith(ip, iwarm); err != nil {
 			t.Fatal(err)

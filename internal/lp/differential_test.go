@@ -7,7 +7,7 @@ import (
 )
 
 // randomSparseLP builds a larger anchored LP with sparse rows. The engines
-// under test are forced explicitly (DenseSolver / ForceSparse), so the size
+// under test are forced explicitly (Options.Engine), so the size
 // is fixed rather than tied to the selection cutover: 8–27 rows keeps 250
 // trials fast and the cross-engine float drift within the 1e-9 oracle
 // tolerance, which larger systems would not.
@@ -71,8 +71,8 @@ func TestDifferentialSparseVsDense(t *testing.T) {
 	optimal, warmAgree := 0, 0
 	for trial := 0; trial < 250; trial++ {
 		p := randomSparseLP(r)
-		dense, derr := SolveWith(p, Options{DenseSolver: true, CaptureBasis: true})
-		sparse, serr := SolveWith(p, Options{ForceSparse: true, CaptureBasis: true})
+		dense, derr := SolveWith(p, Options{Engine: EngineDense, CaptureBasis: true})
+		sparse, serr := SolveWith(p, Options{Engine: EngineSparse, CaptureBasis: true})
 		if (derr == nil) != (serr == nil) {
 			t.Fatalf("trial %d: dense err %v vs sparse err %v", trial, derr, serr)
 		}
@@ -93,11 +93,11 @@ func TestDifferentialSparseVsDense(t *testing.T) {
 		// Warm verdicts: re-solving with the dense-captured basis must be
 		// accepted or rejected identically by both engines, and either way
 		// reproduce the optimum.
-		dw, err := SolveWith(p, Options{DenseSolver: true, WarmBasis: dense.Basis})
+		dw, err := SolveWith(p, Options{Engine: EngineDense, WarmBasis: dense.Basis})
 		if err != nil {
 			t.Fatalf("trial %d: dense warm resolve: %v", trial, err)
 		}
-		sw, err := SolveWith(p, Options{ForceSparse: true, WarmBasis: dense.Basis})
+		sw, err := SolveWith(p, Options{Engine: EngineSparse, WarmBasis: dense.Basis})
 		if err != nil {
 			t.Fatalf("trial %d: sparse warm resolve: %v", trial, err)
 		}
@@ -154,9 +154,9 @@ func TestDifferentialDegenerate(t *testing.T) {
 		return p
 	}
 	p1 := build()
-	dense, derr := SolveWith(p1, Options{DenseSolver: true})
+	dense, derr := SolveWith(p1, Options{Engine: EngineDense})
 	p2 := build()
-	sparse, serr := SolveWith(p2, Options{ForceSparse: true})
+	sparse, serr := SolveWith(p2, Options{Engine: EngineSparse})
 	if (derr == nil) != (serr == nil) {
 		t.Fatalf("dense err %v vs sparse err %v", derr, serr)
 	}
@@ -170,10 +170,10 @@ func TestDifferentialDegenerate(t *testing.T) {
 	// Infeasible system: both engines must prove it.
 	p3 := build()
 	_, _ = p3.AddSparseConstraint([]int{0, 1}, []float64{1, 1}, GE, 100)
-	id, ierr := SolveWith(p3, Options{DenseSolver: true})
+	id, ierr := SolveWith(p3, Options{Engine: EngineDense})
 	p4 := build()
 	_, _ = p4.AddSparseConstraint([]int{0, 1}, []float64{1, 1}, GE, 100)
-	is, serr2 := SolveWith(p4, Options{ForceSparse: true})
+	is, serr2 := SolveWith(p4, Options{Engine: EngineSparse})
 	if ierr != nil || serr2 != nil {
 		t.Fatalf("unexpected errors: %v / %v", ierr, serr2)
 	}

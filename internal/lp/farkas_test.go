@@ -49,7 +49,7 @@ func branchedInfeasible(t *testing.T, opts Options) (*Problem, *Basis) {
 }
 
 func TestFarkasCertifiedByHand(t *testing.T) {
-	p, _ := branchedInfeasible(t, Options{DenseSolver: true})
+	p, _ := branchedInfeasible(t, Options{Engine: EngineDense})
 	g := make([]float64, 3)
 	for _, c := range []struct {
 		y    []float64
@@ -93,8 +93,8 @@ func TestFarkasRejectsCorruptedRay(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"dense", Options{DenseSolver: true}},
-		{"sparse", Options{ForceSparse: true}},
+		{"dense", Options{Engine: EngineDense}},
+		{"sparse", Options{Engine: EngineSparse}},
 	} {
 		for _, c := range []struct {
 			name    string

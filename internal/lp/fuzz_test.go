@@ -57,8 +57,8 @@ func FuzzEngines(f *testing.F) {
 			name string
 			opts Options
 		}{
-			{"dense", Options{DenseSolver: true, CaptureBasis: true}},
-			{"sparse", Options{ForceSparse: true, CaptureBasis: true}},
+			{"dense", Options{Engine: EngineDense, CaptureBasis: true}},
+			{"sparse", Options{Engine: EngineSparse, CaptureBasis: true}},
 		}
 		var fresh [2]engineRun
 		var certified [2]*Workspace
@@ -131,7 +131,7 @@ func FuzzEngines(f *testing.F) {
 			tighten(p, r, r.Intn(p.NumVars()))
 		}
 		for k, eng := range engines {
-			cold := runEngine(p, Options{DenseSolver: eng.opts.DenseSolver, ForceSparse: eng.opts.ForceSparse})
+			cold := runEngine(p, Options{Engine: eng.opts.Engine})
 			warmOpts := eng.opts
 			warmOpts.WarmBasis, warmOpts.Workspace = fresh[k].basis, certified[k]
 			warm := runEngine(p, warmOpts)

@@ -13,8 +13,8 @@
 // power networks, whose rows are overwhelmingly zero. The dense
 // bounded-variable tableau simplex (two-phase, Dantzig pricing with a
 // Bland's-rule fallback) remains both the engine for small or dense problems
-// and the differential-testing oracle for the sparse path; Options.DenseSolver
-// forces it. Both engines support warm starts from a Basis snapshot.
+// and the differential-testing oracle for the sparse path; Options.Engine
+// forces either. Both engines support warm starts from a Basis snapshot.
 package lp
 
 import (
@@ -401,14 +401,9 @@ type Options struct {
 	// rebuilding. Callers ending a capture-enabled sequence on a workspace
 	// they keep should call Workspace.Reset.
 	CaptureBasis bool
-	// DenseSolver forces the dense tableau engine, overriding both the
-	// selection heuristic and ForceSparse. The dense engine is the
-	// differential-testing oracle for the sparse one.
-	DenseSolver bool
-	// ForceSparse forces the sparse revised simplex engine even on problems
-	// the heuristic would route to the dense tableau (small or dense
-	// constraint matrices).
-	ForceSparse bool
+	// Engine picks the simplex engine; the zero value lets the size and
+	// density heuristic choose.
+	Engine Engine
 	// Span, when non-nil, parents an "lp.solve" trace span per solve,
 	// carrying the engine choice (sparse=true/false), status, and pivot
 	// count. A nil Span emits nothing.
@@ -464,12 +459,27 @@ const (
 	sparseMaxDensity = 0.3
 )
 
+// Engine selects the simplex engine a solve runs on.
+type Engine uint8
+
+const (
+	// EngineAuto routes large sparse problems to the revised simplex and
+	// the rest to the dense tableau (see sparseMinRows).
+	EngineAuto Engine = iota
+	// EngineDense forces the dense tableau, the differential-testing
+	// oracle for the sparse engine.
+	EngineDense
+	// EngineSparse forces the sparse revised simplex even on problems the
+	// heuristic would route to the dense tableau.
+	EngineSparse
+)
+
 // useSparseEngine decides which engine a solve runs on.
 func useSparseEngine(p *Problem, opts Options) bool {
-	if opts.DenseSolver {
+	switch opts.Engine {
+	case EngineDense:
 		return false
-	}
-	if opts.ForceSparse {
+	case EngineSparse:
 		return true
 	}
 	return len(p.rows) >= sparseMinRows && p.Density() <= sparseMaxDensity

@@ -351,10 +351,10 @@ func TestRejectsNonFiniteInput(t *testing.T) {
 			if _, err := p.AddConstraint([]float64{1, 2}, LE, 4); err != nil {
 				t.Fatal(err)
 			}
-			for _, dense := range []bool{true, false} {
-				sol, err := SolveWith(p, Options{DenseSolver: dense, ForceSparse: !dense})
+			for _, eng := range []Engine{EngineDense, EngineSparse} {
+				sol, err := SolveWith(p, Options{Engine: eng})
 				if err != nil || sol.Status != Optimal || math.Abs(sol.Objective-4) > tol {
-					t.Fatalf("dense=%v: base problem after rejected edit: %+v, %v", dense, sol, err)
+					t.Fatalf("engine=%v: base problem after rejected edit: %+v, %v", eng, sol, err)
 				}
 			}
 		})

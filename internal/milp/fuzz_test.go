@@ -161,8 +161,8 @@ func FuzzMILP(f *testing.F) {
 			name string
 			lp   lp.Options
 		}{
-			{"dense", lp.Options{DenseSolver: true}},
-			{"sparse", lp.Options{ForceSparse: true}},
+			{"dense", lp.Options{Engine: lp.EngineDense}},
+			{"sparse", lp.Options{Engine: lp.EngineSparse}},
 		} {
 			sol, err := SolveWith(pm.problem(t), Options{LP: eng.lp})
 			if err != nil {

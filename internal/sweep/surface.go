@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/edsec/edattack/internal/scada"
-	"github.com/edsec/edattack/internal/telemetry"
 )
 
 // DispatchFn maps an operating point the operator believes in — a demand
@@ -43,13 +42,8 @@ type SurfaceConfig struct {
 	// which keeps the runner self-contained for tests; the CLI wires in
 	// the real economic-dispatch model.
 	Dispatch DispatchFn
-	// BatchSize, Workers, Sequential, Metrics, and Flight forward to
-	// Eval via Options.
-	BatchSize  int
-	Workers    int
-	Sequential bool
-	Metrics    *telemetry.Registry
-	Flight     *telemetry.Flight
+	// Eval tunes the batched evaluation of the surface's scenarios.
+	Eval Options
 }
 
 // SurfaceCell aggregates one (hour, magnitude) cell of the surface.
@@ -197,16 +191,8 @@ func RunSurface(pc *Precomp, cfg SurfaceConfig) (*Surface, error) {
 	if err != nil {
 		return nil, err
 	}
-	draws := cfg.Draws
-	if draws <= 0 {
-		draws = 64
-	}
-
 	start := time.Now()
-	outcomes, err := Eval(pc, scenarios, Options{
-		BatchSize: cfg.BatchSize, Workers: cfg.Workers,
-		Sequential: cfg.Sequential, Metrics: cfg.Metrics, Flight: cfg.Flight,
-	})
+	outcomes, err := Eval(pc, scenarios, cfg.Eval)
 	if err != nil {
 		return nil, err
 	}
@@ -215,8 +201,8 @@ func RunSurface(pc *Precomp, cfg SurfaceConfig) (*Surface, error) {
 	for ci := range cells {
 		c := &cells[ci]
 		var cost float64
-		for d := 0; d < draws; d++ {
-			out := &outcomes[ci*draws+d]
+		for d := 0; d < c.Draws; d++ {
+			out := &outcomes[ci*c.Draws+d]
 			if out.Dangerous {
 				c.Dangerous++
 			}
@@ -228,8 +214,8 @@ func RunSurface(pc *Precomp, cfg SurfaceConfig) (*Surface, error) {
 			}
 			cost += out.Cost
 		}
-		c.SuccessRate = float64(c.Success) / float64(draws)
-		c.MeanCost = cost / float64(draws)
+		c.SuccessRate = float64(c.Success) / float64(c.Draws)
+		c.MeanCost = cost / float64(c.Draws)
 	}
 	s := &Surface{Cells: cells, Scenarios: len(scenarios), EvalSeconds: elapsed}
 	if elapsed > 0 {

@@ -270,7 +270,7 @@ func TestSurface(t *testing.T) {
 		t.Fatal("same config and seed produced different surfaces")
 	}
 	seq := cfg
-	seq.Sequential = true
+	seq.Eval.Sequential = true
 	s3, err := RunSurface(pc, seq)
 	if err != nil {
 		t.Fatal(err)

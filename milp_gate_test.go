@@ -5,11 +5,40 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
 
 	edattack "github.com/edsec/edattack"
 )
+
+// sameAttack reports whether two attacks are bit-identical where it matters:
+// target, direction, gain, and every manipulated rating.
+func sameAttack(t *testing.T, label string, a, b *edattack.Attack) {
+	t.Helper()
+	if a.TargetLine != b.TargetLine || a.Direction != b.Direction {
+		t.Errorf("%s: target/direction (%d,%+d) vs (%d,%+d)",
+			label, a.TargetLine, a.Direction, b.TargetLine, b.Direction)
+	}
+	if a.GainPct != b.GainPct {
+		t.Errorf("%s: gain %.17g vs %.17g", label, a.GainPct, b.GainPct)
+	}
+	if len(a.DLR) != len(b.DLR) {
+		t.Errorf("%s: DLR vector sizes %d vs %d", label, len(a.DLR), len(b.DLR))
+		return
+	}
+	lines := make([]int, 0, len(a.DLR))
+	for li := range a.DLR {
+		lines = append(lines, li)
+	}
+	sort.Ints(lines)
+	for _, li := range lines {
+		av, bv := a.DLR[li], b.DLR[li]
+		if av != bv {
+			t.Errorf("%s: DLR[%d] = %.17g vs %.17g", label, li, av, bv)
+		}
+	}
+}
 
 // milpGateOpts is the production attack configuration: the default
 // options, with the depth-first search and the dive/polish discovery layer.
@@ -18,9 +47,9 @@ import (
 // the budgeted node cap the other gates use (their KKT relaxation bound is
 // stuck at the trivial rating-band cap, so more nodes buy no proof; see
 // TestMILPGate). This is the configuration the BENCH_milp.json scaling
-// baseline records and the MILP gate replays; the solver gates
-// (warmstart_gate_test.go, sparse_gate_test.go) deliberately strip it
-// down to measure the search machinery in isolation.
+// baseline records and the MILP gate replays; the solver gates in
+// internal/core (warmstart_gate_test.go, sparse_gate_test.go) deliberately
+// strip it down to measure the search machinery in isolation.
 func milpGateOpts(name string) edattack.AttackOptions {
 	var o edattack.AttackOptions
 	switch name {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	edattack "github.com/edsec/edattack"
+	"github.com/edsec/edattack/internal/gatetest"
 	"github.com/edsec/edattack/internal/sweep"
 )
 
@@ -121,12 +122,12 @@ func measureSweep(tb testing.TB, pc *edattack.SweepPrecomp, scs []edattack.Sweep
 // times, below 1 in a slow spell).
 func measureSweepAtRef(tb testing.TB, pc *edattack.SweepPrecomp, scs []edattack.SweepScenario, runs int) ([]edattack.SweepOutcome, float64) {
 	tb.Helper()
-	ref := newSpeedRef()
+	ref := gatetest.NewSpeedRef()
 	var outcomes []edattack.SweepOutcome
 	rates := make([]float64, runs)
 	for r := range rates {
 		var wall time.Duration
-		speed := ref.around(func() { outcomes, wall = measureSweep(tb, pc, scs, 1) })
+		speed := ref.Around(func() { outcomes, wall = measureSweep(tb, pc, scs, 1) })
 		rates[r] = float64(len(scs)) / wall.Seconds() / speed
 	}
 	sort.Float64s(rates)
@@ -142,8 +143,8 @@ func measureSweepAtRef(tb testing.TB, pc *edattack.SweepPrecomp, scs []edattack.
 //   - the live throughput at reference speed falls below half the recorded
 //     baseline — a noise-tolerant backstop (matching the flight gate's
 //     convention). Each live sweep is scaled by a machine-speed reference
-//     timed around it (see speedRef), so a slow spell of the machine does
-//     not read as a regression; the strict ±25% wall band applies to
+//     timed around it (see gatetest.SpeedRef), so a slow spell of the
+//     machine does not read as a regression; the strict ±25% wall band applies to
 //     recorded-vs-recorded comparisons via gridtool benchdiff;
 //   - the batched outcomes stop matching the per-scenario oracle.
 func TestSweepGate(t *testing.T) {
@@ -181,7 +182,7 @@ func TestSweepGate(t *testing.T) {
 		}
 	}
 
-	if !raceDetectorEnabled && live < rec.ScenariosPerSec*0.5 {
+	if !gatetest.RaceEnabled && live < rec.ScenariosPerSec*0.5 {
 		t.Errorf("live throughput %.0f scenarios/s at reference speed is below half the recorded %.0f",
 			live, rec.ScenariosPerSec)
 	}
