@@ -7,7 +7,7 @@ GO ?= go
 ## check: full PR gate — gofmt, vet, build, race-enabled tests, a doubled run of
 ## the telemetry suite (span/journal determinism under repetition), the
 ## concurrency-path determinism tests under the race detector, and the
-## warm-start, sparse-engine, flight-recorder, scenario-sweep, MILP
+## warm-start, basis-kernel, flight-recorder, scenario-sweep, MILP
 ## scaling, serving, and allocation regression gates.
 check: fmt vet build race telemetry parallel bench-warmstart bench-sparse bench-flight bench-sweep bench-milp bench-serve bench-alloc
 
@@ -50,22 +50,26 @@ bench-workers:
 	$(GO) test -bench=BenchmarkFindOptimalAttackWorkers -run '^$$' .
 
 ## bench-baseline: re-record the solver-work baseline (BENCH_solver.json)
-## for the budgeted case30/case118 attacks.
+## for the budgeted case9/30/57/118 attacks: node, pivot and warm-start
+## counts, the basis kernels' FTRAN/BTRAN/refactorization counts, walls.
 bench-baseline:
 	BENCH_SOLVER=1 $(GO) test -run TestRecordSolverBaseline ./internal/core/
 
 ## bench-warmstart: the warm-started dual simplex regression gate —
 ## bit-identical attacks across worker counts and warm on/off on
-## case9/30/57, and the case118 budgeted pivot total pinned at ≥2× under
-## an otherwise identical cold run, cross-checked against BENCH_solver.json.
+## case9/30/57, the case9/30/57 pivot totals pinned to BENCH_solver.json,
+## and the case118 budgeted pivot total pinned at ≥2× under an otherwise
+## identical cold run, cross-checked against BENCH_solver.json.
 bench-warmstart:
 	$(GO) test -run 'TestWarmStart' -count=1 ./internal/core/
 
-## bench-sparse: the sparse revised-simplex regression gate — bit-identical
-## attacks sparse-vs-dense (and across worker counts) on case9/30/57, and
-## the case118 budgeted attack's gain, FTRAN/BTRAN/refactorization work, and
-## wall time pinned against the recorded dense baseline in BENCH_solver.json
-## (recorded speedup must be ≥1.5×).
+## bench-sparse: the basis-kernel regression gate — the size and density
+## rule must put case9/30/57 on the dense LU kernel and case118's KKT
+## relaxations on the sparse one, and the case118 budgeted attack's gain,
+## pivots and FTRAN/BTRAN/refactorization work must match BENCH_solver.json.
+## The kernels are differentially tested against each other and the
+## tableau oracle in internal/lp (FuzzEngines, and TestRealKKTAgainstOracle
+## on the real KKT relaxations).
 bench-sparse:
 	$(GO) test -run 'TestSparseGate' -count=1 ./internal/core/
 

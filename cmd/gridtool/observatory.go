@@ -244,17 +244,14 @@ func treeCmd(args []string) error {
 // benchRecord mirrors the per-case record of BENCH_solver.json, restricted
 // to the fields benchdiff compares.
 type benchRecord struct {
-	Case                    string  `json:"case"`
-	GainPct                 float64 `json:"gain_pct"`
-	MILPNodes               int     `json:"milp_nodes"`
-	SimplexIterations       int     `json:"simplex_iterations"`
-	RowgenRounds            int     `json:"rowgen_rounds"`
-	WarmHitRate             float64 `json:"warm_hit_rate"`
-	WallMsSequential        float64 `json:"wall_ms_sequential"`
-	SparseSimplexIterations int     `json:"sparse_simplex_iterations"`
-	SparseGainPct           float64 `json:"sparse_gain_pct"`
-	FTRANTotal              int64   `json:"lp_ftran_total"`
-	SparseWallMs            float64 `json:"sparse_wall_ms"`
+	Case              string  `json:"case"`
+	GainPct           float64 `json:"gain_pct"`
+	MILPNodes         int     `json:"milp_nodes"`
+	SimplexIterations int     `json:"simplex_iterations"`
+	RowgenRounds      int     `json:"rowgen_rounds"`
+	WarmHitRate       float64 `json:"warm_hit_rate"`
+	WallMsSequential  float64 `json:"wall_ms_sequential"`
+	FTRANTotal        int64   `json:"lp_ftran_total"`
 }
 
 // milpBenchRecord mirrors the per-case record of BENCH_milp.json: the MILP
@@ -283,9 +280,6 @@ type serveBenchRecord struct {
 	WarmAttackP50MS float64 `json:"warm_attack_p50_ms"`
 	WarmSpeedup     float64 `json:"warm_speedup"`
 	WarmHitRate     float64 `json:"warm_hit_rate"`
-	EvaluateP50MS   float64 `json:"evaluate_p50_ms"`
-	EvaluateP99MS   float64 `json:"evaluate_p99_ms"`
-	EvaluateRPS     float64 `json:"evaluate_rps"`
 	AttackRPS       float64 `json:"attack_rps"`
 	AllocsPerSolve  float64 `json:"allocs_per_solve"`
 	AllocsPerNode   float64 `json:"allocs_per_node"`
@@ -474,14 +468,11 @@ func benchdiffCmd(args []string) error {
 		}
 		diffCases(d, oldRecs, newRecs, newOrder, func(or, nr benchRecord) {
 			d.check("gain_pct", or.GainPct, nr.GainPct, 0, true, false)
-			d.check("sparse_gain_pct", or.SparseGainPct, nr.SparseGainPct, 0, true, false)
 			d.check("milp_nodes", float64(or.MILPNodes), float64(nr.MILPNodes), *tol, false, false)
 			d.check("simplex_iterations", float64(or.SimplexIterations), float64(nr.SimplexIterations), *tol, false, false)
-			d.check("sparse_simplex_iters", float64(or.SparseSimplexIterations), float64(nr.SparseSimplexIterations), *tol, false, false)
 			d.check("lp_ftran_total", float64(or.FTRANTotal), float64(nr.FTRANTotal), *tol, false, false)
 			d.check("rowgen_rounds", float64(or.RowgenRounds), float64(nr.RowgenRounds), *tol, false, false)
 			d.check("wall_ms_sequential", or.WallMsSequential, nr.WallMsSequential, *wallTol, false, false)
-			d.check("sparse_wall_ms", or.SparseWallMs, nr.SparseWallMs, *wallTol, false, false)
 		})
 	case "milp":
 		key := func(r milpBenchRecord) string { return r.Case }
@@ -542,9 +533,6 @@ func benchdiffCmd(args []string) error {
 			d.check("warm_attack_p50_ms", or.WarmAttackP50MS, nr.WarmAttackP50MS, *wallTol, false, false)
 			d.check("warm_speedup", or.WarmSpeedup, nr.WarmSpeedup, *wallTol, false, true)
 			d.check("warm_hit_rate", or.WarmHitRate, nr.WarmHitRate, *tol, false, true)
-			d.check("evaluate_p50_ms", or.EvaluateP50MS, nr.EvaluateP50MS, *wallTol, false, false)
-			d.check("evaluate_p99_ms", or.EvaluateP99MS, nr.EvaluateP99MS, *wallTol, false, false)
-			d.check("evaluate_rps", or.EvaluateRPS, nr.EvaluateRPS, *wallTol, false, true)
 			d.check("attack_rps", or.AttackRPS, nr.AttackRPS, *wallTol, false, true)
 			// Allocation counts are near machine-independent, so the
 			// tighter work-counter threshold applies; growth is regression.

@@ -83,7 +83,6 @@ func rootFeasibleBasis(k *Knowledge, o Options, pre *precomp) (*lp.Basis, int) {
 		return nil, 0
 	}
 	sol, err := lp.SolveWith(base, lp.Options{
-		Engine:       o.engine,
 		CaptureBasis: true,
 		Metrics:      o.Metrics,
 		Ctx:          o.Ctx,
@@ -661,7 +660,7 @@ func (s *subproblem) solveOnce(o Options, incumbent *float64, bound milp.BoundSo
 		Heuristic:        s.heuristic,
 		WarmBasis:        warmRoot,
 		DisableWarmStart: o.noWarmStart,
-		LP:               lp.Options{Engine: o.engine, Workspace: o.ws},
+		LP:               lp.Options{Workspace: o.ws},
 		Ctx:              o.Ctx,
 		Metrics:          s.metrics,
 		Span:             s.span,

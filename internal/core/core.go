@@ -389,9 +389,6 @@ type Options struct {
 	// per-subproblem dives, the converged-attack polish, and the winner's
 	// rich refinement, so attacks come from branch-and-bound alone.
 	noDive bool
-	// engine pins the LP relaxations' simplex engine (default: chosen by
-	// problem size and density).
-	engine lp.Engine
 }
 
 // bigM is the big-M constant of MethodBigM, mirroring the paper's "M is
@@ -508,11 +505,11 @@ func clampToBand(l *grid.Line, v float64) float64 {
 }
 
 // Reporting quanta. Extracted manipulated ratings and reported gains are
-// rounded onto fixed grids before leaving the solver: cross-engine roundoff
-// (dense tableau vs sparse revised simplex) perturbs the same optimum's
-// coordinates by a few ulps, and snapping to a grid far coarser than that —
-// yet far finer than solver tolerance — makes reported attacks
-// bit-identical regardless of which engine produced them.
+// rounded onto fixed grids before leaving the solver: roundoff from a
+// different pivot path (a warm versus a cold solve, another basis kernel)
+// perturbs the same optimum's coordinates by a few ulps, and snapping to a
+// grid far coarser than that — yet far finer than solver tolerance — makes
+// reported attacks bit-identical regardless of the path that produced them.
 const (
 	ratingQuantum = 1e-6 // MVA: micro-MVA resolution on manipulated ratings
 	gainQuantum   = 1e-9 // percentage points on reported U_cap gains

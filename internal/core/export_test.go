@@ -1,7 +1,5 @@
 package core
 
-import "github.com/edsec/edattack/internal/lp"
-
 // Test-only exports: the worker-parameterized baseline attackers, so the
 // external test package can pin their worker-count independence, and the
 // A/B switches the gates flip on Options.
@@ -32,11 +30,5 @@ func WithColdLP(o Options) Options {
 // so attacks come from branch-and-bound alone.
 func WithoutDive(o Options) Options {
 	o.noDive = true
-	return o
-}
-
-// WithLPEngine returns o with every LP relaxation on engine e.
-func WithLPEngine(o Options, e lp.Engine) Options {
-	o.engine = e
 	return o
 }

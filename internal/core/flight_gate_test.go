@@ -22,7 +22,7 @@ func TestFlightGateIdenticalAttacks(t *testing.T) {
 			t.Parallel()
 			k := caseKnowledge(t, name)
 			solve := func(fl *telemetry.Flight) *core.Attack {
-				o := sparseGateOpts()
+				o := gateOpts()
 				o.Workers = 1
 				o.Flight = fl
 				att, err := core.FindOptimalAttack(k, o)
@@ -82,7 +82,7 @@ func TestFlightGateCase118Overhead(t *testing.T) {
 	}
 	k := caseKnowledge(t, "case118")
 	run := func(fl *telemetry.Flight) (*core.Attack, time.Duration) {
-		o := sparseGateOpts()
+		o := gateOpts()
 		o.Workers = 1
 		o.Flight = fl
 		start := time.Now()

@@ -10,27 +10,21 @@ import (
 	"github.com/edsec/edattack/internal/core"
 	"github.com/edsec/edattack/internal/grid"
 	"github.com/edsec/edattack/internal/grid/cases"
-	"github.com/edsec/edattack/internal/lp"
 	"github.com/edsec/edattack/internal/telemetry"
 )
 
 // solverBaselinePath is the solver-work baseline at the repository root,
-// replayed by the warm-start and sparse-engine gates.
+// replayed by the warm-start and basis-kernel gates.
 const solverBaselinePath = "../../BENCH_solver.json"
 
-// warmGateOpts is the budgeted configuration shared by the regression gate
-// and the BENCH_solver.json recorder. It pins the dense tableau engine: the
-// recorded pivot totals are trajectories of that engine (which remains the
-// differential oracle for the sparse revised simplex), and under a
-// truncating node budget the two engines legitimately explore different
-// trees. The sparse engine has its own gate in sparse_gate_test.go. The dive
-// is off to keep the gate on the branch-and-bound machinery itself: the
-// dive/polish discovery layer solves true dispatches rather than KKT
-// relaxations, so it would dilute the warm-start signal these gates exist
-// to measure.
-func warmGateOpts() core.Options {
-	o := core.Options{MaxNodes: 40, RelGap: 1e-3}
-	return core.WithoutDive(core.WithLPEngine(o, lp.EngineDense))
+// gateOpts is the budgeted configuration shared by the warm-start, sparse
+// and flight gates and the BENCH_solver.json recorder. The dive is off to
+// keep the gates on the branch-and-bound machinery itself: the dive/polish
+// discovery layer solves true dispatches rather than KKT relaxations, so
+// it would dilute the warm-start and kernel signals these gates exist to
+// measure.
+func gateOpts() core.Options {
+	return core.WithoutDive(core.Options{MaxNodes: 40, RelGap: 1e-3})
 }
 
 // caseKnowledge builds attacker knowledge at the static ratings for a named
@@ -57,7 +51,7 @@ func TestWarmStartIdenticalAttacks(t *testing.T) {
 			t.Parallel()
 			k := caseKnowledge(t, name)
 			solve := func(cold bool, workers int) *core.Attack {
-				o := warmGateOpts()
+				o := gateOpts()
 				if cold {
 					o = core.WithColdLP(o)
 				}
@@ -102,7 +96,7 @@ func TestWarmStartCase118Speedup(t *testing.T) {
 		t.Skip("case118 gate skipped in -short mode")
 	}
 	k := caseKnowledge(t, "case118")
-	o := warmGateOpts()
+	o := gateOpts()
 	o.Workers = 1
 	att, err := core.FindOptimalAttack(k, o)
 	if err != nil {
@@ -165,7 +159,7 @@ func TestWarmStartRecordedBaselines(t *testing.T) {
 				t.Fatalf("BENCH_solver.json has no %s record", name)
 			}
 			k := caseKnowledge(t, name)
-			o := warmGateOpts()
+			o := gateOpts()
 			o.Workers = 1
 			att, err := core.FindOptimalAttack(k, o)
 			if err != nil {
@@ -207,24 +201,14 @@ type solverRecord struct {
 	WallMsParallel   float64 `json:"wall_ms_parallel"`
 	ParallelWorkers  int     `json:"parallel_workers"`
 	Speedup          float64 `json:"speedup"`
-	// Sparse revised-simplex run (the default engine; the counts above
-	// pin the dense tableau, see warmGateOpts). Same budgets, Workers=1.
-	// Under a truncating node budget the engines legitimately explore
-	// different branch-and-bound trees, so the sparse run gets its own
-	// iteration/gain record. FTRAN/BTRAN solves and basis
-	// refactorizations are the engine's deterministic work measure;
-	// kkt_nnz/kkt_density are the largest and densest LP the run
-	// solved; sparse_speedup is wall-clock (machine-dependent), dense
-	// sequential wall over sparse sequential wall.
-	SparseSimplexIterations int     `json:"sparse_simplex_iterations"`
-	SparseGainPct           float64 `json:"sparse_gain_pct"`
-	FTRANTotal              int64   `json:"lp_ftran_total"`
-	BTRANTotal              int64   `json:"lp_btran_total"`
-	RefactorizationsTotal   int64   `json:"lp_refactorizations_total"`
-	KKTNNZ                  int     `json:"kkt_nnz"`
-	KKTDensity              float64 `json:"kkt_density"`
-	SparseWallMs            float64 `json:"sparse_wall_ms"`
-	SparseSpeedup           float64 `json:"sparse_speedup"`
+	// Basis-kernel work of the same run: FTRAN/BTRAN solves and basis
+	// refactorizations (deterministic); kkt_nnz/kkt_density are the
+	// largest and densest LP the run solved.
+	FTRANTotal            int64   `json:"lp_ftran_total"`
+	BTRANTotal            int64   `json:"lp_btran_total"`
+	RefactorizationsTotal int64   `json:"lp_refactorizations_total"`
+	KKTNNZ                int     `json:"kkt_nnz"`
+	KKTDensity            float64 `json:"kkt_density"`
 }
 
 func loadSolverBaseline() (map[string]solverRecord, error) {
@@ -257,15 +241,17 @@ func TestRecordSolverBaseline(t *testing.T) {
 	if os.Getenv("BENCH_SOLVER") == "" {
 		t.Skip("set BENCH_SOLVER=1 to (re)record BENCH_solver.json")
 	}
-	// Dense-engine budgets: the recorded trajectory fields stay
-	// trajectories of the dense tableau oracle.
-	opts := warmGateOpts()
+	opts := gateOpts()
 	var records []solverRecord
 	for _, name := range []string{"case9", "case30", "case57", "case118"} {
 		k := caseKnowledge(t, name)
-		// Deterministic work counts: the sequential reference schedule.
+		// Deterministic work counts: the sequential reference schedule,
+		// with a metrics registry attached so the kernel work counters and
+		// the problem shape land in the record.
+		reg := telemetry.NewRegistry()
 		seqOpts := opts
 		seqOpts.Workers = 1
+		seqOpts.Metrics = reg
 		seqStart := time.Now()
 		att, err := core.FindOptimalAttack(k, seqOpts)
 		if err != nil {
@@ -282,22 +268,6 @@ func TestRecordSolverBaseline(t *testing.T) {
 			t.Fatal(err)
 		}
 		parWall := time.Since(parStart)
-		// Sparse engine: default selection, sequential schedule, with a
-		// metrics registry attached so revised-simplex work counters and
-		// the problem shape land in the record.
-		reg := telemetry.NewRegistry()
-		spOpts := sparseGateOpts()
-		spOpts.Workers = 1
-		spOpts.Metrics = reg
-		spStart := time.Now()
-		spAtt, err := core.FindOptimalAttack(k, spOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spWall := time.Since(spStart)
-		if spAtt.Stats == nil {
-			t.Fatalf("%s: sparse attack carries no SolverStats", name)
-		}
 		var hitRate, pivotsPerNode float64
 		if att.Stats.Nodes > 0 {
 			hitRate = float64(att.Stats.WarmNodes) / float64(att.Stats.Nodes)
@@ -321,19 +291,15 @@ func TestRecordSolverBaseline(t *testing.T) {
 			ParallelWorkers:   parOpts.Workers,
 			Speedup:           seqWall.Seconds() / parWall.Seconds(),
 
-			SparseSimplexIterations: spAtt.Stats.SimplexIterations,
-			SparseGainPct:           spAtt.GainPct,
-			FTRANTotal:              reg.Counter("lp_ftran_total").Value(),
-			BTRANTotal:              reg.Counter("lp_btran_total").Value(),
-			RefactorizationsTotal:   reg.Counter("lp_refactorizations_total").Value(),
-			KKTNNZ:                  int(reg.Gauge("lp_problem_nnz").Value()),
-			KKTDensity:              reg.Gauge("lp_problem_density").Value(),
-			SparseWallMs:            float64(spWall.Microseconds()) / 1000,
-			SparseSpeedup:           seqWall.Seconds() / spWall.Seconds(),
+			FTRANTotal:            reg.Counter("lp_ftran_total").Value(),
+			BTRANTotal:            reg.Counter("lp_btran_total").Value(),
+			RefactorizationsTotal: reg.Counter("lp_refactorizations_total").Value(),
+			KKTNNZ:                int(reg.Gauge("lp_problem_nnz").Value()),
+			KKTDensity:            reg.Gauge("lp_problem_density").Value(),
 		})
 	}
 	out, err := json.MarshalIndent(map[string]any{
-		"note":    "solver-work baseline for budgeted attacks (MaxNodes 40, RelGap 1e-3, dive off — pure search machinery); dense-tableau counts and sparse revised-simplex counts (sparse_*/lp_*) both recorded at Workers=1 and deterministic, wall_ms/speedup machine-dependent; regenerate with BENCH_SOLVER=1 go test -run TestRecordSolverBaseline ./internal/core",
+		"note":    "solver-work baseline for budgeted attacks (MaxNodes 40, RelGap 1e-3, dive off — pure search machinery); work counts (nodes, pivots, warm nodes, and the basis kernels' FTRAN/BTRAN/refactorization counts lp_*) recorded at Workers=1 and deterministic, wall_ms/speedup machine-dependent; regenerate with BENCH_SOLVER=1 go test -run TestRecordSolverBaseline ./internal/core",
 		"cpus":    runtime.GOMAXPROCS(0),
 		"records": records,
 	}, "", "  ")

@@ -30,9 +30,6 @@ type ServeRecord struct {
 	WarmAttackP50MS float64 `json:"warm_attack_p50_ms"`
 	WarmSpeedup     float64 `json:"warm_speedup"`
 	WarmHitRate     float64 `json:"warm_hit_rate"`
-	EvaluateP50MS   float64 `json:"evaluate_p50_ms"`
-	EvaluateP99MS   float64 `json:"evaluate_p99_ms"`
-	EvaluateRPS     float64 `json:"evaluate_rps"`
 	AttackRPS       float64 `json:"attack_rps"`
 	AllocsPerSolve  float64 `json:"allocs_per_solve"`
 	AllocsPerNode   float64 `json:"allocs_per_node"`
@@ -127,9 +124,6 @@ type ServeMeasurements struct {
 	Cold       time.Duration
 	WarmP50    time.Duration
 	WarmHit    float64
-	EvalP50    time.Duration
-	EvalP99    time.Duration
-	EvalRPS    float64
 	AttackRPS  float64
 	HeapLive   uint64
 	Gain       float64
@@ -147,12 +141,13 @@ func AttackBody(caseName string) map[string]any {
 	return map[string]any{"case": caseName, "max_nodes": 40, "rel_gap": 1e-3}
 }
 
-// MeasureServe runs the cold request, warm repeats, a closed-loop
-// concurrent attack burst, and an evaluate burst against one fresh daemon.
-// The attack burst is attackConc clients each firing attackPerClient warm
-// attack requests back to back — saturation throughput, since same-topology
-// jobs serialize on the entry lock while admission and streaming overlap.
-func MeasureServe(tb testing.TB, caseName string, warmRepeats, evalBurst, attackConc, attackPerClient int) ServeMeasurements {
+// MeasureServe runs the cold request, warm repeats, and a closed-loop
+// concurrent attack burst against one fresh daemon. The attack burst is
+// attackConc clients each firing attackPerClient warm attack requests back
+// to back — saturation throughput, since same-topology jobs serialize on
+// the entry lock while admission and streaming overlap. Evaluate latency
+// is the bench's serve-evaluate workload, not measured here.
+func MeasureServe(tb testing.TB, caseName string, warmRepeats, attackConc, attackPerClient int) ServeMeasurements {
 	tb.Helper()
 	reg := telemetry.NewRegistry()
 	s := edattack.NewServer(edattack.ServeConfig{Metrics: reg})
@@ -231,29 +226,6 @@ func MeasureServe(tb testing.TB, caseName string, warmRepeats, evalBurst, attack
 			m.Gain, m.TargetLine)
 	}
 
-	// Evaluate burst: sequential requests against the warm topology — the
-	// daemon's high-rate request class.
-	net, err := edattack.LoadCase(caseName)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	dlr := map[string]float64{}
-	for _, li := range net.DLRLines() {
-		dlr[strconv.Itoa(li)] = net.Lines[li].RateMVA * 1.05
-	}
-	evalReq := map[string]any{"case": caseName, "dlr": dlr}
-	lats := make([]time.Duration, evalBurst)
-	burstStart = time.Now()
-	for i := range lats {
-		start = time.Now()
-		ServeResult(tb, ServePost(tb, ts.URL, "/v1/evaluate", evalReq))
-		lats[i] = time.Since(start)
-	}
-	burstWall := time.Since(burstStart)
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	m.EvalP50 = lats[len(lats)/2]
-	m.EvalP99 = lats[(len(lats)-1)*99/100]
-	m.EvalRPS = float64(evalBurst) / burstWall.Seconds()
 	// Post-burst live heap: what the daemon holds after serving the whole
 	// measurement load — the figure the workspace/pool design keeps flat.
 	m.HeapLive = telemetry.CaptureMemStats(nil).HeapLiveBytes

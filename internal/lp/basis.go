@@ -1,5 +1,17 @@
 package lp
 
+import "slices"
+
+// varStatus tracks where a variable currently sits.
+type varStatus int8
+
+const (
+	atLower varStatus = iota + 1
+	atUpper
+	isFree // nonbasic free variable pinned at value 0
+	basic
+)
+
 // Basis is a compact snapshot of a simplex basis. For every variable in the
 // solver's internal layout — [0,nvars) structural, [nvars,nvars+nslack)
 // slacks, then one artificial per row — it records whether the variable is
@@ -29,11 +41,9 @@ func (b *Basis) matches(n, m, nslack int) bool {
 		len(b.status) == n+nslack+m
 }
 
-// captureBasis snapshots the final basis of a solved simplex.
-func captureBasis(s *simplex) *Basis {
-	st := make([]varStatus, len(s.status))
-	copy(st, s.status)
-	return &Basis{nvars: s.n, nrows: s.m, nslack: s.nslack, status: st}
+// captureBasis snapshots the final basis of a solved engine.
+func captureBasis(e *revised) *Basis {
+	return &Basis{nvars: e.n, nrows: e.m, nslack: e.nslack, status: slices.Clone(e.status)}
 }
 
 // slackIndex returns, per constraint row, the internal index of its slack

@@ -18,9 +18,22 @@ func randomSparseLP(r *rand.Rand) *Problem {
 }
 
 // randomSparseLPSized is randomSparseLP's generator at a given shape: n
-// boxed variables, m sparse rows anchored at a random interior point so the
-// problem is feasible.
+// boxed variables, m rows of 2–5 nonzeros anchored at a random interior
+// point so the problem is feasible.
 func randomSparseLPSized(r *rand.Rand, n, m int) *Problem {
+	return anchoredLP(r, n, m, func() int { return 2 + r.Intn(4) })
+}
+
+// randomLPShaped is the same generator with exactly nz nonzeros per row, so
+// the problem's density is nz/n.
+func randomLPShaped(r *rand.Rand, n, m, nz int) *Problem {
+	return anchoredLP(r, n, m, func() int { return nz })
+}
+
+// anchoredLP draws n boxed variables, a random objective, and m rows of
+// rowNZ() distinct nonzeros each, every row an LE, GE or EQ that a random
+// interior point satisfies.
+func anchoredLP(r *rand.Rand, n, m int, rowNZ func() int) *Problem {
 	p := NewProblem(n)
 	x0 := make([]float64, n)
 	c := make([]float64, n)
@@ -33,7 +46,7 @@ func randomSparseLPSized(r *rand.Rand, n, m int) *Problem {
 	}
 	_ = p.SetObjective(c, r.Intn(2) == 0)
 	for i := 0; i < m; i++ {
-		nz := 2 + r.Intn(4)
+		nz := rowNZ()
 		ind := make([]int, 0, nz)
 		val := make([]float64, 0, nz)
 		seen := make(map[int]bool, nz)
@@ -62,71 +75,73 @@ func randomSparseLPSized(r *rand.Rand, n, m int) *Problem {
 	return p
 }
 
-// TestDifferentialSparseVsDense drives both engines over randomized bounded
-// LPs: statuses must agree, objectives must match to 1e-9, and a basis
-// captured by one engine must get the same warm verdict — accepted or
-// rejected — from the other.
+// TestDifferentialSparseVsDense drives the engine on both basis kernels
+// over randomized bounded LPs against the tableau oracle: statuses must
+// agree, objectives must match to 1e-9, and a basis captured on the dense
+// kernel must get the same warm verdict — accepted or rejected — from both
+// kernels, each reproducing the optimum.
 func TestDifferentialSparseVsDense(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	optimal, warmAgree := 0, 0
 	for trial := 0; trial < 250; trial++ {
 		p := randomSparseLP(r)
-		dense, derr := SolveWith(p, Options{Engine: EngineDense, CaptureBasis: true})
-		sparse, serr := SolveWith(p, Options{Engine: EngineSparse, CaptureBasis: true})
-		if (derr == nil) != (serr == nil) {
-			t.Fatalf("trial %d: dense err %v vs sparse err %v", trial, derr, serr)
+		want, werr := solveTableau(p, Options{})
+		var got [2]*Solution
+		for k, kn := range kernels {
+			sol, err := SolveWith(p, withKernel(Options{CaptureBasis: true}, kn.k))
+			if (werr == nil) != (err == nil) {
+				t.Fatalf("trial %d: oracle err %v vs %s err %v", trial, werr, kn.name, err)
+			}
+			if err != nil {
+				continue
+			}
+			if sol.Status != want.Status {
+				t.Fatalf("trial %d: oracle status %v vs %s status %v", trial, want.Status, kn.name, sol.Status)
+			}
+			if sol.Status == Optimal && math.Abs(sol.Objective-want.Objective) > 1e-9*(1+math.Abs(want.Objective)) {
+				t.Fatalf("trial %d: %s objective %.15g, oracle %.15g", trial, kn.name, sol.Objective, want.Objective)
+			}
+			got[k] = sol
 		}
-		if derr != nil {
-			continue
-		}
-		if dense.Status != sparse.Status {
-			t.Fatalf("trial %d: dense status %v vs sparse status %v", trial, dense.Status, sparse.Status)
-		}
-		if dense.Status != Optimal {
+		if werr != nil || want.Status != Optimal {
 			continue
 		}
 		optimal++
-		if d := math.Abs(dense.Objective - sparse.Objective); d > 1e-9*(1+math.Abs(dense.Objective)) {
-			t.Fatalf("trial %d: objective gap %g (dense %.15g sparse %.15g)",
-				trial, d, dense.Objective, sparse.Objective)
-		}
 		// Warm verdicts: re-solving with the dense-captured basis must be
-		// accepted or rejected identically by both engines, and either way
+		// accepted or rejected identically by both kernels, and either way
 		// reproduce the optimum.
-		dw, err := SolveWith(p, Options{Engine: EngineDense, WarmBasis: dense.Basis})
-		if err != nil {
-			t.Fatalf("trial %d: dense warm resolve: %v", trial, err)
-		}
-		sw, err := SolveWith(p, Options{Engine: EngineSparse, WarmBasis: dense.Basis})
-		if err != nil {
-			t.Fatalf("trial %d: sparse warm resolve: %v", trial, err)
-		}
-		if dw.Warm != sw.Warm {
-			t.Fatalf("trial %d: warm verdict dense=%v sparse=%v for the same basis", trial, dw.Warm, sw.Warm)
-		}
-		if dw.Warm {
-			warmAgree++
-		}
-		for label, sol := range map[string]*Solution{"dense": dw, "sparse": sw} {
+		var warm [2]*Solution
+		for k, kn := range kernels {
+			sol, err := SolveWith(p, withKernel(Options{WarmBasis: got[0].Basis}, kn.k))
+			if err != nil {
+				t.Fatalf("trial %d: %s warm resolve: %v", trial, kn.name, err)
+			}
 			if sol.Status != Optimal {
-				t.Fatalf("trial %d: %s warm resolve status %v", trial, label, sol.Status)
+				t.Fatalf("trial %d: %s warm resolve status %v", trial, kn.name, sol.Status)
 			}
-			if d := math.Abs(sol.Objective - dense.Objective); d > 1e-9*(1+math.Abs(dense.Objective)) {
-				t.Fatalf("trial %d: %s warm objective gap %g", trial, label, d)
+			if d := math.Abs(sol.Objective - want.Objective); d > 1e-9*(1+math.Abs(want.Objective)) {
+				t.Fatalf("trial %d: %s warm objective gap %g", trial, kn.name, d)
 			}
+			warm[k] = sol
+		}
+		if warm[0].Warm != warm[1].Warm {
+			t.Fatalf("trial %d: warm verdict dense=%v sparse=%v for the same basis", trial, warm[0].Warm, warm[1].Warm)
+		}
+		if warm[0].Warm {
+			warmAgree++
 		}
 	}
 	if optimal < 100 {
 		t.Fatalf("only %d/250 trials reached Optimal; generator is degenerate", optimal)
 	}
 	if warmAgree == 0 {
-		t.Fatal("no trial exercised an accepted warm basis on both engines")
+		t.Fatal("no trial exercised an accepted warm basis on both kernels")
 	}
-	t.Logf("%d optimal trials, %d accepted warm bases on both engines", optimal, warmAgree)
+	t.Logf("%d optimal trials, %d accepted warm bases on both kernels", optimal, warmAgree)
 }
 
-// TestDifferentialDegenerate pins the engines against each other on
-// deliberately nasty cases: fixed variables, redundant equalities, and
+// TestDifferentialDegenerate pins both kernels against the tableau oracle
+// on deliberately nasty cases: fixed variables, redundant equalities, and
 // infeasible rows.
 func TestDifferentialDegenerate(t *testing.T) {
 	build := func() *Problem {
@@ -153,31 +168,30 @@ func TestDifferentialDegenerate(t *testing.T) {
 		}
 		return p
 	}
-	p1 := build()
-	dense, derr := SolveWith(p1, Options{Engine: EngineDense})
-	p2 := build()
-	sparse, serr := SolveWith(p2, Options{Engine: EngineSparse})
-	if (derr == nil) != (serr == nil) {
-		t.Fatalf("dense err %v vs sparse err %v", derr, serr)
+	want, werr := solveTableau(build(), Options{})
+	// Infeasible system: every solver must prove it.
+	infeasible := func() *Problem {
+		p := build()
+		_, _ = p.AddSparseConstraint([]int{0, 1}, []float64{1, 1}, GE, 100)
+		return p
 	}
-	if dense.Status != sparse.Status {
-		t.Fatalf("dense status %v vs sparse %v", dense.Status, sparse.Status)
+	if iw, err := solveTableau(infeasible(), Options{}); err != nil || iw.Status != Infeasible {
+		t.Fatalf("oracle on the infeasible system: %v, %v", iw, err)
 	}
-	if math.Abs(dense.Objective-sparse.Objective) > 1e-9 {
-		t.Fatalf("objective %g vs %g", dense.Objective, sparse.Objective)
-	}
-
-	// Infeasible system: both engines must prove it.
-	p3 := build()
-	_, _ = p3.AddSparseConstraint([]int{0, 1}, []float64{1, 1}, GE, 100)
-	id, ierr := SolveWith(p3, Options{Engine: EngineDense})
-	p4 := build()
-	_, _ = p4.AddSparseConstraint([]int{0, 1}, []float64{1, 1}, GE, 100)
-	is, serr2 := SolveWith(p4, Options{Engine: EngineSparse})
-	if ierr != nil || serr2 != nil {
-		t.Fatalf("unexpected errors: %v / %v", ierr, serr2)
-	}
-	if id.Status != Infeasible || is.Status != Infeasible {
-		t.Fatalf("want Infeasible/Infeasible, got %v/%v", id.Status, is.Status)
+	for _, kn := range kernels {
+		sol, err := SolveWith(build(), withKernel(Options{}, kn.k))
+		if (werr == nil) != (err == nil) {
+			t.Fatalf("%s: err %v, oracle err %v", kn.name, err, werr)
+		}
+		if sol.Status != want.Status {
+			t.Fatalf("%s: status %v, oracle %v", kn.name, sol.Status, want.Status)
+		}
+		if math.Abs(sol.Objective-want.Objective) > 1e-9 {
+			t.Fatalf("%s: objective %g, oracle %g", kn.name, sol.Objective, want.Objective)
+		}
+		is, err := SolveWith(infeasible(), withKernel(Options{}, kn.k))
+		if err != nil || is.Status != Infeasible {
+			t.Fatalf("%s on the infeasible system: %v, %v", kn.name, is, err)
+		}
 	}
 }

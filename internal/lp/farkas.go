@@ -10,7 +10,7 @@ import "math"
 // textbook certificate of primal infeasibility (Koberstein, "The dual simplex
 // method", 2005). The engine does not take its own word for it. It hands the
 // row over as y, in the problem's original row signs, and farkasCertified
-// re-derives the verdict from the problem data alone, touching no tableau,
+// re-derives the verdict from the problem data alone, touching no basis,
 // factorization, or reduced cost: every point x that satisfies the rows
 // satisfies yᵀ[A | S]x = yᵀb, so if yᵀb lies outside the range of gᵀx with
 // g = yᵀ[A | S] over the variable box (slacks in [0, +∞)), no such point

@@ -49,7 +49,7 @@ func branchedInfeasible(t *testing.T, opts Options) (*Problem, *Basis) {
 }
 
 func TestFarkasCertifiedByHand(t *testing.T) {
-	p, _ := branchedInfeasible(t, Options{Engine: EngineDense})
+	p, _ := branchedInfeasible(t, Options{})
 	g := make([]float64, 3)
 	for _, c := range []struct {
 		y    []float64
@@ -83,19 +83,13 @@ func TestFarkasCertifiedByHand(t *testing.T) {
 }
 
 // TestFarkasRejectsCorruptedRay runs the warm infeasible verdict on both
-// engines three times: as is (certified warm), then with the certificate row
+// kernels three times: as is (certified warm), then with the certificate row
 // corrupted before the check — one entry's sign flipped, one entry scaled —
 // where the check must reject it and the solve fall back to the cold
 // two-phase solver, which still proves Infeasible.
 func TestFarkasRejectsCorruptedRay(t *testing.T) {
 	defer func() { tamperRay = nil }()
-	for _, eng := range []struct {
-		name string
-		opts Options
-	}{
-		{"dense", Options{Engine: EngineDense}},
-		{"sparse", Options{Engine: EngineSparse}},
-	} {
+	for _, kn := range kernels {
 		for _, c := range []struct {
 			name    string
 			tamper  func(y []float64)
@@ -106,7 +100,7 @@ func TestFarkasRejectsCorruptedRay(t *testing.T) {
 			{"sign-flipped", func(y []float64) { y[0] = -y[0] }, false, "lp_farkas_rejected_total"},
 			{"scaled", func(y []float64) { y[0] *= 2 }, false, "lp_farkas_rejected_total"},
 		} {
-			p, basis := branchedInfeasible(t, eng.opts)
+			p, basis := branchedInfeasible(t, withKernel(Options{}, kn.k))
 			var seen []float64
 			tamperRay = func(y []float64) {
 				if c.tamper != nil {
@@ -115,29 +109,28 @@ func TestFarkasRejectsCorruptedRay(t *testing.T) {
 				seen = slices.Clone(y)
 			}
 			reg := telemetry.NewRegistry()
-			opts := eng.opts
-			opts.WarmBasis, opts.Metrics = basis, reg
+			opts := withKernel(Options{WarmBasis: basis, Metrics: reg}, kn.k)
 			sol, err := SolveWith(p, opts)
 			if err != nil {
-				t.Fatalf("%s %s: %v", eng.name, c.name, err)
+				t.Fatalf("%s %s: %v", kn.name, c.name, err)
 			}
 			if sol.Status != Infeasible || sol.Warm != c.warm {
 				t.Fatalf("%s %s: status %v warm %v, want infeasible warm %v",
-					eng.name, c.name, sol.Status, sol.Warm, c.warm)
+					kn.name, c.name, sol.Status, sol.Warm, c.warm)
 			}
 			if seen == nil {
-				t.Fatalf("%s %s: the warm path never reached the Farkas check", eng.name, c.name)
+				t.Fatalf("%s %s: the warm path never reached the Farkas check", kn.name, c.name)
 			}
 			if got := reg.Counter(c.counter).Value(); got != 1 {
-				t.Errorf("%s %s: %s = %d, want 1", eng.name, c.name, c.counter, got)
+				t.Errorf("%s %s: %s = %d, want 1", kn.name, c.name, c.counter, got)
 			}
 			if c.tamper == nil {
 				// The engine's row must be the unique certificate direction.
 				if seen[0] == 0 || math.Abs(seen[0]+seen[1]) > 1e-12*math.Abs(seen[0]) {
-					t.Errorf("%s: certificate row %v is not a multiple of (−1, 1)", eng.name, seen)
+					t.Errorf("%s: certificate row %v is not a multiple of (−1, 1)", kn.name, seen)
 				}
 			} else if reg.Counter("lp_warm_fallbacks_total").Value() != 1 {
-				t.Errorf("%s %s: rejected certificate did not count a warm fallback", eng.name, c.name)
+				t.Errorf("%s %s: rejected certificate did not count a warm fallback", kn.name, c.name)
 			}
 		}
 	}

@@ -6,15 +6,19 @@
 //	subject to  aᵢᵀx {≤,=,≥} bᵢ   for each constraint row i
 //	            l ≤ x ≤ u         (entries may be ±Inf)
 //
-// Two solver engines share one contract. The sparse revised simplex stores
-// the constraint matrix once in compressed-column form, keeps the basis as a
-// sparse LU factorization updated per pivot with product-form eta terms, and
-// prices through BTRAN/FTRAN solves — the right shape for the KKT systems of
-// power networks, whose rows are overwhelmingly zero. The dense
-// bounded-variable tableau simplex (two-phase, Dantzig pricing with a
-// Bland's-rule fallback) remains both the engine for small or dense problems
-// and the differential-testing oracle for the sparse path; Options.Engine
-// forces either. Both engines support warm starts from a Basis snapshot.
+// One engine solves every problem: a bounded-variable revised simplex
+// (two-phase, Dantzig pricing with a Bland's-rule fallback, bound-flipping
+// ratio tests). It stores the constraint matrix once in compressed-column
+// form, keeps the basis inverse implicit — a basis LU factorization updated
+// per pivot with product-form eta terms — and prices through FTRAN/BTRAN
+// solves. Two kernels factor the basis: a sparse Markowitz LU for large
+// sparse problems (the KKT systems of power networks, whose rows are
+// overwhelmingly zero) and a dense partial-pivoting LU for the small or
+// dense rest, where the sparse bookkeeping costs more than it saves. Warm
+// starts from a Basis snapshot restore primal feasibility with a
+// bound-flipping dual simplex and certify every verdict, Infeasible by an
+// independent Farkas check. A cold two-phase dense tableau lives in this
+// package's tests as the differential-testing oracle.
 package lp
 
 import (
@@ -101,7 +105,7 @@ type conRow struct {
 // usable; create problems with NewProblem. A Problem is not safe for
 // concurrent solves. The setters reject non-finite data, so every stored
 // coefficient is finite and every variable has lower ≤ upper, neither NaN;
-// the engines rely on it.
+// the engine relies on it.
 type Problem struct {
 	nvars    int
 	c        []float64
@@ -144,7 +148,7 @@ func (p *Problem) NumConstraints() int { return len(p.rows) }
 func (p *Problem) NNZ() int { return p.nnz }
 
 // Density returns NNZ divided by rows×vars — the fill fraction of the
-// constraint matrix, used by the engine-selection heuristic and recorded by
+// constraint matrix, used by the kernel-selection rule and recorded by
 // benchmark baselines. An empty problem has density 0.
 func (p *Problem) Density() float64 {
 	if len(p.rows) == 0 || p.nvars == 0 {
@@ -197,6 +201,9 @@ func (p *Problem) SetMaximize(maximize bool) { p.maximize = maximize }
 
 // IsMaximize reports whether the problem maximizes its objective.
 func (p *Problem) IsMaximize() bool { return p.maximize }
+
+// ObjectiveCoeff returns the objective coefficient of variable j.
+func (p *Problem) ObjectiveCoeff(j int) float64 { return p.c[j] }
 
 // SetBounds sets the bounds of variable j. Use -Inf/+Inf for an unbounded
 // lower/upper side; NaN, a lower bound of +Inf, and an upper bound of -Inf
@@ -287,7 +294,7 @@ func (p *Problem) AddSparseConstraint(idx []int, coeffs []float64, rel Relation,
 }
 
 // numSlacks counts the inequality rows, each of which carries one slack
-// variable in both engines' internal layout.
+// variable in the engine's internal layout.
 func (p *Problem) numSlacks() int {
 	k := 0
 	for _, r := range p.rows {
@@ -325,6 +332,9 @@ func checkRow(coeffs []float64, rel Relation, rhs float64) error {
 
 // isFinite reports whether v is neither NaN nor ±Inf.
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+func isNegInf(v float64) bool { return math.IsInf(v, -1) }
+func isPosInf(v float64) bool { return math.IsInf(v, 1) }
 
 // sortRowEntries sorts parallel index/value slices by index.
 func sortRowEntries(ind []int, val []float64) {
@@ -371,8 +381,8 @@ type Solution struct {
 	// simplex path rather than a cold two-phase solve: a certified optimum,
 	// or an Infeasible verdict whose dual ray passed the Farkas check.
 	Warm bool
-	// Sparse reports which engine produced the solution: true for the
-	// sparse revised simplex, false for the dense tableau.
+	// Sparse reports which kernel factored the basis: true for the sparse
+	// LU, false for the dense one.
 	Sparse bool
 	// Basis is a snapshot of the optimal basis, captured only when
 	// Options.CaptureBasis is set and Status == Optimal. It can seed a
@@ -391,24 +401,20 @@ type Options struct {
 	// and restores primal feasibility with bound-flipping dual pivots; in
 	// every case where the warm path cannot certify a result it falls back
 	// to the cold two-phase solve, so results never depend on the hint.
-	// Under the sparse engine the warm basis seeds the initial LU
-	// factorization instead of a tableau refactorization.
+	// The warm basis seeds the initial LU factorization.
 	WarmBasis *Basis
 	// CaptureBasis records the optimal basis in Solution.Basis and
 	// certifies the engine's final state, retained on the Workspace, for
 	// this problem, so the next warm solve of it on the same workspace can
-	// reuse the tableau (dense) or LU factorization (sparse) instead of
-	// rebuilding. Callers ending a capture-enabled sequence on a workspace
-	// they keep should call Workspace.Reset.
+	// reuse the LU factorization and eta file instead of rebuilding.
+	// Callers ending a capture-enabled sequence on a workspace they keep
+	// should call Workspace.Reset.
 	CaptureBasis bool
-	// Engine picks the simplex engine; the zero value lets the size and
-	// density heuristic choose.
-	Engine Engine
 	// Span, when non-nil, parents an "lp.solve" trace span per solve,
-	// carrying the engine choice (sparse=true/false), status, and pivot
+	// carrying the kernel choice (sparse=true/false), status, and pivot
 	// count. A nil Span emits nothing.
 	Span *telemetry.Span
-	// Flight, when non-nil, records one FlightLP event per solve (engine,
+	// Flight, when non-nil, records one FlightLP event per solve (kernel,
 	// warm/cold, pivots, status, duration). Recording is observational
 	// only and never alters the solve.
 	Flight *telemetry.Flight
@@ -419,7 +425,7 @@ type Options struct {
 	// per-node/per-round granularity lives in the milp and core callers —
 	// so there is no mid-pivot polling.
 	Ctx context.Context
-	// Workspace supplies (and between solves retains) both engines' working
+	// Workspace supplies (and between solves retains) the engine's working
 	// storage, so steady-state re-solves touch the allocator only on
 	// problem-size growth. The returned Solution's vectors then alias the
 	// workspace and are valid only until its next solve. When nil, the
@@ -430,9 +436,12 @@ type Options struct {
 
 	// maxIter caps total pivots across both phases (default 50000), and
 	// tol is the numeric tolerance for pricing and feasibility (default
-	// 1e-9). Only this package's tests set them.
+	// 1e-9). kernel pins the basis factorization kernel; its zero value
+	// lets the size and density rule pick (see useSparseKernel). Only this
+	// package's tests set them.
 	maxIter int
 	tol     float64
+	kernel  kernel
 }
 
 func (o Options) withDefaults() Options {
@@ -445,47 +454,38 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Engine-selection heuristic: the revised simplex wins when the constraint
-// matrix is large and sparse enough that FTRAN/BTRAN solves beat dense
-// tableau row operations. Dense PTDF-style rows (economic dispatch, QP
-// subproblems) stay on the tableau engine.
-// The row cutover is calibrated against BENCH_solver.json: the KKT systems
-// of case9/30/57 (≲40 rows) ran 0.66–0.77× under the revised simplex —
-// LU refactorization overhead dominates at that size — while case118
-// (~180 rows, ~6% dense) runs 2.6× faster sparse. 64 rows splits the two
-// regimes with margin on both sides.
+// Kernel-selection rule: the sparse LU wins when the basis is large and
+// sparse enough that Markowitz elimination and sparse triangular solves
+// beat dense ones. The KKT systems of case9/30/57 (30–42 rows) stay on the
+// dense LU, where the sparse bookkeeping costs more than it saves; those
+// of case118 (~180 rows, ~4% dense) take the sparse one. 64 rows splits
+// the two regimes with margin on both sides.
 const (
 	sparseMinRows    = 64
 	sparseMaxDensity = 0.3
 )
 
-// Engine selects the simplex engine a solve runs on.
-type Engine uint8
+// kernel names the basis factorization kernel a solve runs on.
+type kernel uint8
 
 const (
-	// EngineAuto routes large sparse problems to the revised simplex and
-	// the rest to the dense tableau (see sparseMinRows).
-	EngineAuto Engine = iota
-	// EngineDense forces the dense tableau, the differential-testing
-	// oracle for the sparse engine.
-	EngineDense
-	// EngineSparse forces the sparse revised simplex even on problems the
-	// heuristic would route to the dense tableau.
-	EngineSparse
+	kernelAuto kernel = iota // pick by useSparseKernel
+	kernelDense
+	kernelSparse
 )
 
-// useSparseEngine decides which engine a solve runs on.
-func useSparseEngine(p *Problem, opts Options) bool {
-	switch opts.Engine {
-	case EngineDense:
+// useSparseKernel decides which kernel factors p's bases.
+func useSparseKernel(p *Problem, opts Options) bool {
+	switch opts.kernel {
+	case kernelDense:
 		return false
-	case EngineSparse:
+	case kernelSparse:
 		return true
 	}
 	return len(p.rows) >= sparseMinRows && p.Density() <= sparseMaxDensity
 }
 
-// solveStats aggregates per-solve counter deltas from either engine.
+// solveStats aggregates one solve's counter deltas.
 type solveStats struct {
 	iters, phase1, degen, flips, dualPivs int
 	warmTried, warmUsed                   bool
@@ -506,7 +506,11 @@ func SolveWith(p *Problem, opts Options) (*Solution, error) {
 			return nil, fmt.Errorf("lp: solve aborted: %w", err)
 		}
 	}
-	sparseEng := useSparseEngine(p, opts)
+	sparseEng := useSparseKernel(p, opts)
+	opts.kernel = kernelDense
+	if sparseEng {
+		opts.kernel = kernelSparse
+	}
 	span := telemetry.StartSpan(nil, opts.Span, "lp.solve")
 	span.SetAttr("sparse", sparseEng)
 	if opts.Metrics != nil {
@@ -532,11 +536,7 @@ func SolveWith(p *Problem, opts Options) (*Solution, error) {
 		err   error
 		stats solveStats
 	)
-	if sparseEng {
-		sol, err = solveSparse(p, opts, &stats)
-	} else {
-		sol, err = solveDense(p, opts, &stats)
-	}
+	sol, err = solve(p, opts, &stats)
 	if sol != nil {
 		sol.Iterations = stats.iters
 		sol.Warm = stats.warmUsed
@@ -579,50 +579,6 @@ func SolveWith(p *Problem, opts Options) (*Solution, error) {
 		sol = sol.detach()
 		PutWorkspace(opts.Workspace)
 	}
-	return sol, err
-}
-
-// solveDense runs the dense tableau engine: warm attempt first (when a basis
-// hint is present), cold two-phase otherwise.
-func solveDense(p *Problem, opts Options, stats *solveStats) (*Solution, error) {
-	var (
-		sol *Solution
-		err error
-		s   *simplex
-	)
-	ws := opts.Workspace
-	if b := opts.WarmBasis; b != nil {
-		stats.warmTried = true
-		s, sol = trySolveWarm(p, opts, b, stats)
-		if s != nil {
-			stats.iters += s.iters
-			stats.degen += s.degenPivots
-			stats.flips += s.boundFlips
-			stats.dualPivs += s.dualPivots
-		}
-		if sol != nil {
-			stats.warmUsed = true
-		} else if s != nil {
-			// Failed attempt: its storage goes back to the workspace for
-			// the cold fallback; any pivots it burned stay in the totals.
-			ws.retainTableau(p, s, false)
-		}
-	}
-	if sol == nil {
-		cs := newSimplex(p, opts)
-		sol, err = cs.run()
-		stats.iters += cs.iters
-		stats.phase1 += cs.phase1Iters
-		stats.degen += cs.degenPivots
-		stats.flips += cs.boundFlips
-		s = cs
-	}
-	if sol != nil && opts.CaptureBasis && sol.Status == Optimal {
-		sol.Basis = captureBasis(s)
-	}
-	// The finished engine goes back to the workspace; an error-free
-	// capture-enabled solve certifies its tableau for the next warm start.
-	ws.retainTableau(p, s, err == nil && opts.CaptureBasis)
 	return sol, err
 }
 

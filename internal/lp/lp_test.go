@@ -351,10 +351,10 @@ func TestRejectsNonFiniteInput(t *testing.T) {
 			if _, err := p.AddConstraint([]float64{1, 2}, LE, 4); err != nil {
 				t.Fatal(err)
 			}
-			for _, eng := range []Engine{EngineDense, EngineSparse} {
-				sol, err := SolveWith(p, Options{Engine: eng})
+			for _, kn := range kernels {
+				sol, err := SolveWith(p, withKernel(Options{}, kn.k))
 				if err != nil || sol.Status != Optimal || math.Abs(sol.Objective-4) > tol {
-					t.Fatalf("engine=%v: base problem after rejected edit: %+v, %v", eng, sol, err)
+					t.Fatalf("%s kernel: base problem after rejected edit: %+v, %v", kn.name, sol, err)
 				}
 			}
 		})

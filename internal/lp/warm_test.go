@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -263,5 +264,63 @@ func TestStaleCacheInvalidatedByAddConstraint(t *testing.T) {
 	}
 	if sol2.Status != Optimal && sol2.Status != Infeasible {
 		t.Fatalf("unexpected status %v", sol2.Status)
+	}
+}
+
+// On the dense kernel a node's sibling warm-starts from their parent's
+// final basis, which was checkpointed when the first sibling started: the
+// solve truncates the eta file back to it, reusing the LU without a
+// refactorization, and still reaches the oracle's optimum.
+func TestWarmSiblingTruncatesEtaFile(t *testing.T) {
+	p := allocLP(t)
+	ws := NewWorkspace()
+	opts := withKernel(Options{CaptureBasis: true, Workspace: ws}, kernelDense)
+	root, err := SolveWith(p, opts)
+	if err != nil || root.Status != Optimal {
+		t.Fatalf("root: %v, %v", root, err)
+	}
+	rootBasis, rootX, rootDual := root.Basis, slices.Clone(root.X), slices.Clone(root.Dual)
+	j := slices.IndexFunc(rootX, func(x float64) bool { return x > 1e-3 })
+	if j < 0 {
+		t.Fatal("root optimum has no positive variable to branch on")
+	}
+	opts.WarmBasis = rootBasis
+	for _, branch := range []struct {
+		name   string
+		lo, hi float64
+	}{
+		{"down", 0, rootX[j] / 2},
+		{"up", 1.5 * rootX[j], math.Inf(1)},
+	} {
+		if err := p.SetBounds(j, branch.lo, branch.hi); err != nil {
+			t.Fatal(err)
+		}
+		lu := ws.eng.dlu.lu
+		sol, err := SolveWith(p, opts)
+		if err != nil || !sol.Warm || sol.Iterations == 0 {
+			t.Fatalf("%s child: %+v, %v; want a warm solve with dual pivots", branch.name, sol, err)
+		}
+		if branch.name == "up" && ws.eng.dlu.lu != lu {
+			t.Error("the sibling refactorized instead of truncating the eta file to the checkpoint")
+		}
+		want, err := solveTableau(p, Options{})
+		if err != nil || want.Status != sol.Status || sol.Status == Optimal && !objClose(sol.Objective, want.Objective) {
+			t.Fatalf("%s child: %v %v, oracle %v %v (%v)", branch.name, sol.Status, sol.Objective, want.Status, want.Objective, err)
+		}
+	}
+	// Back at the root's bounds the root basis is optimal as it stands: no
+	// pivot runs, so the duals come straight from the reduced costs of the
+	// truncated factorization, and must be the root's.
+	if err := p.SetBounds(j, 0, math.Inf(1)); err != nil {
+		t.Fatal(err)
+	}
+	again, err := SolveWith(p, opts)
+	if err != nil || !again.Warm || again.Iterations != 0 {
+		t.Fatalf("root again: %+v, %v; want a warm solve without pivots", again, err)
+	}
+	for i, y := range again.Dual {
+		if math.Abs(y-rootDual[i]) > 1e-9*(1+math.Abs(y)) {
+			t.Fatalf("root again: dual %d = %v, root solve %v", i, y, rootDual[i])
+		}
 	}
 }

@@ -8,10 +8,9 @@ import (
 )
 
 // Workspace is the single owner of solver working storage and of the state
-// retained between solves, for both engines: the dense tableau (its rows and
-// working vectors live in one reusable buffer), the sparse revised-simplex
-// engine (dense vectors, eta file, pivot-row and pricing arrays, the
-// compressed-column matrix), the Markowitz factorization working set
+// retained between solves: the revised-simplex engine (dense vectors, eta
+// file, pivot-row and pricing arrays, the compressed-column matrix, the
+// dense basis LU), the Markowitz factorization working set
 // (internal/sparse.FactorScratch, including a recycled spare LU),
 // matrix-build temporaries, warm-basis scratch, and the solution vectors.
 // The QP layer parks its Schur scratch in QP (typed in internal/qp; `any`
@@ -32,19 +31,16 @@ import (
 //
 // A workspace only moves where arrays live: every solve rebuilds its
 // engine from the problem unless the retained engine is certified for that
-// problem (see tabProb/engProb), so results are bit-for-bit independent of
-// which workspace ran a solve and of what it ran before.
+// problem (see engProb), so results are bit-for-bit independent of which
+// workspace ran a solve and of what it ran before.
 type Workspace struct {
-	// tab and eng are the dense and sparse engines retained by the last
-	// solve of each kind. tabProb/engProb are non-nil only when that solve
-	// ran with CaptureBasis, and mark the engine's tableau (dense) or
-	// matrix, LU, and eta file (sparse) as still describing that problem —
-	// checked against Problem.rev at reuse time, since rows added later
-	// invalidate it while bound and objective edits do not. An uncertified
-	// retention reuses allocations only: the next solve rebuilds from the
-	// problem and starts cold.
-	tab     *simplex
-	tabProb *Problem
+	// eng is the engine retained by the last solve. engProb is non-nil
+	// only when that solve ran with CaptureBasis, and marks the engine's
+	// matrix, LU, and eta file as still describing that problem — checked
+	// against Problem.rev at reuse time, since rows added later invalidate
+	// it while bound and objective edits do not. An uncertified retention
+	// reuses allocations only: the next solve rebuilds from the problem and
+	// starts cold.
 	eng     *revised
 	engProb *Problem
 
@@ -58,7 +54,6 @@ type Workspace struct {
 	// Warm-start scratch, including the Farkas certificate row y and its
 	// image g = yᵀ[A | S] (see farkasCertified).
 	wanted  []int
-	tmp     []int
 	farkasY []float64
 	farkasG []float64
 
@@ -89,9 +84,9 @@ func PutWorkspace(ws *Workspace) {
 	pool.Put(ws)
 }
 
-// Reset drops the retained engines' association with their problems, so
-// the next solve rebuilds from the problem's current state (allocations are
-// kept), and drops their references to the last solve's objective and
+// Reset drops the retained engine's association with its problem, so the
+// next solve rebuilds from the problem's current state (allocations are
+// kept), and drops its references to the last solve's objective and
 // options, so an idle workspace keeps no caller data alive. Call it when a
 // capture-enabled solve sequence ends, or when the retained state can no
 // longer be trusted, e.g. after a panic unwound through a solve. A nil
@@ -100,52 +95,13 @@ func (ws *Workspace) Reset() {
 	if ws == nil {
 		return
 	}
-	ws.tabProb, ws.engProb = nil, nil
-	if s := ws.tab; s != nil {
-		s.opts, s.userC = Options{}, nil
-	}
+	ws.engProb = nil
 	if e := ws.eng; e != nil {
 		e.opts, e.userC = Options{}, nil
 	}
 }
 
-// takeTableau detaches the retained dense engine when it is certified for
-// p's current state and shape; otherwise it returns nil and leaves the
-// engine in place for newSimplex to reuse as storage.
-func (ws *Workspace) takeTableau(p *Problem, m, n, nslack int) *simplex {
-	s := ws.tab
-	ok := s != nil && ws.tabProb == p && s.cacheRev == p.rev &&
-		s.m == m && s.n == n && s.nslack == nslack
-	ws.tabProb = nil
-	if !ok {
-		return nil
-	}
-	ws.tab = nil
-	return s
-}
-
-// detachTableau takes the retained dense engine for storage reuse, or a new
-// one when there is none.
-func (ws *Workspace) detachTableau() *simplex {
-	s := ws.tab
-	ws.tab, ws.tabProb = nil, nil
-	if s == nil {
-		s = &simplex{}
-	}
-	return s
-}
-
-// retainTableau stores a finished dense engine. certified marks its tableau
-// as valid for p's current rev; only error-free CaptureBasis solves earn it.
-func (ws *Workspace) retainTableau(p *Problem, s *simplex, certified bool) {
-	ws.tab, ws.tabProb = s, nil
-	if certified {
-		ws.tabProb = p
-		s.cacheRev = p.rev
-	}
-}
-
-// engine takes the retained sparse engine for reuse, or a new one bound to
+// engine takes the retained engine for reuse, or a new one bound to
 // this workspace when there is none. The caller checks certification first.
 func (ws *Workspace) engine() *revised {
 	e := ws.eng
@@ -156,7 +112,7 @@ func (ws *Workspace) engine() *revised {
 	return e
 }
 
-// retain stores a finished sparse engine. certified marks the engine's
+// retain stores a finished engine. certified marks the engine's
 // matrix, LU, and eta file as valid for p's current rev; only CaptureBasis
 // solves earn it.
 func (ws *Workspace) retain(p *Problem, e *revised, certified bool) {

@@ -32,9 +32,9 @@ func TestMulBlockedIntoZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestFactorIntoZeroAlloc pins FactorInto and SolveInto at zero allocations
-// once the caller's LU and destination have room: a cached factorization
-// re-used across solves must stay off the allocator.
+// TestFactorIntoZeroAlloc pins FactorInto and the three solves at zero
+// allocations once the caller's LU and destination have room: a cached
+// factorization re-used across solves must stay off the allocator.
 func TestFactorIntoZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const n = 11
@@ -69,5 +69,23 @@ func TestFactorIntoZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("SolveInto allocates %.1f objects per call, want 0", allocs)
+	}
+	allocs = testing.AllocsPerRun(50, func() {
+		if _, err := f.SolveSparseInto(dst, b); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("SolveSparseInto allocates %.1f objects per call, want 0", allocs)
+	}
+	work := make([]float64, n)
+	allocs = testing.AllocsPerRun(50, func() {
+		copy(work, b)
+		if _, err := f.SolveTInto(dst, work); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("SolveTInto allocates %.1f objects per call, want 0", allocs)
 	}
 }

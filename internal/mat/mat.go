@@ -302,6 +302,97 @@ func (f *LU) SolveInto(dst, b []float64) ([]float64, error) {
 	return x, nil
 }
 
+// SolveSparseInto solves A·x = b into dst like SolveInto, with both
+// triangular sweeps run column by column: once x_j is final, column j of L
+// (forward) or U (backward) is subtracted from the equations still open,
+// and skipped outright when x_j is zero. For the sparse right-hand sides of
+// a simplex FTRAN most columns are skipped. The sums accumulate in another
+// order than SolveInto's, so the last bits may differ. dst must not
+// overlap b.
+func (f *LU) SolveSparseInto(dst, b []float64) ([]float64, error) {
+	n := f.lu.rows
+	if len(b) != n {
+		return nil, fmt.Errorf("LU.SolveSparse: rhs length %d, want %d: %w", len(b), n, ErrShape)
+	}
+	x := dst
+	if cap(x) < n {
+		x = make([]float64, n)
+	}
+	x = x[:n]
+	for i, p := range f.piv {
+		x[i] = b[p]
+	}
+	d := f.lu.data
+	for j := 0; j < n; j++ {
+		if s := x[j]; s != 0 {
+			for i := j + 1; i < n; i++ {
+				x[i] -= d[i*n+j] * s
+			}
+		}
+	}
+	for j := n - 1; j >= 0; j-- {
+		s := x[j] / d[j*n+j]
+		x[j] = s
+		if s != 0 {
+			for i := 0; i < j; i++ {
+				x[i] -= d[i*n+j] * s
+			}
+		}
+	}
+	return x, nil
+}
+
+// SolveTInto solves Aᵀ·y = b into dst when it has capacity for the
+// solution, allocating otherwise, and returns the solution (resliced dst
+// when it fits). dst must not overlap b. Both triangular sweeps run row by
+// row over the row-major factors — Uᵀ forward, then Lᵀ backward, each
+// subtracting a multiple of one stored row, skipped when that multiple is
+// zero — so they read memory as contiguously as SolveInto does. The sweeps run in b, which is left
+// holding intermediate values; pass a copy to keep it.
+func (f *LU) SolveTInto(dst, b []float64) ([]float64, error) {
+	n := f.lu.rows
+	if len(b) != n {
+		return nil, fmt.Errorf("LU.SolveT: rhs length %d, want %d: %w", len(b), n, ErrShape)
+	}
+	y := dst
+	if cap(y) < n {
+		y = make([]float64, n)
+	}
+	y = y[:n]
+	// Forward substitution with Uᵀ: once s_i = b_i/u_ii is known, row i of
+	// U carries its contribution to every later equation.
+	for i := 0; i < n; i++ {
+		row := f.lu.data[i*n+i : (i+1)*n]
+		bs := b[i:][:len(row)]
+		s := bs[0] / row[0]
+		bs[0] = s
+		if s == 0 {
+			continue
+		}
+		for j := 1; j < len(row); j++ {
+			bs[j] -= row[j] * s
+		}
+	}
+	// Back substitution with the unit-diagonal Lᵀ, row i of L feeding the
+	// earlier equations.
+	for i := n - 1; i > 0; i-- {
+		s := b[i]
+		if s == 0 {
+			continue
+		}
+		row := f.lu.data[i*n : i*n+i]
+		bs := b[:len(row)]
+		for j, l := range row {
+			bs[j] -= l * s
+		}
+	}
+	// Undo the row permutation: Aᵀ = Uᵀ·Lᵀ·P.
+	for i, p := range f.piv {
+		y[p] = b[i]
+	}
+	return y, nil
+}
+
 // Det returns the determinant of the factored matrix.
 func (f *LU) Det() float64 {
 	d := float64(f.sign)

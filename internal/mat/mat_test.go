@@ -459,3 +459,99 @@ func TestScaleAndRow(t *testing.T) {
 		t.Fatal("RawRow must alias")
 	}
 }
+
+// Property: SolveSparseInto solves the same system as SolveInto, to
+// rounding, on right-hand sides with a few nonzeros, and uses dst when it
+// has room.
+func TestSolveSparseIntoMatchesSolveInto(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	var dst []float64
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + r.Intn(14)
+		f, err := Factor(randomLUMatrix(r, n, uint8(trial%8)&^3))
+		if err != nil {
+			continue
+		}
+		b := make([]float64, n)
+		for k := 1 + r.Intn(3); k > 0; k-- {
+			b[r.Intn(n)] = r.NormFloat64()
+		}
+		want, err := f.SolveInto(nil, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := f.SolveSparseInto(dst, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(dst) >= n && &got[0] != &dst[:1][0] {
+			t.Fatalf("trial %d: SolveSparseInto allocated despite room in dst", trial)
+		}
+		dst = got
+		for i := range want {
+			if d := math.Abs(want[i] - got[i]); d > 1e-9*(1+math.Abs(want[i])) {
+				t.Fatalf("trial %d: x[%d] = %g, SolveInto gives %g", trial, i, got[i], want[i])
+			}
+		}
+	}
+	if _, err := (&LU{lu: New(2, 2), piv: []int{0, 1}}).SolveSparseInto(nil, []float64{1}); !errors.Is(err, ErrShape) {
+		t.Fatalf("short rhs: want ErrShape, got %v", err)
+	}
+}
+
+// Property: SolveTInto solves the transposed system: the residual of
+// Aᵀ·y = b is at rounding level, it agrees with a solve through the
+// factorization of Aᵀ itself, and dst is used when it has room.
+func TestSolveTIntoSolvesTranspose(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	var dst []float64
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + r.Intn(14)
+		a := randomLUMatrix(r, n, uint8(trial%8)&^1)
+		f, err := Factor(a)
+		if err != nil {
+			continue
+		}
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = r.NormFloat64()
+		}
+		work := slices.Clone(b)
+		y, err := f.SolveTInto(dst, work)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(dst) >= n && &y[0] != &dst[:1][0] {
+			t.Fatalf("trial %d: SolveTInto allocated despite room in dst", trial)
+		}
+		dst = y
+		at := a.T()
+		aty, err := at.MulVec(y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, scale := 0.0, 0.0
+		for i := 0; i < n; i++ {
+			res = math.Max(res, math.Abs(b[i]-aty[i]))
+			scale = math.Max(scale, math.Abs(b[i]))
+			for j := 0; j < n; j++ {
+				scale = math.Max(scale, math.Abs(at.At(i, j)*y[j]))
+			}
+		}
+		if res > 1e-9*scale {
+			t.Fatalf("trial %d (n=%d): residual %g at scale %g", trial, n, res, scale)
+		}
+		want, err := Solve(at, b)
+		if err != nil {
+			continue // Aᵀ may pivot onto a tiny element the threshold rejects
+		}
+		for i := range want {
+			if d := math.Abs(want[i] - y[i]); d > 1e-6*(1+math.Abs(want[i])) {
+				t.Fatalf("trial %d: y[%d] = %g, solve through Aᵀ gives %g", trial, i, y[i], want[i])
+			}
+		}
+	}
+	if _, err := (&LU{lu: New(2, 2), piv: []int{0, 1}}).SolveTInto(nil, []float64{1}); !errors.Is(err, ErrShape) {
+		t.Fatalf("short rhs: want ErrShape, got %v", err)
+	}
+}

@@ -145,8 +145,8 @@ func (pm fuzzMILP) bruteForce(t *testing.T) (bool, float64) {
 }
 
 // FuzzMILP is the search's exactness oracle: on random problems with up to
-// 10 binaries and 4 complementarity pairs, SolveWith on either LP engine
-// must agree with brute-force enumeration on the status (optimal or
+// 10 binaries and 4 complementarity pairs, SolveWith with warm-started and
+// with cold-solved node relaxations must agree with brute-force enumeration on the status (optimal or
 // infeasible) and, when optimal, on the objective within 1e-7, report that
 // objective as its proven bound with zero gap, and return a point that
 // satisfies every binary and pair restriction.
@@ -159,12 +159,12 @@ func FuzzMILP(f *testing.F) {
 		feasible, want := pm.bruteForce(t)
 		for _, eng := range []struct {
 			name string
-			lp   lp.Options
+			opts Options
 		}{
-			{"dense", lp.Options{Engine: lp.EngineDense}},
-			{"sparse", lp.Options{Engine: lp.EngineSparse}},
+			{"warm", Options{}},
+			{"cold", Options{DisableWarmStart: true}},
 		} {
-			sol, err := SolveWith(pm.problem(t), Options{LP: eng.lp})
+			sol, err := SolveWith(pm.problem(t), eng.opts)
 			if err != nil {
 				t.Fatalf("%s: %v", eng.name, err)
 			}

@@ -98,8 +98,8 @@ type FlightEvent struct {
 	Frontier int `json:"frontier,omitempty"`
 
 	// Pivots counts simplex pivots (per LP solve, node, or round); Warm
-	// marks a warm-started solve; Sparse marks the sparse revised-simplex
-	// engine (false = dense tableau).
+	// marks a warm-started solve; Sparse marks the sparse LU basis kernel
+	// (false = dense LU).
 	Pivots int  `json:"pivots,omitempty"`
 	Warm   bool `json:"warm,omitempty"`
 	Sparse bool `json:"sparse,omitempty"`
