@@ -128,12 +128,13 @@ bench-serve-baseline:
 ## workspace re-solve, steady-state bordered-KKT QP re-solve, hot case118
 ## dispatch re-solve, via testing.AllocsPerRun and -benchmem discipline),
 ## the workspace identity gate (attacks across worker counts after a dirtied
-## workspace pool, bit-identical to a fresh process), and the absolute
+## workspace pool, bit-identical to a fresh process), the absolute
 ## per-node allocation ceilings, live and against the recorded
-## BENCH_serve.json figure.
+## BENCH_serve.json figure, and the objects and bytes one cold budgeted
+## case57 attack (the dive) may allocate.
 bench-alloc:
 	$(GO) test -run 'TestMulDenseIntoZeroAlloc|TestLUSolveZeroAlloc|TestMulBlockedIntoZeroAlloc|TestFTRANBTRANZeroAlloc|TestWarmResolveZeroAlloc|TestSchurKKTCacheZeroAlloc|TestHotResolveZeroAlloc' -count=1 -v ./internal/sparse/ ./internal/mat/ ./internal/lp/ ./internal/qp/ ./internal/dispatch/
-	$(GO) test -run 'TestWorkspaceIdentityGate|TestAllocGate' -count=1 -timeout 20m -v ./internal/core/
+	$(GO) test -run 'TestWorkspaceIdentityGate|TestAllocGate|TestDiveAllocBudget' -count=1 -timeout 20m -v ./internal/core/
 
 clean:
 	$(GO) clean ./...

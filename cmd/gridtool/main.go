@@ -181,7 +181,7 @@ func ed(net *edattack.Network) error {
 		for _, li := range res.Binding {
 			l := net.Lines[li]
 			fmt.Printf("  line %d (%d-%d): flow %.1f MW, shadow price %.3f $/MWh\n",
-				li, l.From, l.To, res.Flows[li], res.LineDuals[li])
+				li, l.From, l.To, res.Flows[li], res.Dual(li))
 		}
 	}
 	return nil

@@ -49,6 +49,9 @@ type (
 	DispatchModel = dispatch.Model
 	// DispatchResult is one solved dispatch.
 	DispatchResult = dispatch.Result
+	// LineDual is one congested line's flow-limit price in a
+	// DispatchResult's sparse LineDuals.
+	LineDual = dispatch.LineDual
 	// ACEvaluation is the nonlinear ground truth for a dispatch.
 	ACEvaluation = dispatch.ACEvaluation
 

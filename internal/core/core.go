@@ -98,13 +98,23 @@ type Knowledge struct {
 	// ratings: the QP is strictly convex, and a solve's bits do not depend
 	// on the model's warm-start memory by construction — the QP keeps its
 	// working set in row order, so the result is the KKT solution of the
-	// final working set whatever the hot-start working set held. The cache
-	// therefore changes speed only, never results. Shared across workers; cached
-	// Results are treated as immutable.
+	// final working set whatever the hot-start working set held — nor on
+	// the row sides an earlier solve left in the QP, since a side is
+	// rewritten whenever its bits differ. The cache therefore changes speed
+	// only, never results. Shared across workers; cached Results are
+	// treated as immutable.
 	memo *edMemo
 	// memoKeyBuf packs solveMemo's lookup key. Each worker holds its own
 	// Knowledge (forWorker), so the buffer is never shared.
 	memoKeyBuf []byte
+	// ratings is the rating vector ratingsUnder hands out, reused from call
+	// to call like memoKeyBuf: ratingsNet's static ratings with the entries
+	// of its DLR lines, dlrLines, overwritten per call. ratingsUnder refills
+	// all three when the model's network is not ratingsNet (in a forWorker
+	// copy, on first use).
+	ratings    []float64
+	ratingsNet *grid.Network
+	dlrLines   []int
 }
 
 // NewKnowledge validates and bundles attacker knowledge. TrueDLR must have
@@ -131,7 +141,8 @@ func NewKnowledge(m *dispatch.Model, trueDLR map[int]float64) (*Knowledge, error
 			return nil, fmt.Errorf("core: TrueDLR entry for non-DLR line %d", li)
 		}
 	}
-	return &Knowledge{Model: m, TrueDLR: trueDLR, memo: newEDMemo()}, nil
+	return &Knowledge{Model: m, TrueDLR: trueDLR, memo: newEDMemo(),
+		ratings: m.Net.Ratings(nil), ratingsNet: m.Net, dlrLines: dlr}, nil
 }
 
 // edMemoCap bounds the dispatch memo: past this many entries lookups still
@@ -419,9 +430,22 @@ func (k *Knowledge) forWorker() *Knowledge {
 	return &Knowledge{Model: k.Model.ShallowClone(), TrueDLR: k.TrueDLR, memo: k.memo}
 }
 
-// ratingsUnder builds the full effective rating vector for a manipulation.
+// ratingsUnder returns the full effective rating vector for a
+// manipulation, the one Network.Ratings builds, in k's rating buffer: it is
+// valid until the next ratingsUnder call on k and must not be mutated.
 func (k *Knowledge) ratingsUnder(dlr map[int]float64) []float64 {
-	return k.Model.Net.Ratings(dlr)
+	net := k.Model.Net
+	if k.ratingsNet != net {
+		k.ratings, k.ratingsNet, k.dlrLines = net.Ratings(nil), net, net.DLRLines()
+	}
+	for _, li := range k.dlrLines {
+		v, ok := dlr[li]
+		if !ok {
+			v = net.Lines[li].RateMVA
+		}
+		k.ratings[li] = v
+	}
+	return k.ratings
 }
 
 // violationGain computes the paper's U_cap for a flow vector: the largest

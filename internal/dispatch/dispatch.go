@@ -36,7 +36,8 @@ var ErrInfeasible = errors.New("dispatch: economic dispatch infeasible")
 // per solve.
 //
 // A Model is NOT safe for concurrent Solve/SetDemands calls: Solve mutates
-// the warm-start memory (the QP working set) and SetDemands rewrites
+// the per-clone solver state (the QP and its row sides, the QP working set,
+// the KKT factor cache, the QP solution storage) and SetDemands rewrites
 // Base/Demand.
 // Concurrent workers should each hold a ShallowClone, which shares the
 // expensive immutable inputs (Net, M, ptdf) and owns the mutable state.
@@ -65,9 +66,13 @@ type Model struct {
 	// state, never shared between workers.
 	kkt qp.KKTCache
 	// qp is the dispatch QP, built on the first QP solve (see qpProblem);
-	// each solve re-solves it with new row sides and demand. Per-clone
-	// mutable state like kkt.
+	// each solve re-solves it after setting the row sides that changed and
+	// the demand. Per-clone mutable state like kkt.
 	qp *qp.Problem
+	// sol receives every QP solve's solution (qp.SolveInto), so a re-solve
+	// allocates no QP result; Solve copies what its Result keeps out of it.
+	// Per-clone mutable state like kkt.
+	sol qp.Solution
 	// Metrics, when non-nil, receives dispatch_* counters and forwards to
 	// the inner LP/QP solvers' lp_*/qp_* counters. Nil costs nothing.
 	Metrics *telemetry.Registry
@@ -241,16 +246,35 @@ type Result struct {
 	// Cost is the total generation cost in $/h (including constant
 	// terms).
 	Cost float64
-	// LineDuals holds the shadow price of each line's rating constraint
-	// (λ⁺ − λ⁻, nonzero only when congested). Indexed like Net.Lines;
-	// entries for unlimited lines are zero.
-	LineDuals []float64
+	// LineDuals holds one entry per line whose rating constraint has a
+	// nonzero shadow price (λ⁺ − λ⁻, signed by the flow's direction), in
+	// line order; every other line's price is zero. Dual looks one up.
+	LineDuals []LineDual
 	// Binding lists indices of lines whose rating constraint is active
 	// (within tolerance) in either direction.
 	Binding []int
 	// Iterations is the inner solver's iteration count (simplex pivots or
 	// active-set steps).
 	Iterations int
+}
+
+// LineDual is the shadow price of one line's rating constraint.
+type LineDual struct {
+	// Line indexes Net.Lines.
+	Line int
+	// Dual is λ⁺ − λ⁻: positive when the From→To limit binds, negative
+	// when the To→From one does.
+	Dual float64
+}
+
+// Dual returns the shadow price of line li's rating constraint, zero when
+// it has none.
+func (r *Result) Dual(li int) float64 {
+	i, ok := slices.BinarySearchFunc(r.LineDuals, li, func(d LineDual, li int) int { return d.Line - li })
+	if !ok {
+		return 0
+	}
+	return r.LineDuals[i].Dual
 }
 
 // Solve runs the DC economic dispatch against the given effective line
@@ -361,9 +385,13 @@ func (m *Model) solveLP(ratings []float64) ([]float64, []float64, []float64, int
 
 // solveQP handles convex quadratic costs via the active-set solver: it sets
 // every rated line's row sides to ±u − Base, opens each unrated line's row,
-// and sets the balance target. It returns the dispatch p, M·p (the rows'
+// and sets the balance target. A side is written only when it differs, bit
+// for bit, from the one the QP holds, so a re-solve that moves one rating
+// writes one row, while one after SetDemands (which moves Base) writes
+// every side it changed. It returns the dispatch p, M·p (the rows'
 // activities), the signed line duals (qp's λ_hi − λ_lo per row, which is
-// λ⁺ − λ⁻ per line), and the iteration count.
+// λ⁺ − λ⁻ per line), and the iteration count; the vectors live in the
+// model's QP solution until the next solve.
 func (m *Model) solveQP(ratings []float64) ([]float64, []float64, []float64, int, error) {
 	prob, err := m.qpProblem()
 	if err != nil {
@@ -375,6 +403,9 @@ func (m *Model) solveQP(ratings []float64) ([]float64, []float64, []float64, int
 		if u > 0 {
 			lo, hi = -u-m.Base[li], u-m.Base[li]
 		}
+		if plo, phi := prob.RowBounds(li); sameBits(plo, lo) && sameBits(phi, hi) {
+			continue
+		}
 		if err := prob.SetRowBounds(li, lo, hi); err != nil {
 			return nil, nil, nil, 0, fmt.Errorf("dispatch: %w", err)
 		}
@@ -382,20 +413,24 @@ func (m *Model) solveQP(ratings []float64) ([]float64, []float64, []float64, int
 	if err := prob.SetEqualityRHS(0, m.Demand); err != nil {
 		return nil, nil, nil, 0, fmt.Errorf("dispatch: %w", err)
 	}
-	sol, err := qp.SolveWith(prob, qp.Options{
+	err = qp.SolveInto(prob, qp.Options{
 		Metrics:   m.Metrics,
 		Cache:     &m.kkt,
 		Workspace: m.Workspace,
 		Start:     &m.start,
-	})
+	}, &m.sol)
 	if err != nil {
 		if errors.Is(err, qp.ErrInfeasible) {
 			return nil, nil, nil, 0, ErrInfeasible
 		}
 		return nil, nil, nil, 0, fmt.Errorf("dispatch: %w", err)
 	}
-	return sol.X, sol.Activity, sol.IneqDual, sol.Iterations, nil
+	return m.sol.X, m.sol.Activity, m.sol.IneqDual, m.sol.Iterations, nil
 }
+
+// sameBits reports whether a and b are the same float64 bit pattern, which
+// tells −0 from +0.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // qpProblem returns the model's dispatch QP, building it on first use: the
 // cost curves, the generator limits, the balance row, and one row M_l·p per
@@ -436,21 +471,34 @@ func (m *Model) qpProblem() (*qp.Problem, error) {
 }
 
 // result builds the Result of a solve from its dispatch p, M·p, and its
-// line duals. P, Flows, and LineDuals share one array.
+// dense line duals, none of which it keeps. P and Flows share one array;
+// LineDuals and Binding are allocated only when nonempty.
 func (m *Model) result(p, mp, duals, ratings []float64) *Result {
 	ng, nl := len(p), len(m.Base)
-	buf := make([]float64, ng+2*nl)
+	buf := make([]float64, ng+nl)
 	res := &Result{
-		P:         buf[:ng:ng],
-		Flows:     buf[ng : ng+nl : ng+nl],
-		Cost:      m.Cost(p),
-		LineDuals: buf[ng+nl:],
+		P:     buf[:ng:ng],
+		Flows: buf[ng:],
+		Cost:  m.Cost(p),
 	}
 	copy(res.P, p)
 	for li, b := range m.Base {
 		res.Flows[li] = mp[li] + b
 	}
-	copy(res.LineDuals, duals)
+	nz := 0
+	for _, d := range duals {
+		if d != 0 {
+			nz++
+		}
+	}
+	if nz > 0 {
+		res.LineDuals = make([]LineDual, 0, nz)
+		for li, d := range duals {
+			if d != 0 {
+				res.LineDuals = append(res.LineDuals, LineDual{Line: li, Dual: d})
+			}
+		}
+	}
 	const bindTol = 1e-5
 	var stack [32]int
 	binding := stack[:0]

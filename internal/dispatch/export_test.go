@@ -45,7 +45,12 @@ func (m *Model) SolveRebuilt(ratings []float64) (*Result, error) {
 		return nil, err
 	}
 	flows := mat.AxPlusY(1, mp, m.Base)
-	res := &Result{P: sol.X, Flows: flows, Cost: m.Cost(sol.X), LineDuals: sol.IneqDual}
+	res := &Result{P: sol.X, Flows: flows, Cost: m.Cost(sol.X)}
+	for li, d := range sol.IneqDual {
+		if d != 0 {
+			res.LineDuals = append(res.LineDuals, LineDual{Line: li, Dual: d})
+		}
+	}
 	for li, f := range flows {
 		if u := ratings[li]; u > 0 && math.Abs(f)-u > -1e-5*(1+u) {
 			res.Binding = append(res.Binding, li)

@@ -30,10 +30,8 @@ func (m *Model) LMPs(res *Result) ([]float64, error) {
 		p := res.P[i]
 		if p > gens[i].Pmin+1e-6 && p < gens[i].Pmax-1e-6 {
 			var cong float64
-			for li := range m.Net.Lines {
-				if res.LineDuals[li] != 0 {
-					cong += res.LineDuals[li] * m.M.At(li, i)
-				}
+			for _, d := range res.LineDuals {
+				cong += d.Dual * m.M.At(d.Line, i)
 			}
 			lambda = gens[i].MarginalCost(p) + cong
 			found = true
@@ -56,10 +54,8 @@ func (m *Model) LMPs(res *Result) ([]float64, error) {
 	lmp := make([]float64, nb)
 	for bi := 0; bi < nb; bi++ {
 		price := lambda
-		for li := range m.Net.Lines {
-			if mu := res.LineDuals[li]; mu != 0 {
-				price -= mu * m.ptdf.At(li, bi)
-			}
+		for _, d := range res.LineDuals {
+			price -= d.Dual * m.ptdf.At(d.Line, bi)
 		}
 		lmp[bi] = price
 	}
@@ -74,10 +70,8 @@ func (m *Model) CongestionRent(res *Result) (float64, error) {
 		return 0, fmt.Errorf("dispatch: CongestionRent needs a result for %d lines", len(m.Net.Lines))
 	}
 	var rent float64
-	for li := range m.Net.Lines {
-		if mu := res.LineDuals[li]; mu != 0 {
-			rent += mu * res.Flows[li]
-		}
+	for _, d := range res.LineDuals {
+		rent += d.Dual * res.Flows[d.Line]
 	}
 	return rent, nil
 }

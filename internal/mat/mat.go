@@ -34,6 +34,17 @@ func New(rows, cols int) *Matrix {
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
 
+// Resize returns a zero rows×cols matrix: m itself, reshaped over its own
+// storage, when that has room, a new matrix otherwise (m may be nil).
+func Resize(m *Matrix, rows, cols int) *Matrix {
+	if m == nil || cap(m.data) < rows*cols {
+		return New(rows, cols)
+	}
+	m.rows, m.cols, m.data = rows, cols, m.data[:rows*cols]
+	clear(m.data)
+	return m
+}
+
 // NewFromRows builds a matrix from a slice of equally sized rows.
 func NewFromRows(rows [][]float64) (*Matrix, error) {
 	if len(rows) == 0 {

@@ -51,8 +51,6 @@ type activeBuffers struct {
 	// between cached solves).
 	w0  []float64
 	rw0 []float64
-	// keyBuf is scratch for packing working sets into map keys.
-	keyBuf []byte
 	// cands are the dual method's pricing candidates: the hinted sides and
 	// the sides found violated during the solve.
 	cands []int
@@ -77,8 +75,10 @@ type activeBuffers struct {
 	dBuf   []float64
 	cand   []int
 
-	// lamBuf holds the working-set multipliers of a bordered KKT solve.
-	lamBuf []float64
+	// lamBuf holds the working-set multipliers of a bordered KKT solve, and
+	// schurMat the Schur complement schurFactor factors.
+	lamBuf   []float64
+	schurMat *mat.Matrix
 	// The dual method's state — the iterate and its multipliers, copied
 	// from the KKT solve of the working set — and its step direction.
 	xBuf, nuBuf, wlamBuf []float64
@@ -111,6 +111,9 @@ type KKTCache struct {
 	// dual method), once pdKnown.
 	pdN         int
 	pdKnown, pd bool
+
+	// metrics holds the instruments of the registry the last solve fed.
+	metrics solveMetrics
 }
 
 // kktSchur solves working-set KKT systems by bordering: the base matrix
@@ -138,16 +141,15 @@ type kktSchur struct {
 	dim0 int        // n + me
 	base *sparse.LU // factorization of B
 
-	cols  [][]float64        // row position → B⁻¹·ĝ_w, nil until computed
-	dots  [][]float64        // position v → ĝ_vᵀ·B⁻¹·ĝ_w by position w, NaN until computed
-	sfact map[string]*mat.LU // packed working set → Schur factorization
-	sbad  map[string]bool    // packed working set → singular (dependent)
+	cols    [][]float64 // row position → B⁻¹·ĝ_w, nil until computed
+	dots    [][]float64 // position v → ĝ_vᵀ·B⁻¹·ĝ_w by position w, NaN until computed
+	factors schurCache  // working set → Schur factorization, or singular
 }
 
 // run iterates: solve the equality-constrained QP on the working set, then
 // either take a (possibly blocked) step, drop a constraint with a negative
 // multiplier, or declare optimality.
-func (s *activeSet) run() (*Solution, error) {
+func (s *activeSet) run(dst *Solution) error {
 	tol := s.opts.tol
 	// Seed the working set with constraints active at the start point.
 	for i := 0; i < s.p.numSides(); i++ {
@@ -167,7 +169,7 @@ func (s *activeSet) run() (*Solution, error) {
 		if err != nil {
 			// Dependent working set: drop the newest row and retry.
 			if len(s.work) == 0 {
-				return nil, fmt.Errorf("qp: KKT solve failed with empty working set: %w", err)
+				return fmt.Errorf("qp: KKT solve failed with empty working set: %w", err)
 			}
 			s.work = s.work[:len(s.work)-1]
 			continue
@@ -187,9 +189,9 @@ func (s *activeSet) run() (*Solution, error) {
 			}
 			if minIdx < 0 {
 				s.activities()
-				sol := s.assemble(nu, lam)
-				sol.Iterations = iter + 1
-				return sol, nil
+				s.assemble(dst, nu, lam)
+				dst.Iterations = iter + 1
+				return nil
 			}
 			s.work = append(s.work[:minIdx], s.work[minIdx+1:]...)
 			continue
@@ -228,7 +230,7 @@ func (s *activeSet) run() (*Solution, error) {
 			}
 		}
 	}
-	return nil, fmt.Errorf("%w (after %d iterations)", ErrIterLimit, s.opts.maxIter)
+	return fmt.Errorf("%w (after %d iterations)", ErrIterLimit, s.opts.maxIter)
 }
 
 // tryKKT reports whether the KKT matrix for the given working set is
@@ -349,12 +351,11 @@ func (s *activeSet) buildSchur() *kktSchur {
 		return nil
 	}
 	return &kktSchur{
-		dim0:  dim0,
-		base:  base,
-		cols:  make([][]float64, s.p.numSides()),
-		dots:  make([][]float64, s.p.numSides()),
-		sfact: make(map[string]*mat.LU),
-		sbad:  make(map[string]bool),
+		dim0:    dim0,
+		base:    base,
+		cols:    make([][]float64, s.p.numSides()),
+		dots:    make([][]float64, s.p.numSides()),
+		factors: newSchurCache(s.p.numSides()),
 	}
 }
 
@@ -452,18 +453,6 @@ func (s *activeSet) rhsDot(w int) float64 {
 	return s.rw0[w]
 }
 
-// packWork packs a working set's ordered row positions into keyBuf;
-// string(key) keys the Schur maps.
-func (s *activeSet) packWork(work []int) []byte {
-	buf := s.keyBuf[:0]
-	for _, w := range work {
-		k := uint32(w)
-		buf = append(buf, byte(k), byte(k>>8), byte(k>>16), byte(k>>24))
-	}
-	s.keyBuf = buf
-	return buf
-}
-
 // rowDot is ĝ_wᵀ·v for a vector over the base dimension (the gradient is
 // zero over the equality block). The sign multiplies each term, so a lower
 // side's dot is bit for bit that of a row holding the negated gradient.
@@ -524,16 +513,16 @@ func (s *activeSet) solveKKTSchur(work []int) (x, nu, lam []float64, err error) 
 // complement S = GᵀB⁻¹G, computing and caching it on first use. A singular
 // S (dependent gradients) is remembered and reported as mat.ErrSingular.
 func (s *activeSet) schurFactor(work []int) (*mat.LU, error) {
-	k := s.schur
-	key := s.packWork(work)
-	if k.sbad[string(key)] {
+	c := &s.schur.factors
+	switch f, state := c.get(work); state {
+	case entryFactor:
+		return f, nil
+	case entrySingular:
 		return nil, mat.ErrSingular
 	}
-	if f := k.sfact[string(key)]; f != nil {
-		return f, nil
-	}
 	mw := len(work)
-	sc := mat.New(mw, mw)
+	sc := mat.Resize(s.schurMat, mw, mw)
+	s.schurMat = sc
 	for i := range work {
 		for j := i; j < mw; j++ {
 			d := s.pairDot(work[i], work[j])
@@ -546,16 +535,10 @@ func (s *activeSet) schurFactor(work []int) (*mat.LU, error) {
 	if err != nil {
 		// A dependent set stays dependent: the Schur entries are fixed for
 		// the cache's lifetime.
-		if len(k.sbad) >= 1024 {
-			clear(k.sbad)
-		}
-		k.sbad[string(key)] = true
+		c.put(work, entrySingular, nil)
 		return nil, err
 	}
-	if len(k.sfact) >= 1024 {
-		clear(k.sfact)
-	}
-	k.sfact[string(key)] = f
+	c.put(work, entryFactor, f)
 	return f, nil
 }
 
@@ -631,24 +614,27 @@ func (s *activeSet) activities() {
 	mat.DotRows(s.act, s.p.gin, s.x)
 }
 
-// assemble scatters working-set multipliers back to per-row duals and
-// copies the row activities, which must be current. The Solution's six
-// vectors share one backing array.
-func (s *activeSet) assemble(nu, lam []float64) *Solution {
+// assemble writes the solution into dst: it scatters working-set
+// multipliers back to per-row duals and copies the row activities, which
+// must be current. dst's six vectors share one backing array, reused when
+// it has room.
+func (s *activeSet) assemble(dst *Solution, nu, lam []float64) {
 	p := s.p
 	n, me, mi := p.n, len(nu), len(p.gin)
-	buf := make([]float64, 3*n+me+2*mi)
-	sol := &Solution{
-		X:         buf[:n:n],
-		EqDual:    buf[n : n+me : n+me],
-		IneqDual:  buf[n+me : n+me+mi : n+me+mi],
-		Activity:  buf[n+me+mi : n+me+2*mi : n+me+2*mi],
-		LowerDual: buf[n+me+2*mi : 2*n+me+2*mi : 2*n+me+2*mi],
-		UpperDual: buf[2*n+me+2*mi:],
-	}
-	copy(sol.X, s.x)
-	copy(sol.EqDual, nu)
-	copy(sol.Activity, s.act)
+	buf := growFloat(dst.buf, 3*n+me+2*mi)
+	dst.buf = buf
+	dst.X = buf[:n:n]
+	dst.EqDual = buf[n : n+me : n+me]
+	dst.IneqDual = buf[n+me : n+me+mi : n+me+mi]
+	dst.Activity = buf[n+me+mi : n+me+2*mi : n+me+2*mi]
+	dst.LowerDual = buf[n+me+2*mi : 2*n+me+2*mi : 2*n+me+2*mi]
+	dst.UpperDual = buf[2*n+me+2*mi:]
+	copy(dst.X, s.x)
+	copy(dst.EqDual, nu)
+	copy(dst.Activity, s.act)
+	clear(dst.IneqDual)
+	clear(dst.LowerDual)
+	clear(dst.UpperDual)
 	for k, w := range s.work {
 		r := s.p.side(w)
 		l := lam[k]
@@ -657,22 +643,21 @@ func (s *activeSet) assemble(nu, lam []float64) *Solution {
 		}
 		switch {
 		case r.g != nil:
-			sol.IneqDual[r.idx] += r.sign * l
+			dst.IneqDual[r.idx] += r.sign * l
 		case r.sign < 0:
-			sol.LowerDual[r.idx] = l
+			dst.LowerDual[r.idx] = l
 		default:
-			sol.UpperDual[r.idx] = l
+			dst.UpperDual[r.idx] = l
 		}
 	}
 	// With H diagonal each row dot xᵢ·Σⱼ Hᵢⱼxⱼ reduces to xᵢ·(Hᵢᵢ·xᵢ).
 	xHx := 0.0
-	for i, xi := range sol.X {
+	for i, xi := range dst.X {
 		hx := p.h.At(i, i) * xi
 		if p.offDiag != 0 {
-			hx = mat.Dot(p.h.RawRow(i), sol.X)
+			hx = mat.Dot(p.h.RawRow(i), dst.X)
 		}
 		xHx += xi * hx
 	}
-	sol.Objective = 0.5*xHx + mat.Dot(p.c, sol.X)
-	return sol
+	dst.Objective = 0.5*xHx + mat.Dot(p.c, dst.X)
 }

@@ -126,7 +126,7 @@ func TestKKTCacheTransparency(t *testing.T) {
 	t.Run("schur", func(t *testing.T) {
 		r := rand.New(rand.NewSource(23))
 		build := family(randomConvexQP, 99)
-		checkTransparent(t, 30, SolveWith, func() *Problem { return build(0.5*r.Float64(), 0) })
+		checkTransparent(t, 30, false, func() *Problem { return build(0.5*r.Float64(), 0) })
 	})
 	t.Run("dependent", func(t *testing.T) {
 		// A unit fixed at lo = hi has both bound rows active everywhere:
@@ -140,11 +140,11 @@ func TestKKTCacheTransparency(t *testing.T) {
 			p.lower[0] = p.upper[0]
 			return p
 		}
-		shared := checkTransparent(t, 20, solvePrimal, build)
+		shared := checkTransparent(t, 20, true, build)
 		if shared.sc == nil {
 			t.Fatal("the solves did not take the bordered path")
 		}
-		if len(shared.sc.sbad) == 0 {
+		if !slices.ContainsFunc(shared.sc.factors.nodes, func(n schurNode) bool { return n.state == entrySingular }) {
 			t.Fatal("no dependent working set was remembered")
 		}
 		p := build()
@@ -161,26 +161,39 @@ func TestKKTCacheTransparency(t *testing.T) {
 	})
 }
 
-// checkTransparent solves trials problems from next three ways with solve —
-// through one shared KKTCache, with a fresh cache each, and with no cache —
-// and requires bit-identical solutions. It returns the shared cache.
-func checkTransparent(t *testing.T, trials int, solve func(*Problem, Options) (*Solution, error),
-	next func() *Problem) *KKTCache {
+// checkTransparent solves trials problems from next four ways — through
+// one shared KKTCache into one Solution reused across the trials, through
+// the shared cache into a new Solution, with a fresh cache each, and with
+// no cache — by the primal or the dual method, and requires bit-identical
+// solutions. It returns the shared cache.
+func checkTransparent(t *testing.T, trials int, primal bool, next func() *Problem) *KKTCache {
 	t.Helper()
 	shared := &KKTCache{}
+	solveNew := func(p *Problem, o Options) (*Solution, error) {
+		sol := &Solution{}
+		if err := solve(p, o, primal, sol); err != nil {
+			return nil, err
+		}
+		return sol, nil
+	}
+	var reused Solution
 	solved := 0
 	for trial := 0; trial < trials; trial++ {
 		p := next()
-		a, aerr := solve(p, Options{Cache: shared})
-		b, berr := solve(p, Options{Cache: &KKTCache{}})
-		c, cerr := solve(p, Options{})
-		if (aerr == nil) != (berr == nil) || (aerr == nil) != (cerr == nil) {
-			t.Fatalf("trial %d: shared err %v, fresh err %v, uncached err %v", trial, aerr, berr, cerr)
+		rerr := solve(p, Options{Cache: shared}, primal, &reused)
+		a, aerr := solveNew(p, Options{Cache: shared})
+		b, berr := solveNew(p, Options{Cache: &KKTCache{}})
+		c, cerr := solveNew(p, Options{})
+		if (aerr == nil) != (berr == nil) || (aerr == nil) != (cerr == nil) || (aerr == nil) != (rerr == nil) {
+			t.Fatalf("trial %d: reused err %v, shared err %v, fresh err %v, uncached err %v", trial, rerr, aerr, berr, cerr)
 		}
 		if aerr != nil {
 			continue
 		}
 		solved++
+		if d := solutionDiff(a, &reused); d != "" {
+			t.Fatalf("trial %d: new vs reused Solution: %s", trial, d)
+		}
 		if d := solutionDiff(a, b); d != "" {
 			t.Fatalf("trial %d: shared vs fresh cache: %s", trial, d)
 		}
@@ -282,9 +295,10 @@ func TestWorkspaceDropsKKTCache(t *testing.T) {
 
 // TestSchurKKTCacheZeroAlloc pins the bordered path's steady state: once
 // the KKTCache holds the base factorization, border columns, dots, and
-// Schur factors of a problem's working sets, a dual re-solve allocates only
-// the returned Solution, for large problems and for small ones the size of
-// the case30 and case57 dispatch QPs.
+// Schur factors of a problem's working sets, a dual re-solve into a reused
+// Solution allocates nothing, and one through SolveWith only the returned
+// Solution, for large problems and for small ones the size of the case30
+// and case57 dispatch QPs.
 func TestSchurKKTCacheZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -300,12 +314,13 @@ func TestSchurKKTCacheZeroAlloc(t *testing.T) {
 }
 
 // checkSteadyStateAllocs warms a KKTCache and a workspace on p, then
-// requires each further solve to allocate exactly the returned Solution:
-// 2 objects, the struct and the one array behind its X, EqDual, IneqDual,
-// LowerDual, and UpperDual. It checks a cold re-solve and a re-solve
-// hot-started from a carried WorkingSet, which starts at the final working
-// set and so finishes in one iteration with the cold solution. It returns
-// the warmed cache.
+// requires each further SolveInto into a reused Solution to allocate
+// nothing, and each SolveWith exactly the returned Solution: 2 objects, the
+// struct and the one array behind its X, EqDual, IneqDual, LowerDual, and
+// UpperDual. It checks a cold re-solve and a re-solve hot-started from a
+// carried WorkingSet, which starts at the final working set and so
+// finishes in one iteration with the cold solution, and that a reused
+// Solution reads the same bits as a fresh one. It returns the warmed cache.
 func checkSteadyStateAllocs(t *testing.T, p *Problem) *KKTCache {
 	t.Helper()
 	cache := &KKTCache{}
@@ -320,29 +335,32 @@ func checkSteadyStateAllocs(t *testing.T, p *Problem) *KKTCache {
 	if sol.Iterations < 2 {
 		t.Fatalf("solved in %d iterations: no working-set row exercised", sol.Iterations)
 	}
-	const want = 2.0
-	allocs := testing.AllocsPerRun(20, func() { _, _ = SolveWith(p, opts) })
-	if allocs != want {
-		t.Fatalf("steady-state dual re-solve allocates %.1f objects, want %.0f (the Solution)", allocs, want)
-	}
 	hot := opts
 	hot.Start = &WorkingSet{}
+	var dst Solution
 	for i := 0; i < 2; i++ {
-		got, err := SolveWith(p, hot)
-		if err != nil {
+		if err := SolveInto(p, hot, &dst); err != nil {
 			t.Fatal(err)
 		}
-		if i == 1 && got.Iterations != 1 {
-			t.Fatalf("hot re-solve took %d iterations, want 1", got.Iterations)
+		if i == 1 && dst.Iterations != 1 {
+			t.Fatalf("hot re-solve took %d iterations, want 1", dst.Iterations)
 		}
+		got := dst
 		got.Iterations = sol.Iterations
-		if d := solutionDiff(sol, got); d != "" {
+		if d := solutionDiff(sol, &got); d != "" {
 			t.Fatalf("hot solve %d vs cold: %s", i, d)
 		}
 	}
-	allocs = testing.AllocsPerRun(20, func() { _, _ = SolveWith(p, hot) })
-	if allocs != want {
-		t.Fatalf("steady-state hot re-solve allocates %.1f objects, want %.0f (the Solution)", allocs, want)
+	for _, c := range []struct {
+		name string
+		o    Options
+	}{{"cold", opts}, {"hot", hot}} {
+		if a := testing.AllocsPerRun(20, func() { _, _ = SolveWith(p, c.o) }); a != 2 {
+			t.Fatalf("steady-state %s SolveWith allocates %.1f objects, want 2 (the Solution)", c.name, a)
+		}
+		if a := testing.AllocsPerRun(20, func() { _ = SolveInto(p, c.o, &dst) }); a != 0 {
+			t.Fatalf("steady-state %s SolveInto allocates %.1f objects, want 0", c.name, a)
+		}
 	}
 	return cache
 }

@@ -61,29 +61,29 @@ func (w *WorkingSet) CopyFrom(src *WorkingSet) { w.rows = append(w.rows[:0], src
 // returned point and multipliers come from the KKT solve of the final W,
 // so with the order fixed they depend on the final set only — not on the
 // hint, nor on the path that reached the set.
-func (s *activeSet) runDual() (*Solution, error) {
+func (s *activeSet) runDual(dst *Solution) error {
 	hint := s.opts.Start
-	sol, err := s.dualIterate(hint)
+	err := s.dualIterate(hint, dst)
 	if hint != nil {
 		hint.rows = hint.rows[:0]
 		if err == nil {
 			hint.rows = append(hint.rows, s.work...)
 		}
 	}
-	return sol, err
+	return err
 }
 
 // dualIterate runs the dual method from the hinted working set (nil for a
-// cold start).
-func (s *activeSet) dualIterate(hint *WorkingSet) (*Solution, error) {
+// cold start) and writes the solution into dst.
+func (s *activeSet) dualIterate(hint *WorkingSet, dst *Solution) error {
 	iter, err := s.hotStart(hint)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if len(s.work) == 0 {
 		x, nu, lam, err := s.solveKKT(s.work)
 		if err != nil {
-			return nil, fmt.Errorf("qp: KKT solve failed with empty working set: %w", err)
+			return fmt.Errorf("qp: KKT solve failed with empty working set: %w", err)
 		}
 		s.adopt(x, nu, lam)
 	}
@@ -91,21 +91,21 @@ func (s *activeSet) dualIterate(hint *WorkingSet) (*Solution, error) {
 		p, viol := s.priceCandidates()
 		if p < 0 {
 			if p, viol = s.priceAll(); p < 0 {
-				sol := s.assemble(s.nuBuf, s.wlamBuf)
-				sol.Iterations = iter + 1
-				return sol, nil
+				s.assemble(dst, s.nuBuf, s.wlamBuf)
+				dst.Iterations = iter + 1
+				return nil
 			}
 		}
 		rp := s.p.side(p)
 		sigma := s.curvature(p)
 		for added := false; !added; {
 			if iter >= s.opts.maxIter {
-				return nil, fmt.Errorf("%w (after %d iterations)", ErrIterLimit, s.opts.maxIter)
+				return fmt.Errorf("%w (after %d iterations)", ErrIterLimit, s.opts.maxIter)
 			}
 			iter++
 			z, dlam, err := s.direction(s.work, p)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			// t₁: the largest step keeping every working-set multiplier
 			// non-negative, limited by row k.
@@ -133,12 +133,12 @@ func (s *activeSet) dualIterate(hint *WorkingSet) (*Solution, error) {
 					continue
 				}
 				if !errors.Is(err, mat.ErrSingular) {
-					return nil, err
+					return err
 				}
 				// Numerically dependent after all: no full step.
 			}
 			if k < 0 {
-				return nil, ErrInfeasible
+				return ErrInfeasible
 			}
 			if !dependent {
 				for j := range s.x {

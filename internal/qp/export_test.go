@@ -4,7 +4,11 @@ package qp
 // start even when H is positive definite: the oracle the dual method is
 // tested against, reachable only from tests.
 func solvePrimal(p *Problem, opts Options) (*Solution, error) {
-	return solve(p, opts, true)
+	sol := &Solution{}
+	if err := solve(p, opts, true, sol); err != nil {
+		return nil, err
+	}
+	return sol, nil
 }
 
 // solveDenseKKT solves p with every KKT system assembled and factored

@@ -38,14 +38,15 @@ func TestIterLimitSurfaces(t *testing.T) {
 			_ = p.SetBounds(i, 0, 1)
 		}
 		_, _ = p.AddInequality([]float64{1, 1, 1}, 1.5)
-		sol, err := solve(p, Options{maxIter: 1}, tc.primal)
+		var sol Solution
+		err := solve(p, Options{maxIter: 1}, tc.primal, &sol)
 		if err == nil {
 			t.Fatalf("primal=%v: solved within the budget (%d iterations reported); want ErrIterLimit", tc.primal, sol.Iterations)
 		}
 		if !errors.Is(err, ErrIterLimit) {
 			t.Fatalf("primal=%v: want ErrIterLimit, got %v", tc.primal, err)
 		}
-		if _, err := solve(p, Options{}, tc.primal); err != nil {
+		if err := solve(p, Options{}, tc.primal, &sol); err != nil {
 			t.Fatalf("primal=%v: default budget: %v", tc.primal, err)
 		}
 	}

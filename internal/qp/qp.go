@@ -179,6 +179,10 @@ func (p *Problem) SetRowBounds(i int, lo, hi float64) error {
 	return nil
 }
 
+// RowBounds returns inequality row i's sides as SetRowBounds last set them
+// (an absent side is infinite). i must be in range.
+func (p *Problem) RowBounds(i int) (lo, hi float64) { return p.lin[i], p.hin[i] }
+
 // SetEqualityRHS sets the target of equality row e, which must be finite.
 func (p *Problem) SetEqualityRHS(e int, b float64) error {
 	if e < 0 || e >= len(p.aeq) {
@@ -208,7 +212,8 @@ func checkRow(a []float64, rhs float64) error {
 // isFinite reports whether v is neither NaN nor ±Inf.
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
-// Solution is the result of a successful Solve.
+// Solution is the result of a successful solve. SolveInto reuses one
+// Solution's storage from solve to solve.
 type Solution struct {
 	// X is the optimal point.
 	X []float64
@@ -230,6 +235,10 @@ type Solution struct {
 	UpperDual []float64
 	// Iterations is the number of active-set iterations performed.
 	Iterations int
+
+	// buf backs the six vectors above; SolveInto reslices it when it has
+	// room.
+	buf []float64
 }
 
 // Options tune the solver.
@@ -237,6 +246,7 @@ type Options struct {
 	// Metrics, when non-nil, receives qp_* solve/iteration counters
 	// (including the KKT solve and factorization work counts) and forwards
 	// to the feasibility LP's lp_* counters when the primal method runs.
+	// With a Cache, the qp_* instruments are looked up once, not per solve.
 	Metrics *telemetry.Registry
 	// Cache, when non-nil, lets the bordered KKT path reuse its base
 	// factorization, border columns, and Schur factors across solves of
@@ -251,13 +261,13 @@ type Options struct {
 	Cache *KKTCache
 	// Workspace supplies the active-set iteration's working storage
 	// (pricing candidates, Schur right-hand-side and memo buffers, step
-	// direction) in its
-	// QP slot, reused across solves so a steady-state QP re-solve under a
-	// warm KKTCache allocates only the returned Solution. When nil, the
-	// solve borrows a workspace from lp's pool for the call. The primal
-	// method's feasibility LP always runs on a borrowed one: its solution
-	// vector becomes the iterate and is mutated in place, so it must be a
-	// fresh copy. The returned Solution never aliases the workspace, and
+	// direction, the Schur matrix) in its QP slot, reused across solves so
+	// a steady-state QP re-solve under a warm KKTCache allocates nothing
+	// through SolveInto, and only the returned Solution through SolveWith.
+	// When nil, the solve borrows a workspace from lp's pool for the call.
+	// The primal method's feasibility LP always runs on a borrowed one: its
+	// solution vector becomes the iterate and is mutated in place, so it
+	// must be a fresh copy. A Solution never aliases the workspace, and
 	// results are bit-identical whichever workspace ran the solve. Not safe
 	// for concurrent use.
 	Workspace *lp.Workspace
@@ -341,18 +351,41 @@ func (r ineqRow) dot(v []float64) float64 {
 
 // SolveWith solves the QP with explicit options: by the dual method when H
 // is positive definite, by the primal method from an LP feasible start
-// otherwise.
+// otherwise. It returns a new Solution; SolveInto reuses one.
 func SolveWith(p *Problem, opts Options) (*Solution, error) {
-	return solve(p, opts, false)
+	sol := &Solution{}
+	if err := SolveInto(p, opts, sol); err != nil {
+		return nil, err
+	}
+	return sol, nil
 }
 
-// solve is SolveWith; primal forces the primal method even when H is
+// SolveInto solves the QP as SolveWith does and writes the solution into
+// dst, reusing the storage of a Solution an earlier SolveInto filled, so a
+// re-solve of a problem whose size is unchanged allocates no result. The
+// solution's vectors are dst's own: they never alias the workspace, and
+// the next SolveInto into dst overwrites them. On error dst's contents are
+// unspecified.
+func SolveInto(p *Problem, opts Options, dst *Solution) error {
+	return solve(p, opts, false, dst)
+}
+
+// solve is SolveInto; primal forces the primal method even when H is
 // positive definite, which makes it the dual method's differential oracle.
-func solve(p *Problem, opts Options, primal bool) (*Solution, error) {
+func solve(p *Problem, opts Options, primal bool, dst *Solution) error {
 	opts = opts.withDefaults()
-	m := opts.Metrics
+	var local solveMetrics
+	m := &local
+	if opts.Cache != nil {
+		m = &opts.Cache.metrics
+	}
+	if opts.Metrics == nil {
+		m = nil
+	} else if m.reg != opts.Metrics {
+		*m = solveMetrics{reg: opts.Metrics}
+	}
 	if m != nil {
-		m.Counter("qp_solves_total").Inc()
+		m.counter(qpSolves).Inc()
 	}
 	ws := opts.Workspace
 	if ws == nil {
@@ -362,35 +395,75 @@ func solve(p *Problem, opts Options, primal bool) (*Solution, error) {
 	sc := scratchFrom(ws)
 	defer sc.release()
 	var as *activeSet
-	var sol *Solution
 	var err error
 	if !primal && positiveDefinite(p, opts.Cache) {
 		as = sc.attach(p, nil, opts)
-		sol, err = as.runDual()
+		err = as.runDual(dst)
 	} else {
 		var x []float64
 		if x, err = feasibleStart(p, opts); err == nil {
 			as = sc.attach(p, x, opts)
-			sol, err = as.run()
+			err = as.run(dst)
 		}
 	}
 	if m != nil {
 		if as != nil {
-			m.Counter("qp_kkt_solves_total").Add(int64(as.kktSolves))
-			m.Counter("qp_kkt_factorizations_total").Add(int64(as.kktFactors))
+			m.counter(qpKKTSolves).Add(int64(as.kktSolves))
+			m.counter(qpKKTFactors).Add(int64(as.kktFactors))
 		}
-		if sol != nil {
-			m.Counter("qp_iterations_total").Add(int64(sol.Iterations))
-			m.Histogram("qp_iterations", telemetry.IterBuckets).Observe(float64(sol.Iterations))
+		if err == nil {
+			m.counter(qpIterations).Add(int64(dst.Iterations))
+			if m.iterHist == nil {
+				m.iterHist = m.reg.Histogram("qp_iterations", telemetry.IterBuckets)
+			}
+			m.iterHist.Observe(float64(dst.Iterations))
 		}
 		switch {
 		case errors.Is(err, ErrInfeasible):
-			m.Counter("qp_infeasible_total").Inc()
+			m.counter(qpInfeasible).Inc()
 		case err != nil && as != nil:
-			m.Counter("qp_errors_total").Inc()
+			m.counter(qpErrors).Inc()
 		}
 	}
-	return sol, err
+	return err
+}
+
+// The qp_* counters a solve feeds, indexing solveMetrics.counters.
+const (
+	qpSolves = iota
+	qpKKTSolves
+	qpKKTFactors
+	qpIterations
+	qpInfeasible
+	qpErrors
+	numQPCounters
+)
+
+var qpCounterNames = [numQPCounters]string{
+	qpSolves:     "qp_solves_total",
+	qpKKTSolves:  "qp_kkt_solves_total",
+	qpKKTFactors: "qp_kkt_factorizations_total",
+	qpIterations: "qp_iterations_total",
+	qpInfeasible: "qp_infeasible_total",
+	qpErrors:     "qp_errors_total",
+}
+
+// solveMetrics holds the instruments a solve feeds in registry reg, each
+// looked up on first use, so that solves through one KKTCache look a name
+// up in the registry's map once rather than once per solve. An instrument
+// is created when a solve first feeds it, as a direct lookup would.
+type solveMetrics struct {
+	reg      *telemetry.Registry
+	counters [numQPCounters]*telemetry.Counter
+	iterHist *telemetry.Histogram
+}
+
+// counter returns counter i, looking it up on first use.
+func (m *solveMetrics) counter(i int) *telemetry.Counter {
+	if m.counters[i] == nil {
+		m.counters[i] = m.reg.Counter(qpCounterNames[i])
+	}
+	return m.counters[i]
 }
 
 // positiveDefinite reports whether H is positive definite, which selects
