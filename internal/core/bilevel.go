@@ -132,9 +132,10 @@ type subproblem struct {
 	rows                 []ineqRow
 	lastX                []float64 // heuristic memoization of the last attack vector
 
-	metrics *telemetry.Registry
-	ctx     context.Context // bounds dive/polish candidate evaluation
-	span    *telemetry.Span // parents the inner MILP solve spans
+	metrics   *telemetry.Registry
+	ctx       context.Context // bounds dive/polish candidate evaluation
+	checkSkip skipHook        // Options.checkSkip
+	span      *telemetry.Span // parents the inner MILP solve spans
 	// round is the 1-based row-generation round this instance solves,
 	// stamped onto flight events so search trees attribute to the right
 	// solve.
@@ -175,6 +176,7 @@ func newSubproblem(k *Knowledge, target int, dir float64, monitored []int, o Opt
 		method:    o.Method,
 		metrics:   o.Metrics,
 		ctx:       o.Ctx,
+		checkSkip: o.checkSkip,
 	}
 	ng := len(k.Model.Net.Gens)
 	if len(monitored) == len(pre.monitored) {
@@ -514,22 +516,25 @@ const diveWideThreshold = 8
 // so the polish preserves bit-identical results across search trajectories
 // and worker schedules. rich widens the candidate set (a finer band grid and
 // extra relative steps): ~2× the dispatch solves for a deeper ascent, used
-// to refine a single winner rather than every dive.
+// to refine a single winner rather than every dive. A candidate that
+// lineScan proves cannot change the scan (its line stays slack under a
+// strictly convex ED, or a looser rating was already infeasible) is dropped
+// unsolved and counted in core_polish_skipped_total.
 func (s *subproblem) polish(dlr map[int]float64, rich bool) (float64, map[int]float64, *dispatch.Result, bool) {
 	net := s.k.Model.Net
 	ud := s.k.TrueDLR[s.target]
-	eval := func(cand map[int]float64) (float64, *dispatch.Result, bool) {
+	eval := func(cand map[int]float64) (float64, *dispatch.Result, error) {
 		// A canceled context stops the coordinate ascent at the next
 		// candidate — the surrounding round/run checks then surface the
 		// context error, so a cut-short polish never escapes as a result.
 		if s.ctx != nil && s.ctx.Err() != nil {
-			return 0, nil, false
+			return 0, nil, s.ctx.Err()
 		}
-		res, ok := s.k.solveMemo(s.dlrOrder, cand)
-		if !ok {
-			return 0, nil, false
+		res, err := s.k.solveMemo(s.dlrOrder, cand)
+		if err != nil {
+			return 0, nil, err
 		}
-		return 100*s.dir*res.Flows[s.target]/ud - 100, res, true
+		return 100*s.dir*res.Flows[s.target]/ud - 100, res, nil
 	}
 	cur := make(map[int]float64, len(dlr))
 	for li, v := range dlr {
@@ -537,10 +542,16 @@ func (s *subproblem) polish(dlr map[int]float64, rich bool) (float64, map[int]fl
 	}
 	// A choked starting point (ratings pinned to exact flows) can make the
 	// ED infeasible; start from -Inf and let the scan find feasible ground.
+	// bestRes is then nil, and no candidate is skipped as slack until a
+	// feasible one is found.
 	bestGain, bestRes := math.Inf(-1), (*dispatch.Result)(nil)
-	if g, res, ok := eval(cur); ok {
+	if g, res, err := eval(cur); err == nil {
 		bestGain, bestRes = g, res
 	}
+	// bestRes is the ED at cur whenever a line's scan starts: lineScan's
+	// first proof base.
+	scan := lineScan{convex: s.k.Model.StrictlyConvex()}
+	skipped := 0
 	wide := !rich && len(s.dlrOrder) > diveWideThreshold
 	passes := polishPasses
 	if wide {
@@ -575,13 +586,29 @@ func (s *subproblem) polish(dlr map[int]float64, rich bool) (float64, map[int]fl
 				}
 			}
 			bestV, found := orig, false
+			scan.start(li, bestRes, orig)
 			for _, c := range cands {
 				v := clampToBand(l, quantize(c, ratingQuantum))
 				if v == orig || (found && v == bestV) {
 					continue
 				}
 				cur[li] = v
-				if g, res, ok := eval(cur); ok && g > bestGain+1e-9 {
+				if kind := scan.skip(v); kind != noSkip {
+					skipped++
+					if s.checkSkip != nil {
+						s.checkSkip.check(s.k, kind, scan.slack, cur)
+					}
+					continue
+				}
+				g, res, err := eval(cur)
+				if errors.Is(err, dispatch.ErrInfeasible) {
+					scan.failed(v)
+				}
+				if err != nil {
+					continue
+				}
+				scan.solved(res, v)
+				if g > bestGain+1e-9 {
 					bestGain, bestRes, bestV, found = g, res, v, true
 				}
 			}
@@ -593,6 +620,9 @@ func (s *subproblem) polish(dlr map[int]float64, rich bool) (float64, map[int]fl
 		if !moved {
 			break
 		}
+	}
+	if skipped > 0 {
+		s.k.Model.Metrics.Counter("core_polish_skipped_total").Add(int64(skipped))
 	}
 	if bestRes == nil {
 		return 0, nil, nil, false

@@ -171,12 +171,14 @@ func appendMemoKey(b []byte, order []int, dlr map[int]float64) []byte {
 }
 
 // solveMemo runs (or recalls) the operator's dispatch under a manipulation,
-// counting core_edmemo_{hits,misses}_total on the model's registry. The
-// boolean reports feasibility; the returned Result must not be mutated.
-func (k *Knowledge) solveMemo(order []int, dlr map[int]float64) (*dispatch.Result, bool) {
+// counting core_edmemo_{hits,misses}_total on the model's registry. An
+// infeasible ED returns dispatch.ErrInfeasible, memoized like a result; any
+// other solver error is returned and not memoized, so a caller can tell a
+// proven infeasibility from a failed solve. The returned Result must not be
+// mutated.
+func (k *Knowledge) solveMemo(order []int, dlr map[int]float64) (*dispatch.Result, error) {
 	if k.memo == nil {
-		res, err := k.Model.Solve(k.ratingsUnder(dlr))
-		return res, err == nil
+		return k.Model.Solve(k.ratingsUnder(dlr))
 	}
 	// m[string(key)] looks up without allocating; only an insert copies
 	// the key into a string.
@@ -187,19 +189,22 @@ func (k *Knowledge) solveMemo(order []int, dlr map[int]float64) (*dispatch.Resul
 	k.memo.mu.Unlock()
 	if hit {
 		k.Model.Metrics.Counter("core_edmemo_hits_total").Inc()
-		return res, res != nil
+		if res == nil {
+			return nil, dispatch.ErrInfeasible
+		}
+		return res, nil
 	}
 	k.Model.Metrics.Counter("core_edmemo_misses_total").Inc()
 	res, err := k.Model.Solve(k.ratingsUnder(dlr))
-	if err != nil {
-		res = nil
+	if err != nil && !errors.Is(err, dispatch.ErrInfeasible) {
+		return nil, err
 	}
 	k.memo.mu.Lock()
 	if len(k.memo.m) < edMemoCap {
 		k.memo.m[string(key)] = res
 	}
 	k.memo.mu.Unlock()
-	return res, res != nil
+	return res, err
 }
 
 // trueRatings returns the rating vector with DLR lines at their true
@@ -400,6 +405,10 @@ type Options struct {
 	// per-subproblem dives, the converged-attack polish, and the winner's
 	// rich refinement, so attacks come from branch-and-bound alone.
 	noDive bool
+	// checkSkip, when non-nil, makes the dive and polish solve every
+	// candidate their coordinate scans skip and hand it to the hook (see
+	// lineScan); the skip itself stands, so attacks are unchanged.
+	checkSkip skipHook
 }
 
 // bigM is the big-M constant of MethodBigM, mirroring the paper's "M is

@@ -95,12 +95,12 @@ func BenchmarkColdDiveCase57(b *testing.B) {
 }
 
 // Dive allocation ceilings per cold budgeted case57 attack
-// (TestDiveAllocBudget). Measured 9,385–9,386 objects and 1.59 MB over the
-// fixed attacks (Go 1.24.0, linux/amd64, the toolchain CI's alloc job
-// pins); the ceilings leave about 10% of headroom.
+// (TestDiveAllocBudget). Measured 6,010–6,034 objects and 0.83–0.84 MB
+// over the fixed attacks (Go 1.24.0, linux/amd64, the toolchain CI pins);
+// the ceilings leave about 10% of headroom.
 const (
-	diveAllocsCeiling = 10400
-	diveBytesCeiling  = 1.78e6
+	diveAllocsCeiling = 6650
+	diveBytesCeiling  = 0.93e6
 )
 
 // TestDiveAllocBudget caps the heap objects and bytes one cold budgeted

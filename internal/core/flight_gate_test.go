@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -70,12 +71,19 @@ func TestFlightGateIdenticalAttacks(t *testing.T) {
 	}
 }
 
+// flightPairs is the number of interleaved recorder-off/on runs the
+// case118 overhead gate takes its median over.
+const flightPairs = 5
+
 // TestFlightGateCase118Overhead measures the recorder's cost on the budgeted
 // case118 attack. The hard assertions are on work (bit-identical gain and
 // pivot/node totals); wall overhead is logged, with a generous 1.5×
 // backstop so a pathological regression fails loudly without making the
-// gate flaky on a noisy machine. The ≤5% target is checked by eye on the
-// logged numbers from make bench-flight.
+// gate flaky on a noisy machine. The backstop applies to the median of the
+// on/off wall ratios over flightPairs interleaved pairs (each pair's order
+// alternates), not to one sample of each, which a single noisy run could
+// push past it. The ≤5% target is checked by eye on the logged numbers
+// from make bench-flight.
 func TestFlightGateCase118Overhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("case118 gate skipped in -short mode")
@@ -94,20 +102,33 @@ func TestFlightGateCase118Overhead(t *testing.T) {
 	}
 	// Warm the caches once so the off/on comparison is not first-run-biased.
 	run(nil)
-	off, wallOff := run(nil)
-	fl := telemetry.NewFlight(0)
-	on, wallOn := run(fl)
-
-	sameAttack(t, "case118/flight on-vs-off", off, on)
-	if off.Stats.SimplexIterations != on.Stats.SimplexIterations {
-		t.Errorf("pivot total moved with the recorder on: %d vs %d",
-			off.Stats.SimplexIterations, on.Stats.SimplexIterations)
+	ratios := make([]float64, flightPairs)
+	var wallOff, wallOn time.Duration
+	var fl *telemetry.Flight
+	for i := range ratios {
+		var off, on *core.Attack
+		fl = telemetry.NewFlight(0)
+		if i%2 == 0 {
+			off, wallOff = run(nil)
+			on, wallOn = run(fl)
+		} else {
+			on, wallOn = run(fl)
+			off, wallOff = run(nil)
+		}
+		sameAttack(t, "case118/flight on-vs-off", off, on)
+		if off.Stats.SimplexIterations != on.Stats.SimplexIterations {
+			t.Errorf("pivot total moved with the recorder on: %d vs %d",
+				off.Stats.SimplexIterations, on.Stats.SimplexIterations)
+		}
+		ratios[i] = float64(wallOn) / float64(wallOff)
+		t.Logf("pair %d: off %v, on %v", i, wallOff, wallOn)
 	}
-	overhead := float64(wallOn-wallOff) / float64(wallOff) * 100
-	if !gatetest.RaceEnabled && float64(wallOn) > 1.5*float64(wallOff) {
-		t.Errorf("recorder overhead %.1f%% exceeds the 50%% backstop (off %v, on %v)",
-			overhead, wallOff, wallOn)
+	slices.Sort(ratios)
+	ratio := ratios[flightPairs/2]
+	if !gatetest.RaceEnabled && ratio > 1.5 {
+		t.Errorf("median recorder overhead %.1f%% exceeds the 50%% backstop (ratios %.3f)",
+			(ratio-1)*100, ratios)
 	}
-	t.Logf("case118 budgeted: off %v, on %v (%+.1f%% wall), %d events recorded (%d retained)",
-		wallOff, wallOn, overhead, fl.Total(), fl.Len())
+	t.Logf("case118 budgeted: median %+.1f%% wall over %d pairs, %d events recorded in the last run (%d retained)",
+		(ratio-1)*100, flightPairs, fl.Total(), fl.Len())
 }

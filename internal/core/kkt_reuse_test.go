@@ -56,16 +56,28 @@ func coldAttackQPWork(t *testing.T, build func() (*grid.Network, error)) (*core.
 	}
 }
 
+// Dispatch QP work ceilings for the cold budgeted case57 attack
+// (TestKKTFactorReuseCounted). Measured 352 KKT factorizations and 1,419
+// QP iterations (Go 1.24.0, linux/amd64). Without cross-solve reuse of the
+// model's base LU and Schur factors the same attack factors 2,263 times,
+// and without the hot start from the previous solve's working set it takes
+// 2,449 iterations, so each ceiling sits between the two. The budgeted
+// case118 attack takes 21,531 QP iterations, 99,655 without the hot start.
+const (
+	case57KKTFactorsCeiling = 400
+	case57QPIterCeiling     = 1800
+	case118QPIterCeiling    = 25000
+)
+
 // TestKKTFactorReuseCounted pins the dispatch QP's work by its counters. A
 // cold budgeted case57 attack reports the same counts on every run, exactly
 // one QP solve per dispatch solve (the dual method enforces every rated
-// line itself; no row-generation round re-solves it), at most a tenth as
-// many KKT factorizations as KKT solves (without cross-solve reuse of the
-// model's base LU and Schur factors every working set is factored afresh),
-// and at most 4 dual iterations per QP (without the hot start from the
-// previous solve's working set every QP climbs from the empty set).
-// Outside -short, the case118 attack is held to one QP per dispatch and at
-// most 10 iterations per QP.
+// line itself; no row-generation round re-solves it), and at most the
+// ceilings above of KKT factorizations and QP iterations. The ceilings are
+// totals, not per-QP means: the dive skips the dispatch solves whose
+// optimum is provably unchanged, and those were the cheap hot-started
+// ones, so the mean per QP says little. Outside -short, the case118 attack
+// is held to one QP per dispatch and its own iteration ceiling.
 func TestKKTFactorReuseCounted(t *testing.T) {
 	first, w := coldAttackQPWork(t, cases.Case57)
 	second, w2 := coldAttackQPWork(t, cases.Case57)
@@ -79,15 +91,14 @@ func TestKKTFactorReuseCounted(t *testing.T) {
 	if w.solves != w.dispatches {
 		t.Fatalf("%d QP solves for %d dispatch solves, want one each", w.solves, w.dispatches)
 	}
-	if 10*w.kktFactors > w.kktSolves {
-		t.Fatalf("%d KKT factorizations for %d solves, want at most a tenth", w.kktFactors, w.kktSolves)
+	if w.kktFactors > case57KKTFactorsCeiling {
+		t.Fatalf("%d KKT factorizations for %d solves, want at most %d", w.kktFactors, w.kktSolves, case57KKTFactorsCeiling)
 	}
-	if w.iterations > 4*w.solves {
-		t.Fatalf("%d QP iterations for %d QP solves (%.2f per solve), want at most 4 per solve",
-			w.iterations, w.solves, float64(w.iterations)/float64(w.solves))
+	if w.iterations > case57QPIterCeiling {
+		t.Fatalf("%d QP iterations for %d QP solves, want at most %d", w.iterations, w.solves, case57QPIterCeiling)
 	}
-	t.Logf("case57: %d QP solves, %.2f iterations per QP, %d KKT factorizations for %d KKT solves",
-		w.solves, float64(w.iterations)/float64(w.solves), w.kktFactors, w.kktSolves)
+	t.Logf("case57: %d QP solves, %d iterations, %d KKT factorizations for %d KKT solves",
+		w.solves, w.iterations, w.kktFactors, w.kktSolves)
 	if testing.Short() {
 		return
 	}
@@ -95,10 +106,9 @@ func TestKKTFactorReuseCounted(t *testing.T) {
 	if w.solves != w.dispatches {
 		t.Fatalf("case118: %d QP solves for %d dispatch solves, want one each", w.solves, w.dispatches)
 	}
-	if w.iterations > 10*w.solves {
-		t.Fatalf("case118: %d QP iterations for %d QP solves (%.2f per solve), want at most 10 per solve",
-			w.iterations, w.solves, float64(w.iterations)/float64(w.solves))
+	if w.iterations > case118QPIterCeiling {
+		t.Fatalf("case118: %d QP iterations for %d QP solves, want at most %d", w.iterations, w.solves, case118QPIterCeiling)
 	}
-	t.Logf("case118: %d QP solves, %.2f iterations per QP, %.2f KKT factorizations per QP",
-		w.solves, float64(w.iterations)/float64(w.solves), float64(w.kktFactors)/float64(w.solves))
+	t.Logf("case118: %d QP solves, %d iterations, %.2f KKT factorizations per QP",
+		w.solves, w.iterations, float64(w.kktFactors)/float64(w.solves))
 }

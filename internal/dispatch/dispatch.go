@@ -237,6 +237,18 @@ func (m *Model) HasQuadraticCost() bool {
 	return false
 }
 
+// StrictlyConvex reports whether every unit has a strictly convex cost:
+// the dispatch QP's Hessian is then positive definite, the dual method's
+// precondition, and the optimum is unique for every rating vector.
+func (m *Model) StrictlyConvex() bool {
+	for i := range m.Net.Gens {
+		if m.Net.Gens[i].CostA <= 0 {
+			return false
+		}
+	}
+	return len(m.Net.Gens) > 0
+}
+
 // Result is a solved economic dispatch.
 type Result struct {
 	// P is the MW output per generator.

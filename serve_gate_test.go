@@ -137,6 +137,14 @@ func replayServeWork(t *testing.T, caseName string) serveWork {
 // 100ms of its deadline: the context threads down to branch-and-bound node
 // and row-generation round granularity, so no solver layer can overshoot
 // by more than one node's work.
+//
+// The request is an unbudgeted case118 attack (the default 50,000-node
+// budget per subproblem and the default gap), which cannot finish inside
+// the deadline however fast the solver gets: its KKT relaxation's bound
+// stays at the rating-band cap, so branch and bound proves nothing and
+// runs every subproblem to its node budget, hundreds of thousands of node
+// LPs. A budgeted attack would only outlast the deadline until the solver
+// got fast enough.
 func testServeDeadline(t *testing.T) {
 	s := edattack.NewServer(edattack.ServeConfig{})
 	defer s.Close()
@@ -150,8 +158,7 @@ func testServeDeadline(t *testing.T) {
 	}))
 
 	const deadline = 400 * time.Millisecond
-	body := gatetest.AttackBody("case118")
-	body["deadline_ms"] = deadline.Milliseconds()
+	body := map[string]any{"case": "case118", "deadline_ms": deadline.Milliseconds()}
 	start := time.Now()
 	events := gatetest.ServePost(t, ts.URL, "/v1/attack", body)
 	wall := time.Since(start)
@@ -165,7 +172,7 @@ func testServeDeadline(t *testing.T) {
 		}
 	}
 	if !failed {
-		t.Fatalf("case118 attack finished inside %s — deadline never fired; events %+v", deadline, events)
+		t.Fatalf("unbudgeted case118 attack finished inside %s — deadline never fired; events %+v", deadline, events)
 	}
 	if overshoot := wall - deadline; !gatetest.RaceEnabled && overshoot > 100*time.Millisecond {
 		t.Errorf("deadline-cancelled request took %s, overshooting the %s deadline by %s (want ≤100ms)",
